@@ -6,6 +6,9 @@ from repro.telemetry.reporting import ExperimentReport
 
 def test_fig5_latency_breakdown(benchmark, sa_family, sa_inputs):
     pipeline = sa_family.pipelines[0].pipeline
+    # Lazy set-up (the black box builds its n-gram key tables on first use)
+    # is a cold-start cost, not part of the steady-state breakdown.
+    pipeline.predict(sa_inputs[0])
 
     def run():
         return pipeline.latency_breakdown(sa_inputs[0], repetitions=20)

@@ -7,8 +7,9 @@ The MPC maps an optimized stage graph to a :class:`~repro.core.oven.plan.ModelPl
 * each logical stage is mapped to a physical stage; when a physical stage
   with the same trained state already exists in the catalog it is reused
   (1-to-n logical to physical mapping plus cross-plan sharing), and
-* physical stages are AOT-compiled (unless disabled) so no specialization
-  work remains on the prediction path.
+* physical stages are AOT-compiled and operators build their derived serving
+  state (unless disabled) so no specialization work remains on the
+  prediction path.
 """
 
 from __future__ import annotations
@@ -83,10 +84,18 @@ class ModelPlanCompiler:
     # -- helpers -------------------------------------------------------------
 
     def _intern_operators(self, stage_graph: StageGraph) -> None:
-        """Replace operator instances with the canonical Object Store copies."""
+        """Replace operator instances with the canonical Object Store copies.
+
+        With AOT compilation on, each canonical operator also builds its
+        derived serving state here (:meth:`Operator.prepare` -- idempotent, so
+        a plan that dedups onto an existing operator pays nothing): like stage
+        specialization, none of it is left for the prediction path.
+        """
         for stage in stage_graph:
             for node in stage.transforms:
                 node.operator = self.object_store.intern_operator(node.operator)
+                if self.config.enable_aot_compilation:
+                    node.operator.prepare()
 
     def _physical_for(self, logical: LogicalStage) -> PhysicalStage:
         """Reuse a catalogued physical stage or build (and AOT-compile) a new one.

@@ -104,7 +104,7 @@ class PartialLinearScorer(Operator):
 
     def parameters(self) -> List[Parameter]:
         return [
-            Parameter(f"partiallinear.{self.branch_index}.weights", self.weights),
+            Parameter(f"partiallinear.{self.branch_index}.weights", self.weights, owner=self),
             Parameter(f"partiallinear.{self.branch_index}.bias", self.bias),
         ]
 

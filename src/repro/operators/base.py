@@ -118,16 +118,12 @@ def _nbytes_of(value: Any) -> int:
     return 64
 
 
-#: cache of (value, checksum, nbytes) for large parameter values, keyed by
-#: object identity.  Trained dictionaries and weight arrays are shared across
-#: many pipeline instances in the workload families, and their checksums are
-#: requested every time a pipeline is registered; caching by identity turns
-#: repeated registrations from O(parameter bytes) into O(1).  Entries hold a
-#: strong reference to the value, so an id can never be reused while its
-#: entry is alive (identity check below stays sound).  Values must not be
-#: mutated in place after a Parameter has been built from them.
-_PARAMETER_CACHE: Dict[int, tuple] = {}
-_PARAMETER_CACHE_MIN_BYTES = 4096
+#: parameter values at least this large have their ``(checksum, nbytes)``
+#: memoised on their owner (see :class:`Parameter`)
+_PARAMETER_MEMO_MIN_BYTES = 4096
+#: instance attribute holding an owner's memo: parameter name ->
+#: ``(value, checksum, nbytes)``
+_PARAMETER_MEMO_ATTR = "_parameter_memo"
 
 
 class Parameter:
@@ -137,22 +133,34 @@ class Parameter:
     operators from different pipelines that were trained to identical state
     (same dictionary, same weights) produce parameters with the same checksum
     and are stored only once.
+
+    Checksumming a trained dictionary or weight array costs O(its bytes), and
+    ``parameters()`` is called several times per registration.  Passing the
+    object that holds ``value`` as ``owner`` memoises ``(checksum, nbytes)``
+    *on that owner*, so repeated calls are O(1) and the memo lives exactly as
+    long as the state it describes: an unpickled plan's private duplicates are
+    freed as soon as the Object Store swaps in the canonical operator, and a
+    canonical operator's when its last plan unregisters.  The memo is checked
+    by identity, so values must be replaced, never mutated in place, once a
+    Parameter has been built from them.
     """
 
     __slots__ = ("name", "value", "checksum", "nbytes")
 
-    def __init__(self, name: str, value: Any):
+    def __init__(self, name: str, value: Any, owner: Any = None):
         self.name = name
         self.value = value
-        cached = _PARAMETER_CACHE.get(id(value))
-        if cached is not None and cached[0] is value:
-            self.checksum = cached[1]
-            self.nbytes = cached[2]
-            return
+        if owner is not None:
+            cached = owner.__dict__.get(_PARAMETER_MEMO_ATTR, {}).get(name)
+            if cached is not None and cached[0] is value:
+                self.checksum = cached[1]
+                self.nbytes = cached[2]
+                return
         self.checksum = _checksum_of(value)
         self.nbytes = _nbytes_of(value)
-        if isinstance(value, (dict, np.ndarray)) and self.nbytes >= _PARAMETER_CACHE_MIN_BYTES:
-            _PARAMETER_CACHE[id(value)] = (value, self.checksum, self.nbytes)
+        if owner is not None and self.nbytes >= _PARAMETER_MEMO_MIN_BYTES:
+            memo = owner.__dict__.setdefault(_PARAMETER_MEMO_ATTR, {})
+            memo[name] = (value, self.checksum, self.nbytes)
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, {self.nbytes}B, {self.checksum[:8]})"
@@ -220,6 +228,23 @@ class Operator:
     def parameters(self) -> List[Parameter]:
         """Trained state as a list of shareable :class:`Parameter` objects."""
         return []
+
+    def prepare(self) -> None:
+        """Build derived serving state ahead of the first request (idempotent).
+
+        Called by the plan compiler on every canonical operator when AOT
+        compilation is enabled, so structures derived from the trained state
+        (e.g. the n-gram key tables) are paid for at registration, not on the
+        prediction path.  Derived state is never a :class:`Parameter` and
+        never pickled.
+        """
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The parameter memo is derived state: it stays out of pickles.
+        state = self.__dict__
+        if _PARAMETER_MEMO_ATTR in state:
+            state = {key: value for key, value in state.items() if key != _PARAMETER_MEMO_ATTR}
+        return state
 
     def output_size(self) -> Optional[int]:
         """Dimensionality of the output vector, if the output is a vector."""

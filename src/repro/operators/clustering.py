@@ -113,7 +113,7 @@ class KMeans(Operator):
             Parameter("kmeans.config", {"n_clusters": self.n_clusters, "seed": self.seed})
         ]
         if self.centroids is not None:
-            params.append(Parameter("kmeans.centroids", self.centroids))
+            params.append(Parameter("kmeans.centroids", self.centroids, owner=self))
         return params
 
     def output_size(self) -> Optional[int]:

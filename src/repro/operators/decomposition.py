@@ -74,9 +74,9 @@ class PCA(Operator):
     def parameters(self) -> List[Parameter]:
         params = [Parameter("pca.config", {"n_components": self.n_components})]
         if self.mean is not None:
-            params.append(Parameter("pca.mean", self.mean))
+            params.append(Parameter("pca.mean", self.mean, owner=self))
         if self.components is not None:
-            params.append(Parameter("pca.components", self.components))
+            params.append(Parameter("pca.components", self.components, owner=self))
         return params
 
     def output_size(self) -> Optional[int]:

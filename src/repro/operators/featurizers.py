@@ -259,7 +259,7 @@ class MissingValueImputer(Operator):
     def parameters(self) -> List[Parameter]:
         params: List[Parameter] = []
         if self.fill_values is not None:
-            params.append(Parameter("imputer.fill_values", self.fill_values))
+            params.append(Parameter("imputer.fill_values", self.fill_values, owner=self))
         return params
 
     def output_size(self) -> Optional[int]:
@@ -313,9 +313,9 @@ class MinMaxNormalizer(Operator):
     def parameters(self) -> List[Parameter]:
         params: List[Parameter] = []
         if self.minima is not None:
-            params.append(Parameter("minmax.minima", self.minima))
+            params.append(Parameter("minmax.minima", self.minima, owner=self))
         if self.maxima is not None:
-            params.append(Parameter("minmax.maxima", self.maxima))
+            params.append(Parameter("minmax.maxima", self.maxima, owner=self))
         return params
 
     def output_size(self) -> Optional[int]:

@@ -178,7 +178,7 @@ class LinearModel(Operator):
     def parameters(self) -> List[Parameter]:
         params: List[Parameter] = []
         if self.weights is not None:
-            params.append(Parameter(f"{self.name.lower()}.weights", self.weights))
+            params.append(Parameter(f"{self.name.lower()}.weights", self.weights, owner=self))
             params.append(Parameter(f"{self.name.lower()}.bias", self.bias))
         return params
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -108,6 +109,116 @@ class Tokenizer(Operator):
         return {"lowercase": self.lowercase, "pattern": self.pattern}
 
 
+class _NgramKeyTable:
+    """Array form of one :class:`NgramDictionary`, for one unit joiner.
+
+    Units (code points when ``joiner`` is empty, else the joiner-separated
+    tokens) get dense ids ``1..A``; ``0`` means "not in any vocabulary gram".
+    A gram of ``n`` units is packed into one non-negative ``int64``: ``bits``
+    bits per unit id, first unit most significant, plus the length ``n`` above
+    them at ``tag_shift = bits * max_len``.  The packing is injective over
+    unit-id sequences of up to ``max_len`` units -- equal length and equal
+    fixed-width digits -- and a vocabulary gram has no zero digit, so a window
+    of the input matches a key exactly when it spells that gram: the lookup is
+    a ``searchsorted`` plus an equality test, with no hashing and no collision
+    pass.  ``keys`` is sorted; ``features`` is the parallel feature index.
+    """
+
+    __slots__ = ("unit_ids", "bits", "max_len", "tag_shift", "keys", "features")
+
+    #: the packed gram (``bits * max_len`` bits) and its length tag must fit
+    #: the 63 value bits of an int64
+    MAX_KEY_BITS = 63
+
+    def __init__(
+        self,
+        unit_ids: Union[np.ndarray, Dict[str, int]],
+        bits: int,
+        max_len: int,
+        keys: np.ndarray,
+        features: np.ndarray,
+    ):
+        #: code point -> id lookup array whose last slot is 0, so that
+        #: ``take(..., mode="clip")`` maps every larger code point to 0
+        #: (empty joiner); token -> id dict otherwise
+        self.unit_ids = unit_ids
+        self.bits = bits
+        self.max_len = max_len
+        self.tag_shift = bits * max_len
+        self.keys = keys
+        self.features = features
+
+    @classmethod
+    def build(cls, ngram_to_index: Dict[str, int], joiner: str) -> Optional["_NgramKeyTable"]:
+        """The table for this vocabulary, or None when int64 keys cannot hold it."""
+        grams = list(ngram_to_index)
+        if not grams:
+            return None
+        unit_ids: Union[np.ndarray, Dict[str, int]]
+        if joiner:
+            # Splitting the joined vocabulary equals splitting every gram.
+            units = joiner.join(grams).split(joiner)
+            unit_ids = {unit: index + 1 for index, unit in enumerate(dict.fromkeys(units))}
+            flat_ids = np.fromiter(
+                map(unit_ids.__getitem__, units), dtype=np.int64, count=len(units)
+            )
+            lengths = np.fromiter(
+                (gram.count(joiner) + 1 for gram in grams), dtype=np.int64, count=len(grams)
+            )
+            n_units = len(unit_ids)
+        else:
+            codes = _code_points("".join(grams))
+            if not codes.size:
+                return None
+            alphabet = np.unique(codes)
+            n_units = int(alphabet.size)
+            unit_ids = np.zeros(int(alphabet[-1]) + 2, dtype=np.int64)
+            unit_ids[alphabet] = np.arange(1, n_units + 1)
+            flat_ids = unit_ids[codes]
+            lengths = np.fromiter(map(len, grams), dtype=np.int64, count=len(grams))
+        bits = n_units.bit_length()
+        max_len = int(lengths.max())
+        if bits * max_len + max_len.bit_length() > cls.MAX_KEY_BITS:
+            return None
+        starts = np.cumsum(lengths) - lengths
+        keys = np.zeros(len(grams), dtype=np.int64)
+        for position in range(max_len):
+            longer = np.flatnonzero(lengths > position)
+            keys[longer] = (keys[longer] << bits) | flat_ids[starts[longer] + position]
+        keys += lengths << (bits * max_len)
+        order = np.argsort(keys)
+        features = np.fromiter(ngram_to_index.values(), dtype=np.int64, count=len(grams))
+        return cls(unit_ids, bits, max_len, keys[order], features[order])
+
+    def windows(self, ids: np.ndarray, low: int, high: int) -> Iterator[Tuple[int, np.ndarray]]:
+        """Yield ``(n, keys)`` for ``n`` in ``low..high``: the key of every
+        length-``n`` window of ``ids`` (``keys[p]`` covers ``ids[p : p + n]``).
+
+        Keys roll: the length-``n`` key is the length-``n-1`` key shifted by
+        one unit with the next id or-ed in.  Lengths beyond ``max_len`` are
+        not yielded -- no gram is that long, and their keys would overflow.
+        """
+        key = ids
+        for n in range(1, min(high, self.max_len, ids.size) + 1):
+            if n > 1:
+                key = (key[:-1] << self.bits) | ids[n - 1 :]
+            if n >= low:
+                yield n, key + (n << self.tag_shift)
+
+    def match(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(hit, features)``: which of ``keys`` spell a vocabulary gram, and
+        the feature index of each one that does (``features`` is as long as
+        ``hit`` has true entries)."""
+        slot = self.keys.searchsorted(keys)
+        hit = self.keys.take(slot, mode="clip") == keys
+        return hit, self.features[slot[hit]]
+
+
+def _code_points(text: str) -> np.ndarray:
+    """The code points of ``text`` as a ``uint32`` array (one per character)."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+
+
 class NgramDictionary:
     """A trained n-gram vocabulary mapping n-grams to feature indices.
 
@@ -115,6 +226,12 @@ class NgramDictionary:
     tens of megabytes (about one million entries).  It is deliberately a
     standalone object (not buried inside the featurizer) so the Object Store
     can hold exactly one copy per distinct trained vocabulary.
+
+    Beside the ``str -> index`` mapping (the trained state: what is
+    checksummed, accounted and pickled) a dictionary carries *derived* state
+    that is rebuilt per process and never pickled: the array-form key tables
+    the featurizer kernels search (:meth:`key_table`) and the parameter
+    checksum memo.  ``ngram_to_index`` must not be mutated once either exists.
     """
 
     def __init__(self, ngram_to_index: Dict[str, int], ngram_range: Tuple[int, int]):
@@ -150,6 +267,23 @@ class NgramDictionary:
 
     def lookup(self, gram: str) -> Optional[int]:
         return self.ngram_to_index.get(gram)
+
+    def key_table(self, joiner: str) -> Optional[_NgramKeyTable]:
+        """The array-form lookup table for grams joined by ``joiner``.
+
+        Built on first call and kept for the dictionary's lifetime; None when
+        the vocabulary does not fit 63-bit keys (callers then count grams
+        through :meth:`lookup`).  Two threads racing the first call both
+        build the same table and one assignment wins.
+        """
+        tables = self.__dict__.setdefault("_key_tables", {})
+        if joiner not in tables:
+            tables[joiner] = _NgramKeyTable.build(self.ngram_to_index, joiner)
+        return tables[joiner]
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Only the trained state travels; tables and memo are rebuilt per process.
+        return {"ngram_to_index": self.ngram_to_index, "ngram_range": self.ngram_range}
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -204,11 +338,17 @@ class _NgramFeaturizerBase(Operator):
 
     # -- inference --------------------------------------------------------
 
+    def prepare(self) -> None:
+        if self.dictionary is not None:
+            self.dictionary.key_table(self._joiner())
+
     def _count_grams(self, value: Any) -> Tuple[Dict[int, float], int]:
         """Count one record's in-vocabulary grams: ``(index -> count, total)``.
 
-        The shared core of the scalar and batch kernels; ``tf`` scaling by
-        ``total`` happens in the callers.
+        The per-gram loop: one string join and one dictionary probe per gram.
+        It defines what the array kernels must reproduce bit for bit, and it
+        serves what they do not: vocabularies without a key table, token lists
+        whose tokens contain the joiner, and single-record word n-grams.
         """
         assert self.dictionary is not None
         units = self._units(value)
@@ -244,57 +384,73 @@ class _NgramFeaturizerBase(Operator):
         values = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
         return SparseVector(indices, values, self.dictionary.size)
 
+    def _weigh(self, counts: np.ndarray, totals: Any) -> np.ndarray:
+        """Feature values from gram counts (``totals``: grams per record)."""
+        if self.weighting == "binary":
+            return np.ones(counts.size)
+        values = counts.astype(np.float64)
+        return values / totals if self.weighting == "tf" else values
+
+    def _batch_unit_ids(
+        self, rows: Sequence[Any], table: _NgramKeyTable
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The batch's unit ids, concatenated, and each record's unit count;
+        None when the table cannot represent some record's units."""
+        raise NotImplementedError
+
     supports_batch = True
 
     def transform_batch(self, values: Any) -> ColumnBatch:
-        """Featurize a whole batch with one shared vector-assembly pass.
+        """Featurize a whole batch with one pass of the array kernel.
 
-        Gram counting is inherently per-record string work, but the dense
-        portion -- turning every record's ``(index, count)`` pairs into
-        feature vectors -- is batched: all records' pairs land in two shared
-        arrays (``tf`` scaling is one vectorized divide over them) and the
-        per-record :class:`SparseVector` outputs are built from slices.
+        All records' unit ids are concatenated; for every ``n`` in range the
+        rolling window keys of the whole batch are resolved with one
+        ``searchsorted`` against the dictionary's key table (see
+        :class:`_NgramKeyTable`), windows that run past their record's end
+        are masked out, and the hits -- as ``record * size + feature``
+        composites -- are sorted and counted once (``np.unique``) into every
+        record's ``(index, count)`` pairs.  Weighting is one vectorized pass
+        and the per-record :class:`SparseVector` outputs are slices found by
+        a ``searchsorted`` over record boundaries.  Outputs are bit-equal to
+        per-record :meth:`transform`; batches the table cannot represent take
+        exactly that path.
         """
         if self.dictionary is None:
             raise RuntimeError(f"{self.name} used before fit(): no dictionary")
-        batch = as_column_batch(values)
-        rows = batch.rows
+        rows = as_column_batch(values).rows
         if not rows:
             return ColumnBatch.from_rows([])
-        per_record = [self._count_grams(value) for value in rows]
-        lengths = np.fromiter(
-            (len(counts) for counts, _total in per_record),
-            dtype=np.int64,
-            count=len(per_record),
-        )
-        flat = int(lengths.sum())
-        all_indices = np.empty(flat, dtype=np.int64)
-        all_values = np.empty(flat, dtype=np.float64)
-        position = 0
-        for counts, _total in per_record:
-            count = len(counts)
-            all_indices[position : position + count] = np.fromiter(
-                counts.keys(), dtype=np.int64, count=count
-            )
-            all_values[position : position + count] = np.fromiter(
-                counts.values(), dtype=np.float64, count=count
-            )
-            position += count
-        if self.weighting == "tf":
-            totals = np.fromiter(
-                (total if total > 0 else 1 for _counts, total in per_record),
-                dtype=np.float64,
-                count=len(per_record),
-            )
-            all_values = all_values / np.repeat(totals, lengths)
+        table = self.dictionary.key_table(self._joiner())
+        encoded = None if table is None else self._batch_unit_ids(rows, table)
+        if encoded is None:
+            return ColumnBatch.from_rows([self.transform(value) for value in rows])
+        ids, lengths = encoded
         size = self.dictionary.size
-        outputs: List[SparseVector] = []
-        position = 0
-        for length in lengths:
-            end = position + int(length)
-            outputs.append(SparseVector(all_indices[position:end], all_values[position:end], size))
-            position = end
-        return ColumnBatch.from_rows(outputs)
+        low, high = self.ngram_range
+        record_of = np.repeat(np.arange(len(rows)), lengths)
+        # units left in the record from each position on: a window of n units
+        # starting there stays inside its record iff n <= remaining
+        remaining = np.cumsum(lengths)[record_of] - np.arange(ids.size)
+        hits = [np.empty(0, dtype=np.int64)]
+        for n, keys in table.windows(ids, low, high):
+            # Sorted needles search several times faster than scattered ones;
+            # ``order`` maps each hit back to its window's start position.
+            order = keys.argsort()
+            hit, features = table.match(keys[order])
+            start = order[hit]
+            inside = remaining[start] >= n
+            hits.append(record_of[start[inside]] * size + features[inside])
+        composite, counts = np.unique(np.concatenate(hits), return_counts=True)
+        record, indices = np.divmod(composite, size)
+        totals = sum(np.maximum(lengths - n + 1, 0) for n in range(low, high + 1))
+        weights = self._weigh(counts, totals[record])
+        bounds = np.searchsorted(record, np.arange(len(rows) + 1)).tolist()
+        return ColumnBatch.from_rows(
+            [
+                SparseVector(indices[start:end], weights[start:end], size)
+                for start, end in zip(bounds, bounds[1:])
+            ]
+        )
 
     def parameters(self) -> List[Parameter]:
         params = [
@@ -309,7 +465,11 @@ class _NgramFeaturizerBase(Operator):
         ]
         if self.dictionary is not None:
             params.append(
-                Parameter(f"{self.name.lower()}.dictionary", self.dictionary.ngram_to_index)
+                Parameter(
+                    f"{self.name.lower()}.dictionary",
+                    self.dictionary.ngram_to_index,
+                    owner=self.dictionary,
+                )
             )
         return params
 
@@ -340,6 +500,22 @@ class WordNgramFeaturizer(_NgramFeaturizerBase):
     def _joiner(self) -> str:
         return " "
 
+    def _batch_unit_ids(
+        self, rows: Sequence[Any], table: _NgramKeyTable
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        token_lists = [self._units(value) for value in rows]
+        tokens = list(chain.from_iterable(token_lists))
+        # A token containing the joiner makes a joined gram ambiguous (the
+        # per-gram loop would match ["a b"] against the bigram "a b"), so the
+        # table, whose units never contain it, cannot stand in for the loop.
+        joiner = self._joiner()
+        if joiner.join(tokens).count(joiner) != max(len(tokens) - 1, 0):
+            return None
+        unit_id = table.unit_ids.get
+        ids = np.fromiter((unit_id(token, 0) for token in tokens), np.int64, len(tokens))
+        lengths = np.fromiter(map(len, token_lists), np.int64, len(token_lists))
+        return ids, lengths
+
 
 class CharNgramFeaturizer(_NgramFeaturizerBase):
     """Bag of character n-grams over the concatenated token text."""
@@ -347,14 +523,47 @@ class CharNgramFeaturizer(_NgramFeaturizerBase):
     name = "CharNgram"
     input_kind = ValueKind.TOKENS
 
-    def _units(self, value: Any) -> Sequence[str]:
+    @staticmethod
+    def _text(value: Any) -> str:
         if value is None:
-            return []
-        if isinstance(value, str):
-            text = value
-        else:
-            text = " ".join(value)
-        return list(text)
+            return ""
+        return value if isinstance(value, str) else " ".join(value)
+
+    def _units(self, value: Any) -> Sequence[str]:
+        return list(self._text(value))
 
     def _joiner(self) -> str:
         return ""
+
+    def transform(self, value: Any) -> SparseVector:
+        """Featurize one record with the array kernel.
+
+        The text becomes a code-point array, then unit ids; the rolling window
+        keys for every ``n`` in range are resolved with one ``searchsorted``
+        against the dictionary's key table, and the matched feature indices
+        are sorted and counted (``np.unique``) into ``(index, count)`` pairs.
+        """
+        if self.dictionary is None:
+            raise RuntimeError(f"{self.name} used before fit(): no dictionary")
+        table = self.dictionary.key_table("")
+        if table is None:
+            return super().transform(value)
+        size = self.dictionary.size
+        low, high = self.ngram_range
+        ids = table.unit_ids.take(_code_points(self._text(value)), mode="clip")
+        windows = [keys for _n, keys in table.windows(ids, low, high)]
+        if not windows:
+            return SparseVector(np.empty(0, dtype=np.int64), np.empty(0), size)
+        keys = np.concatenate(windows)
+        keys.sort()  # which window matched is irrelevant; sorted needles search faster
+        _hit, features = table.match(keys)
+        indices, counts = np.unique(features, return_counts=True)
+        total = sum(max(ids.size - n + 1, 0) for n in range(low, high + 1))
+        return SparseVector(indices, self._weigh(counts, total), size)
+
+    def _batch_unit_ids(
+        self, rows: Sequence[Any], table: _NgramKeyTable
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        texts = [self._text(value) for value in rows]
+        ids = table.unit_ids.take(_code_points("".join(texts)), mode="clip")
+        return ids, np.fromiter(map(len, texts), np.int64, len(texts))

@@ -242,7 +242,7 @@ class DecisionTree(Operator):
             )
         ]
         if self._nodes is not None:
-            params.append(Parameter("tree.nodes", self._nodes))
+            params.append(Parameter("tree.nodes", self._nodes, owner=self))
         return params
 
     def output_size(self) -> Optional[int]:
@@ -336,7 +336,9 @@ class RandomForest(Operator):
             tree_params = tree.parameters()
             for param in tree_params:
                 if param.name == "tree.nodes":
-                    params.append(Parameter(f"forest.tree{index}.nodes", param.value))
+                    params.append(
+                        Parameter(f"forest.tree{index}.nodes", param.value, owner=tree)
+                    )
         return params
 
     def output_size(self) -> Optional[int]:
@@ -431,7 +433,9 @@ class TreeEnsembleClassifier(Operator):
         for index, tree in enumerate(self.trees):
             for param in tree.parameters():
                 if param.name == "tree.nodes":
-                    params.append(Parameter(f"treeclassifier.tree{index}.nodes", param.value))
+                    params.append(
+                        Parameter(f"treeclassifier.tree{index}.nodes", param.value, owner=tree)
+                    )
         return params
 
     def output_size(self) -> Optional[int]:
@@ -536,7 +540,9 @@ class TreeFeaturizer(Operator):
         for index, tree in enumerate(self.trees):
             for param in tree.parameters():
                 if param.name == "tree.nodes":
-                    params.append(Parameter(f"treefeaturizer.tree{index}.nodes", param.value))
+                    params.append(
+                        Parameter(f"treefeaturizer.tree{index}.nodes", param.value, owner=tree)
+                    )
         return params
 
     def output_size(self) -> Optional[int]:

@@ -37,7 +37,40 @@ class TestParameter:
         param = Parameter("vocab", {"abc": 1})
         assert param.nbytes >= 3
 
-    def test_shared_object_uses_cache(self):
+    def test_large_values_are_memoised_on_their_owner(self, monkeypatch):
+        import repro.operators.base as base
+
+        calls = []
+        checksum_of = base._checksum_of
+        monkeypatch.setattr(
+            base, "_checksum_of", lambda value: calls.append(1) or checksum_of(value)
+        )
+        model = LinearRegressor(weights=np.arange(1024.0), bias=0.0)
+        first, second = model.parameters()[0], model.parameters()[0]
+        assert (first.checksum, first.nbytes) == (second.checksum, second.nbytes)
+        assert first.checksum == checksum_of(model.weights)
+        assert len(calls) == 3  # the weights once, the (small, unmemoised) bias both times
+        # The memo is checked by identity: a replaced value is checksummed
+        # afresh and takes the old entry's place (nothing stale stays pinned).
+        model.weights = np.arange(1024.0) + 1.0
+        assert model.parameters()[0].checksum == checksum_of(model.weights)
+        assert [entry[0] for entry in model._parameter_memo.values()] == [model.weights]
+
+    def test_memo_dies_with_its_owner_and_is_not_pickled(self):
+        import pickle
+        import weakref
+
+        model = LinearRegressor(weights=np.arange(1024.0), bias=0.0)
+        before = pickle.dumps(model)
+        model.parameters()
+        assert model._parameter_memo
+        assert pickle.dumps(model) == before
+        assert not hasattr(pickle.loads(before), "_parameter_memo")
+        weights = weakref.ref(model.weights)
+        del model
+        assert weights() is None
+
+    def test_values_without_an_owner_are_not_memoised(self):
         vocab = {f"gram{i}": i for i in range(2000)}
         first = Parameter("vocab", vocab)
         second = Parameter("vocab", vocab)

@@ -1,5 +1,8 @@
 """Tests for the text featurization operators."""
 
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +12,11 @@ from repro.operators.text import (
     NgramDictionary,
     Tokenizer,
     WordNgramFeaturizer,
+    _NgramFeaturizerBase,
+    _NgramKeyTable,
 )
 from repro.operators.vectors import SparseVector
+from repro.workloads.sentiment import _CHAR_VERSION_SPECS, _WORD_VERSION_SPECS
 
 
 class TestTokenizer:
@@ -154,3 +160,187 @@ def test_tokenizer_is_deterministic_and_lowercase_property(text):
     tokens_b = Tokenizer().transform(text)
     assert tokens_a == tokens_b
     assert all(token == token.lower() for token in tokens_a)
+
+
+# -- the array n-gram kernel against the per-gram loop -------------------------
+#
+# ``_NgramFeaturizerBase.transform`` is the per-gram loop (one ``str.join`` and
+# one dictionary probe per gram): the oracle.  ``CharNgramFeaturizer.transform``
+# and both featurizers' ``transform_batch`` run the packed-key array kernel and
+# must reproduce it bit for bit.
+
+#: characters the vocabularies are trained on: NUL, a space, an astral code
+#: point and a non-ASCII letter beside plain letters
+_VOCAB_CHARS = "ab c\x00\u00e9\U0001f600"
+#: inputs also draw characters no vocabulary contains (one beyond every
+#: code-point lookup table, one below its end)
+_INPUT_CHARS = _VOCAB_CHARS + "zB\x01\u4e2d\U0001f680"
+_WEIGHTINGS = ("count", "binary", "tf")
+_CHAR_RANGES = sorted({ngram_range for ngram_range, _size in _CHAR_VERSION_SPECS})
+_WORD_RANGES = sorted({ngram_range for ngram_range, _size in _WORD_VERSION_SPECS})
+#: word tokens: in and out of vocabulary, empty, non-ASCII, and two that
+#: contain the joiner (which only the per-gram loop can serve)
+_VOCAB_TOKENS = ["a", "b", "cc", "", "\u00e9\U0001f600", "a b"]
+_INPUT_TOKENS = _VOCAB_TOKENS + ["zz", "b a", "\x00"]
+
+
+def _oracle(featurizer, value):
+    return _NgramFeaturizerBase.transform(featurizer, value)
+
+
+def _assert_bit_equal(actual, expected):
+    assert isinstance(actual, SparseVector)
+    assert actual.size == expected.size
+    assert actual.indices.dtype == expected.indices.dtype
+    assert actual.values.dtype == expected.values.dtype
+    assert actual.indices.tobytes() == expected.indices.tobytes()
+    assert actual.values.tobytes() == expected.values.tobytes()
+
+
+def _assert_kernel_matches_oracle(featurizer, rows):
+    """Scalar kernel == oracle per row, and batch row i == scalar of row i."""
+    expected = [_oracle(featurizer, row) for row in rows]
+    for row, vector in zip(rows, expected):
+        _assert_bit_equal(featurizer.transform(row), vector)
+    batch = featurizer.transform_batch(rows).rows
+    assert len(batch) == len(rows)
+    for vector, reference in zip(batch, expected):
+        _assert_bit_equal(vector, reference)
+
+
+_char_rows = st.lists(
+    st.one_of(
+        st.none(),
+        st.text(alphabet=_INPUT_CHARS, max_size=40),
+        st.lists(st.text(alphabet=_INPUT_CHARS, max_size=6), max_size=8),
+    ),
+    max_size=8,
+)
+_word_rows = st.lists(
+    st.one_of(st.none(), st.lists(st.sampled_from(_INPUT_TOKENS), max_size=12)), max_size=8
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    corpus=st.lists(
+        st.lists(st.text(alphabet=_VOCAB_CHARS, min_size=1, max_size=8), min_size=1, max_size=6),
+        min_size=1,
+        max_size=6,
+    ),
+    rows=_char_rows,
+    trained_range=st.sampled_from(_CHAR_RANGES),
+    served_range=st.sampled_from(_CHAR_RANGES),
+    weighting=st.sampled_from(_WEIGHTINGS),
+    max_features=st.integers(1, 80),
+)
+def test_char_kernel_is_bit_equal_to_the_per_gram_loop_property(
+    corpus, rows, trained_range, served_range, weighting, max_features
+):
+    dictionary = (
+        CharNgramFeaturizer(ngram_range=trained_range, max_features=max_features)
+        .fit(corpus)
+        .dictionary
+    )
+    # Serving a range other than the trained one covers windows longer than
+    # any vocabulary gram (counted in ``tf`` totals, never matched).
+    featurizer = CharNgramFeaturizer(
+        ngram_range=served_range, dictionary=dictionary, weighting=weighting
+    )
+    if dictionary.size:
+        assert dictionary.key_table("") is not None
+    _assert_kernel_matches_oracle(featurizer, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    corpus=st.lists(
+        st.lists(st.sampled_from(_VOCAB_TOKENS), min_size=1, max_size=8), min_size=1, max_size=6
+    ),
+    rows=_word_rows,
+    trained_range=st.sampled_from(_WORD_RANGES),
+    served_range=st.sampled_from(_WORD_RANGES),
+    weighting=st.sampled_from(_WEIGHTINGS),
+    max_features=st.integers(1, 60),
+)
+def test_word_kernel_is_bit_equal_to_the_per_gram_loop_property(
+    corpus, rows, trained_range, served_range, weighting, max_features
+):
+    dictionary = (
+        WordNgramFeaturizer(ngram_range=trained_range, max_features=max_features)
+        .fit(corpus)
+        .dictionary
+    )
+    featurizer = WordNgramFeaturizer(
+        ngram_range=served_range, dictionary=dictionary, weighting=weighting
+    )
+    if dictionary.size:
+        assert dictionary.key_table(" ") is not None
+    _assert_kernel_matches_oracle(featurizer, rows)
+
+
+class TestNgramKeyTable:
+    def test_a_token_containing_the_joiner_matches_like_the_loop(self):
+        featurizer = WordNgramFeaturizer(
+            ngram_range=(1, 2), dictionary=NgramDictionary({"a b": 0, "a": 1}, (1, 2))
+        )
+        rows = [["a b"], ["a", "b"], ["a b", "a"]]
+        _assert_kernel_matches_oracle(featurizer, rows)
+        # the loop finds the bigram's string in the one-token record too
+        assert featurizer.transform_batch(rows).rows[0].indices.tolist() == [0]
+
+    @pytest.mark.parametrize("weighting", _WEIGHTINGS)
+    def test_vocabulary_too_wide_for_int64_keys_falls_back_to_the_loop(self, weighting):
+        # 2**13 distinct units need 14 bits each; a 5-gram then needs 70 + 3
+        tokens = [f"t{i}" for i in range(2**13)]
+        vocabulary = {token: index for index, token in enumerate(tokens)}
+        vocabulary[" ".join(tokens[:5])] = len(vocabulary)
+        word = WordNgramFeaturizer(
+            ngram_range=(1, 5), dictionary=NgramDictionary(vocabulary, (1, 5)), weighting=weighting
+        )
+        assert word.dictionary.key_table(" ") is None
+        _assert_kernel_matches_oracle(word, [tokens[:7], None, [], tokens[3:5] + ["zz"]])
+
+        chars = [chr(0x4E00 + i) for i in range(2**13)]
+        vocabulary = {char: index for index, char in enumerate(chars)}
+        vocabulary["".join(chars[:5])] = len(vocabulary)
+        char = CharNgramFeaturizer(
+            ngram_range=(1, 5), dictionary=NgramDictionary(vocabulary, (1, 5)), weighting=weighting
+        )
+        assert char.dictionary.key_table("") is None
+        _assert_kernel_matches_oracle(char, ["".join(chars[:9]), None, "", [chars[1], "a"]])
+
+    def test_widest_vocabulary_that_fits_uses_all_63_bits(self, monkeypatch):
+        corpus = [["abcab", "cabba"], ["bcabc"]]
+        featurizer = CharNgramFeaturizer(ngram_range=(2, 4), max_features=50).fit(corpus)
+        table = featurizer.dictionary.key_table("")
+        needed = table.bits * table.max_len + table.max_len.bit_length()
+        monkeypatch.setattr(_NgramKeyTable, "MAX_KEY_BITS", needed)
+        assert _NgramKeyTable.build(featurizer.dictionary.ngram_to_index, "") is not None
+        monkeypatch.setattr(_NgramKeyTable, "MAX_KEY_BITS", needed - 1)
+        assert _NgramKeyTable.build(featurizer.dictionary.ngram_to_index, "") is None
+
+    def test_keys_are_sorted_distinct_and_cover_the_vocabulary(self):
+        featurizer = WordNgramFeaturizer(ngram_range=(1, 3), max_features=40).fit(
+            [["a", "b", "a", "c"], ["c", "a", "b"]]
+        )
+        table = featurizer.dictionary.key_table(" ")
+        assert np.all(np.diff(table.keys) > 0)
+        assert sorted(table.features.tolist()) == sorted(
+            featurizer.dictionary.ngram_to_index.values()
+        )
+
+    def test_tables_are_built_once_and_never_pickled(self):
+        featurizer = CharNgramFeaturizer(ngram_range=(2, 3), max_features=30).fit([["hello"]])
+        before = pickle.dumps(featurizer)
+        featurizer.prepare()
+        table = featurizer.dictionary.key_table("")
+        assert table is not None and featurizer.dictionary.key_table("") is table
+        featurizer.parameters()
+        assert pickle.dumps(featurizer) == before
+        clone = pickle.loads(before)
+        assert "_key_tables" not in clone.dictionary.__dict__
+        _assert_bit_equal(clone.transform(["hello"]), featurizer.transform(["hello"]))
+
+    def test_prepare_before_fit_is_a_no_op(self):
+        CharNgramFeaturizer().prepare()
