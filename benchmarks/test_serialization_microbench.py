@@ -15,6 +15,12 @@ Bare float *outputs* are also reported alone: their frame only beats JSON
 from a few dozen scalars up (constant frame cost vs per-float text cost),
 which is why :func:`repro.net.pack_value_batch` keeps scalar batches below
 ``MIN_SCALAR_FRAME`` on the JSON path.
+
+A second table records (no gate) the predict exchange of the serving tier's
+two planes side by side: the envelope (``pack_value_batch`` +
+``encode_payload``, what every predict rode before the data plane existed)
+against the schema-compiled frame (:func:`repro.net.encode_predict`) for a
+single AC record, 100 AC records and one SA text.
 """
 
 import time
@@ -22,15 +28,23 @@ import time
 from conftest import write_report
 from repro.net import (
     MIN_SCALAR_FRAME,
+    PREDICT_FRAME_MAGIC,
+    REPLY_FRAME_MAGIC,
     decode_payload,
+    decode_predict_frame,
+    decode_reply,
     deserialize_message,
     encode_payload,
+    encode_predict,
+    encode_reply_frame,
+    frame_schema,
     pack_value_batch,
     serialize_message,
     unpack_value_batch,
 )
-from repro.telemetry.reporting import ExperimentReport
-from repro.workloads.events_data import generate_events
+from repro.telemetry.reporting import ExperimentReport, format_table
+from repro.workloads.events_data import FEATURE_NAMES, generate_events
+from repro.workloads.text_data import generate_reviews
 
 BATCH_SIZES = [4, 16, 64, 256]
 #: sizes the acceptance gate applies to: binary must strictly win from here up
@@ -79,6 +93,75 @@ def _measure_exchange(records, outputs):
     return json_best, json_bytes, binary_best, binary_bytes
 
 
+def _predict_message(records):
+    return {
+        "plan_id": "plan-17-ac-017",
+        "records": records,
+        "latency_sensitive": False,
+        "type": "predict",
+        "msg_id": "9f3c2a71:123456",
+    }
+
+
+def _exchange_envelope(records, outputs):
+    request = encode_predict(_predict_message(records), None)
+    unpack_value_batch(decode_payload(request)["records"])
+    reply = encode_payload(
+        {"outputs": pack_value_batch(outputs), "backlog": 0, "msg_id": "9f3c2a71:123456",
+         "ok": True, "worker_id": "worker-0"}
+    )
+    unpack_value_batch(decode_payload(reply)["outputs"])
+    return len(request), len(reply)
+
+
+def _exchange_frame(records, outputs, schema):
+    request = encode_predict(_predict_message(records), schema)
+    decode_predict_frame(request, lambda plan_id: schema)
+    reply = encode_reply_frame(
+        request,
+        {"outputs": pack_value_batch(outputs), "backlog": 0, "msg_id": "9f3c2a71:123456",
+         "ok": True, "worker_id": "worker-0"},
+    )
+    decode_reply(reply)
+    assert request.startswith(PREDICT_FRAME_MAGIC) and reply.startswith(REPLY_FRAME_MAGIC)
+    return len(request), len(reply)
+
+
+def _frame_rows():
+    """The predict exchange on the envelope vs on a data-plane frame."""
+    events = generate_events(n_events=100, seed=29)
+    outputs = [float(label) for label in events.labels]
+    text = generate_reviews(n_reviews=1, vocabulary_size=3000, seed=23).texts[0]
+    shapes = [
+        ("ac_record", events.records[:1], outputs[:1], frame_schema(FEATURE_NAMES)),
+        ("ac_records", events.records, outputs, frame_schema(FEATURE_NAMES)),
+        ("sa_text", [text], outputs[:1], frame_schema(())),
+    ]
+    rows = []
+    for name, records, replies, schema in shapes:
+        envelope_best = frame_best = float("inf")
+        for _ in range(TRIALS * 5):
+            start = time.perf_counter()
+            envelope_bytes = _exchange_envelope(records, replies)
+            envelope_best = min(envelope_best, time.perf_counter() - start)
+            start = time.perf_counter()
+            frame_bytes = _exchange_frame(records, replies, schema)
+            frame_best = min(frame_best, time.perf_counter() - start)
+        rows.append(
+            {
+                "records": name,
+                "batch": len(records),
+                "envelope_request_bytes": envelope_bytes[0],
+                "frame_request_bytes": frame_bytes[0],
+                "envelope_reply_bytes": envelope_bytes[1],
+                "frame_reply_bytes": frame_bytes[1],
+                "envelope_us": envelope_best * 1e6,
+                "frame_us": frame_best * 1e6,
+            }
+        )
+    return rows
+
+
 def test_serialization_microbench():
     rows = []
     for batch_size in BATCH_SIZES:
@@ -115,7 +198,17 @@ def test_serialization_microbench():
         f"float outputs below {MIN_SCALAR_FRAME} scalars stay JSON by design "
         "(frame constant cost beats per-float text only past that crossover)"
     )
-    write_report("serialization_microbench", report.render())
+    frame_rows = _frame_rows()
+    write_report(
+        "serialization_microbench",
+        report.render()
+        + "\n\n=== Predict exchange: envelope vs data-plane frame (recorded, not gated) ===\n"
+        "Request + reply of one predict, encode and decode on both ends; the envelope is "
+        "pack_value_batch + encode_payload (JSON, or PZB1 for the 100-record batch), the "
+        "frame is the schema-compiled struct layout of repro.net.encode_predict.\n\n"
+        + format_table(frame_rows),
+        metrics={"predict_exchange": frame_rows},
+    )
 
     for row in rows:
         if row["batch"] < GATE_FROM:

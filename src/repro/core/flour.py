@@ -10,7 +10,8 @@ pipeline that the paper's instrumented ML.Net produces.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import sys
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import PretzelConfig
 from repro.core.object_store import ObjectStore
@@ -183,6 +184,28 @@ class FlourProgram:
         graph.metadata["input_kind"] = input_kind or ValueKind.ROW
         return graph
 
+    def input_schema(self) -> Optional[Tuple[str, ...]]:
+        """The raw-record schema this program reads, or None when it declares none.
+
+        The white-box premise applied to the request path: a program whose
+        source names its fields (``with_schema``, or the fields
+        :func:`flour_from_pipeline` extracted from the pipeline's entry
+        operators) reads records with exactly those named fields; a text
+        source reads one string per record, reported as the empty tuple.  The
+        serving tier compiles the result into its data-plane frame codec
+        (:func:`repro.net.frame_schema`) on both ends of the wire, from the
+        same pipeline, so no schema is ever negotiated or sent.
+        """
+        transforms: List[FlourTransform] = []
+        self.final._collect(transforms)
+        sources = [transform for transform in transforms if transform.operator is None]
+        if len(sources) != 1:
+            return None
+        (source,) = sources
+        if source.schema_fields:
+            return tuple(source.schema_fields)
+        return () if source.input_kind is ValueKind.TEXT else None
+
     def plan(
         self,
         config: Optional[PretzelConfig] = None,
@@ -211,6 +234,7 @@ def flour_from_pipeline(
     context.name = pipeline.name
     transforms: Dict[str, FlourTransform] = {}
     source = context.source(_pipeline_input_kind(pipeline))
+    source.schema_fields = _pipeline_schema_fields(pipeline)
     final: Optional[FlourTransform] = None
     for node_name in pipeline.topological_order():
         node = pipeline.nodes[node_name]
@@ -237,3 +261,28 @@ def _pipeline_input_kind(pipeline: Pipeline) -> ValueKind:
         if Pipeline.INPUT in node.inputs:
             return node.operator.input_kind
     return ValueKind.ROW
+
+
+def _pipeline_schema_fields(pipeline: Pipeline) -> List[str]:
+    """Named fields a pipeline's entry operators read from the raw record.
+
+    The ordered union of the columns of the non-textual ``ColumnSelector``s
+    consuming ``Pipeline.INPUT`` -- empty unless *every* entry operator is
+    one, because any other reader may touch fields nobody declared.  The
+    names are interned: every plan of a process then shares one ``str`` per
+    column (with the canonical selector that first brought it in), however
+    many unpickled copies registration went through.
+    """
+    fields: Dict[str, None] = {}
+    for node_name in pipeline.topological_order():
+        node = pipeline.nodes[node_name]
+        if Pipeline.INPUT not in node.inputs:
+            continue
+        operator = node.operator
+        if not isinstance(operator, ColumnSelector) or operator.textual:
+            return []
+        for column in operator.columns:
+            if type(column) is not str:
+                return []
+            fields.setdefault(sys.intern(column))
+    return list(fields)

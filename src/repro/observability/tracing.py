@@ -10,8 +10,10 @@ can:
 * :class:`TraceContext` is the propagated identity -- trace id, parent span
   id, sampled flag.  It is minted at the front door, rides the
   ``serialize_message`` envelope as a plain JSON dict (``to_wire`` /
-  ``from_wire``), and works unchanged over both the pipe and socket
-  transports because it never touches the framing layer.
+  ``from_wire``) or the data-plane frame header as 32 fixed-width bytes
+  (:func:`pack_trace_wire` / :func:`unpack_trace_wire`), and works unchanged
+  over both the pipe and socket transports because it never touches the
+  framing layer.
 * :class:`Tracer` is the per-process recorder: head-based 1-in-N sampling
   (a counter and a modulo on the unsampled path -- the whole per-request
   cost when a request is not chosen), and a bounded ring-buffer *flight
@@ -50,6 +52,9 @@ from typing import Any, Dict, Iterable, List, Optional
 __all__ = [
     "TraceContext",
     "Tracer",
+    "TRACE_WIRE_BYTES",
+    "pack_trace_wire",
+    "unpack_trace_wire",
     "trace_breakdown",
     "format_trace_tree",
 ]
@@ -108,8 +113,50 @@ class TraceContext:
         )
 
 
+#: every id this module mints is this many ASCII characters
+_ID_CHARS = 16
+#: size of the fixed-width wire form: trace id + parent span id
+TRACE_WIRE_BYTES = 2 * _ID_CHARS
+
+
 def _new_id() -> str:
-    return uuid.uuid4().hex[:16]
+    return uuid.uuid4().hex[:_ID_CHARS]
+
+
+def pack_trace_wire(wire: Dict[str, Any]) -> Optional[bytes]:
+    """Fixed-width form of a :meth:`TraceContext.to_wire` dict, for binary headers.
+
+    The data-plane predict frame has no JSON envelope for the context to ride,
+    so a sampled request carries its two ids as :data:`TRACE_WIRE_BYTES` raw
+    ASCII bytes in the frame header instead -- the same path as an unsampled
+    request, 32 bytes longer, rather than a detour over the envelope that
+    would make traced requests unrepresentative of the ones they sample.
+    Returns None for a context that does not fit (foreign-length or non-ASCII
+    ids, an unsampled context): the caller keeps it on the envelope.
+    """
+    trace_id = wire.get("trace_id")
+    parent = wire.get("parent_span_id")
+    if (
+        wire.get("sampled") is not True
+        or len(wire) != 3
+        or type(trace_id) is not str
+        or type(parent) is not str
+        or len(trace_id) != _ID_CHARS
+        or len(parent) != _ID_CHARS
+        or not (trace_id.isascii() and parent.isascii())
+    ):
+        return None
+    return (trace_id + parent).encode("ascii")
+
+
+def unpack_trace_wire(raw: bytes) -> Dict[str, Any]:
+    """The :meth:`TraceContext.to_wire` dict :func:`pack_trace_wire` encoded."""
+    text = str(raw, "ascii")
+    return {
+        "trace_id": text[:_ID_CHARS],
+        "parent_span_id": text[_ID_CHARS:],
+        "sampled": True,
+    }
 
 
 class Tracer:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -193,6 +193,9 @@ class Operator:
     #: :meth:`transform` -- the explicit escape hatch the engine records as a
     #: loop fallback in its stage-batching telemetry.
     supports_batch: bool = False
+    #: instance attributes holding derived state (memos, caches): rebuilt on
+    #: demand, excluded from pickles by :meth:`__getstate__`
+    derived_attributes: Tuple[str, ...] = (_PARAMETER_MEMO_ATTR,)
 
     def fit(self, records: Sequence[Any], labels: Optional[Sequence[float]] = None) -> "Operator":
         """Estimate parameters from training data.  Returns ``self``."""
@@ -240,10 +243,11 @@ class Operator:
         """
 
     def __getstate__(self) -> Dict[str, Any]:
-        # The parameter memo is derived state: it stays out of pickles.
+        # Derived state (the parameter memo, kernel caches) stays out of pickles.
         state = self.__dict__
-        if _PARAMETER_MEMO_ATTR in state:
-            state = {key: value for key, value in state.items() if key != _PARAMETER_MEMO_ATTR}
+        derived = self.derived_attributes
+        if any(name in state for name in derived):
+            state = {key: value for key, value in state.items() if key not in derived}
         return state
 
     def output_size(self) -> Optional[int]:

@@ -101,6 +101,11 @@ def _best_split(
     return best_feature, best_threshold, X[:, best_feature] <= best_threshold
 
 
+def _record_view(value: Any) -> memoryview:
+    """One record's features as a ``memoryview``: plain ``float`` per index."""
+    return memoryview(as_vector(value).to_numpy())
+
+
 class DecisionTree(Operator):
     """CART regression tree (also used as a building block for classifiers)."""
 
@@ -109,6 +114,7 @@ class DecisionTree(Operator):
     input_kind = ValueKind.VECTOR
     output_kind = ValueKind.SCALAR
     annotations = Annotation.ONE_TO_ONE | Annotation.COMPUTE_BOUND
+    derived_attributes = Operator.derived_attributes + ("_node_view_cache",)
 
     def __init__(
         self,
@@ -165,19 +171,49 @@ class DecisionTree(Operator):
 
     # -- inference --------------------------------------------------------
 
-    def _leaf_of(self, features: np.ndarray) -> int:
-        assert self._nodes is not None
+    def _node_views(self) -> Tuple[memoryview, memoryview, memoryview, memoryview]:
+        """Zero-copy ``memoryview``s of the four traversal arrays.
+
+        Indexing a memoryview yields plain ``int``/``float`` where indexing
+        the array boxes a NumPy scalar -- four times per visited node in
+        :meth:`_leaf_of`.  The views are derived state: kept off the pickle
+        (:attr:`derived_attributes`), never a :class:`Parameter`, valid over
+        read-only arena views, and rebuilt whenever a ``_nodes`` array has
+        been replaced (arena rebind / privatize, model-file load) -- checked
+        by identity, like the parameter memo.
+        """
+        nodes = self._nodes
+        cached = self.__dict__.get("_node_view_cache")
+        if cached is not None:
+            arrays, views = cached
+            if (
+                nodes["feature"] is arrays[0]
+                and nodes["threshold"] is arrays[1]
+                and nodes["left"] is arrays[2]
+                and nodes["right"] is arrays[3]
+            ):
+                return views
+        arrays = (nodes["feature"], nodes["threshold"], nodes["left"], nodes["right"])
+        views = tuple(memoryview(array) for array in arrays)
+        self._node_view_cache = (arrays, views)
+        return views
+
+    def _leaf_of(self, features: Any) -> int:
+        """Scalar walk; ``features`` is any float-indexable (an array's memoryview)."""
+        feature, threshold, left, right = self._node_views()
         node = 0
-        feature = self._nodes["feature"]
-        threshold = self._nodes["threshold"]
-        left = self._nodes["left"]
-        right = self._nodes["right"]
-        while left[node] != -1:
+        child = left[0]
+        while child != -1:
             if features[feature[node]] <= threshold[node]:
-                node = int(left[node])
+                node = child
             else:
-                node = int(right[node])
+                node = right[node]
+            child = left[node]
         return node
+
+    def _value_of(self, features: Any) -> float:
+        """The leaf value the record lands on (the ensembles' per-tree score)."""
+        return float(self._nodes["value"][self._leaf_of(features)])
 
     def _leaves_of(self, matrix: np.ndarray) -> np.ndarray:
         """Vectorized level-order traversal over a whole batch.
@@ -207,8 +243,7 @@ class DecisionTree(Operator):
     def transform(self, value: Any) -> float:
         if self._nodes is None:
             raise RuntimeError("DecisionTree used before fit()")
-        features = as_vector(value).to_numpy()
-        return float(self._nodes["value"][self._leaf_of(features)])
+        return self._value_of(_record_view(value))
 
     def transform_batch(self, values: Any) -> ColumnBatch:
         """Score a whole batch with one level-order array traversal."""
@@ -226,7 +261,7 @@ class DecisionTree(Operator):
         """Index of the leaf the record falls into (used by TreeFeaturizer)."""
         if self._nodes is None:
             raise RuntimeError("DecisionTree used before fit()")
-        return self._leaf_of(as_vector(value).to_numpy())
+        return self._leaf_of(_record_view(value))
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -303,7 +338,8 @@ class RandomForest(Operator):
     def transform(self, value: Any) -> float:
         if not self.trees:
             raise RuntimeError("RandomForest used before fit()")
-        return float(np.mean([tree.transform(value) for tree in self.trees]))
+        record = _record_view(value)
+        return float(np.mean([tree._value_of(record) for tree in self.trees]))
 
     def transform_batch(self, values: Any) -> ColumnBatch:
         """One level-order batch traversal per tree, one mean over the stack."""
@@ -402,8 +438,8 @@ class TreeEnsembleClassifier(Operator):
     def transform(self, value: Any) -> DenseVector:
         if not self.trees:
             raise RuntimeError("TreeEnsembleClassifier used before fit()")
-        scores = np.array([tree.transform(value) for tree in self.trees])
-        return DenseVector(scores)
+        record = _record_view(value)
+        return DenseVector(np.array([tree._value_of(record) for tree in self.trees]))
 
     def transform_batch(self, values: Any) -> ColumnBatch:
         """Per-class score columns filled by one batch traversal per tree."""
@@ -500,14 +536,16 @@ class TreeFeaturizer(Operator):
     def transform(self, value: Any) -> SparseVector:
         if not self.trees:
             raise RuntimeError("TreeFeaturizer used before fit()")
+        record = _record_view(value)
         indices: List[int] = []
         offset = 0
         for tree in self.trees:
-            indices.append(offset + tree.leaf_index(value))
+            indices.append(offset + tree._leaf_of(record))
             offset += tree.n_nodes
-        total = offset
-        return SparseVector(
-            np.asarray(indices, dtype=np.int64), np.ones(len(indices), dtype=np.float64), total
+        # One leaf per tree, each past the previous tree's node range: the
+        # indices are strictly increasing and below ``offset`` by construction.
+        return SparseVector.from_sorted(
+            np.array(indices, dtype=np.int64), np.ones(len(indices), dtype=np.float64), offset
         )
 
     def transform_batch(self, values: Any) -> ColumnBatch:

@@ -166,6 +166,21 @@ class SparseVector(Vector):
         self.values = val
         self._size = int(size)
 
+    @classmethod
+    def from_sorted(cls, indices: np.ndarray, values: np.ndarray, size: int) -> "SparseVector":
+        """Wrap arrays that already hold the invariant, without re-establishing it.
+
+        For kernels whose indices are strictly increasing and in bounds *by
+        construction* (int64 indices, float64 values, equal 1-D shapes): the
+        validating constructor's min/max/argsort/diff passes cost more than
+        such a kernel's own work on a single record.
+        """
+        vector = cls.__new__(cls)
+        vector.indices = indices
+        vector.values = values
+        vector._size = int(size)
+        return vector
+
     @property
     def size(self) -> int:
         return self._size

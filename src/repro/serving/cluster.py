@@ -75,11 +75,12 @@ from repro.core.statistics import TransformStats
 from repro.profiling.locks import ProfiledLock, ProfiledRLock
 from repro.mlnet.pipeline import Pipeline
 from repro.net import (
-    BINARY_MAGIC,
-    decode_payload,
+    BINARY_MAGICS,
+    FrameSchema,
+    decode_reply,
     deserialize_message,
     encode_payload,
-    pack_value_batch,
+    encode_predict,
     parse_host_port,
     unpack_value_batch,
 )
@@ -89,7 +90,12 @@ from repro.serving.control.plane import ControlPlane
 from repro.serving.control.transport import PipeTransport, SocketTransport, Transport
 from repro.serving.router import ShardRouter
 from repro.serving.shm_store import ArenaExhaustedError, SharedMemoryArena, _shareable
-from repro.serving.worker import encode_model, socket_worker_main, worker_main
+from repro.serving.worker import (
+    encode_model,
+    input_frame_schema,
+    socket_worker_main,
+    worker_main,
+)
 
 __all__ = ["WorkerFailure", "WorkerTimeout", "PretzelCluster"]
 
@@ -146,8 +152,9 @@ class _WorkerHandle:
         self.lock = ProfiledLock("cluster.worker-channel")
         self.requests = 0
         #: wire accounting (message payloads, before transport framing):
-        #: binary messages carry columnar array frames, json messages are the
-        #: plain ``serialize_message`` envelope.  Registry-backed instruments
+        #: binary messages are data-plane predict frames or envelopes with
+        #: columnar array frames, json messages are the plain
+        #: ``serialize_message`` envelope.  Registry-backed instruments
         #: (summed across handles by the unified metrics plane); the historic
         #: per-handle attributes stay available as read-only properties.
         _registry = observability.registry()
@@ -199,10 +206,19 @@ class _WorkerHandle:
             and not self.process.is_alive()
         )
 
-    def request(self, message: Dict[str, Any], timeout: float) -> Dict[str, Any]:
-        """One round trip; raises typed errors on failure, timeout or death."""
+    def request(
+        self,
+        message: Dict[str, Any],
+        timeout: float,
+        schema: Optional[FrameSchema] = None,
+    ) -> Dict[str, Any]:
+        """One round trip; raises typed errors on failure, timeout or death.
+
+        ``schema`` is the plan's compiled input schema, passed with predicts
+        only: it lets a conforming request travel as a data-plane frame.
+        """
         with self.lock:
-            return self._request_locked(message, timeout)
+            return self._request_locked(message, timeout, schema)
 
     def try_request(
         self, message: Dict[str, Any], timeout: float
@@ -216,15 +232,28 @@ class _WorkerHandle:
         finally:
             self.lock.release()
 
-    def _request_locked(self, message: Dict[str, Any], timeout: float) -> Dict[str, Any]:
+    def _request_locked(
+        self,
+        message: Dict[str, Any],
+        timeout: float,
+        schema: Optional[FrameSchema] = None,
+    ) -> Dict[str, Any]:
         kind = str(message.get("type"))
         self.requests += 1
-        # A sampled predict carries its context in the envelope; the encode
-        # cost is charged to the trace under the dispatcher's ipc span.
+        # A sampled predict carries its context with it (frame header or
+        # envelope); the encode cost is charged to the trace under the
+        # dispatcher's ipc span.
         wire_trace = message.get("trace")
         try:
             encode_started = time.perf_counter()
-            encoded = encode_payload(message)
+            # Two planes: predicts take the data plane (a frame when their
+            # records conform to the plan's schema, else the envelope with
+            # packed records); everything else is control-plane envelope.
+            encoded = (
+                encode_predict(message, schema)
+                if kind == "predict"
+                else encode_payload(message)
+            )
             if wire_trace is not None:
                 observability.tracer().record(
                     wire_trace["trace_id"],
@@ -234,7 +263,7 @@ class _WorkerHandle:
                     attributes={"bytes": len(encoded), "worker_id": self.worker_id},
                 )
             self._bytes_sent.inc(len(encoded))
-            if encoded.startswith(BINARY_MAGIC):
+            if encoded.startswith(BINARY_MAGICS):
                 self._binary_messages.inc()
             else:
                 self._json_messages.inc()
@@ -246,9 +275,9 @@ class _WorkerHandle:
                     raise WorkerTimeout(self.worker_id, timeout, kind)
                 raw = self.transport.recv_bytes()
                 self._bytes_received.inc(len(raw))
-                if raw.startswith(BINARY_MAGIC):
+                if raw.startswith(BINARY_MAGICS):
                     self._binary_replies.inc()
-                reply = decode_payload(raw)
+                reply = decode_reply(raw)
                 if reply.get("msg_id") == message.get("msg_id"):
                     break
                 # A stale reply from a request that previously timed out:
@@ -489,7 +518,8 @@ class PretzelCluster:
         Mirrors :meth:`PretzelRuntime.register`; ``replicas`` optionally
         overrides ``placement_replicas`` for this plan (e.g. hot plans on
         every worker).  The encoded model is retained so the control plane
-        can re-register the plan onto survivors after a worker death.
+        can re-register the plan onto survivors after a worker death --
+        unless every worker hosts the plan already.
         """
         if not isinstance(pipeline, Pipeline):
             raise TypeError(
@@ -566,11 +596,25 @@ class PretzelCluster:
                         "workers": [w for w in registered_on if w in self._workers],
                         "engine": engine,
                         "replicas": replicas or self.config.placement_replicas,
-                        "model_b64": model_b64,
+                        # Retained only while it can ever be shipped again:
+                        # to a worker that does not host the plan (fail-over
+                        # re-homing) or on rehydration.  A plan placed on
+                        # every worker has no such worker -- membership only
+                        # shrinks -- so its encoding is dropped, not kept
+                        # for the life of the cluster.
+                        "model_b64": (
+                            model_b64
+                            if len(placed) < len(self._workers)
+                            or self.config.arena_eviction_policy == "compress-tiered"
+                            else None
+                        ),
                         "arena_refs": arena_refs,
                         "shared_parameters": len(arena_refs),
                         "rebound_arrays": rebound,
                         "tier": "resident",
+                        # Each hosting worker compiled its copy from the
+                        # same pipeline with the same function.
+                        "schema": input_frame_schema(pipeline),
                     }
             except BaseException:
                 self._roll_back_registration(identifier, registered_on, uncertain)
@@ -1139,7 +1183,8 @@ class PretzelCluster:
         latency_sensitive: bool,
         trace: Any = None,
     ) -> List[Any]:
-        if plan_id not in self._plans:
+        info = self._plans.get(plan_id)
+        if info is None:
             raise KeyError(f"plan {plan_id!r} is not registered")
         tracer = observability.tracer()
         # May raise BackpressureError (saturated) or WorkerFailedError (every
@@ -1173,9 +1218,7 @@ class PretzelCluster:
             message = self._message(
                 "predict",
                 plan_id=plan_id,
-                # Uniform numeric batches travel as one columnar
-                # binary frame; anything else stays the JSON row list.
-                records=pack_value_batch(records),
+                records=records,
                 latency_sensitive=latency_sensitive,
             )
             ipc_span_id = None
@@ -1186,7 +1229,9 @@ class PretzelCluster:
                 message["trace"] = trace.child(ipc_span_id).to_wire()
                 ipc_started = time.perf_counter()
             try:
-                reply = handle.request(message, self.config.worker_timeout_seconds)
+                reply = handle.request(
+                    message, self.config.worker_timeout_seconds, info.get("schema")
+                )
                 if trace is not None:
                     tracer.record(
                         trace.trace_id,
@@ -1295,7 +1340,11 @@ class PretzelCluster:
                     max(len(self._workers), 1),
                 )
                 candidates: List[str] = []
-                if self.router.ring is not None and len(survivors) < desired:
+                if (
+                    info["model_b64"] is not None  # None: every worker hosted it
+                    and self.router.ring is not None
+                    and len(survivors) < desired
+                ):
                     for candidate in self.router.ring.placement(plan_id, desired):
                         if candidate not in survivors and candidate in self._workers:
                             candidates.append(candidate)
@@ -1426,10 +1475,12 @@ class PretzelCluster:
     def wire_stats(self) -> Dict[str, int]:
         """Bytes and message counts on the cluster<->worker wire (no round trips).
 
-        ``binary_messages`` counts requests that shipped at least one columnar
-        array frame (:func:`repro.net.encode_payload`); ``json_messages`` are
-        plain envelopes.  Byte counts cover both directions of every request
-        this cluster generation sent, before transport framing.
+        ``binary_messages`` counts requests that travelled as a data-plane
+        predict frame (:func:`repro.net.encode_predict`) or shipped at least
+        one columnar array frame (:func:`repro.net.encode_payload`);
+        ``json_messages`` are plain envelopes.  Byte counts cover both
+        directions of every request this cluster generation sent, before
+        transport framing.
         """
         handles = list(self._workers.values()) + list(self._evicted_handles.values())
         return {

@@ -7,14 +7,19 @@ ever touches the Transport interface (``send_bytes`` / ``recv_bytes`` /
 ``poll`` / ``close``), so the same worker serves a ``multiprocessing`` duplex
 pipe (:class:`~repro.serving.control.transport.PipeTransport`, the cluster's
 default), a cluster-dialed TCP connection, or a standalone ``--listen``
-socket a remote cluster attaches to.  Messages are framed with
+socket a remote cluster attaches to.  The wire has two planes (see
+:mod:`repro.net`).  The *control plane* is the envelope of
 :func:`repro.net.encode_payload` / :func:`repro.net.decode_payload`: the
-envelope is the same JSON wire format every front-end in this repository
-models (control messages stay byte-identical plain JSON), while uniform
-numeric batches -- ``predict`` records and outputs -- travel as one columnar
-binary frame (:func:`repro.net.pack_value_batch`) instead of N JSON-encoded
-records.  Pickled model payloads travel base64-encoded inside the JSON
-envelope, exactly once per registration.
+same JSON wire format every front-end in this repository models, with
+uniform numeric batches shipped as one columnar binary frame
+(:func:`repro.net.pack_value_batch`); pickled model payloads travel
+base64-encoded inside it, exactly once per registration.  The *data plane*
+carries the predicts whose records conform to their plan's input schema --
+derived at registration, on both ends, from the same pipeline -- as
+fixed-layout binary frames with no JSON and no key names in either
+direction (:func:`repro.net.encode_predict`); they decode into the very
+message dict the envelope would have carried and go through the same
+handler, replay cache and spans.
 
 Parameter sharing survives the process boundary: when the cluster runs a
 :class:`~repro.serving.shm_store.SharedMemoryArena`, the worker attaches an
@@ -47,7 +52,9 @@ Wire protocol (all requests carry ``msg_id``; every reply echoes it):
                plans keep serving)
 ``predict``    ``plan_id``, ``records``, ``latency_sensitive``, optional
                ``trace`` (a :meth:`TraceContext.to_wire` dict riding the
-               envelope) -> ``{"outputs": [...], "backlog": int}``
+               envelope or, fixed-width, the frame header) ->
+               ``{"outputs": [...], "backlog": int}``; a request frame is
+               answered with a reply frame when the outputs are floats
 ``stats``      -> ``{"stats": runtime.stats(), ...}``
 ``memory``     -> ``{"memory_bytes": int}`` (lightweight footprint probe)
 ``traces``     optional ``drain`` -> ``{"spans": [...]}`` (harvest this
@@ -57,7 +64,8 @@ Wire protocol (all requests carry ``msg_id``; every reply echoes it):
 ``shutdown``   -> ack, then the process exits cleanly
 =============  =========================================================
 
-Failures are replies, not crashes: any handler exception is reported as
+Failures are replies, not crashes: any handler exception -- and any payload
+that does not even decode into a message -- is reported as
 ``{"ok": false, "error": ..., "error_type": ...}`` and the loop keeps
 serving, so one bad request cannot take a shard down.
 
@@ -83,10 +91,16 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro import observability
 from repro.core.config import PretzelConfig
+from repro.core.flour import flour_from_pipeline
 from repro.core.runtime import PretzelRuntime
 from repro.net import (
+    PREDICT_FRAME_MAGIC,
+    FrameSchema,
     decode_payload,
+    decode_predict_frame,
     encode_payload,
+    encode_reply_frame,
+    frame_schema,
     pack_value_batch,
     parse_host_port,
     serialize_message,
@@ -102,6 +116,7 @@ __all__ = [
     "listen_and_serve",
     "encode_model",
     "decode_model",
+    "input_frame_schema",
     "main",
 ]
 
@@ -113,6 +128,16 @@ def encode_model(pipeline: Any, stats: Optional[Dict[str, Any]]) -> str:
 
 def decode_model(blob: str) -> Any:
     return pickle.loads(base64.b64decode(blob.encode("ascii")))
+
+
+def input_frame_schema(pipeline: Any) -> Optional[FrameSchema]:
+    """A pipeline's input schema compiled for the data plane (None: it has none).
+
+    The one function both ends of the wire run at registration -- the cluster
+    on the pipeline it ships, each worker on the pipeline it unpickles -- so
+    the frame layout is never negotiated and no key name ever travels.
+    """
+    return frame_schema(flour_from_pipeline(pipeline).input_schema())
 
 
 class ServingWorker:
@@ -157,6 +182,10 @@ class ServingWorker:
         #: connections on purpose: the duplicate arrives on the re-accepted
         #: connection.
         self.last_reply: Optional[Tuple[Any, bytes]] = None
+        #: plan id -> the plan's compiled input schema (None: no schema, its
+        #: predicts arrive on the envelope); set at registration
+        #: (:func:`input_frame_schema`) and dropped with the plan.
+        self._schemas: Dict[str, Optional[FrameSchema]] = {}
 
     @property
     def served_predictions(self) -> int:
@@ -167,6 +196,31 @@ class ServingWorker:
         return self.failed_total.value
 
     # -- handlers ------------------------------------------------------------
+
+    def decode(self, payload: bytes) -> Dict[str, Any]:
+        """One received payload as a message dict, whichever plane it rode.
+
+        A data-plane predict frame decodes (against its plan's schema) into
+        the same dict the envelope would have carried, so both planes share
+        :meth:`handle`.  Raises on anything that is not a message -- an
+        undecodable payload, a JSON value that is not an object, a malformed
+        or mis-addressed frame; the serve loop answers those with
+        :meth:`failure` and keeps serving.
+        """
+        if payload.startswith(PREDICT_FRAME_MAGIC):
+            return decode_predict_frame(payload, self._schema_of)
+        message = decode_payload(payload)
+        if not isinstance(message, dict):
+            raise TypeError(f"a message is a JSON object, not {type(message).__name__}")
+        return message
+
+    def _schema_of(self, plan_id: str) -> Optional[FrameSchema]:
+        try:
+            return self._schemas[plan_id]
+        except KeyError:
+            # The envelope path's error, so the cluster's demotion-race retry
+            # (keyed on KeyError) treats both planes alike.
+            raise KeyError(f"plan {plan_id!r} is not registered") from None
 
     def handle(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """Dispatch one decoded message; always returns a reply payload."""
@@ -180,15 +234,19 @@ class ServingWorker:
             reply.update({"msg_id": msg_id, "ok": True, "worker_id": self.worker_id})
             return reply
         except BaseException as error:  # noqa: BLE001 - reported to the caller
-            self.failed_total.inc()
-            return {
-                "msg_id": msg_id,
-                "ok": False,
-                "worker_id": self.worker_id,
-                "error": str(error) or repr(error),
-                "error_type": type(error).__name__,
-                "traceback": traceback.format_exc(limit=8),
-            }
+            return self.failure(msg_id, error)
+
+    def failure(self, msg_id: Any, error: BaseException) -> Dict[str, Any]:
+        """The typed ``ok: false`` reply for ``error`` (counted as a failure)."""
+        self.failed_total.inc()
+        return {
+            "msg_id": msg_id,
+            "ok": False,
+            "worker_id": self.worker_id,
+            "error": str(error) or repr(error),
+            "error_type": type(error).__name__,
+            "traceback": "".join(traceback.format_exception(error, limit=8)),
+        }
 
     def _handle_ping(self, message: Dict[str, Any]) -> Dict[str, Any]:
         # Pings double as idle heartbeats; piggybacking the backlog here (as
@@ -206,7 +264,7 @@ class ServingWorker:
         same message also lands the plan on a worker that never hosted it.
         """
         if message.get("replace"):
-            self.runtime.unregister(message["plan_id"])
+            self._unregister(message["plan_id"])
         pipeline, stats = decode_model(message["model_b64"])
         rebound = 0
         if self.arena is not None:
@@ -223,6 +281,7 @@ class ServingWorker:
             engine=message.get("engine", "request-response"),
             plan_id=message.get("plan_id"),
         )
+        self._schemas[plan_id] = input_frame_schema(pipeline)
         return {
             "plan_id": plan_id,
             "rebound_arrays": rebound,
@@ -237,7 +296,7 @@ class ServingWorker:
         refs here guarantees a recycled slab is never re-adopted under a
         later registration.
         """
-        self.runtime.unregister(message["plan_id"])
+        self._unregister(message["plan_id"])
         dropped = 0
         if self.arena is not None:
             dropped = self.arena.drop_refs(message.get("drop_checksums") or ())
@@ -247,6 +306,12 @@ class ServingWorker:
             "dropped_refs": dropped,
             "memory_bytes": self.runtime.memory_bytes(),
         }
+
+    def _unregister(self, plan_id: str) -> None:
+        """Drop a plan and its schema together: a frame can never be decoded
+        against the columns of a registration that is gone."""
+        self._schemas.pop(plan_id, None)
+        self.runtime.unregister(plan_id)
 
     def _handle_demote(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """Privatize adopted arena views ahead of a budget-pressure eviction."""
@@ -336,10 +401,17 @@ def _serve(worker: ServingWorker, transport: Transport) -> str:
         except (EOFError, OSError):
             return "eof"
         decode_started = time.perf_counter()
-        message = decode_payload(payload)
+        reply = None
+        try:
+            message = worker.decode(payload)
+        except Exception as error:  # noqa: BLE001 - no payload may end the loop
+            # Not a message at all (or a frame this worker cannot read): a
+            # typed reply -- addressed, when the frame header got that far --
+            # instead of the death of the process hosting every plan.
+            reply = worker.failure(getattr(error, "msg_id", None), error)
+            message = {"msg_id": reply["msg_id"]}
         decode_seconds = time.perf_counter() - decode_started
         msg_id = message.get("msg_id")
-        wire_trace = message.get("trace") if isinstance(message, dict) else None
         cached = worker.last_reply
         if msg_id is not None and cached is not None and cached[0] == msg_id:
             # A transport-level resend of a message this worker already
@@ -349,7 +421,7 @@ def _serve(worker: ServingWorker, transport: Transport) -> str:
             # recording again would double-count the request in every view.
             encoded = cached[1]
         else:
-            trace = observability.TraceContext.from_wire(wire_trace)
+            trace = observability.TraceContext.from_wire(message.get("trace"))
             if trace is not None:
                 observability.tracer().record(
                     trace.trace_id,
@@ -358,10 +430,16 @@ def _serve(worker: ServingWorker, transport: Transport) -> str:
                     parent_span_id=trace.parent_span_id,
                     attributes={"bytes": len(payload)},
                 )
-            reply = worker.handle(message)
+            if reply is None:
+                reply = worker.handle(message)
             encode_started = time.perf_counter()
             try:
-                encoded = encode_payload(reply)
+                # A frame is answered with a frame when the reply fits one.
+                encoded = (
+                    encode_reply_frame(payload, reply)
+                    if payload.startswith(PREDICT_FRAME_MAGIC)
+                    else None
+                ) or encode_payload(reply)
             except TypeError as error:
                 # A handler produced a non-JSON-able value (e.g. a plan whose
                 # sink emits a custom object); report instead of crashing.

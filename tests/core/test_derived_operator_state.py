@@ -116,6 +116,37 @@ def test_serving_leaves_model_identity_and_accounting_unchanged(family):
         runtime.shutdown()
 
 
+def test_tree_walk_views_leave_model_identity_and_accounting_unchanged(ac_pipeline, ac_inputs):
+    """The scalar tree walk's memoryviews are derived state like the key tables:
+    serving builds them, and nothing that identifies or sizes the model moves."""
+    from repro.operators.trees import DecisionTree
+
+    def snapshot():
+        return (
+            encode_model(ac_pipeline, None),
+            [operator.signature() for operator in ac_pipeline.operators()],
+            [operator.memory_bytes() for operator in ac_pipeline.operators()],
+        )
+
+    def trees():
+        for operator in ac_pipeline.operators():
+            if isinstance(operator, DecisionTree):
+                yield operator
+            yield from getattr(operator, "trees", ())
+
+    for tree in trees():
+        tree.__dict__.pop("_node_view_cache", None)
+    before = snapshot()
+    with PretzelRuntime(PretzelConfig()) as runtime:
+        plan_id = runtime.register(ac_pipeline)
+        accounted = runtime.memory_bytes()
+        for record in ac_inputs:
+            runtime.predict(plan_id, record)
+        assert runtime.memory_bytes() == accounted
+    assert all("_node_view_cache" in tree.__dict__ for tree in trees())
+    assert snapshot() == before
+
+
 @pytest.mark.parametrize("aot", [True, False])
 def test_key_tables_are_built_at_registration_only_under_aot(aot):
     family = build_sentiment_family(n_pipelines=1, n_char_versions=1, n_word_versions=1, seed=9)

@@ -48,6 +48,65 @@ class TestFlourApi:
         assert 123 in sizes
 
 
+class TestInputSchema:
+    """``FlourProgram.input_schema``: what the serving tier compiles its frames from."""
+
+    def test_row_pipeline_reports_its_selectors_columns(self, ac_pipeline):
+        from repro.workloads.events_data import FEATURE_NAMES
+
+        selector = ac_pipeline.nodes["selector"].operator
+        schema = flour_from_pipeline(ac_pipeline).input_schema()
+        assert schema == tuple(FEATURE_NAMES)
+        # one interned str per column name, however often the pipeline is unpickled
+        import pickle
+
+        again = flour_from_pipeline(pickle.loads(pickle.dumps(ac_pipeline))).input_schema()
+        assert all(left is right for left, right in zip(schema, again))
+        assert all(left == right for left, right in zip(schema, selector.columns))
+
+    def test_text_pipeline_reports_the_empty_schema(self, sa_pipeline):
+        assert flour_from_pipeline(sa_pipeline).input_schema() == ()
+
+    def test_union_of_entry_selectors_in_first_seen_order(self):
+        from repro.mlnet.pipeline import Pipeline
+        from repro.operators.featurizers import ColumnSelector, ConcatFeaturizer
+        from repro.operators.linear import LinearRegressor
+
+        pipeline = Pipeline("two-entries")
+        pipeline.add("left", ColumnSelector(["b", "a"]), ["input"])
+        pipeline.add("right", ColumnSelector(["c", "b"]), ["input"])
+        pipeline.add("concat", ConcatFeaturizer([2, 2]), ["left", "right"])
+        pipeline.add("model", LinearRegressor(), ["concat"])
+        assert flour_from_pipeline(pipeline).input_schema() == ("b", "a", "c")
+
+    def test_anything_else_reading_the_input_means_no_schema(self, sa_pipeline):
+        from repro.mlnet.pipeline import Pipeline
+        from repro.operators.featurizers import ColumnSelector
+
+        textual = Pipeline("textual-select")
+        textual.add("select", ColumnSelector(["Text"], textual=True), ["input"])
+        textual.add("tokenizer", sa_pipeline.nodes["tokenizer"].operator, ["select"])
+        textual.add("char", sa_pipeline.nodes["char_ngram"].operator, ["tokenizer"])
+        textual.add("classifier", sa_pipeline.nodes["classifier"].operator, ["char"])
+        assert flour_from_pipeline(textual).input_schema() is None
+
+    def test_hand_written_program_reports_its_declared_fields(self, sa_pipeline):
+        context = FlourContext(name="declared")
+        source = context.csv.from_text(",").with_schema(["Text", "Stars"])
+        program = source.select("Text").tokenize(
+            sa_pipeline.nodes["tokenizer"].operator
+        ).char_ngram(sa_pipeline.nodes["char_ngram"].operator).classifier_binary_linear(
+            sa_pipeline.nodes["classifier"].operator
+        )
+        assert program.input_schema() == ("Text", "Stars")
+        undeclared = context.source(ValueKind.ROW).select("Text").tokenize(
+            sa_pipeline.nodes["tokenizer"].operator
+        ).char_ngram(sa_pipeline.nodes["char_ngram"].operator).classifier_binary_linear(
+            sa_pipeline.nodes["classifier"].operator
+        )
+        assert undeclared.input_schema() is None
+
+
 class TestOvenOptimizer:
     def _optimize(self, pipeline):
         graph = flour_from_pipeline(pipeline).to_transform_graph()

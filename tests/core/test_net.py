@@ -1,21 +1,32 @@
 """Round-trip regression tests for the wire framing in ``repro.net``."""
 
+import copy
 import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import (
     BINARY_MAGIC,
+    PREDICT_FRAME_MAGIC,
     FrameFormatError,
+    SchemaMismatchError,
     decode_payload,
+    decode_predict_frame,
+    decode_reply,
     deserialize_message,
     encode_payload,
+    encode_predict,
+    encode_reply_frame,
+    frame_schema,
     pack_value_batch,
     serialize_message,
     unpack_value_batch,
 )
+from repro.observability.tracing import pack_trace_wire, unpack_trace_wire
 
 
 class TestRoundTrip:
@@ -189,3 +200,350 @@ class TestValueBatchPacking:
         ):
             assert pack_value_batch(rows) == rows
             assert unpack_value_batch(rows) == rows
+
+
+# -- data-plane predict frames -------------------------------------------------
+
+
+def _identical(left, right):
+    """Deep equality that also demands equal Python types and float bits."""
+    if type(left) is not type(right):
+        return False
+    if isinstance(left, float):
+        return struct.pack("<d", left) == struct.pack("<d", right)
+    if isinstance(left, dict):
+        return left.keys() == right.keys() and all(
+            _identical(left[key], right[key]) for key in left
+        )
+    if isinstance(left, list):
+        return len(left) == len(right) and all(map(_identical, left, right))
+    return left == right
+
+
+def _predict(records, plan_id="plan-7-ac", msg_id="a1b2c3d4:42", latency_sensitive=False, trace=None):
+    """A predict message exactly as ``PretzelCluster._message`` builds it."""
+    message = {
+        "plan_id": plan_id,
+        "records": records,
+        "latency_sensitive": latency_sensitive,
+        "type": "predict",
+        "msg_id": msg_id,
+    }
+    if trace is not None:
+        message["trace"] = trace
+    return message
+
+
+def _envelope_bytes(message):
+    """What the parent commit put on the wire for this predict."""
+    return encode_payload({**message, "records": pack_value_batch(message["records"])})
+
+
+def _via_envelope(message):
+    decoded = decode_payload(_envelope_bytes(message))
+    decoded["records"] = unpack_value_batch(decoded["records"])
+    return decoded
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True, width=64),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, float("inf"), float("-inf"), float("nan")]),
+)
+_NAMES = st.text(
+    alphabet=st.characters(codec="utf-8", exclude_categories=()) | st.sampled_from("\ud800\x00"),
+    min_size=0,
+    max_size=6,
+)
+_COLUMNS = st.lists(_NAMES, min_size=1, max_size=6, unique=True)
+_TEXTS = st.text(
+    alphabet=st.characters(codec="utf-8") | st.sampled_from(["\x00", "\U0001f600", "\u0301"]),
+    max_size=12,
+)
+_TRACES = st.one_of(
+    st.none(),
+    st.builds(
+        lambda a, b: {"trace_id": a, "parent_span_id": b, "sampled": True},
+        st.text(alphabet="0123456789abcdef", min_size=16, max_size=16),
+        st.text(alphabet="0123456789abcdef", min_size=16, max_size=16),
+    ),
+)
+_MSG_IDS = st.builds(
+    lambda prefix, seq: f"{prefix}:{seq}",
+    st.text(alphabet="0123456789abcdef", min_size=8, max_size=8),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+
+
+@st.composite
+def _row_batches(draw):
+    """(columns, records): every record holds exactly the columns, in its own order."""
+    columns = draw(_COLUMNS)
+    records = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        order = draw(st.permutations(columns))
+        records.append({key: draw(_FLOATS) for key in order})
+    return columns, records
+
+
+class TestPredictFrames:
+    @settings(max_examples=150, deadline=None)
+    @given(_row_batches(), _MSG_IDS, st.booleans(), _TRACES, st.text(max_size=12))
+    def test_row_frame_decodes_to_the_envelope_message(
+        self, batch, msg_id, latency_sensitive, trace, plan_id
+    ):
+        columns, records = batch
+        schema = frame_schema(columns)
+        message = _predict(records, plan_id, msg_id, latency_sensitive, trace)
+        frame = encode_predict(copy.deepcopy(message), schema)
+        assert frame.startswith(PREDICT_FRAME_MAGIC)
+        decoded = decode_predict_frame(frame, {plan_id: schema}.__getitem__)
+        assert _identical(decoded, _via_envelope(message))
+        # the body is the raw float64 rows and nothing else: no key travels
+        assert frame.endswith(
+            b"".join(struct.pack("<d", record[key]) for record in records for key in columns)
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_TEXTS, min_size=1, max_size=5), _MSG_IDS, st.booleans(), _TRACES)
+    def test_text_frame_decodes_to_the_envelope_message(
+        self, records, msg_id, latency_sensitive, trace
+    ):
+        schema = frame_schema(())
+        message = _predict(records, "plan-0-sa", msg_id, latency_sensitive, trace)
+        frame = encode_predict(copy.deepcopy(message), schema)
+        assert frame.startswith(PREDICT_FRAME_MAGIC)
+        decoded = decode_predict_frame(frame, lambda plan_id: schema)
+        assert _identical(decoded, _via_envelope(message))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_TEXTS, min_size=1, max_size=4), st.integers(min_value=0, max_value=3))
+    def test_lone_surrogate_text_falls_back_to_the_envelope(self, records, position):
+        records.insert(min(position, len(records)), "half \ud83d pair")
+        message = _predict(records)
+        wire = encode_predict(copy.deepcopy(message), frame_schema(()))
+        assert wire == _envelope_bytes(message)
+        assert _identical(decode_payload(wire), _via_envelope(message))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_row_batches(), st.data())
+    def test_non_conforming_records_yield_the_parent_commits_envelope_bytes(self, batch, data):
+        columns, records = batch
+        schema = frame_schema(columns)
+        victim = data.draw(st.integers(min_value=0, max_value=len(records) - 1))
+        key = data.draw(st.sampled_from(columns))
+        damage = data.draw(
+            st.sampled_from(
+                ["int", "bool", "none", "numpy", "nested", "missing", "extra", "renamed", "non-dict", "text", "tuple-batch"]
+            )
+        )
+        if damage == "int":
+            records[victim][key] = 3
+        elif damage == "bool":
+            records[victim][key] = True
+        elif damage == "none":
+            records[victim][key] = None
+        elif damage == "numpy":
+            records[victim][key] = np.float64(1.5)
+        elif damage == "nested":
+            records[victim][key] = [1.0, 2.0]
+        elif damage == "missing":
+            del records[victim][key]
+        elif damage == "extra":
+            records[victim]["".join(columns) + "+"] = 1.0
+        elif damage == "renamed":
+            records[victim]["".join(columns) + "+"] = records[victim].pop(key)
+        elif damage == "non-dict":
+            records[victim] = [1.0] * len(columns)
+        elif damage == "text":
+            records[victim] = "a text record among rows"
+        else:
+            records = tuple(records)
+        message = _predict(records)
+        expected = _envelope_bytes(message)
+        wire = encode_predict(dict(message), schema)
+        assert wire == expected
+        assert not wire.startswith(PREDICT_FRAME_MAGIC)
+
+    def test_fields_that_do_not_fit_the_header_keep_the_envelope(self):
+        schema = frame_schema(["a"])
+        good = _predict([{"a": 1.0}])
+        assert encode_predict(dict(good), schema).startswith(PREDICT_FRAME_MAGIC)
+        assert encode_predict(dict(good), None) == _envelope_bytes(good)
+        for change in (
+            {"msg_id": 7},
+            {"msg_id": "short:1"},
+            {"msg_id": "a1b2c3d4:007"},
+            {"msg_id": "a1b2c3d4:-1"},
+            {"msg_id": "a1b2c3d4:1_0"},
+            {"msg_id": f"a1b2c3d4:{2**64}"},
+            {"msg_id": "a1b2c3d\u00e9:1"},
+            {"latency_sensitive": 1},
+            {"plan_id": "\ud800"},
+            {"plan_id": "p" * 70000},
+            {"records": []},
+            {"extra": "field"},
+            {"trace": {"trace_id": "not-sixteen", "parent_span_id": "x" * 16, "sampled": True}},
+            {"trace": {"trace_id": "a" * 16, "parent_span_id": "b" * 16, "sampled": False}},
+        ):
+            message = {**good, **change}
+            assert encode_predict(dict(message), schema) == _envelope_bytes(message), change
+
+    def test_control_and_fallback_bytes_are_pinned(self):
+        """Byte-identical to the parent commit: the control plane and every
+        non-conforming predict never changed on the wire."""
+        assert (
+            encode_payload({"type": "ping", "msg_id": "a1b2c3d4:0"})
+            == b'{"type": "ping", "msg_id": "a1b2c3d4:0"}'
+        )
+        assert encode_payload(
+            {"plan_id": "p", "drop_checksums": ["c0"], "type": "unregister", "msg_id": "a1b2c3d4:1"}
+        ) == (
+            b'{"plan_id": "p", "drop_checksums": ["c0"], "type": "unregister", '
+            b'"msg_id": "a1b2c3d4:1"}'
+        )
+        assert encode_predict(_predict([{"f0": 1}]), frame_schema(["f0"])) == (
+            b'{"plan_id": "plan-7-ac", "records": [{"f0": 1}], "latency_sensitive": false, '
+            b'"type": "predict", "msg_id": "a1b2c3d4:42"}'
+        )
+        assert encode_predict(_predict([{"f0": 1.5}, {"f1": 2.5}]), frame_schema(["f0"])) == (
+            b'{"plan_id": "plan-7-ac", "records": [{"f0": 1.5}, {"f1": 2.5}], '
+            b'"latency_sensitive": false, "type": "predict", "msg_id": "a1b2c3d4:42"}'
+        )
+        assert encode_predict(_predict([{"f1": 0.5}]), frame_schema(["f0"])) == (
+            b"PZB1" + struct.pack("!I", 168)
+            + b'{"plan_id":"plan-7-ac","records":{"__batch__":"columns","keys":["f1"],'
+            b'"values":"__frame__:0:<f8:1,1"},"latency_sensitive":false,"type":"predict",'
+            b'"msg_id":"a1b2c3d4:42"}'
+            + struct.pack("!Q", 8) + struct.pack("<d", 0.5)
+        )
+
+    def test_golden_frame_layout(self):
+        rows = encode_predict(
+            _predict([{"b": 2.0, "a": 1.0}], plan_id="ac", latency_sensitive=True),
+            frame_schema(["a", "b"]),
+        )
+        assert rows == (
+            b"PZF1" b"a1b2c3d4" + (42).to_bytes(8, "little")
+            + b"\x01"  # flags: latency_sensitive
+            + (2).to_bytes(2, "little")  # plan id length
+            + (1).to_bytes(4, "little")  # records
+            + (2).to_bytes(2, "little")  # width
+            + bytes.fromhex("1fac6c16")  # schema fingerprint: crc32(b"a\\0b", 2)
+            + b"ac"
+            + bytes.fromhex("9f52347f")  # crc32 of everything above
+            + struct.pack("<2d", 1.0, 2.0)
+        )
+        trace = {"trace_id": "0123456789abcdef", "parent_span_id": "fedcba9876543210", "sampled": True}
+        text = encode_predict(_predict(["hi", "\u00e9"], plan_id="sa", trace=trace), frame_schema(()))
+        assert text == (
+            b"PZF1" b"a1b2c3d4" + (42).to_bytes(8, "little")
+            + b"\x02"  # flags: traced
+            + (2).to_bytes(2, "little") + (2).to_bytes(4, "little")
+            + (0).to_bytes(2, "little")  # width 0: text
+            + (0).to_bytes(4, "little")  # the text schema's fingerprint
+            + b"0123456789abcdef" b"fedcba9876543210"
+            + b"sa"
+            + bytes.fromhex("df46bd5e")
+            + (2).to_bytes(4, "little") + (2).to_bytes(4, "little")
+            + b"hi" b"\xc3\xa9"
+        )
+        reply = encode_reply_frame(
+            text, {"outputs": [0.5, -1.0], "backlog": 3, "msg_id": "a1b2c3d4:42", "ok": True, "worker_id": "w"}
+        )
+        assert reply == (
+            b"PZR1" b"a1b2c3d4" + (42).to_bytes(8, "little")
+            + (2).to_bytes(4, "little") + (3).to_bytes(4, "little")
+            + bytes.fromhex("204c77b5")
+            + struct.pack("<2d", 0.5, -1.0)
+        )
+        assert decode_reply(reply) == {
+            "msg_id": "a1b2c3d4:42",
+            "ok": True,
+            "outputs": [0.5, -1.0],
+            "backlog": 3,
+        }
+
+    @pytest.mark.parametrize(
+        "message, schema",
+        [
+            (_predict([{"a": 1.0, "b": 2.0}, {"b": 4.0, "a": 3.0}]), frame_schema(["a", "b"])),
+            (
+                _predict(
+                    ["one", "two words"],
+                    trace={"trace_id": "0" * 16, "parent_span_id": "f" * 16, "sampled": True},
+                ),
+                frame_schema(()),
+            ),
+        ],
+    )
+    def test_truncation_and_header_corruption_raise_frame_format_error(self, message, schema):
+        frame = encode_predict(copy.deepcopy(message), schema)
+        lookup = {message["plan_id"]: schema}.__getitem__
+        assert decode_predict_frame(frame, lookup) == message
+        for cut in range(len(frame)):
+            with pytest.raises(FrameFormatError):
+                decode_predict_frame(frame[:cut], lookup)
+        with pytest.raises(FrameFormatError):
+            decode_predict_frame(frame + b"\x00", lookup)
+        body = len(schema._pack(message["records"]))
+        for position in range(len(frame) - body):  # every header byte, crc included
+            for flip in (0x01, 0x10, 0x80, 0xFF):
+                corrupted = bytearray(frame)
+                corrupted[position] ^= flip
+                with pytest.raises(FrameFormatError):
+                    decode_predict_frame(bytes(corrupted), lookup)
+
+    def test_reply_frame_truncation_and_corruption(self):
+        request = encode_predict(_predict([{"a": 1.0}]), frame_schema(["a"]))
+        reply = encode_reply_frame(request, {"outputs": [1.0, 2.0, 3.0], "backlog": 0, "ok": True})
+        assert decode_reply(reply)["outputs"] == [1.0, 2.0, 3.0]
+        for cut in range(len(reply)):
+            # a cut inside the magic is no frame at all: the envelope decoder's error
+            with pytest.raises(FrameFormatError if cut >= 4 else ValueError):
+                decode_reply(reply[:cut])
+        with pytest.raises(FrameFormatError):
+            decode_reply(reply + b"\x00")
+        for position in range(4, len(reply) - 24):
+            for flip in (0x01, 0x10, 0x80, 0xFF):
+                corrupted = bytearray(reply)
+                corrupted[position] ^= flip
+                with pytest.raises(FrameFormatError):
+                    decode_reply(bytes(corrupted))
+
+    def test_reply_frames_carry_only_float_outputs(self):
+        request = encode_predict(_predict([{"a": 1.0}]), frame_schema(["a"]))
+        ok = {"backlog": 2, "ok": True, "msg_id": "a1b2c3d4:42", "worker_id": "w"}
+        many = [float(index) / 7 for index in range(40)] + [float("nan"), -0.0]
+        packed = encode_reply_frame(request, {**ok, "outputs": pack_value_batch(many)})
+        assert _identical(decode_reply(packed)["outputs"], many)
+        assert packed == encode_reply_frame(request, {**ok, "outputs": many})
+        for outputs in ([1], [1.0, None], ["text"], [np.float64(1.0)], [[1.0]], {"k": 1.0}, None):
+            assert encode_reply_frame(request, {**ok, "outputs": outputs}) is None
+        assert encode_reply_frame(request, {**ok, "outputs": [1.0], "ok": False}) is None
+        assert encode_reply_frame(request, {**ok, "outputs": [1.0], "backlog": -1}) is None
+
+    def test_schema_mismatch_is_a_typed_error_never_shifted_columns(self):
+        packed_with = frame_schema(["a", "b"])
+        frame = encode_predict(_predict([{"a": 1.0, "b": 2.0}]), packed_with)
+        for held in (frame_schema(["a", "c"]), frame_schema(["b", "a"]), frame_schema(["a"]), frame_schema(()), None):
+            with pytest.raises(SchemaMismatchError) as caught:
+                decode_predict_frame(frame, lambda plan_id: held)
+            assert caught.value.msg_id == "a1b2c3d4:42"  # the reply can still be addressed
+        with pytest.raises(KeyError) as unknown:
+            decode_predict_frame(frame, {}.__getitem__)
+        assert unknown.value.msg_id == "a1b2c3d4:42"
+        assert frame_schema(None) is None
+        assert frame_schema(["x"] * 70000) is None
+
+    def test_trace_context_fixed_width_form(self):
+        wire = {"trace_id": "0123456789abcdef", "parent_span_id": "fedcba9876543210", "sampled": True}
+        assert pack_trace_wire(wire) == b"0123456789abcdeffedcba9876543210"
+        assert unpack_trace_wire(pack_trace_wire(wire)) == wire
+        for bad in (
+            {**wire, "sampled": False},
+            {**wire, "trace_id": "short"},
+            {**wire, "parent_span_id": None},
+            {**wire, "parent_span_id": "\u00e9" * 16},
+            {**wire, "baggage": 1},
+        ):
+            assert pack_trace_wire(bad) is None

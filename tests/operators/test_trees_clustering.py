@@ -1,5 +1,7 @@
 """Tests for tree-based operators, KMeans and PCA."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -156,3 +158,109 @@ class TestPCA:
     def test_requires_fit(self):
         with pytest.raises(RuntimeError):
             PCA(n_components=1).transform(DenseVector([1.0, 2.0]))
+
+
+def _numpy_walk(tree, features):
+    """The pre-memoryview scalar walk, kept as the oracle: NumPy scalar
+    indexing and comparisons on the node arrays themselves."""
+    nodes = tree._nodes
+    node = 0
+    while nodes["left"][node] != -1:
+        if features[nodes["feature"][node]] <= nodes["threshold"][node]:
+            node = int(nodes["left"][node])
+        else:
+            node = int(nodes["right"][node])
+    return node
+
+
+class TestScalarWalkViews:
+    """The scalar tree walk indexes memoryviews of the node arrays (derived state)."""
+
+    def _tree(self):
+        records, labels = _step_data(n=200, seed=4)
+        return DecisionTree(max_depth=5, min_leaf=2).fit(records, labels), records
+
+    def test_leaves_match_the_numpy_walk_including_nan_and_inf(self):
+        tree, records = self._tree()
+        rng = np.random.default_rng(9)
+        probes = [record.to_numpy() for record in records[:40]]
+        for _ in range(40):
+            row = rng.uniform(-1, 1, size=4)
+            row[rng.integers(0, 4)] = rng.choice([np.nan, np.inf, -np.inf, -0.0])
+            probes.append(row)
+        for row in probes:
+            leaf = tree.leaf_index(DenseVector(row))
+            assert type(leaf) is int
+            assert leaf == _numpy_walk(tree, row)
+            assert tree.transform(DenseVector(row)) == float(tree._nodes["value"][leaf])
+        matrix = np.vstack(probes)
+        assert tree._leaves_of(matrix).tolist() == [_numpy_walk(tree, row) for row in probes]
+
+    def test_views_are_zero_copy_derived_state_kept_off_the_pickle(self):
+        tree, records = self._tree()
+        before = pickle.dumps(tree)
+        tree.transform(records[0])
+        arrays, views = tree.__dict__["_node_view_cache"]
+        assert all(view.obj is array for view, array in zip(views, arrays))
+        assert [array is tree._nodes[key] for array, key in zip(arrays, ("feature", "threshold", "left", "right"))] == [True] * 4
+        assert pickle.dumps(tree) == before
+        clone = pickle.loads(pickle.dumps(tree))
+        assert "_node_view_cache" not in clone.__dict__
+        assert clone.transform(records[1]) == tree.transform(records[1])
+        assert [parameter.name for parameter in tree.parameters()] == ["tree.config", "tree.nodes"]
+
+    def test_views_follow_a_replaced_node_array(self):
+        """Arena rebind / privatize swap arrays under a live tree: the views
+        are identity-checked and must never walk the array that was replaced."""
+        tree, records = self._tree()
+        probe = records[3]
+        leaf = tree.leaf_index(probe)
+        stale_views = tree.__dict__["_node_view_cache"][1]
+        # a read-only copy, as an arena view is
+        for key in ("feature", "threshold", "left", "right"):
+            replacement = tree._nodes[key].copy()
+            replacement.setflags(write=False)
+            tree._nodes[key] = replacement
+        assert tree.leaf_index(probe) == leaf
+        fresh_views = tree.__dict__["_node_view_cache"][1]
+        assert all(fresh.obj is not stale.obj for fresh, stale in zip(fresh_views, stale_views))
+        # a genuinely different tree under the same object: a stump
+        tree._nodes = {
+            "feature": np.array([-1], dtype=np.int64),
+            "threshold": np.array([0.0]),
+            "left": np.array([-1], dtype=np.int64),
+            "right": np.array([-1], dtype=np.int64),
+            "value": np.array([42.0]),
+        }
+        assert tree.leaf_index(probe) == 0 and tree.transform(probe) == 42.0
+
+    def test_ensembles_share_the_walk_and_match_their_batch_kernels(self):
+        records, labels = _step_data(n=160, seed=6)
+        classes = (np.asarray(labels) > 0).astype(int)
+        for ensemble, targets in (
+            (RandomForest(n_trees=4, max_depth=4, seed=1), labels),
+            (TreeEnsembleClassifier(n_classes=2, max_depth=3), classes),
+            (TreeFeaturizer(n_trees=5, max_depth=3, seed=2), labels),
+        ):
+            ensemble.fit(records, targets)
+            batch = ensemble.transform_batch(records[:25]).rows
+            for record, expected in zip(records[:25], batch):
+                got = ensemble.transform(record)
+                if isinstance(got, SparseVector):
+                    assert got.indices.dtype == expected.indices.dtype == np.int64
+                    assert got.indices.tolist() == expected.indices.tolist()
+                    assert got.values.tolist() == expected.values.tolist()
+                    assert got.size == expected.size
+                elif isinstance(got, DenseVector):
+                    assert got.values.tolist() == expected.values.tolist()
+                else:
+                    assert got == expected
+            assert all("_node_view_cache" in tree.__dict__ for tree in ensemble.trees)
+
+
+def test_sparse_vector_from_sorted_wraps_without_copying():
+    indices = np.array([1, 4, 9], dtype=np.int64)
+    values = np.ones(3)
+    trusted = SparseVector.from_sorted(indices, values, 12)
+    assert trusted.indices is indices and trusted.values is values and trusted.size == 12
+    assert trusted == SparseVector([1, 4, 9], [1.0, 1.0, 1.0], 12)

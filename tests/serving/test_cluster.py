@@ -564,3 +564,140 @@ def test_teardown_guard_blocks_free_for_evicted_attached_workers():
         assert cluster._teardown_on_workers(
             ["never-existed"], "unregister", plan_id="x", drop_checksums=[]
         ) is True
+
+
+# -- data-plane predict frames ---------------------------------------------------
+
+
+def _frame_bytes(plan_id, records, schema):
+    """Size of the request frame for this predict (no field depends on the seq)."""
+    from repro.net import PREDICT_FRAME_MAGIC, encode_predict
+
+    frame = encode_predict(
+        {
+            "plan_id": plan_id,
+            "records": records,
+            "latency_sensitive": False,
+            "type": "predict",
+            "msg_id": "00000000:0",
+        },
+        schema,
+    )
+    assert frame.startswith(PREDICT_FRAME_MAGIC)
+    return len(frame)
+
+
+@pytest.mark.parametrize("transport", ["pipe", "socket"])
+def test_predicts_travel_as_frames_bit_equal_to_one_process(
+    transport, ac_pipeline, ac_inputs, sa_pipeline, sa_inputs
+):
+    """AC (dict records) and SA (text) predicts ride data-plane frames over
+    both transports: outputs bit-equal to a single-process runtime, every
+    message counted as binary, and the wire bytes are exactly the frames'."""
+    from repro.serving.worker import input_frame_schema
+
+    # untraced: a sampled request's header is 32 bytes (its trace context) longer
+    config = _config(transport=transport, enable_tracing=False)
+    with PretzelRuntime(PretzelConfig()) as runtime, PretzelCluster(config) as cluster:
+        for plan_id, pipeline, inputs in (("ac", ac_pipeline, ac_inputs), ("sa", sa_pipeline, sa_inputs)):
+            runtime.register(pipeline, plan_id=plan_id)
+            cluster.register(pipeline, plan_id=plan_id)
+            schema = input_frame_schema(pipeline)
+            oracle = [runtime.predict(plan_id, record) for record in inputs]
+            before = cluster.wire_stats()
+            single = [cluster.predict(plan_id, record) for record in inputs]
+            batch = cluster.predict_batch(plan_id, inputs)
+            wire = cluster.wire_stats()
+            assert single == oracle and batch == oracle  # bit-equal, not approx
+            assert all(type(value) is float for value in single + batch)
+            calls = len(inputs) + 1
+            assert wire["binary_messages"] - before["binary_messages"] == calls
+            assert wire["binary_replies"] - before["binary_replies"] == calls
+            assert wire["json_messages"] == before["json_messages"]
+            assert wire["bytes_sent"] - before["bytes_sent"] == sum(
+                _frame_bytes(plan_id, [record], schema) for record in inputs
+            ) + _frame_bytes(plan_id, list(inputs), schema)
+            # reply frame: 32-byte header + one float64 per record
+            assert wire["bytes_received"] - before["bytes_received"] == (
+                len(inputs) * (32 + 8) + 32 + 8 * len(inputs)
+            )
+        # no key name travels: an AC request is its header plus 40 raw doubles
+        assert _frame_bytes("ac", ac_inputs[:1], input_frame_schema(ac_pipeline)) < 400
+
+
+def test_non_conforming_records_fall_back_to_the_envelope(ac_pipeline, ac_inputs):
+    """A record a frame cannot carry (an int value, a missing key, an extra
+    key) is served exactly as before the data plane existed."""
+    odd_records = [
+        {"f0": 1},
+        {**ac_inputs[0], "f3": None},
+        {**ac_inputs[1], "unheard-of": 1.0},
+        {key: value for key, value in ac_inputs[2].items() if key != "f7"},
+    ]
+    with PretzelRuntime(PretzelConfig()) as runtime, PretzelCluster(_config()) as cluster:
+        runtime.register(ac_pipeline, plan_id="ac")
+        cluster.register(ac_pipeline, plan_id="ac")
+        before = cluster.wire_stats()
+        for record in odd_records:
+            assert cluster.predict("ac", record) == runtime.predict("ac", record)
+        mixed = [ac_inputs[0], odd_records[0]]
+        assert cluster.predict_batch("ac", mixed) == [runtime.predict("ac", r) for r in mixed]
+        wire = cluster.wire_stats()
+        # The envelope as it always was: records with an int / a None and the
+        # mixed batch ride plain JSON; the two all-float records whose key set
+        # is not the schema's are a PZB1 columnar batch -- keys and all.
+        assert wire["json_messages"] - before["json_messages"] == 3
+        assert wire["binary_messages"] - before["binary_messages"] == 2
+        assert wire["bytes_sent"] - before["bytes_sent"] > 2 * 700
+        # ... and conforming records right after still take the data plane
+        assert cluster.predict("ac", ac_inputs[0]) == runtime.predict("ac", ac_inputs[0])
+        after = cluster.wire_stats()
+        assert after["binary_messages"] == wire["binary_messages"] + 1
+        assert after["bytes_sent"] - wire["bytes_sent"] < 450
+
+
+def test_reregistering_a_plan_id_with_other_columns_uses_the_new_schema():
+    """Unregister -> re-register under the same id with a different column
+    set: both ends recompile the schema, so frames carry the new columns."""
+    import numpy as np
+
+    from repro.mlnet.pipeline import Pipeline
+    from repro.operators.featurizers import ColumnSelector
+    from repro.operators.linear import LinearRegressor
+
+    def pipeline_over(name, columns):
+        pipeline = Pipeline(name)
+        pipeline.add("selector", ColumnSelector(columns), ["input"])
+        model = LinearRegressor()
+        model.weights = np.array([10.0**position for position in range(len(columns))])
+        model.bias = 0.0
+        pipeline.add("model", model, ["selector"])
+        return pipeline
+
+    with PretzelCluster(_config(shm_budget_bytes=0, enable_tracing=False)) as cluster:
+        cluster.register(pipeline_over("first", ["a", "b"]), plan_id="p")
+        assert cluster.predict("p", {"a": 1.0, "b": 2.0}) == 21.0
+        cluster.unregister("p")
+        cluster.register(pipeline_over("second", ["b", "c", "a"]), plan_id="p")
+        before = cluster.wire_stats()
+        assert cluster.predict("p", {"a": 1.0, "b": 2.0, "c": 3.0}) == 132.0
+        framed = cluster.wire_stats()
+        assert framed["bytes_sent"] - before["bytes_sent"] == 33 + len("p") + 4 + 3 * 8
+        # the old shape no longer conforms: it rides the envelope (keys and
+        # all, so more bytes for fewer values) and the missing column reads 0.0
+        assert cluster.predict("p", {"a": 1.0, "b": 2.0}) == 102.0
+        assert cluster.wire_stats()["bytes_sent"] - framed["bytes_sent"] > 100
+
+
+def test_encoded_model_is_retained_only_while_it_can_be_reshipped(sa_pipeline):
+    """A plan hosted by every worker can never be re-homed (membership only
+    shrinks), so the front door does not keep its encoding alive."""
+    with PretzelCluster(_config(num_workers=2, placement_replicas=2)) as cluster:
+        cluster.register(sa_pipeline, plan_id="everywhere")
+        cluster.register(sa_pipeline, plan_id="one-replica", replicas=1)
+        assert cluster._plans["everywhere"]["model_b64"] is None
+        assert cluster._plans["one-replica"]["model_b64"]
+    tiered = _config(num_workers=2, placement_replicas=2, arena_eviction_policy="compress-tiered")
+    with PretzelCluster(tiered) as cluster:
+        cluster.register(sa_pipeline, plan_id="everywhere")
+        assert cluster._plans["everywhere"]["model_b64"]  # rehydration re-ships it

@@ -16,9 +16,22 @@ import pytest
 
 from repro import observability
 from repro.core.config import PretzelConfig
-from repro.net import deserialize_message, serialize_message, unpack_value_batch
+from repro.net import (
+    PREDICT_FRAME_MAGIC,
+    REPLY_FRAME_MAGIC,
+    decode_reply,
+    deserialize_message,
+    encode_predict,
+    serialize_message,
+    unpack_value_batch,
+)
 from repro.serving.control.transport import SocketListener, SocketTransport
-from repro.serving.worker import ServingWorker, encode_model, listen_and_serve
+from repro.serving.worker import (
+    ServingWorker,
+    encode_model,
+    input_frame_schema,
+    listen_and_serve,
+)
 
 
 @pytest.fixture()
@@ -180,3 +193,70 @@ def test_untraced_frame_records_no_spans(listening_worker, sa_pipeline, sa_input
     client.send_bytes(serialize_message({"type": "shutdown", "msg_id": 13}))
     deserialize_message(client.recv_bytes())
     client.close()
+
+
+def test_replayed_data_plane_frame_is_answered_from_the_reply_cache(
+    listening_worker, sa_pipeline, sa_inputs
+):
+    """The reconnect-once resend of a *frame*: same header, same msg id, so the
+    same replay cache answers it -- no second execution, span or count."""
+    worker, port = listening_worker
+    trace_id = uuid.uuid4().hex[:16]
+    client = SocketTransport.connect("127.0.0.1", port, connect_timeout=5.0)
+    client.send_bytes(
+        serialize_message(
+            {
+                "type": "register",
+                "msg_id": "c0ffee00:0",
+                "plan_id": "sa",
+                "model_b64": encode_model(sa_pipeline, None),
+            }
+        )
+    )
+    assert deserialize_message(client.recv_bytes())["ok"]
+
+    frame = encode_predict(
+        {
+            "plan_id": "sa",
+            "records": sa_inputs[:1],
+            "latency_sensitive": False,
+            "type": "predict",
+            "msg_id": "c0ffee00:1",
+            "trace": {"trace_id": trace_id, "parent_span_id": "1pc5pan1d0000000", "sampled": True},
+        },
+        input_frame_schema(sa_pipeline),
+    )
+    assert frame.startswith(PREDICT_FRAME_MAGIC)
+    client.send_bytes(frame)
+    first_raw = client.recv_bytes()
+    assert first_raw.startswith(REPLY_FRAME_MAGIC)
+    first = decode_reply(first_raw)
+    assert first["msg_id"] == "c0ffee00:1"
+    assert first["outputs"] == pytest.approx([sa_pipeline.predict(sa_inputs[0])])
+
+    spans_after_first = _spans_for(trace_id)
+    by_name = {span["name"]: span for span in spans_after_first}
+    # the trace context rode the frame header; both wire spans measured the frames
+    assert by_name["worker.receive"]["attributes"] == {"bytes": len(frame)}
+    assert by_name["reply.encode"]["attributes"] == {"bytes": len(first_raw)}
+    assert all(span["parent_span_id"] == "1pc5pan1d0000000" for span in spans_after_first)
+    counters_after_first = observability.registry().snapshot()["counters"]
+    assert worker.served_predictions == 1
+
+    client.close()
+    retry = SocketTransport.connect("127.0.0.1", port, connect_timeout=5.0)
+    retry.send_bytes(frame)
+    assert retry.recv_bytes() == first_raw  # replayed byte for byte, not re-executed
+    assert _spans_for(trace_id) == spans_after_first
+    assert worker.served_predictions == 1
+    counters_after_replay = observability.registry().snapshot()["counters"]
+    for name in (
+        "pretzel_worker_predictions_total",
+        "pretzel_trace_spans_total",
+        "pretzel_scheduler_events_total",
+    ):
+        assert counters_after_replay.get(name, 0) == counters_after_first.get(name, 0)
+
+    retry.send_bytes(serialize_message({"type": "shutdown", "msg_id": "c0ffee00:2"}))
+    deserialize_message(retry.recv_bytes())
+    retry.close()

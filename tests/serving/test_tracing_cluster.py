@@ -152,3 +152,31 @@ def test_batch_engine_traces_scheduler_hops(sa_pipeline, sa_inputs):
         # The scheduler path adds ready-queue wait spans to the trace.
         assert "queue.wait" in names
         assert "stage.execute" in names
+
+
+def test_traced_frames_keep_the_wire_spans_and_their_byte_counts(ac_pipeline, ac_inputs):
+    """Sampled requests ride the same data-plane frames as unsampled ones (the
+    context sits in the header), so the stitched tree still shows the wire
+    hops -- and their ``bytes`` are the frames', not an envelope's."""
+    observability.tracer().clear()
+    with PretzelCluster(_config(transport="pipe")) as cluster:
+        cluster.register(ac_pipeline, plan_id=PLAN_ON_WORKER_1)
+        before = cluster.wire_stats()
+        cluster.predict(PLAN_ON_WORKER_1, ac_inputs[0])
+        wire = cluster.wire_stats()
+        assert wire["binary_messages"] == before["binary_messages"] + 1
+        assert wire["binary_replies"] == before["binary_replies"] + 1
+        spans = {span["name"]: span for span in cluster.trace_dump()}
+        assert {"request", "admission", "ipc", "wire.encode", "worker.receive", "reply.encode"} <= set(spans)
+        sent = wire["bytes_sent"] - before["bytes_sent"]
+        received = wire["bytes_received"] - before["bytes_received"]
+        # header + 32-byte trace context + plan id + crc + 40 float64
+        assert sent == 33 + 32 + len(PLAN_ON_WORKER_1) + 4 + 40 * 8
+        assert received == 32 + 8
+        assert spans["wire.encode"]["attributes"]["bytes"] == sent
+        assert spans["worker.receive"]["attributes"]["bytes"] == sent
+        assert spans["reply.encode"]["attributes"]["bytes"] == received
+        ipc = spans["ipc"]
+        for name in ("wire.encode", "worker.receive", "reply.encode"):
+            assert spans[name]["parent_span_id"] == ipc["span_id"]
+            assert spans[name]["trace_id"] == ipc["trace_id"]

@@ -3,16 +3,32 @@
 import numpy as np
 import pytest
 
+from repro import observability
 from repro.core.config import PretzelConfig
+from repro.mlnet.pipeline import Pipeline
 from repro.net import (
+    PREDICT_FRAME_MAGIC,
+    REPLY_FRAME_MAGIC,
     decode_payload,
+    decode_reply,
     deserialize_message,
     encode_payload,
+    encode_predict,
+    frame_schema,
     serialize_message,
     unpack_value_batch,
 )
+from repro.operators.featurizers import ColumnSelector
+from repro.operators.linear import LinearRegressor
+from repro.serving.control.transport import Transport
 from repro.serving.shm_store import SharedMemoryArena
-from repro.serving.worker import ServingWorker, decode_model, encode_model
+from repro.serving.worker import (
+    ServingWorker,
+    _serve,
+    decode_model,
+    encode_model,
+    input_frame_schema,
+)
 
 
 @pytest.fixture()
@@ -231,3 +247,193 @@ class TestResendDeduplication:
             deserialize_message(parent.recv_bytes())
             server.join(timeout=10.0)
             parent.close()
+
+
+class _ScriptedTransport(Transport):
+    """A fake channel: hands the serve loop a script of payloads, keeps the replies."""
+
+    def __init__(self, payloads):
+        self.incoming = list(payloads)
+        self.sent = []
+
+    def send_bytes(self, data):
+        self.sent.append(data)
+
+    def recv_bytes(self):
+        if not self.incoming:
+            raise EOFError
+        return self.incoming.pop(0)
+
+    def poll(self, timeout=0.0):
+        return bool(self.incoming)
+
+    def close(self):
+        pass
+
+
+def _register(worker, plan_id, pipeline):
+    reply = worker.handle(
+        {
+            "type": "register",
+            "msg_id": f"register-{plan_id}",
+            "plan_id": plan_id,
+            "model_b64": encode_model(pipeline, None),
+        }
+    )
+    assert reply["ok"], reply
+    return input_frame_schema(pipeline)
+
+
+def _frame(plan_id, records, schema, seq=1, trace=None):
+    message = {
+        "plan_id": plan_id,
+        "records": records,
+        "latency_sensitive": False,
+        "type": "predict",
+        "msg_id": f"a1b2c3d4:{seq}",
+    }
+    if trace is not None:
+        message["trace"] = trace
+    frame = encode_predict(message, schema)
+    assert frame.startswith(PREDICT_FRAME_MAGIC)
+    return frame
+
+
+def _selector_pipeline(name, columns):
+    """A two-node row pipeline whose output names which columns it read."""
+    pipeline = Pipeline(name)
+    pipeline.add("selector", ColumnSelector(columns), ["input"])
+    model = LinearRegressor()
+    model.weights = np.array([10.0 ** position for position in range(len(columns))])
+    model.bias = 0.0
+    pipeline.add("model", model, ["selector"])
+    return pipeline
+
+
+class TestServeLoopSurvivesAnyPayload:
+    def test_malformed_payloads_get_typed_replies_and_the_loop_keeps_serving(self, worker):
+        """Regression: ``decode_payload`` ran outside any ``try`` -- each of
+        these payloads ended the serve loop, i.e. the process hosting every
+        plan, and the cluster failed over."""
+        transport = _ScriptedTransport(
+            [
+                b"PZB1\x00\x00",
+                b"[]",
+                b"not json",
+                PREDICT_FRAME_MAGIC + b"\x00" * 3,
+                serialize_message({"type": "ping", "msg_id": 7}),
+            ]
+        )
+        assert _serve(worker, transport) == "eof"
+        replies = [deserialize_message(data) for data in transport.sent]
+        assert [reply["error_type"] for reply in replies[:4]] == [
+            "FrameFormatError",
+            "TypeError",
+            "JSONDecodeError",
+            "FrameFormatError",
+        ]
+        for reply in replies[:4]:
+            assert reply["ok"] is False and reply["msg_id"] is None
+            assert reply["worker_id"] == "worker-test"
+        assert replies[4] == {
+            "pong": True,
+            "backlog": 0,
+            "msg_id": 7,
+            "ok": True,
+            "worker_id": "worker-test",
+        }
+        assert worker.failed_requests == 4
+        counters = observability.registry().snapshot()["counters"]
+        assert counters["pretzel_worker_failed_total"] >= 4
+
+
+class TestPredictFrames:
+    def test_frames_go_through_the_one_predict_handler(self, worker, ac_pipeline, ac_inputs, sa_pipeline, sa_inputs):
+        ac_schema = _register(worker, "ac", ac_pipeline)
+        sa_schema = _register(worker, "sa", sa_pipeline)
+        assert ac_schema.width == 40 and sa_schema.width == 0
+        transport = _ScriptedTransport(
+            [
+                _frame("ac", ac_inputs[:1], ac_schema, seq=1),
+                _frame("ac", ac_inputs, ac_schema, seq=2),
+                _frame("sa", sa_inputs[:3], sa_schema, seq=3),
+            ]
+        )
+        _serve(worker, transport)
+        assert all(data.startswith(REPLY_FRAME_MAGIC) for data in transport.sent)
+        replies = [decode_reply(data) for data in transport.sent]
+        assert [reply["msg_id"] for reply in replies] == ["a1b2c3d4:1", "a1b2c3d4:2", "a1b2c3d4:3"]
+        # bit-equal to the same predicts on the envelope, through the same handler
+        for reply, (plan_id, records) in zip(
+            replies, [("ac", ac_inputs[:1]), ("ac", ac_inputs), ("sa", sa_inputs[:3])]
+        ):
+            envelope = worker.handle(
+                _wire({"type": "predict", "msg_id": 9, "plan_id": plan_id, "records": records})
+            )
+            assert reply["outputs"] == _outputs(envelope)
+            assert all(type(value) is float for value in reply["outputs"])
+        assert worker.served_predictions == 2 * (1 + len(ac_inputs) + 3)
+
+    def test_frame_for_an_unregistered_plan_is_the_envelopes_keyerror(self, worker, ac_inputs):
+        schema = frame_schema([f"f{index}" for index in range(40)])
+        transport = _ScriptedTransport([_frame("gone", ac_inputs[:1], schema, seq=5)])
+        _serve(worker, transport)
+        (reply,) = [decode_payload(data) for data in transport.sent]
+        # the error type the cluster's demotion-race retry keys on, addressed to the request
+        assert reply["ok"] is False and reply["error_type"] == "KeyError"
+        assert reply["msg_id"] == "a1b2c3d4:5"
+        assert "'gone' is not registered" in reply["error"]
+
+    def test_stale_schema_cannot_serve_a_reregistered_plan(self, worker):
+        """Unregister -> re-register of one plan id with other columns: a frame
+        packed against the old schema is refused by fingerprint, never decoded
+        into shifted columns."""
+        old = _register(worker, "p", _selector_pipeline("old", ["a", "b"]))
+        record = {"a": 1.0, "b": 2.0}
+        stale_frame = _frame("p", [record], old, seq=1)
+        assert worker.handle({"type": "unregister", "msg_id": 2, "plan_id": "p"})["ok"]
+        new = _register(worker, "p", _selector_pipeline("new", ["a", "c"]))
+        assert (old.width, old.columns) == (new.width, ("a", "b"))
+        assert old.fingerprint != new.fingerprint
+        transport = _ScriptedTransport(
+            [stale_frame, _frame("p", [{"a": 1.0, "c": 3.0}], new, seq=3)]
+        )
+        _serve(worker, transport)
+        refused = decode_payload(transport.sent[0])
+        assert refused["ok"] is False and refused["error_type"] == "SchemaMismatchError"
+        assert refused["msg_id"] == "a1b2c3d4:1"
+        assert decode_reply(transport.sent[1])["outputs"] == [31.0]
+        # while unregistered the plan has no schema at all
+        assert worker.handle({"type": "unregister", "msg_id": 4, "plan_id": "p"})["ok"]
+        transport = _ScriptedTransport([_frame("p", [{"a": 1.0, "c": 3.0}], new, seq=5)])
+        _serve(worker, transport)
+        assert decode_payload(transport.sent[0])["error_type"] == "KeyError"
+
+    def test_replayed_frame_is_answered_from_the_reply_cache(self, worker, ac_pipeline, ac_inputs):
+        schema = _register(worker, "ac", ac_pipeline)
+        frame = _frame("ac", ac_inputs[:2], schema, seq=11)
+        transport = _ScriptedTransport([frame, frame])
+        _serve(worker, transport)
+        assert transport.sent[0] == transport.sent[1]
+        assert transport.sent[0].startswith(REPLY_FRAME_MAGIC)
+        assert worker.served_predictions == 2  # executed once
+
+    def test_non_float_outputs_answer_a_frame_on_the_envelope(self, worker):
+        """A plan whose sink emits what no reply frame (nor JSON) can carry
+        keeps the envelope's typed error, addressed to the frame's msg id."""
+        from repro.operators.trees import TreeEnsembleClassifier
+
+        rng = np.random.default_rng(5)
+        rows = rng.normal(size=(40, 2))
+        classifier = TreeEnsembleClassifier(n_classes=2, max_depth=2).fit(
+            list(rows), (rows[:, 0] > 0).astype(int)
+        )
+        pipeline = Pipeline("class-scores")
+        pipeline.add("selector", ColumnSelector(["a", "b"]), ["input"])
+        pipeline.add("classifier", classifier, ["selector"])
+        schema = _register(worker, "scores", pipeline)
+        transport = _ScriptedTransport([_frame("scores", [{"a": 0.5, "b": -1.0}], schema)])
+        _serve(worker, transport)
+        reply = decode_payload(transport.sent[0])
+        assert reply["ok"] is False and reply["error_type"] == "TypeError"
+        assert reply["msg_id"] == "a1b2c3d4:1"
