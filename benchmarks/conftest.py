@@ -8,17 +8,25 @@ rows/series of the corresponding paper figure) to ``benchmarks/results/``.
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
-import platform
-from typing import Any, Dict, Optional
 
-import pytest
+# One BLAS thread, set before anything imports NumPy: a multi-threaded
+# OpenBLAS stalls ``np.dot`` over wide dense vectors by milliseconds per call
+# in a cold process, which is what the figure benchmarks would then measure.
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_variable] = "1"
+del _variable
 
-from repro.workloads.attendee import build_attendee_family
-from repro.workloads.sentiment import build_sentiment_family
-from repro.workloads.text_data import generate_reviews
+import json  # noqa: E402
+import pathlib  # noqa: E402
+import platform  # noqa: E402
+from typing import Any, Dict, Optional  # noqa: E402
+
+import pytest  # noqa: E402
+
+from repro.workloads.attendee import build_attendee_family  # noqa: E402
+from repro.workloads.sentiment import build_sentiment_family  # noqa: E402
+from repro.workloads.text_data import generate_reviews  # noqa: E402
 
 FULL_SCALE = os.environ.get("REPRO_FULL", "0") == "1"
 N_SA = 250 if FULL_SCALE else 60

@@ -12,10 +12,12 @@ Both engines share one stage-execution implementation:
 :func:`execute_plan_stage_batch` layers sub-plan materialization and pooled
 working memory around the physical stage call for any batch size, and
 :func:`execute_plan_stage` is its batch-of-1 entry point.  The batch engine
-feeds it a whole :class:`~repro.core.scheduler.StageBatch` -- stage events
-coalesced across requests (and plans) because they share one physical stage,
-formed in O(batch size) from the scheduler's signature-indexed ready queues
--- which executes columnar
+feeds it either every record of one ``predict_batch`` call (one group per
+stage, on the caller's thread) or a whole
+:class:`~repro.core.scheduler.StageBatch` -- ``submit`` events coalesced
+across requests (and plans) because they share one physical stage, formed in
+O(batch size) from the scheduler's signature-indexed ready queues -- and
+either way the stage executes columnar
 (:class:`~repro.operators.batch.ColumnBatch`); a single event runs the
 compiled scalar path, bit-identical to the seed engine.
 """
@@ -92,8 +94,9 @@ def execute_plan_stage_batch(
 
     ``items`` holds one ``(stage, record, values)`` triple per request; every
     stage must wrap the same physical stage (same ``full_signature``) -- the
-    invariant :meth:`Scheduler.next_batch` establishes.  The plan-level
-    wrappers may still differ (each plan names its stages and exports its own
+    invariant :meth:`Scheduler.next_batch` establishes, and trivially true of
+    a ``predict_batch`` group, whose items all run one stage of one plan.
+    The plan-level wrappers may still differ (each plan names its stages and exports its own
     keys), so externals are gathered and outputs scattered per request, while
     the stage itself runs once over the whole batch, columnar
     (:class:`~repro.operators.batch.ColumnBatch`) inside

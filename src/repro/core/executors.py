@@ -3,7 +3,9 @@
 Each executor owns a vector pool (allocated per executor to improve locality,
 as in the paper) and pulls stage events from the Scheduler when free.  The
 pool of executors is created once at runtime initialization so no thread is
-ever spawned on the prediction path.
+ever spawned on the prediction path.  Executors serve ``submit`` traffic;
+``PretzelRuntime.predict_batch`` runs its records on the caller's thread and
+never starts them.
 
 When the scheduler has stage-level batching enabled, a free executor pulls a
 :class:`~repro.core.scheduler.StageBatch` -- queued events whose next stage

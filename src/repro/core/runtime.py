@@ -5,8 +5,9 @@ produced off-line by Oven/MPC are *registered*: their physical stages go into
 a shared catalog (loaded only once when identical), their parameters live in
 the Object Store, and vector pools are sized from the plans' statistics.
 Prediction requests are served either by the request-response engine (inline
-execution, lowest latency) or by the batch engine (stage events scheduled
-onto the shared executors).
+execution, lowest latency) or by the batch engine: a ``predict_batch`` call
+runs as one columnar group on the calling thread, and ``submit`` traffic is
+scheduled as stage events onto the shared executors.
 """
 
 from __future__ import annotations
@@ -20,7 +21,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro import observability, profiling
 from repro.core.config import PretzelConfig
 from repro.core.cost_model import CostModel
-from repro.core.engines import RequestResponseEngine
+from repro.core.engines import (
+    RequestResponseEngine,
+    execute_plan_stage,
+    execute_plan_stage_batch,
+    record_stage_span,
+)
 from repro.core.executors import ExecutorPool
 from repro.core.flour import FlourContext, FlourProgram, flour_from_pipeline
 from repro.core.materialization import SubPlanMaterializer
@@ -124,7 +130,7 @@ class PretzelRuntime:
         """The per-stage cost model, or None for the byte-identical default.
 
         Built when the config opts into either half of it: a non-reference
-        ``kernel_backend`` (the executors dispatch through it) or the
+        ``kernel_backend`` (the batch engine dispatches through it) or the
         ``"cost-model"`` batch policy (the sizer reads knees from it; the
         backend stays pinned to ``"reference"`` so the execution path is
         unchanged).  Default config -> None -> the executors call the exact
@@ -185,8 +191,9 @@ class PretzelRuntime:
         self.executor_pool.preallocate(sizes)
         self._inline_pool.preallocate(sizes)
         if self.config.enable_stage_batching:
-            # Pay the batch engine's gather-scratch allocations upfront too:
-            # a StageBatch of n records leases an n x max_vector_size buffer,
+            # Pay the executors' gather-scratch allocations upfront too (the
+            # submit path; predict_batch groups lease none): a StageBatch of
+            # n records leases an n x max_vector_size buffer,
             # and the power-of-two classes double up to the batch-size cap,
             # so one buffer per doubling covers every class a batch can hit.
             batch_sizes = []
@@ -342,32 +349,100 @@ class PretzelRuntime:
         timeout: Optional[float] = 60.0,
         trace: Any = None,
     ) -> List[Any]:
-        """Serve a batch through the batch engine (scheduler + executors).
+        """Serve a batch on the calling thread, one columnar pass per stage.
 
-        A sampled trace rides on the *first* record's request only: one
-        representative trace per batch call keeps the flight recorder from
-        flooding while still capturing queueing and coalescing behaviour.
+        The whole call is one group: every stage of the plan runs once over
+        all records through :func:`execute_plan_stage_batch` -- the function
+        and kernels the executors run -- never split by
+        ``max_stage_batch_size``, never queued and never waited on, so no
+        executor thread starts.  Only :meth:`submit` traffic goes through the
+        scheduler, where coalescing across requests is the point; one call's
+        records have nothing to wait for.
+
+        With stage batching off, or for a latency-sensitive call (whose
+        records run alone, as on the scheduler), the records loop the scalar
+        request-response path, bit-identical to calling :meth:`predict` per
+        record.  ``timeout`` is kept for callers of the queued engine; the
+        caller-runs path never waits.  A sampled call records one
+        ``stage.execute`` span per stage (``events`` = the group size).
         """
         registered = self.registered(plan_id)
         registered.predictions += len(records)
         registered.cold = False
-        if not self.executor_pool.started:
-            self.executor_pool.start()
+        if not records:
+            return []
         if trace is None and self.mint_traces:
             trace = observability.tracer().maybe_trace()
-        requests = [
-            self.scheduler.submit(
-                InferenceRequest(
-                    plan_id,
-                    registered.plan,
-                    record,
-                    latency_sensitive,
-                    trace=trace if index == 0 else None,
+        started = time.perf_counter()
+        try:
+            if self.config.enable_stage_batching and not latency_sensitive:
+                return self._run_group(registered.plan, records, trace)
+            return [
+                self._request_response.predict(
+                    registered.plan, record, trace=trace if index == 0 else None
                 )
-            )
-            for index, record in enumerate(records)
-        ]
-        return [request.wait(timeout) for request in requests]
+                for index, record in enumerate(records)
+            ]
+        finally:
+            if trace is not None and trace.owns_root:
+                observability.tracer().record(
+                    trace.trace_id,
+                    "request",
+                    time.perf_counter() - started,
+                    span_id=trace.parent_span_id,
+                    attributes={"plan_id": plan_id, "engine": "batch"},
+                )
+
+    def _run_group(self, plan: ModelPlan, records: Sequence[Any], trace: Any) -> List[Any]:
+        """Run ``records`` through ``plan`` stage by stage, each stage once.
+
+        No gather scratch is leased: a caller-side pool would keep an
+        ``n x max_vector_size`` buffer per size class alive between calls,
+        so the columnar gather allocates and frees its matrix per call.
+
+        Errors: when a stage's columnar call raises, its records re-run that
+        stage one by one through the scalar path.  The call raises the error
+        of the lowest-index failing record -- the error a loop of
+        :meth:`predict` over the records would raise -- so records after it
+        are dropped at once and only lower-index ones keep running (one of
+        them may still fail at a later stage and take its place).
+        """
+        contexts: List[Dict[Tuple[str, str], Any]] = [{} for _ in records]
+        results: List[Any] = [None] * len(records)
+        live = list(range(len(records)))
+        failure: Optional[BaseException] = None
+        for stage in plan.stages:
+            started = time.perf_counter()
+            items = [(stage, records[index], contexts[index]) for index in live]
+            try:
+                outputs = execute_plan_stage_batch(
+                    items, materializer=self.materializer, backend_policy=self.cost_model
+                )
+            except Exception:  # re-run the stage per record to attribute the fault
+                outputs = []
+                for index in live:
+                    try:
+                        output = execute_plan_stage(
+                            stage, records[index], contexts[index], self.materializer
+                        )
+                    except Exception as error:  # raised once the group is done
+                        failure = error
+                        break
+                    outputs.append(output)
+                live = live[: len(outputs)]
+            self.scheduler.batching.record(stage.physical.full_signature, len(items))
+            if trace is not None:
+                record_stage_span(
+                    trace, stage, time.perf_counter() - started, events=len(items)
+                )
+            if not live:
+                break
+            if stage.is_sink:
+                for index, output in zip(live, outputs):
+                    results[index] = output
+        if failure is not None:
+            raise failure
+        return results
 
     def submit(
         self,

@@ -79,13 +79,18 @@ class ColumnSelector(Operator):
                     )
                 texts.append(value.get(column, ""))
             return ColumnBatch.from_rows(texts)
-        matrix = np.empty((len(rows), len(self.columns)), dtype=np.float64)
-        for index, value in enumerate(rows):
+        # Per-record Python lists, then one array: a NumPy element assignment
+        # per field costs twice as much as building the list.
+        columns = self.columns
+        gathered = []
+        for value in rows:
             if not isinstance(value, dict):
                 raise TypeError(f"ColumnSelector expects a dict record, got {type(value)!r}")
-            for position, column in enumerate(self.columns):
-                field = value.get(column, 0.0)
-                matrix[index, position] = float(field) if field is not None else 0.0
+            get = value.get
+            gathered.append(
+                [0.0 if (field := get(column, 0.0)) is None else float(field) for column in columns]
+            )
+        matrix = np.array(gathered, dtype=np.float64).reshape(len(rows), len(columns))
         return ColumnBatch.from_matrix(matrix)
 
     def parameters(self) -> List[Parameter]:

@@ -330,7 +330,8 @@ class ServingWorker:
         registered = self.runtime.registered(plan_id)
         # The cluster's sampling decision rides the envelope: rebuild the
         # context (None when unsampled) so worker-side spans join the trace
-        # the front door started.  The trace rides the first record only.
+        # the front door started.  A batch-engine call traces its one group
+        # (a span per stage); the request-response loop traces its first record.
         trace = observability.TraceContext.from_wire(message.get("trace"))
         started = time.perf_counter()
         if registered.engine == "batch" and len(records) > 1:

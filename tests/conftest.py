@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
 
-from repro.mlnet.pipeline import Pipeline
-from repro.operators import (
+# One BLAS thread, before NumPy loads: a full run loads this conftest before
+# benchmarks/conftest.py, so the pin has to happen here to cover the figure
+# benchmarks too (a multi-threaded OpenBLAS stalls their wide dense dots).
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_variable] = "1"
+del _variable
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from repro.mlnet.pipeline import Pipeline  # noqa: E402
+from repro.operators import (  # noqa: E402
     PCA,
     CharNgramFeaturizer,
     ColumnSelector,
@@ -18,8 +27,8 @@ from repro.operators import (
     Tokenizer,
     WordNgramFeaturizer,
 )
-from repro.workloads.events_data import FEATURE_NAMES, generate_events
-from repro.workloads.text_data import generate_reviews
+from repro.workloads.events_data import FEATURE_NAMES, generate_events  # noqa: E402
+from repro.workloads.text_data import generate_reviews  # noqa: E402
 
 
 @pytest.fixture(scope="session")

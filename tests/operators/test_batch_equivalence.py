@@ -292,6 +292,31 @@ def test_empty_batches_are_legal(name, operator, batch, tolerance):
     assert len(operator.transform_batch(empty)) == 0
 
 
+def test_column_selector_batch_matrix_is_byte_identical_to_per_field_assignment():
+    """The one-array gather keeps every byte of the per-field fill it
+    replaced: ``float(...)`` of present values (ints, strings, NaN, -0.0),
+    ``None`` and missing fields read ``0.0``, float64 in C order."""
+    columns = ["a", "b", "c", "d"]
+    records = [
+        {"a": 1.5, "b": -0.0, "c": float("nan"), "d": float("inf")},
+        {"a": 3, "b": None, "d": "2.25"},
+        {},
+        {"a": np.float32(0.1), "b": True, "c": 5e-324, "d": -1e308, "extra": 7.0},
+    ]
+    expected = np.empty((len(records), len(columns)), dtype=np.float64)
+    for index, record in enumerate(records):
+        for position, column in enumerate(columns):
+            field = record.get(column, 0.0)
+            expected[index, position] = float(field) if field is not None else 0.0
+    matrix = ColumnSelector(columns).transform_batch(records).dense_matrix()
+    assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
+    assert matrix.tobytes() == expected.tobytes()
+    scalar = np.stack([ColumnSelector(columns).transform(r).values for r in records])
+    assert matrix.tobytes() == scalar.tobytes()
+    empty = ColumnSelector(columns).transform_batch([]).dense_matrix()
+    assert empty.shape == (0, len(columns))
+
+
 def test_core_numeric_families_declare_vectorized_kernels():
     """The acceptance gate: none of the core families may loop per record."""
     by_family = {}

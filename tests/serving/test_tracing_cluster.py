@@ -10,6 +10,7 @@ import pytest
 
 from repro import observability
 from repro.core.config import PretzelConfig
+from repro.core.runtime import PretzelRuntime
 from repro.serving import PretzelCluster
 
 
@@ -139,19 +140,37 @@ def test_tracing_disabled_records_nothing(sa_pipeline, sa_inputs):
         assert cluster.metrics()["counters"]["pretzel_worker_predictions_total"] >= 3
 
 
-def test_batch_engine_traces_scheduler_hops(sa_pipeline, sa_inputs):
+def test_cluster_predict_batch_traces_one_group_span_per_stage(sa_pipeline, sa_inputs):
+    """A worker runs a ``predict_batch`` as one columnar group on its own
+    thread: no ready queue, so no ``queue.wait`` -- one ``stage.execute`` per
+    stage carrying the whole group, inside the one sampled request."""
     observability.tracer().clear()
-    with PretzelCluster(_config()) as cluster:
+    records = sa_inputs[:4]
+    with PretzelCluster(_config(enable_stage_batching=True)) as cluster:
         cluster.register(sa_pipeline, plan_id=PLAN_ON_WORKER_0, engine="batch")
-        outputs = cluster.predict_batch(PLAN_ON_WORKER_0, sa_inputs[:4])
-        assert outputs == pytest.approx(
-            [sa_pipeline.predict(text) for text in sa_inputs[:4]]
-        )
+        outputs = cluster.predict_batch(PLAN_ON_WORKER_0, records)
+        assert outputs == pytest.approx([sa_pipeline.predict(text) for text in records])
         spans = cluster.trace_dump()
-        names = {span["name"] for span in spans}
-        # The scheduler path adds ready-queue wait spans to the trace.
-        assert "queue.wait" in names
-        assert "stage.execute" in names
+    roots = [span for span in spans if span["name"] == "request"]
+    assert len(roots) == 1
+    stages = [span for span in spans if span["name"] == "stage.execute"]
+    assert stages and all(span["trace_id"] == roots[0]["trace_id"] for span in stages)
+    assert all(span["attributes"]["events"] == len(records) for span in stages)
+    assert len({span["attributes"]["signature"] for span in stages}) == len(stages)
+    assert "queue.wait" not in {span["name"] for span in spans}
+
+
+def test_batch_engine_traces_scheduler_hops(sa_pipeline, sa_inputs):
+    """``submit`` traffic still queues: its trace shows the ready-queue wait."""
+    observability.tracer().clear()
+    config = PretzelConfig(num_executors=1, enable_stage_batching=True, trace_sample_rate=1)
+    with PretzelRuntime(config) as runtime:
+        plan_id = runtime.register(sa_pipeline, engine="batch")
+        output = runtime.submit(plan_id, sa_inputs[0]).wait(timeout=30.0)
+        assert output == pytest.approx(sa_pipeline.predict(sa_inputs[0]))
+        names = {span["name"] for span in observability.tracer().dump()}
+    assert "queue.wait" in names
+    assert "stage.execute" in names
 
 
 def test_traced_frames_keep_the_wire_spans_and_their_byte_counts(ac_pipeline, ac_inputs):
