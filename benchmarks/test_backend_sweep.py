@@ -65,9 +65,10 @@ def _fixtures():
     """(family name, fitted operator, record maker) per swept hot family.
 
     Dimensions are picked so the reference kernel's per-record overhead is
-    real (many trees / the 3-D KMeans broadcast / the per-record sparse-dot
-    loop) without making the sweep slow: these are the AC ensemble stages and
-    the SA split-linear stages of the paper's workloads, scaled down.
+    real (many trees / the 3-D KMeans broadcast) without making the sweep
+    slow: these are the AC ensemble stages and the SA split-linear stages of
+    the paper's workloads, scaled down.  ``PartialLinear``'s gemm entry runs
+    the reference segmented-sparse kernel, so it sweeps at ~1.0x.
     """
     rng = np.random.default_rng(SEED)
     width = 16 if SMOKE else 32

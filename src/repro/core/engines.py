@@ -8,18 +8,23 @@ PRETZEL serves predictions through two engines (Section 4.2.1):
 * the **batch engine** (see :mod:`repro.core.scheduler`) routes per-stage
   events through the Scheduler onto shared Executors.
 
-Both engines share one stage-execution implementation:
-:func:`execute_plan_stage_batch` layers sub-plan materialization and pooled
-working memory around the physical stage call for any batch size, and
-:func:`execute_plan_stage` is its batch-of-1 entry point.  The batch engine
-feeds it either every record of one ``predict_batch`` call (one group per
-stage, on the caller's thread) or a whole
-:class:`~repro.core.scheduler.StageBatch` -- ``submit`` events coalesced
-across requests (and plans) because they share one physical stage, formed in
-O(batch size) from the scheduler's signature-indexed ready queues -- and
-either way the stage executes columnar
-(:class:`~repro.operators.batch.ColumnBatch`); a single event runs the
-compiled scalar path, bit-identical to the seed engine.
+Both engines share one stage-execution implementation,
+:meth:`~repro.core.oven.physical.PhysicalStage.execute_columns`, which runs a
+stage over whole :class:`~repro.operators.batch.ColumnBatch` columns.  Three
+entry points wrap it:
+
+* :func:`execute_plan_stage_columns` runs one stage of a ``predict_batch``
+  group (every record of the call, on the caller's thread): stage outputs
+  stay columns -- dense matrices, CSR sparse columns, scalar arrays -- and
+  feed the next stage as columns, so no per-record value is built between
+  the stages of a group;
+* :func:`execute_plan_stage_batch` runs a
+  :class:`~repro.core.scheduler.StageBatch` -- ``submit`` events coalesced
+  across requests (and plans) because they share one physical stage -- whose
+  externals and outputs live in per-request dictionaries, and layers
+  sub-plan materialization and pooled working memory around the call;
+* :func:`execute_plan_stage` is the batch-of-1 path of the request-response
+  engine, the compiled scalar stage, bit-identical to the seed engine.
 """
 
 from __future__ import annotations
@@ -32,10 +37,13 @@ from repro.core.oven.plan import ModelPlan, PlanStage
 from repro.core.vector_pool import VectorPool
 from repro.observability import tracer
 from repro.observability.tracing import TraceContext
+from repro.operators.batch import ColumnBatch
 
 __all__ = [
     "execute_plan_stage",
     "execute_plan_stage_batch",
+    "execute_plan_stage_columns",
+    "record_values",
     "execute_plan",
     "RequestResponseEngine",
 ]
@@ -90,13 +98,12 @@ def execute_plan_stage_batch(
     pool: Optional[VectorPool] = None,
     backend_policy: Optional[Any] = None,
 ) -> List[Any]:
-    """The engine's one stage-execution path, for any batch size >= 1.
+    """Execute one stage for many requests, each with its own value dictionary.
 
     ``items`` holds one ``(stage, record, values)`` triple per request; every
     stage must wrap the same physical stage (same ``full_signature``) -- the
-    invariant :meth:`Scheduler.next_batch` establishes, and trivially true of
-    a ``predict_batch`` group, whose items all run one stage of one plan.
-    The plan-level wrappers may still differ (each plan names its stages and exports its own
+    invariant :meth:`Scheduler.next_batch` establishes.  The plan-level
+    wrappers may still differ (each plan names its stages and exports its own
     keys), so externals are gathered and outputs scattered per request, while
     the stage itself runs once over the whole batch, columnar
     (:class:`~repro.operators.batch.ColumnBatch`) inside
@@ -175,6 +182,65 @@ def execute_plan_stage_batch(
     finally:
         if buffer is not None and pool is not None:
             pool.release(buffer)
+
+
+def execute_plan_stage_columns(
+    stage: PlanStage,
+    records: ColumnBatch,
+    columns: Dict[Tuple[str, str], ColumnBatch],
+    materializer: Optional[SubPlanMaterializer] = None,
+    backend_policy: Optional[Any] = None,
+) -> ColumnBatch:
+    """Execute one plan stage over a whole group of records, column in, column out.
+
+    The group counterpart of :func:`execute_plan_stage`: ``records`` is the
+    raw-record column and ``columns`` maps plan-level keys to the columns
+    upstream stages published (the scalar path's ``values`` dictionary, one
+    column per key instead of one value).  The stage's output columns are
+    published under its ``output_keys``; its final column is returned.
+
+    With materialization enabled the cache is keyed per record, so the
+    stage goes through :func:`execute_plan_stage_batch` over per-record
+    views of the columns and its outputs are regrouped into columns.
+    ``backend_policy`` works as in :func:`execute_plan_stage_batch`.
+    """
+    physical = stage.physical
+    if materializer is not None and materializer.enabled:
+        contexts = [record_values(stage, columns, index) for index in range(len(records))]
+        execute_plan_stage_batch(
+            [(stage, record, values) for record, values in zip(records, contexts)],
+            materializer=materializer,
+            backend_policy=backend_policy,
+        )
+        outputs = [
+            ColumnBatch.from_rows([values[key] for values in contexts])
+            for key in stage.output_keys
+        ]
+    else:
+        externals = [
+            records if upstream is None else columns[(upstream, transform_id)]
+            for upstream, transform_id in stage.external_refs
+        ]
+        if backend_policy is None:
+            outputs = physical.execute_columns(externals)
+        else:
+            backend = backend_policy.select(physical, len(records))
+            started = time.perf_counter()
+            outputs = physical.execute_columns(externals, backend=backend)
+            backend_policy.observe(
+                physical, backend, len(records), time.perf_counter() - started
+            )
+    for key, column in zip(stage.output_keys, outputs):
+        columns[key] = column
+    return outputs[physical.final_position()]
+
+
+def record_values(
+    stage: PlanStage, columns: Dict[Tuple[str, str], ColumnBatch], index: int
+) -> Dict[Tuple[str, str], Any]:
+    """Record ``index``'s view of the upstream columns ``stage`` reads: the
+    ``values`` dictionary :func:`execute_plan_stage` expects."""
+    return {ref: columns[ref][index] for ref in stage.external_refs if ref[0] is not None}
 
 
 def execute_plan(

@@ -230,79 +230,74 @@ class PhysicalStage:
         self._backend_kernels = kernels
         self._backend_names = names
 
-    def execute_batch(
+    def execute_columns(
         self,
-        batch: Sequence[Sequence[Any]],
+        columns: Sequence[ColumnBatch],
         scratch: Optional[Any] = None,
         backend: Optional[str] = None,
-    ) -> List[List[Any]]:
-        """Run the stage once for many records; returns per-record outputs.
+    ) -> List[ColumnBatch]:
+        """Run the stage once over whole columns; returns one column per transform.
 
-        ``batch`` holds one external-input list per record; the result holds,
-        for each record, the output value of every transform (the same shape
-        :meth:`execute` returns).  Internally the batch travels columnar: each
-        external slot becomes one :class:`~repro.operators.batch.ColumnBatch`,
-        every transform position is served by a single
+        ``columns`` holds one :class:`~repro.operators.batch.ColumnBatch` per
+        external input slot, all of one length.  Every transform position is
+        served by a single
         :meth:`~repro.operators.base.Operator.transform_batch` call over a
         column (vectorized kernels process the whole batch in one numpy pass;
-        ``supports_batch=False`` operators loop per record), and only the
-        final scatter materializes rows again.  A batch of one short-circuits
-        to :meth:`execute` -- the compiled scalar path, bit-identical to the
+        ``supports_batch=False`` operators loop per record), and its output
+        column -- dense, sparse (CSR) or scalar storage -- is what later
+        positions and, through the runtime, later stages consume: no row is
+        materialized between them.  A batch of one short-circuits to
+        :meth:`execute` -- the compiled scalar path, bit-identical to the
         request-response engine.  ``scratch`` optionally provides a pooled
-        flat float64 buffer the gather step stacks external columns into.
+        flat float64 buffer the first kernel may stack a single external
+        column into.
 
         ``backend`` selects an alternative kernel set from the kernel-backend
         registry (see :meth:`available_backends`); ``None`` or ``"reference"``
-        runs every operator's own ``transform_batch``, exactly the pre-backend
-        behaviour.  An unknown or unavailable backend name falls back to the
-        reference kernels rather than failing the batch.
+        runs every operator's own ``transform_batch``.  An unknown or
+        unavailable backend name falls back to the reference kernels rather
+        than failing the batch.
         """
-        if not batch:
-            return []
         expected = len(self.external_inputs)
-        for external_values in batch:
-            if len(external_values) != expected:
-                raise ValueError(
-                    f"stage expects {expected} external inputs, "
-                    f"got {len(external_values)}"
-                )
+        if len(columns) != expected:
+            raise ValueError(
+                f"stage expects {expected} external inputs, got {len(columns)}"
+            )
+        n_records = len(columns[0]) if columns else 0
         if self._compiled is None:
             # Mirror the scalar cold path: with AOT disabled the first (cold)
             # execution interprets and then specializes, so the batched engine
             # pays the same no-AOT penalty the Section 5.2.1 ablation measures.
-            outputs = [self.interpret(external_values) for external_values in batch]
+            rows = [column.rows for column in columns]
+            outputs = [
+                self.interpret([values[record] for values in rows])
+                for record in range(n_records)
+            ]
             self.compile()
-            self.executions += len(batch)
+            self.executions += n_records
             self.batched_executions += 1
-            return outputs
-        n_records = len(batch)
+            return self._columns_of(outputs)
         if n_records == 1:
             self.batched_executions += 1
-            return [self.execute(batch[0])]
+            return self._columns_of([self.execute([column.row(0) for column in columns])])
         kernels: Optional[List[Callable[[Any], Any]]] = None
         if backend is not None and backend != "reference":
             self._ensure_backend_kernels()
             assert self._backend_kernels is not None
             kernels = self._backend_kernels.get(backend)
-        external_columns = [
-            ColumnBatch.from_rows([batch[record][slot] for record in range(n_records)])
-            for slot in range(expected)
-        ]
         if scratch is not None and expected == 1:
             # One scratch lease per stage call: with a single external slot no
             # second column can collide on the buffer while it is still read.
-            external_columns[0].attach_scratch(scratch)
+            columns[0].attach_scratch(scratch)
         per_transform: List[ColumnBatch] = []
         for position, bindings in enumerate(self._bindings):
             if len(bindings) == 1:
                 kind, slot = bindings[0]
-                argument = (
-                    external_columns[slot] if kind == "external" else per_transform[slot]
-                )
+                argument = columns[slot] if kind == "external" else per_transform[slot]
             else:
                 argument = ColumnBatch.multi(
                     [
-                        external_columns[slot] if kind == "external" else per_transform[slot]
+                        columns[slot] if kind == "external" else per_transform[slot]
                         for kind, slot in bindings
                     ]
                 )
@@ -320,11 +315,47 @@ class PhysicalStage:
             per_transform.append(outputs)
         self.executions += n_records
         self.batched_executions += 1
-        rows_per_transform = [column.rows for column in per_transform]
+        return per_transform
+
+    def _columns_of(self, outputs: List[List[Any]]) -> List[ColumnBatch]:
+        """Per-record transform outputs regrouped as one column per transform."""
         return [
-            [rows[record] for rows in rows_per_transform]
-            for record in range(n_records)
+            ColumnBatch.from_rows([values[position] for values in outputs])
+            for position in range(len(self._bindings))
         ]
+
+    def execute_batch(
+        self,
+        batch: Sequence[Sequence[Any]],
+        scratch: Optional[Any] = None,
+        backend: Optional[str] = None,
+    ) -> List[List[Any]]:
+        """Run the stage once for many records; returns per-record outputs.
+
+        The per-record view of :meth:`execute_columns` for callers that hold
+        one external-input list per record (the scheduler's coalesced
+        ``submit`` batches): each external slot is gathered into a column,
+        the stage runs columnar, and each record gets the output value of
+        every transform (the same shape :meth:`execute` returns).
+        """
+        if not batch:
+            return []
+        expected = len(self.external_inputs)
+        for external_values in batch:
+            if len(external_values) != expected:
+                raise ValueError(
+                    f"stage expects {expected} external inputs, "
+                    f"got {len(external_values)}"
+                )
+        columns = [
+            ColumnBatch.from_rows([external_values[slot] for external_values in batch])
+            for slot in range(expected)
+        ]
+        outputs = [
+            column.rows
+            for column in self.execute_columns(columns, scratch=scratch, backend=backend)
+        ]
+        return [[rows[record] for rows in outputs] for record in range(len(batch))]
 
     def interpret(self, external_values: Sequence[Any]) -> List[Any]:
         """Reference interpreter used for testing the compiled path."""

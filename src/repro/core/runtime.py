@@ -24,8 +24,9 @@ from repro.core.cost_model import CostModel
 from repro.core.engines import (
     RequestResponseEngine,
     execute_plan_stage,
-    execute_plan_stage_batch,
+    execute_plan_stage_columns,
     record_stage_span,
+    record_values,
 )
 from repro.core.executors import ExecutorPool
 from repro.core.flour import FlourContext, FlourProgram, flour_from_pipeline
@@ -38,6 +39,7 @@ from repro.core.scheduler import InferenceRequest, Scheduler
 from repro.core.statistics import TransformStats
 from repro.core.vector_pool import VectorPool
 from repro.mlnet.pipeline import Pipeline
+from repro.operators.batch import ColumnBatch
 
 __all__ = ["PretzelRuntime", "RegisteredPlan"]
 
@@ -352,8 +354,8 @@ class PretzelRuntime:
         """Serve a batch on the calling thread, one columnar pass per stage.
 
         The whole call is one group: every stage of the plan runs once over
-        all records through :func:`execute_plan_stage_batch` -- the function
-        and kernels the executors run -- never split by
+        all records through :func:`execute_plan_stage_columns` -- the same
+        columnar stage call and kernels the executors run -- never split by
         ``max_stage_batch_size``, never queued and never waited on, so no
         executor thread starts.  Only :meth:`submit` traffic goes through the
         scheduler, where coalescing across requests is the point; one call's
@@ -396,50 +398,53 @@ class PretzelRuntime:
     def _run_group(self, plan: ModelPlan, records: Sequence[Any], trace: Any) -> List[Any]:
         """Run ``records`` through ``plan`` stage by stage, each stage once.
 
-        No gather scratch is leased: a caller-side pool would keep an
-        ``n x max_vector_size`` buffer per size class alive between calls,
-        so the columnar gather allocates and frees its matrix per call.
+        Stage outputs travel between stages as columns
+        (:func:`execute_plan_stage_columns`): an n-gram stage's CSR column is
+        what the linear stage downstream reduces, with no per-record value in
+        between.  No gather scratch is leased: a caller-side pool would keep
+        an ``n x max_vector_size`` buffer per size class alive between calls.
 
         Errors: when a stage's columnar call raises, its records re-run that
         stage one by one through the scalar path.  The call raises the error
         of the lowest-index failing record -- the error a loop of
         :meth:`predict` over the records would raise -- so records after it
-        are dropped at once and only lower-index ones keep running (one of
-        them may still fail at a later stage and take its place).
+        are dropped at once (every column is cut to the records before it)
+        and only lower-index ones keep running (one of them may still fail
+        at a later stage and take its place).
         """
-        contexts: List[Dict[Tuple[str, str], Any]] = [{} for _ in records]
+        record_column = ColumnBatch.from_rows(records)
+        columns: Dict[Tuple[str, str], ColumnBatch] = {}
         results: List[Any] = [None] * len(records)
-        live = list(range(len(records)))
         failure: Optional[BaseException] = None
         for stage in plan.stages:
             started = time.perf_counter()
-            items = [(stage, records[index], contexts[index]) for index in live]
+            live = len(record_column)
             try:
-                outputs = execute_plan_stage_batch(
-                    items, materializer=self.materializer, backend_policy=self.cost_model
+                final = execute_plan_stage_columns(
+                    stage, record_column, columns, self.materializer, self.cost_model
                 )
             except Exception:  # re-run the stage per record to attribute the fault
-                outputs = []
-                for index in live:
+                contexts: List[Dict[Tuple[str, str], Any]] = []
+                for index in range(live):
+                    values = record_values(stage, columns, index)
                     try:
-                        output = execute_plan_stage(
-                            stage, records[index], contexts[index], self.materializer
-                        )
+                        execute_plan_stage(stage, records[index], values, self.materializer)
                     except Exception as error:  # raised once the group is done
                         failure = error
                         break
-                    outputs.append(output)
-                live = live[: len(outputs)]
-            self.scheduler.batching.record(stage.physical.full_signature, len(items))
+                    contexts.append(values)
+                record_column = record_column.head(len(contexts))
+                columns = {key: column.head(len(contexts)) for key, column in columns.items()}
+                for key in stage.output_keys:
+                    columns[key] = ColumnBatch.from_rows([values[key] for values in contexts])
+                final = columns[stage.output_keys[stage.physical.final_position()]]
+            self.scheduler.batching.record(stage.physical.full_signature, live)
             if trace is not None:
-                record_stage_span(
-                    trace, stage, time.perf_counter() - started, events=len(items)
-                )
-            if not live:
+                record_stage_span(trace, stage, time.perf_counter() - started, events=live)
+            if not record_column:
                 break
             if stage.is_sink:
-                for index, output in zip(live, outputs):
-                    results[index] = output
+                results[: len(final)] = final.rows
         if failure is not None:
             raise failure
         return results

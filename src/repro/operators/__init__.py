@@ -21,7 +21,6 @@ from repro.operators.vectors import (
     SparseVector,
     Vector,
     concat_vectors,
-    densify,
 )
 from repro.operators.text import (
     CharNgramFeaturizer,
@@ -65,7 +64,6 @@ __all__ = [
     "SparseVector",
     "Vector",
     "concat_vectors",
-    "densify",
     "Tokenizer",
     "NgramDictionary",
     "CharNgramFeaturizer",

@@ -1,17 +1,13 @@
-"""The ``gemm`` backend: fold per-record dot loops into one matrix product.
+"""The ``gemm`` backend: single-matmul linear margins and KMeans distances.
 
-Two reference kernels leave throughput on the table once batches are real:
-
-* The split-linear SA stages (:class:`PartialLinearScorer`, and the unsplit
-  :class:`LinearModel` families) receive *sparse* n-gram vectors, and the
-  shared :func:`~repro.operators.linear.batch_margins` kernel keeps a
-  per-record Python loop of sparse dots for them.  The gemm kernel computes
-  the whole batch's margins in one fused pass: every record's ``(index,
-  value)`` pairs are concatenated, one gather ``weights[indices] * values``
-  produces all products, and a single segmented reduction folds them into
-  per-record margins -- the entire stage's margins come out of one
-  vectorized sweep (literally one GEMV when the batch is dense), and the
-  :class:`MarginCombiner` downstream only sums the resulting columns.
+* The linear families (:class:`PartialLinearScorer`, and the unsplit
+  :class:`LinearModel` families) run the shared
+  :func:`~repro.operators.linear.batch_margins` kernel: one GEMV for dense
+  batches and, over a sparse column's CSR storage, one gather
+  ``weights[indices] * data`` plus one segmented ``np.add.reduceat``.  That
+  kernel is now also every linear family's reference kernel, so these
+  entries add nothing of their own; they stay registered until the
+  selection machinery is retired.
 * :class:`KMeans`' reference kernel broadcasts a ``(n, k, d)`` difference
   tensor to take norms.  The gemm kernel uses the classic expansion
   ``|x - c|^2 = |x|^2 - 2 x.c + |c|^2``, replacing the 3-D broadcast with one
@@ -25,13 +21,13 @@ need against the scalar oracle.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
 from repro.operators.backends import register_backend, register_kernel
-from repro.operators.batch import ColumnBatch, as_column_batch
-from repro.operators.vectors import SparseVector
+from repro.operators.batch import ColumnBatch, as_column_batch, batch_matrix
+from repro.operators.linear import batch_margins
 
 register_backend(
     "gemm",
@@ -39,122 +35,42 @@ register_backend(
 )
 
 
-def _dense_batch_matrix(batch: ColumnBatch) -> Optional[np.ndarray]:
-    """Densify a batch into ``(n, width)``, scattering sparse rows in one pass.
-
-    Returns None for batches that are neither dense nor uniformly sparse
-    (mixed row types, ragged widths) -- callers fall back to the reference
-    kernel there.
-    """
-    matrix = batch.dense_matrix()
-    if matrix is not None:
-        return matrix
-    rows = batch.rows
-    if not rows:
-        return None
-    width = -1
-    for row in rows:
-        if not isinstance(row, SparseVector):
-            return None
-        if width < 0:
-            width = row.size
-        elif row.size != width:
-            return None
-    if width <= 0:
-        return None
-    counts = np.asarray([row.indices.size for row in rows], dtype=np.int64)
-    dense = np.zeros((len(rows), width), dtype=np.float64)
-    if int(counts.sum()):
-        lane_rows = np.repeat(np.arange(len(rows)), counts)
-        dense[lane_rows, np.concatenate([row.indices for row in rows])] = (
-            np.concatenate([row.values for row in rows])
-        )
-    return dense
-
-
-def _sparse_segment_margins(
-    rows: Any, weights: np.ndarray, bias: float
-) -> Optional[np.ndarray]:
-    """Margins for a uniformly sparse batch via one gather + segmented sum.
-
-    Densifying a dictionary-wide n-gram batch costs more than it saves (the
-    reference kernel's own observation), so the sparse fold gathers the
-    touched weights for *all* records at once and reduces each record's
-    segment with ``np.add.reduceat`` -- no dense intermediate at all.
-    Returns None when the batch is not uniformly sparse.
-    """
-    width = weights.shape[0]
-    for row in rows:
-        if not isinstance(row, SparseVector) or row.size != width:
-            return None
-    counts = np.fromiter(
-        (row.indices.size for row in rows), dtype=np.int64, count=len(rows)
-    )
-    margins = np.full(len(rows), float(bias))
-    if int(counts.sum()):
-        products = weights[np.concatenate([row.indices for row in rows])] * (
-            np.concatenate([row.values for row in rows])
-        )
-        starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
-        nonzero = counts > 0
-        # reduceat over the non-empty segments only: consecutive starts then
-        # delimit exactly one record's products (empty rows add nothing).
-        margins[nonzero] += np.add.reduceat(products, starts[nonzero])
-    return margins
-
-
-def _gemm_margins(
-    values: Any, weights: np.ndarray, bias: float
-) -> Optional[np.ndarray]:
-    """All margins ``w . x + b`` in one vectorized pass, or None for reference.
-
-    Dense batches take one GEMV; uniformly sparse batches take the segmented
-    gather-reduce.  Mixed/ragged batches return None and fall back.
-    """
+def _margins(values: Any, weights: np.ndarray, bias: float) -> np.ndarray:
     batch = as_column_batch(values)
     if not batch:
         return np.empty(0, dtype=np.float64)
-    matrix = batch.dense_matrix()
-    if matrix is not None:
-        if matrix.shape[1] != weights.shape[0]:
-            return None
-        return matrix @ weights + bias
-    return _sparse_segment_margins(batch.rows, weights, bias)
+    return batch_margins(batch, weights, bias)
 
 
 @register_kernel("PartialLinear", "gemm", exact=False)
 def partial_linear_gemm(operator: Any, values: Any) -> ColumnBatch:
-    """Every branch margin of the batch from one (scatter +) GEMV."""
-    margins = _gemm_margins(values, operator.weights, operator.bias)
-    if margins is None:
-        return operator.transform_batch(values)
-    return ColumnBatch.from_scalars(margins)
+    """Every branch margin of the batch from one GEMV or one segmented reduce."""
+    return ColumnBatch.from_scalars(_margins(values, operator.weights, operator.bias))
 
 
 def _linear_model_gemm(operator: Any, values: Any) -> ColumnBatch:
     if operator.weights is None:
         raise RuntimeError(f"{operator.name} used before fit()")
-    margins = _gemm_margins(values, operator.weights, operator.bias)
-    if margins is None:
-        return operator.transform_batch(values)
-    return ColumnBatch.from_scalars(operator._link(margins))
+    return ColumnBatch.from_scalars(
+        operator._link(_margins(values, operator.weights, operator.bias))
+    )
 
 
 @register_kernel("LinearRegression", "gemm", exact=False)
 def linear_regression_gemm(operator: Any, values: Any) -> ColumnBatch:
-    """Unsplit linear scoring over a densified batch: one GEMV + one link pass."""
+    """Unsplit linear scoring: shared margins kernel + one link pass."""
     return _linear_model_gemm(operator, values)
 
 
 @register_kernel("LogisticRegression", "gemm", exact=False)
 def logistic_regression_gemm(operator: Any, values: Any) -> ColumnBatch:
-    """Same single-GEMV path; the sigmoid link is applied once per batch."""
+    """Same margins kernel; the sigmoid link is applied once per batch."""
     return _linear_model_gemm(operator, values)
 
 
 @register_kernel("PoissonRegression", "gemm", exact=False)
 def poisson_regression_gemm(operator: Any, values: Any) -> ColumnBatch:
-    """Same single-GEMV path; the exp link is applied once per batch."""
+    """Same margins kernel; the exp link is applied once per batch."""
     return _linear_model_gemm(operator, values)
 
 
@@ -166,7 +82,7 @@ def kmeans_gemm(operator: Any, values: Any) -> ColumnBatch:
     batch = as_column_batch(values)
     if not batch:
         return ColumnBatch.from_rows([])
-    matrix = _dense_batch_matrix(batch)
+    matrix = batch_matrix(batch)
     centroids = operator.centroids
     if matrix is None or matrix.shape[1] != centroids.shape[1]:
         return operator.transform_batch(batch)

@@ -27,8 +27,7 @@ import numpy as np
 
 from repro.operators.backends import register_backend, register_kernel
 from repro.operators.batch import ColumnBatch, as_column_batch, batch_matrix
-from repro.operators.trees import DecisionTree
-from repro.operators.vectors import SparseVector
+from repro.operators.trees import DecisionTree, leaf_csr
 
 register_backend(
     "fused",
@@ -161,7 +160,4 @@ def tree_featurizer_fused(operator: Any, values: Any) -> ColumnBatch:
     if matrix is None:
         return operator.transform_batch(batch)
     arena = _arena_of(operator, operator.trees)
-    leaves = arena.leaves(matrix)
-    total = arena.feature.shape[0]
-    ones = np.ones(leaves.shape[1], dtype=np.float64)
-    return ColumnBatch.from_rows([SparseVector(row, ones, total) for row in leaves])
+    return leaf_csr(arena.leaves(matrix), arena.feature.shape[0])

@@ -9,12 +9,20 @@ record carries at one point of the pipeline -- in struct-of-arrays form
 values are uniformly numeric, while still round-tripping exactly to and from
 the row-major lists the scalar path and the wire format use.
 
-A column is in one of four storage kinds:
+A column is in one of five storage kinds:
 
 ``dense``
     Every row is a :class:`~repro.operators.vectors.DenseVector` of one
     width; the storage is a single ``(n_records, width)`` float64 matrix and
     rows are materialized lazily as views into it.
+``sparse``
+    Every row is a :class:`~repro.operators.vectors.SparseVector` of one
+    width; the storage is CSR -- ``indptr`` (``n_records + 1`` offsets,
+    starting at 0), ``indices`` (strictly increasing within each record) and
+    ``data`` -- so a sparse batch is three arrays, not ``n`` objects.  Rows
+    materialize lazily as :meth:`SparseVector.from_sorted` views, and only
+    for consumers that need per-record objects (the scalar oracle, a
+    loop-fallback operator, the materializer, an error re-run).
 ``scalar``
     Every row is a float; the storage is a 1-D float64 array.
 ``multi``
@@ -22,9 +30,10 @@ A column is in one of four storage kinds:
     :class:`ColumnBatch` per upstream branch, and rows materialize as the
     per-record argument lists the scalar contract passes.
 ``rows``
-    Anything else (texts, token lists, sparse vectors, dict records, mixed
-    batches): storage is the plain row list -- the loop-fallback
-    representation.
+    Anything else (texts, token lists, dict records, mixed batches): storage
+    is the plain row list -- the loop-fallback representation.  A row list
+    of same-width sparse vectors converts to CSR on first
+    :meth:`ColumnBatch.sparse_csr`, so sparse kernels see one form.
 
 ``ColumnBatch`` is also a read-only sequence of its rows (``len``, ``in``,
 indexing, iteration, equality against plain lists), so operator kernels and
@@ -33,23 +42,34 @@ tests that treated batches as lists keep working unchanged.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Sequence
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.operators.vectors import DenseVector, SparseVector, as_vector, densify
+from repro.operators.vectors import DenseVector, SparseVector, as_vector
 
-__all__ = ["ColumnBatch", "as_column_batch"]
+__all__ = [
+    "ColumnBatch",
+    "Csr",
+    "as_column_batch",
+    "batch_matrix",
+    "concat_csr",
+    "stack_columns",
+]
+
+#: a sparse column's storage: ``(indptr, indices, data, width)``
+Csr = Tuple[np.ndarray, np.ndarray, np.ndarray, int]
 
 
 class ColumnBatch:
     """One column of a record batch, columnar when the values allow it."""
 
-    __slots__ = ("_rows", "_matrix", "_scalars", "_parts", "_scratch", "_length")
+    __slots__ = ("_rows", "_matrix", "_csr", "_scalars", "_parts", "_scratch", "_length")
 
     def __init__(self) -> None:  # use the from_* constructors
         self._rows: Optional[List[Any]] = None
         self._matrix: Optional[np.ndarray] = None
+        self._csr: Optional[Csr] = None
         self._scalars: Optional[np.ndarray] = None
         self._parts: Optional[List["ColumnBatch"]] = None
         self._scratch: Optional[np.ndarray] = None
@@ -74,6 +94,31 @@ class ColumnBatch:
         batch = cls()
         batch._matrix = arr
         batch._length = int(arr.shape[0])
+        return batch
+
+    @classmethod
+    def from_csr(
+        cls, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, width: int
+    ) -> "ColumnBatch":
+        """Wrap a CSR batch of ``width``-wide sparse vectors.
+
+        Record ``r`` holds ``indices[indptr[r]:indptr[r + 1]]`` with values
+        ``data[...]``.  Like :meth:`SparseVector.from_sorted` this trusts its
+        caller: ``indptr`` starts at 0 and ends at ``len(indices)``, and every
+        record's indices are strictly increasing and below ``width`` by
+        construction of the kernel that built them.
+        """
+        offsets = np.asarray(indptr, dtype=np.int64)
+        positions = np.asarray(indices, dtype=np.int64)
+        values = np.asarray(data, dtype=np.float64)
+        if offsets.ndim != 1 or offsets.size < 1 or positions.shape != values.shape:
+            raise ValueError(
+                f"from_csr needs 1-D indptr and equal indices/data shapes, got "
+                f"{offsets.shape}, {positions.shape}, {values.shape}"
+            )
+        batch = cls()
+        batch._csr = (offsets, positions, values, int(width))
+        batch._length = int(offsets.size) - 1
         return batch
 
     @classmethod
@@ -129,10 +174,29 @@ class ColumnBatch:
         return self._parts
 
     @property
+    def kind(self) -> str:
+        """The storage kind: ``dense``, ``sparse``, ``scalar``, ``multi`` or ``rows``.
+
+        A row list whose matrix or CSR form has been built (and cached)
+        reports that columnar kind.
+        """
+        if self._matrix is not None:
+            return "dense"
+        if self._csr is not None:
+            return "sparse"
+        if self._scalars is not None:
+            return "scalar"
+        if self._parts is not None:
+            return "multi"
+        return "rows"
+
+    @property
     def width(self) -> Optional[int]:
-        """Vector width of a dense column, ``0`` for scalars, None otherwise."""
+        """Vector width of a dense or sparse column, ``0`` for scalars, None otherwise."""
         if self._matrix is not None:
             return int(self._matrix.shape[1])
+        if self._csr is not None:
+            return self._csr[3]
         if self._scalars is not None:
             return 0
         return None
@@ -173,6 +237,53 @@ class ColumnBatch:
         self._matrix = matrix
         return matrix
 
+    def sparse_csr(self) -> Optional[Csr]:
+        """The batch as CSR ``(indptr, indices, data, width)``, or None.
+
+        Returns the columnar storage of a sparse column; a row list is
+        converted (once, then cached) if and only if every row is a
+        :class:`SparseVector` of one width, so sparse kernels handle a single
+        representation whichever way the batch was built.
+        """
+        if self._csr is not None:
+            return self._csr
+        rows = self._rows
+        if not rows:
+            return None
+        width = -1
+        for row in rows:
+            if not isinstance(row, SparseVector):
+                return None
+            if width < 0:
+                width = row.size
+            elif row.size != width:
+                return None
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter((row.indices.shape[0] for row in rows), np.int64, len(rows)),
+            out=indptr[1:],
+        )
+        indices = np.concatenate([row.indices for row in rows]).astype(np.int64, copy=False)
+        data = np.concatenate([row.values for row in rows]).astype(np.float64, copy=False)
+        self._csr = (indptr, indices, data, width)
+        return self._csr
+
+    def head(self, count: int) -> "ColumnBatch":
+        """The column of the first ``count`` records, in the same storage kind."""
+        if count >= self._length:
+            return self
+        if self._matrix is not None:
+            return ColumnBatch.from_matrix(self._matrix[:count])
+        if self._csr is not None:
+            indptr, indices, data, width = self._csr
+            end = int(indptr[count])
+            return ColumnBatch.from_csr(indptr[: count + 1], indices[:end], data[:end], width)
+        if self._scalars is not None:
+            return ColumnBatch.from_scalars(self._scalars[:count])
+        if self._parts is not None:
+            return ColumnBatch.multi([part.head(count) for part in self._parts])
+        return ColumnBatch.from_rows(self.rows[:count])
+
     def scalar_array(self) -> Optional[np.ndarray]:
         """The batch as one 1-D float64 array, or None when rows are not floats."""
         if self._scalars is not None:
@@ -194,14 +305,23 @@ class ColumnBatch:
     def rows(self) -> List[Any]:
         """The batch as the row-major list the scalar contract uses.
 
-        Dense and scalar columns materialize lazily: dense rows are
-        :class:`DenseVector` *views* into the columnar matrix (operators treat
-        vectors as immutable, so sharing the storage is safe and keeps the
-        batch one allocation).
+        Columnar kinds materialize lazily: dense rows are
+        :class:`DenseVector` *views* into the columnar matrix, sparse rows
+        :meth:`SparseVector.from_sorted` views into the CSR arrays (operators
+        treat vectors as immutable, so sharing the storage is safe and keeps
+        the batch one allocation).
         """
         if self._rows is None:
             if self._matrix is not None:
                 self._rows = [DenseVector(row) for row in self._matrix]
+            elif self._csr is not None:
+                indptr, indices, data, width = self._csr
+                bounds = indptr.tolist()
+                view = SparseVector.from_sorted
+                self._rows = [
+                    view(indices[start:end], data[start:end], width)
+                    for start, end in zip(bounds, bounds[1:])
+                ]
             elif self._scalars is not None:
                 self._rows = [float(value) for value in self._scalars]
             elif self._parts is not None:
@@ -236,14 +356,11 @@ class ColumnBatch:
         return NotImplemented
 
     def __repr__(self) -> str:
-        if self._matrix is not None:
-            kind = f"dense[{self._matrix.shape[1]}]"
-        elif self._scalars is not None:
-            kind = "scalar"
-        elif self._parts is not None:
-            kind = f"multi[{len(self._parts)}]"
-        else:
-            kind = "rows"
+        kind = self.kind
+        if kind in ("dense", "sparse"):
+            kind = f"{kind}[{self.width}]"
+        elif kind == "multi":
+            kind = f"multi[{len(self._parts or ())}]"
         return f"ColumnBatch(n={self._length}, kind={kind})"
 
 
@@ -256,29 +373,47 @@ def as_column_batch(values: Any) -> ColumnBatch:
     return ColumnBatch.from_rows(list(values))
 
 
+def _scatter_csr(matrix: np.ndarray, column_offset: int, csr: Csr) -> None:
+    """Write CSR entries into a zeroed ``matrix``, shifted right by ``column_offset``.
+
+    Indices are unique per record, so assignment places every stored value
+    exactly as the per-record :meth:`SparseVector.to_dense` scatter does.
+    """
+    indptr, indices, data, _width = csr
+    if indices.size:
+        rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        matrix[rows, indices + column_offset if column_offset else indices] = data
+
+
 def batch_matrix(batch: ColumnBatch, out: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
     """The batch as one ``(n, width)`` float64 matrix, densifying as needed.
 
     Unlike :meth:`ColumnBatch.dense_matrix` (dense-vector rows only, zero
     copy), this coerces every row the way the scalar kernels do
-    (``as_vector(value).to_numpy()``, densifying sparse rows), so numeric
-    kernels get a matrix for any vector-like batch.  Returns None when the
-    rows are not uniformly vector-like -- the caller then takes its
-    per-record fallback, which reports the real error for genuinely bad
-    records.
+    (``as_vector(value).to_numpy()``): sparse batches are scattered from
+    their CSR form in one pass, anything else vector-like is stacked.
+    Returns None when the rows are not uniformly vector-like -- the caller
+    then takes its per-record fallback, which reports the real error for
+    genuinely bad records.
     """
     matrix = batch.dense_matrix(out=out)
     if matrix is not None:
         return matrix
+    csr = batch.sparse_csr()
+    if csr is not None:
+        n_rows, width = len(batch), csr[3]
+        if out is None:
+            out = batch._scratch_matrix(n_rows, width)
+        if out is not None and out.shape[0] >= n_rows and out.shape[1] == width:
+            matrix = out[:n_rows]
+            matrix[:] = 0.0
+        else:
+            matrix = np.zeros((n_rows, width), dtype=np.float64)
+        _scatter_csr(matrix, 0, csr)
+        return matrix
     rows = batch.rows
     if not rows:
         return None
-    if all(isinstance(row, SparseVector) for row in rows) and len(
-        {row.size for row in rows}
-    ) == 1:
-        if out is None:
-            out = batch._scratch_matrix(len(rows), rows[0].size)
-        return densify(rows, out=out)
     arrays: List[np.ndarray] = []
     width = -1
     for value in rows:
@@ -302,3 +437,58 @@ def batch_matrix(batch: ColumnBatch, out: Optional[np.ndarray] = None) -> Option
     for index, array in enumerate(arrays):
         matrix[index] = array
     return matrix
+
+
+def stack_columns(parts: Sequence[ColumnBatch]) -> Optional[np.ndarray]:
+    """Horizontally stack vector columns into one ``(n, total width)`` matrix.
+
+    The dense ``Concat`` kernel: dense parts are copied in and sparse parts
+    scattered straight from their CSR storage into their slice of the
+    output, so no per-part dense intermediate (and no per-record vector) is
+    built.  Bit-equal to concatenating each record's densified vectors.
+    Returns None when some part is not uniformly vector-like.
+    """
+    sources: List[Any] = []
+    for part in parts:
+        source: Any = part.sparse_csr()
+        if source is None:
+            source = batch_matrix(part)
+        if source is None:
+            return None
+        sources.append(source)
+    widths = [
+        source.shape[1] if isinstance(source, np.ndarray) else source[3] for source in sources
+    ]
+    matrix = np.zeros((len(parts[0]), sum(widths)), dtype=np.float64)
+    offset = 0
+    for source, width in zip(sources, widths):
+        if isinstance(source, np.ndarray):
+            matrix[:, offset : offset + width] = source
+        else:
+            _scatter_csr(matrix, offset, source)
+        offset += width
+    return matrix
+
+
+def concat_csr(parts: Sequence[Csr]) -> Csr:
+    """Concatenate same-length CSR columns record by record.
+
+    Part ``p``'s indices shift by the widths of the parts before it and the
+    ``indptr`` arrays add up; each entry lands at its record's write cursor,
+    so every record's indices stay strictly increasing.  Equal to
+    concatenating each record's sparse vectors.
+    """
+    counts = [np.diff(indptr) for indptr, _indices, _data, _width in parts]
+    indptr = np.zeros(parts[0][0].size, dtype=np.int64)
+    np.cumsum(np.sum(counts, axis=0), out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    data = np.empty(int(indptr[-1]), dtype=np.float64)
+    cursor = indptr[:-1].copy()
+    offset = 0
+    for (part_indptr, part_indices, part_data, width), count in zip(parts, counts):
+        target = np.repeat(cursor - part_indptr[:-1], count) + np.arange(part_indices.size)
+        indices[target] = part_indices + offset
+        data[target] = part_data
+        cursor += count
+        offset += width
+    return indptr, indices, data, offset

@@ -12,7 +12,13 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.operators.base import Annotation, Operator, OperatorKind, Parameter, ValueKind
-from repro.operators.batch import ColumnBatch, as_column_batch, batch_matrix
+from repro.operators.batch import (
+    ColumnBatch,
+    as_column_batch,
+    batch_matrix,
+    concat_csr,
+    stack_columns,
+)
 from repro.operators.vectors import DenseVector, SparseVector, Vector, as_vector, concat_vectors
 
 __all__ = [
@@ -136,21 +142,27 @@ class ConcatFeaturizer(Operator):
         return combined
 
     def transform_batch(self, values: Any) -> ColumnBatch:
-        """Concatenate whole branch columns with one ``hstack`` when dense.
+        """Concatenate whole branch columns without building per-record vectors.
 
         The engine hands n-ary operators a *multi* column (one
-        :class:`ColumnBatch` per upstream branch); when every branch is
-        uniformly dense and the output is dense, the combined buffer for the
-        whole batch is one horizontal stack.  Sparse branches fall back to the
-        per-record kernel, which preserves their sparsity exactly as the
-        scalar path does.
+        :class:`ColumnBatch` per upstream branch).  A sparse output over
+        all-sparse branches is one CSR merge (indices shifted by the widths
+        before them, ``indptr`` summed), keeping the sparsity exactly as the
+        scalar path does.  Every other combination is dense in the scalar
+        path too, and becomes one ``(n, total width)`` matrix: dense branches
+        are copied in and sparse ones scattered straight from their CSR
+        storage.  Only inputs that are not vector columns loop per record.
         """
         batch = as_column_batch(values)
         parts = batch.parts
-        if parts is not None and self.dense_output and parts:
-            matrices = [part.dense_matrix() for part in parts]
-            if all(matrix is not None for matrix in matrices):
-                return ColumnBatch.from_matrix(np.hstack(matrices))
+        if parts and batch:
+            if not self.dense_output:
+                sparse = [part.sparse_csr() for part in parts]
+                if all(csr is not None for csr in sparse):
+                    return ColumnBatch.from_csr(*concat_csr(sparse))
+            matrix = stack_columns(parts)
+            if matrix is not None:
+                return ColumnBatch.from_matrix(matrix)
         return ColumnBatch.from_rows([self.transform(value) for value in batch.rows])
 
     def parameters(self) -> List[Parameter]:

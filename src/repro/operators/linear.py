@@ -38,8 +38,11 @@ def batch_margins(batch: ColumnBatch, weights: np.ndarray, bias: float) -> np.nd
 
     The shared linear batch kernel (used by :class:`LinearModel` and the
     optimizer's split ``PartialLinearScorer``): one matrix product for dense
-    batches; sparse inputs keep the per-record sparse dot, because densifying
-    a dictionary-wide batch would cost more than it saves.
+    batches.  Sparse batches are never densified (a dictionary-wide matrix
+    costs more than it saves): one gather ``weights[indices] * data`` over
+    the CSR storage and one segmented ``np.add.reduceat`` over the non-empty
+    records give every margin -- the per-record dot products summed in a
+    different order, hence the oracle's reduction tolerance.
     """
     matrix = batch.dense_matrix()
     if matrix is not None:
@@ -48,6 +51,19 @@ def batch_margins(batch: ColumnBatch, weights: np.ndarray, bias: float) -> np.nd
                 f"weight length {weights.shape[0]} != vector size {matrix.shape[1]}"
             )
         return matrix @ weights + bias
+    csr = batch.sparse_csr()
+    if csr is not None:
+        indptr, indices, data, width = csr
+        if width != weights.shape[0]:
+            raise ValueError(f"weight length {weights.shape[0]} != vector size {width}")
+        margins = np.zeros(indptr.size - 1, dtype=np.float64)
+        starts = indptr[:-1]
+        nonempty = starts < indptr[1:]
+        if indices.size:
+            # Consecutive non-empty starts delimit exactly one record's
+            # products; empty records keep their zero.
+            margins[nonempty] = np.add.reduceat(weights[indices] * data, starts[nonempty])
+        return margins + bias
     vectors = [
         value if isinstance(value, Vector) else as_vector(value) for value in batch.rows
     ]

@@ -409,9 +409,10 @@ class _NgramFeaturizerBase(Operator):
         :class:`_NgramKeyTable`), windows that run past their record's end
         are masked out, and the hits -- as ``record * size + feature``
         composites -- are sorted and counted once (``np.unique``) into every
-        record's ``(index, count)`` pairs.  Weighting is one vectorized pass
-        and the per-record :class:`SparseVector` outputs are slices found by
-        a ``searchsorted`` over record boundaries.  Outputs are bit-equal to
+        record's ``(index, count)`` pairs.  That sorted composite already is
+        CSR: weighting is one vectorized pass, a ``searchsorted`` over record
+        boundaries gives ``indptr``, and the batch leaves as one sparse
+        column -- no per-record object.  Its rows are bit-equal to
         per-record :meth:`transform`; batches the table cannot represent take
         exactly that path.
         """
@@ -444,13 +445,8 @@ class _NgramFeaturizerBase(Operator):
         record, indices = np.divmod(composite, size)
         totals = sum(np.maximum(lengths - n + 1, 0) for n in range(low, high + 1))
         weights = self._weigh(counts, totals[record])
-        bounds = np.searchsorted(record, np.arange(len(rows) + 1)).tolist()
-        return ColumnBatch.from_rows(
-            [
-                SparseVector(indices[start:end], weights[start:end], size)
-                for start, end in zip(bounds, bounds[1:])
-            ]
-        )
+        bounds = np.searchsorted(record, np.arange(len(rows) + 1))
+        return ColumnBatch.from_csr(bounds, indices, weights, size)
 
     def parameters(self) -> List[Parameter]:
         params = [

@@ -101,6 +101,22 @@ def _best_split(
     return best_feature, best_threshold, X[:, best_feature] <= best_threshold
 
 
+def leaf_csr(leaves: np.ndarray, width: int) -> ColumnBatch:
+    """A :class:`TreeFeaturizer` batch as one sparse column.
+
+    ``leaves`` is the ``(n_records, n_trees)`` matrix of feature indices
+    (each tree's leaf index past the node ranges of the trees before it), so
+    it is already CSR row-major: one increasing index per tree per record.
+    """
+    n_records, n_trees = leaves.shape
+    return ColumnBatch.from_csr(
+        np.arange(0, n_records * n_trees + 1, n_trees),
+        leaves.reshape(-1),
+        np.ones(leaves.size, dtype=np.float64),
+        width,
+    )
+
+
 def _record_view(value: Any) -> memoryview:
     """One record's features as a ``memoryview``: plain ``float`` per index."""
     return memoryview(as_vector(value).to_numpy())
@@ -549,7 +565,12 @@ class TreeFeaturizer(Operator):
         )
 
     def transform_batch(self, values: Any) -> ColumnBatch:
-        """All leaf indices for the whole batch from one traversal per tree."""
+        """All leaf indices for the whole batch from one traversal per tree.
+
+        The ``(n, n_trees)`` leaf-index matrix is the batch's CSR storage as
+        is: every record holds exactly one increasing index per tree, so
+        ``indptr`` is a stride-``n_trees`` range and the data are ones.
+        """
         if not self.trees:
             raise RuntimeError("TreeFeaturizer used before fit()")
         batch = as_column_batch(values)
@@ -563,10 +584,7 @@ class TreeFeaturizer(Operator):
         for position, tree in enumerate(self.trees):
             leaf_columns[:, position] = offset + tree._leaves_of(matrix)
             offset += tree.n_nodes
-        ones = np.ones(len(self.trees), dtype=np.float64)
-        return ColumnBatch.from_rows(
-            [SparseVector(row, ones, offset) for row in leaf_columns]
-        )
+        return leaf_csr(leaf_columns, offset)
 
     def parameters(self) -> List[Parameter]:
         params = [

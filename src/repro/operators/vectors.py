@@ -20,7 +20,6 @@ __all__ = [
     "SparseVector",
     "concat_vectors",
     "as_vector",
-    "densify",
 ]
 
 
@@ -238,39 +237,6 @@ def as_vector(value: Union[Vector, np.ndarray, Sequence[float]]) -> Vector:
     if isinstance(value, Vector):
         return value
     return DenseVector(np.asarray(value, dtype=np.float64))
-
-
-def densify(
-    vectors: Sequence["SparseVector"], out: Union[np.ndarray, None] = None
-) -> np.ndarray:
-    """Densify a batch of same-size sparse vectors with one scatter.
-
-    The row-major equivalent is ``n`` :meth:`SparseVector.to_dense` calls --
-    ``n`` allocations and ``n`` scatters.  Here the whole batch lands in one
-    ``(n, size)`` buffer (``out`` may supply it, e.g. pooled scratch) and a
-    single fancy-indexed assignment places every stored entry.  Because
-    sparse indices are unique per vector, assignment semantics match the
-    per-record scatter exactly.
-    """
-    if not vectors:
-        raise ValueError("cannot densify zero vectors")
-    size = vectors[0].size
-    for vector in vectors:
-        if vector.size != size:
-            raise ValueError("densify requires vectors of one size")
-    if out is not None and out.shape[0] >= len(vectors) and out.shape[1] == size:
-        matrix = out[: len(vectors)]
-        matrix[:] = 0.0
-    else:
-        matrix = np.zeros((len(vectors), size), dtype=np.float64)
-    row_index = np.repeat(
-        np.arange(len(vectors)), [vector.indices.shape[0] for vector in vectors]
-    )
-    if row_index.size:
-        matrix[row_index, np.concatenate([vector.indices for vector in vectors])] = (
-            np.concatenate([vector.values for vector in vectors])
-        )
-    return matrix
 
 
 def concat_vectors(vectors: Iterable[Vector]) -> Vector:

@@ -59,11 +59,12 @@ def _register_default_markers(instance: SamplingProfiler) -> None:
         return
     from repro.core import engines
 
-    # Both executors bind the shared PhysicalStage to a local named
+    # Every stage entry point binds the shared PhysicalStage to a local named
     # ``physical`` whose ``full_signature`` is the stage identity the rest of
     # the telemetry (batching, backlog) already reports under.
     instance.register_stage_marker(engines.execute_plan_stage, "physical")
     instance.register_stage_marker(engines.execute_plan_stage_batch, "physical")
+    instance.register_stage_marker(engines.execute_plan_stage_columns, "physical")
     _MARKERS_REGISTERED = True
 
 

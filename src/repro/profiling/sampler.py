@@ -8,10 +8,10 @@ the sample:
   the sample instant (self-time, scalene's core statistic); and
 * **pipeline stage** -- the sampler walks up the stack looking for a
   registered *marker* code object (the engine's ``execute_plan_stage`` /
-  ``execute_plan_stage_batch``) and, on a hit, reads the stage's physical
-  signature out of the frame's locals.  A sample inside a stage therefore
-  counts toward that stage's self-time, operators included, without the
-  stage ever being wrapped or timed inline.
+  ``execute_plan_stage_batch`` / ``execute_plan_stage_columns``) and, on a
+  hit, reads the stage's physical signature out of the frame's locals.  A
+  sample inside a stage therefore counts toward that stage's self-time,
+  operators included, without the stage ever being wrapped or timed inline.
 
 The profiled threads pay **nothing**: no ``sys.setprofile`` hooks, no
 signals, no per-call bookkeeping.  The whole cost sits on the sampler
@@ -145,13 +145,15 @@ class SamplingProfiler:
         Public so tests can drive the attribution logic deterministically
         without depending on wall-clock sampling.
         """
-        own = threading.get_ident()
         frames = sys._current_frames()
+        # Drop this thread's own frame: it holds ``frames`` as a local, so
+        # keeping it would make a cycle that pins every sampled stack -- and
+        # the locals of functions that have since returned -- until the next
+        # cyclic collection.
+        del frames[threading.get_ident()]
         self.ticks += 1
         sampled = 0
-        for thread_id, top in frames.items():
-            if thread_id == own:
-                continue
+        for top in frames.values():
             sampled += 1
             self.samples += 1
             code = top.f_code

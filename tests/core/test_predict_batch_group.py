@@ -18,8 +18,9 @@ from repro.core.executors import Executor
 from repro.core.runtime import PretzelRuntime
 from repro.core.scheduler import InferenceRequest
 from repro.mlnet.pipeline import Pipeline
-from repro.operators import ColumnSelector, MinMaxNormalizer, MissingValueImputer
+from repro.operators import ColumnSelector, MinMaxNormalizer, MissingValueImputer, SparseVector
 from repro.operators.trees import DecisionTree
+from repro.workloads import build_attendee_family, build_sentiment_family
 from repro.workloads.events_data import FEATURE_NAMES, generate_events
 from repro.workloads.text_data import generate_reviews
 
@@ -208,19 +209,74 @@ def test_lowest_index_wins_across_stages(
         if index is not None:
             raise ValueError(f"record {index} poisoned")
 
-    real_batch = runtime_module.execute_plan_stage_batch
+    real_batch = runtime_module.execute_plan_stage_columns
     real_scalar = runtime_module.execute_plan_stage
 
-    def batch(items, **kwargs):
-        for stage, record, _values in items:
+    def batch(stage, records, columns, *args, **kwargs):
+        for record in records:
             check(stage, record)
-        return real_batch(items, **kwargs)
+        return real_batch(stage, records, columns, *args, **kwargs)
 
     def scalar(stage, record, values, materializer=None, pool=None):
         check(stage, record)
         return real_scalar(stage, record, values, materializer, pool)
 
-    monkeypatch.setattr(runtime_module, "execute_plan_stage_batch", batch)
+    monkeypatch.setattr(runtime_module, "execute_plan_stage_columns", batch)
     monkeypatch.setattr(runtime_module, "execute_plan_stage", scalar)
     with pytest.raises(ValueError, match=f"record {winner} poisoned"):
         runtime.predict_batch(plan_id, records)
+
+
+@pytest.fixture(scope="module")
+def families():
+    """30-plan SA and AC families shaped like the benchmark's (smaller corpus)."""
+    corpus = generate_reviews(n_reviews=300, vocabulary_size=1500, seed=23)
+    return {
+        "sa": build_sentiment_family(n_pipelines=30, corpus=corpus, seed=23),
+        "ac": build_attendee_family(n_pipelines=30, n_configurations=6, seed=41),
+    }
+
+
+@pytest.mark.parametrize("family", ["sa", "ac"])
+def test_group_matches_the_scalar_oracle_on_every_plan_of_a_family(families, family):
+    """The benchmark's correctness rule, on every plan: a 100-record group
+    (CSR n-gram and tree-leaf columns, segmented margins, CSR-scattering
+    Concat) agrees with a loop of ``predict`` within ``rtol=1e-9``."""
+    members = families[family].pipelines
+    records = families[family].sample_inputs(100)
+    with PretzelRuntime(PretzelConfig(enable_stage_batching=True)) as runtime:
+        plan_ids = [
+            runtime.register(member.pipeline, stats=member.stats, engine="batch")
+            for member in members
+        ]
+        assert len(plan_ids) >= 30
+        for plan_id in plan_ids:
+            expected = [runtime.predict(plan_id, record) for record in records]
+            assert _close(runtime.predict_batch(plan_id, records), expected), plan_id
+
+
+@pytest.mark.parametrize("family", ["sa", "ac"])
+def test_warm_group_builds_no_sparse_vector(families, family, monkeypatch):
+    """Sparse batches stay CSR columns from the kernel that emits them to the
+    kernel that consumes them: a warm ``predict_batch(100)`` constructs no
+    ``SparseVector`` at all."""
+    members = families[family].pipelines[:4]
+    records = families[family].sample_inputs(100)
+    constructed = []
+    real_init = SparseVector.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(1)
+        real_init(self, *args, **kwargs)
+
+    with PretzelRuntime(PretzelConfig(enable_stage_batching=True)) as runtime:
+        plan_ids = [
+            runtime.register(member.pipeline, stats=member.stats, engine="batch")
+            for member in members
+        ]
+        for plan_id in plan_ids:
+            runtime.predict_batch(plan_id, records)
+        monkeypatch.setattr(SparseVector, "__init__", counting_init)
+        for plan_id in plan_ids:
+            assert len(runtime.predict_batch(plan_id, records)) == 100
+    assert len(constructed) == 0

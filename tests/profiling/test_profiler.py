@@ -5,8 +5,10 @@ The sampler's attribution logic is driven deterministically through
 sampling, no flaky sleeps on the assertion path.
 """
 
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -149,6 +151,41 @@ def test_sample_once_attributes_stage_and_function():
     assert any(
         "wait" in entry["function"] for entry in snapshot["top_functions"]
     )
+
+
+class _Payload:
+    pass
+
+
+def _hold(payload_ref, entered, release):
+    payload = _Payload()  # a local the sampled frame keeps alive while it runs
+    payload_ref.append(weakref.ref(payload))
+    entered.set()
+    release.wait(timeout=10.0)
+
+
+def test_sample_once_keeps_no_sampled_frame_alive():
+    """Once a sampled function returns, its locals die at once: the sampler
+    leaves no reference cycle that only the cyclic collector would break."""
+    profiler = SamplingProfiler(interval_seconds=0.001)
+    payload_ref = []
+    entered = threading.Event()
+    release = threading.Event()
+    thread = threading.Thread(target=_hold, args=(payload_ref, entered, release))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        thread.start()
+        assert entered.wait(timeout=5.0)
+        assert profiler.sample_once() >= 1
+        release.set()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert payload_ref[0]() is None
+    finally:
+        release.set()
+        if enabled:
+            gc.enable()
 
 
 def test_sample_once_without_marker_counts_functions_only():
