@@ -3,7 +3,9 @@
 Family sizes default to a laptop-friendly scale (60 + 60 pipelines) so the
 whole harness finishes in a few minutes; set ``REPRO_FULL=1`` to run the
 paper's full 250 + 250 pipelines.  Every benchmark writes its report (the
-rows/series of the corresponding paper figure) to ``benchmarks/results/``.
+rows/series of the corresponding paper figure) to a per-session temporary
+directory; set ``REPRO_WRITE_RESULTS=1`` to refresh the committed copies under
+``benchmarks/results/`` instead.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ FULL_SCALE = os.environ.get("REPRO_FULL", "0") == "1"
 N_SA = 250 if FULL_SCALE else 60
 N_AC = 250 if FULL_SCALE else 60
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+#: where this process writes reports: the committed ``results/`` only when
+#: asked, so an ordinary test run leaves the tree clean
+_report_dir: Optional[str] = (
+    RESULTS_DIR if os.environ.get("REPRO_WRITE_RESULTS", "0") == "1" else None
+)
 _BENCHMARKS_DIR = pathlib.Path(__file__).resolve().parent
 
 
@@ -75,17 +82,27 @@ ENVIRONMENT = ", ".join(
 )
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _session_report_dir(tmp_path_factory):
+    """Give this session's reports a temporary home unless results are refreshed."""
+    global _report_dir
+    if _report_dir is None:
+        _report_dir = str(tmp_path_factory.mktemp("results"))
+
+
 def write_report(name: str, text: str, metrics: Optional[Dict[str, Any]] = None) -> None:
     """Persist a figure report so it survives pytest output capture.
 
-    Writes ``results/{name}.txt`` (the human-readable rows, with a one-line
-    environment footer) and a machine-readable twin ``results/{name}.json``
-    carrying the report text, the caller's ``metrics`` (when given) and the
-    structured provenance fields -- so regression tooling can diff runs
-    without re-parsing the text tables.
+    Writes ``{name}.txt`` (the human-readable rows, with a one-line
+    environment footer) and a machine-readable twin ``{name}.json`` carrying
+    the report text, the caller's ``metrics`` (when given) and the structured
+    provenance fields -- so regression tooling can diff runs without
+    re-parsing the text tables.  They go to ``results/`` under
+    ``REPRO_WRITE_RESULTS=1`` and to the session's temporary directory
+    otherwise.
     """
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w", encoding="utf-8") as handle:
+    os.makedirs(_report_dir, exist_ok=True)
+    with open(os.path.join(_report_dir, f"{name}.txt"), "w", encoding="utf-8") as handle:
         handle.write(text + f"\nenvironment: {ENVIRONMENT}\n")
     payload = {
         "name": name,
@@ -93,9 +110,7 @@ def write_report(name: str, text: str, metrics: Optional[Dict[str, Any]] = None)
         "text": text,
         "environment": dict(ENVIRONMENT_FIELDS),
     }
-    with open(
-        os.path.join(RESULTS_DIR, f"{name}.json"), "w", encoding="utf-8"
-    ) as handle:
+    with open(os.path.join(_report_dir, f"{name}.json"), "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True, default=str)
         handle.write("\n")
     print("\n" + text)

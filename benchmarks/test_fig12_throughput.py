@@ -6,7 +6,6 @@ import numpy as np
 
 from conftest import write_report
 from repro.core.config import PretzelConfig
-from repro.core.cost_model import CostModel
 from repro.core.runtime import PretzelRuntime
 from repro.mlnet.runtime import MLNetRuntime
 from repro.serving import PretzelCluster
@@ -37,22 +36,12 @@ def _calibrate(family, inputs, sample=10):
     scalar loop (operators without a vectorized kernel fall back to it), so a
     measured per-record time *above* the scalar one is timer noise; clamping
     at the scalar time keeps the batched series deterministic.
-
-    A third series calibrates the same batch path dispatched through a warmed
-    :class:`~repro.core.cost_model.CostModel` (one exploration pass so every
-    registered backend of every stage is measured, then a measured
-    exploitation pass).  The cost model can always fall back to the reference
-    kernel, so its stage times are clamped at the batched reference ones --
-    the unclamped ratio is reported as the honesty check.
     """
     pretzel = PretzelRuntime(PretzelConfig())
     mlnet = MLNetRuntime()
-    cost_model = CostModel(max_batch_size=100, warmup_samples=1, probe_interval=1_000_000)
     stage_times = {}
     batched_stage_times = {}
-    costmodel_stage_times = {}
     raw_speedups = {}
-    raw_costmodel_speedups = {}
     request_times = {}
     try:
         for generated in family.pipelines[:sample]:
@@ -73,49 +62,15 @@ def _calibrate(family, inputs, sample=10):
             raw_speedups[generated.name] = calibrated.total_seconds / max(
                 batched.total_seconds, 1e-12
             )
-            # Warm pass: round-robin exploration measures every backend once
-            # per stage (shared stages pool their observations across plans).
-            calibrate_plan_stage_batches(
-                pretzel, plan_id, inputs[:3], batch_size=100, repetitions=2,
-                backend_policy=cost_model,
-            )
-            costmodel = calibrate_plan_stage_batches(
-                pretzel, plan_id, inputs[:3], batch_size=100, repetitions=2,
-                backend_policy=cost_model,
-            )
-            costmodel_stage_times[generated.name] = [
-                min(batched_time, dispatched)
-                for batched_time, dispatched in zip(
-                    batched_stage_times[generated.name], costmodel.stage_seconds
-                )
-            ]
-            raw_costmodel_speedups[generated.name] = batched.total_seconds / max(
-                costmodel.total_seconds, 1e-12
-            )
             request_times[generated.name] = calibrate_blackbox(
                 mlnet, generated.name, inputs[:3], repetitions=2
             )
     finally:
         pretzel.shutdown()
-    return (
-        stage_times,
-        batched_stage_times,
-        costmodel_stage_times,
-        raw_speedups,
-        raw_costmodel_speedups,
-        request_times,
-    )
+    return stage_times, batched_stage_times, raw_speedups, request_times
 
 
-def _sweep(
-    family,
-    stage_times,
-    batched_stage_times,
-    costmodel_stage_times,
-    request_times,
-    batch=100,
-    requests=300,
-):
+def _sweep(family, stage_times, batched_stage_times, request_times, batch=100, requests=300):
     models = list(stage_times)
     arrivals = ArrivalProcess.constant_rate(
         models, requests_per_second=100000.0, duration_seconds=requests / 100000.0, batch_size=batch
@@ -132,11 +87,6 @@ def _sweep(
             lambda model, batch_size: [t * batch_size for t in batched_stage_times[model]],
             n_cores=cores,
         )
-        costmodel_result = simulate_stage_scheduler(
-            arrivals,
-            lambda model, batch_size: [t * batch_size for t in costmodel_stage_times[model]],
-            n_cores=cores,
-        )
         mlnet_result = simulate_thread_per_request(
             arrivals,
             lambda model, batch_size: request_times[model] * batch_size,
@@ -148,7 +98,6 @@ def _sweep(
                 "cores": cores,
                 "pretzel_kqps": pretzel_result.throughput_qps / 1e3,
                 "pretzel_batched_kqps": batched_result.throughput_qps / 1e3,
-                "costmodel_kqps": costmodel_result.throughput_qps / 1e3,
                 "mlnet_kqps": mlnet_result.throughput_qps / 1e3,
                 "speedup": pretzel_result.throughput_qps / max(mlnet_result.throughput_qps, 1e-9),
             }
@@ -157,23 +106,12 @@ def _sweep(
 
 
 def _run(family, inputs):
-    (
-        stage_times,
-        batched_stage_times,
-        costmodel_stage_times,
-        raw_speedups,
-        raw_costmodel_speedups,
-        request_times,
-    ) = _calibrate(family, inputs)
-    rows = _sweep(
-        family, stage_times, batched_stage_times, costmodel_stage_times, request_times
-    )
-    mean_raw = float(np.mean(list(raw_speedups.values())))
-    mean_costmodel = float(np.mean(list(raw_costmodel_speedups.values())))
-    return rows, mean_raw, mean_costmodel
+    stage_times, batched_stage_times, raw_speedups, request_times = _calibrate(family, inputs)
+    rows = _sweep(family, stage_times, batched_stage_times, request_times)
+    return rows, float(np.mean(list(raw_speedups.values())))
 
 
-def _check_shape(rows, min_win_ratio):
+def _check_shape(rows):
     # PRETZEL scales close to linearly and the black box scales worse, so the
     # gap widens with core count (the paper's headline observation).
     one = next(r for r in rows if r["cores"] == 1)
@@ -190,17 +128,33 @@ def _check_shape(rows, min_win_ratio):
     assert np.mean([r["pretzel_batched_kqps"] for r in rows]) >= np.mean(
         [r["pretzel_kqps"] for r in rows]
     )
-    # Cost-model backend dispatch can always fall back to the reference
-    # kernels, so it must never lose against the batched reference series.
-    assert np.mean([r["costmodel_kqps"] for r in rows]) >= np.mean(
-        [r["pretzel_batched_kqps"] for r in rows]
-    )
-    # At low core counts the per-record margin over the black box sits within
-    # timer noise on small hosts (observed 0.88-1.07x at 1 core for SA run to
-    # run), so the per-row check is a noise floor, not a strict win; the
-    # strict claims above (widening gap, top-core win) carry the shape.
-    for row in rows:
-        assert row["pretzel_kqps"] > min_win_ratio * row["mlnet_kqps"]
+
+
+#: the unclamped batch-path speedup the figure claims (observed 1.19-1.30x on
+#: SA and 1.73-1.84x on AC; 1.05 leaves noise room)
+RAW_SPEEDUP_FLOOR = 1.05
+
+
+def _claims(rows, raw_speedup, win_ratio_floor):
+    """The figure's wall-clock claims, recorded as report fields, not asserted.
+
+    ``raw_speedup`` is the unclamped per-record batch-path speedup (the
+    clamped simulated series cannot regress below the scalar one by
+    construction, so this is the number that shows a real slowdown).
+    ``min_win_ratio`` is the worst per-row PRETZEL/black-box throughput
+    ratio: at low core counts that margin sits within timer noise on small
+    hosts (observed 0.88-1.07x at 1 core for SA), so its floor is a noise
+    floor, not a strict win.
+    """
+    win_ratio = min(row["pretzel_kqps"] / max(row["mlnet_kqps"], 1e-9) for row in rows)
+    return {
+        "raw_speedup": raw_speedup,
+        "raw_speedup_floor": RAW_SPEEDUP_FLOOR,
+        "raw_speedup_met": raw_speedup > RAW_SPEEDUP_FLOOR,
+        "min_win_ratio": win_ratio,
+        "min_win_ratio_floor": win_ratio_floor,
+        "min_win_ratio_met": win_ratio > win_ratio_floor,
+    }
 
 
 # -- cluster series (multi-process serving tier) -------------------------------
@@ -404,50 +358,33 @@ def test_fig12_cluster_scaling(sa_family, sa_inputs):
     assert all(row["adopted_parameters"] > 0 for row in memory_rows)
 
 
-def test_fig12_throughput_sa(benchmark, sa_family, sa_inputs):
-    rows, raw_speedup, raw_costmodel = benchmark.pedantic(
-        lambda: _run(sa_family, sa_inputs), iterations=1, rounds=1
-    )
+def _report_throughput(label, rows, raw_speedup, win_ratio_floor):
     report = ExperimentReport(
-        "Figure 12 (SA)", "Batch throughput (thousands of queries/second) vs number of CPU cores."
+        f"Figure 12 ({label})",
+        "Batch throughput (thousands of queries/second) vs number of CPU cores.",
     )
     report.rows = rows
     report.add_note(f"raw (unclamped) per-record batch-path speedup: {raw_speedup:.3f}x")
-    report.add_note(
-        "raw (unclamped) cost-model backend dispatch over batched reference: "
-        f"{raw_costmodel:.3f}x"
+    write_report(
+        f"fig12_throughput_{label.lower()}",
+        report.render(),
+        metrics=_claims(rows, raw_speedup, win_ratio_floor),
     )
-    write_report("fig12_throughput_sa", report.render())
-    _check_shape(rows, min_win_ratio=0.8)
-    # The clamped simulated series cannot regress below the scalar one by
-    # construction; the *unclamped* measurement is the tripwire for a real
-    # batch-path slowdown (observed 1.19-1.30x on SA; 1.05 leaves noise room).
-    assert raw_speedup > 1.05
-    # The cost model may only find reference-speed kernels on a given host,
-    # but it must never make the batch path materially slower.
-    assert raw_costmodel > 0.9
+    _check_shape(rows)
+
+
+def test_fig12_throughput_sa(benchmark, sa_family, sa_inputs):
+    rows, raw_speedup = benchmark.pedantic(
+        lambda: _run(sa_family, sa_inputs), iterations=1, rounds=1
+    )
+    _report_throughput("SA", rows, raw_speedup, win_ratio_floor=0.8)
 
 
 def test_fig12_throughput_ac(benchmark, ac_family, ac_inputs):
-    rows, raw_speedup, raw_costmodel = benchmark.pedantic(
+    rows, raw_speedup = benchmark.pedantic(
         lambda: _run(ac_family, ac_inputs), iterations=1, rounds=1
     )
-    report = ExperimentReport(
-        "Figure 12 (AC)", "Batch throughput (thousands of queries/second) vs number of CPU cores."
-    )
-    report.rows = rows
-    report.add_note(f"raw (unclamped) per-record batch-path speedup: {raw_speedup:.3f}x")
-    report.add_note(
-        "raw (unclamped) cost-model backend dispatch over batched reference: "
-        f"{raw_costmodel:.3f}x"
-    )
-    write_report("fig12_throughput_ac", report.render())
-    # Unclamped tripwire as in the SA test (observed 1.73-1.84x on AC).
-    assert raw_speedup > 1.05
-    # Tree-heavy AC stages are exactly where the fused ensemble kernel wins,
-    # but the tripwire stays loose: 0.9 catches a real dispatch regression.
-    assert raw_costmodel > 0.9
-    # For the very cheap AC pipelines the per-record advantage is small at low
-    # core counts (see EXPERIMENTS.md; observed down to 0.82x at 1 core); the
-    # widening gap with cores is the shape under test.
-    _check_shape(rows, min_win_ratio=0.6)
+    # The very cheap AC pipelines' per-record advantage is small at low core
+    # counts (observed down to 0.82x at 1 core); the widening gap with cores
+    # is the shape under test.
+    _report_throughput("AC", rows, raw_speedup, win_ratio_floor=0.6)

@@ -43,30 +43,7 @@ class PretzelConfig:
         private queue.
     max_stage_batch_size:
         Upper bound on the number of stage events coalesced into one
-        :class:`~repro.core.scheduler.StageBatch`.
-    stage_batch_policy:
-        How the scheduler picks each pull's batch cap: ``"fixed"`` always
-        allows ``max_stage_batch_size``; ``"adaptive"`` sizes every pull from
-        the smoothed per-signature backlog reported by the scheduler's
-        signature index, using telemetry occupancy to grow toward the ceiling;
-        ``"cost-model"`` caps each signature at its *measured amortization
-        knee* -- the smallest batch class whose per-record time the shared
-        :class:`~repro.core.cost_model.CostModel` found (nearly) as good as
-        the best observed one (see :mod:`repro.core.batch_policy`).
-    kernel_backend:
-        Which kernel backend the executors' vectorized stage path dispatches
-        to: ``"reference"`` (default) runs every operator's own
-        ``transform_batch`` through the exact pre-registry code path;
-        ``"cost-model"`` lets the per-stage :class:`CostModel` pick among the
-        registered backends online (round-robin warm-up, then lowest measured
-        per-record EMA, with periodic re-probes); or pin a registered backend
-        by name (``"fused"``, ``"gemm"``, ``"numba"``) -- stages without a
-        kernel for the pinned backend, and pinned backends that are
-        unavailable on this host, fall back to the reference kernels.
-    backend_probe_interval:
-        Every N-th backend selection per stage re-samples a non-best backend
-        so a drifting workload can dethrone a stale winner (only meaningful
-        with ``kernel_backend="cost-model"``).
+        :class:`~repro.core.scheduler.StageBatch` (the cap of every pull).
     runtime_overhead_bytes:
         Fixed footprint of the hosting process (counted once, shared by all
         plans -- the whole point of the white-box architecture).
@@ -192,9 +169,6 @@ class PretzelConfig:
     num_executors: int = 2
     enable_stage_batching: bool = False
     max_stage_batch_size: int = 16
-    stage_batch_policy: str = "fixed"
-    kernel_backend: str = "reference"
-    backend_probe_interval: int = 256
     runtime_overhead_bytes: int = 2 * 1024 * 1024
     per_plan_overhead_bytes: int = 4 * 1024
     vector_pool_entries: int = 8

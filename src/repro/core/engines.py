@@ -96,7 +96,6 @@ def execute_plan_stage_batch(
     items: Sequence[Tuple[PlanStage, Any, Dict[Tuple[str, str], Any]]],
     materializer: Optional[SubPlanMaterializer] = None,
     pool: Optional[VectorPool] = None,
-    backend_policy: Optional[Any] = None,
 ) -> List[Any]:
     """Execute one stage for many requests, each with its own value dictionary.
 
@@ -115,12 +114,6 @@ def execute_plan_stage_batch(
     external vectors into.  Records with a materialization-cache hit are
     excluded from the batched execution; misses are stored back, exactly as
     before.  Returns each request's final stage output, in ``items`` order.
-
-    ``backend_policy`` (a :class:`~repro.core.cost_model.CostModel`, or any
-    object with the same ``select``/``observe`` pair) chooses which kernel
-    backend the vectorized path runs and is fed the measured wall-clock of
-    the call; ``None`` -- the default -- runs the reference kernels through
-    the exact pre-backend code path.
     """
     if not items:
         return []
@@ -152,17 +145,7 @@ def execute_plan_stage_batch(
             batch_outputs = [physical.execute(externals_per_item[misses[0]])]
         elif misses:
             miss_externals = [externals_per_item[index] for index in misses]
-            if backend_policy is None:
-                batch_outputs = physical.execute_batch(miss_externals, scratch=buffer)
-            else:
-                backend = backend_policy.select(physical, len(misses))
-                started = time.perf_counter()
-                batch_outputs = physical.execute_batch(
-                    miss_externals, scratch=buffer, backend=backend
-                )
-                backend_policy.observe(
-                    physical, backend, len(misses), time.perf_counter() - started
-                )
+            batch_outputs = physical.execute_batch(miss_externals, scratch=buffer)
         else:
             batch_outputs = []
         for position, index in enumerate(misses):
@@ -189,7 +172,6 @@ def execute_plan_stage_columns(
     records: ColumnBatch,
     columns: Dict[Tuple[str, str], ColumnBatch],
     materializer: Optional[SubPlanMaterializer] = None,
-    backend_policy: Optional[Any] = None,
 ) -> ColumnBatch:
     """Execute one plan stage over a whole group of records, column in, column out.
 
@@ -202,7 +184,6 @@ def execute_plan_stage_columns(
     With materialization enabled the cache is keyed per record, so the
     stage goes through :func:`execute_plan_stage_batch` over per-record
     views of the columns and its outputs are regrouped into columns.
-    ``backend_policy`` works as in :func:`execute_plan_stage_batch`.
     """
     physical = stage.physical
     if materializer is not None and materializer.enabled:
@@ -210,7 +191,6 @@ def execute_plan_stage_columns(
         execute_plan_stage_batch(
             [(stage, record, values) for record, values in zip(records, contexts)],
             materializer=materializer,
-            backend_policy=backend_policy,
         )
         outputs = [
             ColumnBatch.from_rows([values[key] for values in contexts])
@@ -221,15 +201,7 @@ def execute_plan_stage_columns(
             records if upstream is None else columns[(upstream, transform_id)]
             for upstream, transform_id in stage.external_refs
         ]
-        if backend_policy is None:
-            outputs = physical.execute_columns(externals)
-        else:
-            backend = backend_policy.select(physical, len(records))
-            started = time.perf_counter()
-            outputs = physical.execute_columns(externals, backend=backend)
-            backend_policy.observe(
-                physical, backend, len(records), time.perf_counter() - started
-            )
+        outputs = physical.execute_columns(externals)
     for key, column in zip(stage.output_keys, outputs):
         columns[key] = column
     return outputs[physical.final_position()]

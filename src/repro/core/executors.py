@@ -11,7 +11,7 @@ When the scheduler has stage-level batching enabled, a free executor pulls a
 :class:`~repro.core.scheduler.StageBatch` -- queued events whose next stage
 shares one physical-stage signature, possibly from different requests and
 different model plans, taken straight from the scheduler's signature index
-(up to the cap the configured batch sizer grants for this pull) -- and serves
+(up to ``max_stage_batch_size``) -- and serves
 the whole batch through a single vectorized
 :func:`~repro.core.engines.execute_plan_stage_batch` call.  If the batched
 path raises, the executor falls back to per-event scalar execution so errors
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, List, Optional
+from typing import List, Optional
 
 from repro.core.engines import (
     execute_plan_stage,
@@ -62,13 +62,11 @@ class Executor(threading.Thread):
         materializer: Optional[SubPlanMaterializer] = None,
         vector_pooling: bool = True,
         pool_entries: int = 8,
-        backend_policy: Optional[Any] = None,
     ):
         super().__init__(name=f"pretzel-executor-{executor_id}", daemon=True)
         self.executor_id = executor_id
         self.scheduler = scheduler
         self.materializer = materializer
-        self.backend_policy = backend_policy
         self.vector_pool = VectorPool(enabled=vector_pooling, entries_per_class=pool_entries)
         self.stages_executed = 0
         self.batches_executed = 0
@@ -137,10 +135,7 @@ class Executor(threading.Thread):
         started = time.perf_counter() if traced else 0.0
         try:
             outputs = execute_plan_stage_batch(
-                items,
-                materializer=self.materializer,
-                pool=self.vector_pool,
-                backend_policy=self.backend_policy,
+                items, materializer=self.materializer, pool=self.vector_pool
             )
         except BaseException:  # noqa: BLE001 - re-run members to isolate the fault
             for event in batch.events:
@@ -176,7 +171,6 @@ class ExecutorPool:
         materializer: Optional[SubPlanMaterializer] = None,
         vector_pooling: bool = True,
         pool_entries: int = 8,
-        backend_policy: Optional[Any] = None,
     ):
         if num_executors < 1:
             raise ValueError("need at least one executor")
@@ -188,7 +182,6 @@ class ExecutorPool:
                 materializer=materializer,
                 vector_pooling=vector_pooling,
                 pool_entries=pool_entries,
-                backend_policy=backend_policy,
             )
             for index in range(num_executors)
         ]

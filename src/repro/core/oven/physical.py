@@ -79,11 +79,6 @@ class PhysicalStage:
         self._bindings = self._resolve_bindings(logical)
         self._compiled: Optional[Callable[[List[Any]], List[Any]]] = None
         self._compile_lock = threading.Lock()
-        #: backend name -> one batch kernel per transform position, resolved
-        #: lazily from the kernel-backend registry (None until first use so
-        #: the default reference path never pays the registry import).
-        self._backend_kernels: Optional[Dict[str, List[Callable[[Any], Any]]]] = None
-        self._backend_names: List[str] = ["reference"]
         self.executions = 0
         self.batched_executions = 0
         self.compiled_ahead_of_time = compile_ahead_of_time
@@ -186,55 +181,10 @@ class PhysicalStage:
             operator.name for operator in self.operators if not operator.supports_batch
         ]
 
-    # -- kernel backends -----------------------------------------------------
-
-    def available_backends(self) -> List[str]:
-        """Backend names this stage can execute under (``"reference"`` first).
-
-        A backend qualifies when it is available (optional dependency
-        present) and registers an alternative kernel for at least one of the
-        stage's operator families; positions without an alternative kernel
-        keep their reference kernel inside that backend's kernel list.
-        """
-        self._ensure_backend_kernels()
-        return self._backend_names
-
-    def _ensure_backend_kernels(self) -> None:
-        if self._backend_kernels is not None:
-            return
-        # Imported here, not at module top: the registry pulls in the builtin
-        # backend modules (and their operator imports); stages on the default
-        # reference path never need any of it.
-        from functools import partial
-
-        from repro.operators import backends as registry
-
-        kernels: Dict[str, List[Callable[[Any], Any]]] = {
-            "reference": [operator.transform_batch for operator in self.operators]
-        }
-        names = ["reference"]
-        for backend_name in registry.backend_names():
-            specs = [
-                registry.kernel_for(operator.name, backend_name)
-                for operator in self.operators
-            ]
-            if not any(spec is not None for spec in specs):
-                continue
-            kernels[backend_name] = [
-                operator.transform_batch if spec is None else partial(spec.fn, operator)
-                for operator, spec in zip(self.operators, specs)
-            ]
-            names.append(backend_name)
-        # Publish the names only after the table is complete (racing callers
-        # either see the old table or a fully built one).
-        self._backend_kernels = kernels
-        self._backend_names = names
-
     def execute_columns(
         self,
         columns: Sequence[ColumnBatch],
         scratch: Optional[Any] = None,
-        backend: Optional[str] = None,
     ) -> List[ColumnBatch]:
         """Run the stage once over whole columns; returns one column per transform.
 
@@ -251,12 +201,6 @@ class PhysicalStage:
         request-response engine.  ``scratch`` optionally provides a pooled
         flat float64 buffer the first kernel may stack a single external
         column into.
-
-        ``backend`` selects an alternative kernel set from the kernel-backend
-        registry (see :meth:`available_backends`); ``None`` or ``"reference"``
-        runs every operator's own ``transform_batch``.  An unknown or
-        unavailable backend name falls back to the reference kernels rather
-        than failing the batch.
         """
         expected = len(self.external_inputs)
         if len(columns) != expected:
@@ -280,11 +224,6 @@ class PhysicalStage:
         if n_records == 1:
             self.batched_executions += 1
             return self._columns_of([self.execute([column.row(0) for column in columns])])
-        kernels: Optional[List[Callable[[Any], Any]]] = None
-        if backend is not None and backend != "reference":
-            self._ensure_backend_kernels()
-            assert self._backend_kernels is not None
-            kernels = self._backend_kernels.get(backend)
         if scratch is not None and expected == 1:
             # One scratch lease per stage call: with a single external slot no
             # second column can collide on the buffer while it is still read.
@@ -301,12 +240,7 @@ class PhysicalStage:
                         for kind, slot in bindings
                     ]
                 )
-            kernel = (
-                self.operators[position].transform_batch
-                if kernels is None
-                else kernels[position]
-            )
-            outputs = as_column_batch(kernel(argument))
+            outputs = as_column_batch(self.operators[position].transform_batch(argument))
             if len(outputs) != n_records:
                 raise ValueError(
                     f"{self.operators[position].name}.transform_batch returned "
@@ -328,7 +262,6 @@ class PhysicalStage:
         self,
         batch: Sequence[Sequence[Any]],
         scratch: Optional[Any] = None,
-        backend: Optional[str] = None,
     ) -> List[List[Any]]:
         """Run the stage once for many records; returns per-record outputs.
 
@@ -351,10 +284,7 @@ class PhysicalStage:
             ColumnBatch.from_rows([external_values[slot] for external_values in batch])
             for slot in range(expected)
         ]
-        outputs = [
-            column.rows
-            for column in self.execute_columns(columns, scratch=scratch, backend=backend)
-        ]
+        outputs = [column.rows for column in self.execute_columns(columns, scratch=scratch)]
         return [[rows[record] for rows in outputs] for record in range(len(batch))]
 
     def interpret(self, external_values: Sequence[Any]) -> List[Any]:

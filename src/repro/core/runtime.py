@@ -20,7 +20,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import observability, profiling
 from repro.core.config import PretzelConfig
-from repro.core.cost_model import CostModel
 from repro.core.engines import (
     RequestResponseEngine,
     execute_plan_stage,
@@ -80,13 +79,10 @@ class PretzelRuntime:
         )
         self.compiler = ModelPlanCompiler(object_store=self.object_store, config=self.config)
         self.optimizer = OvenOptimizer()
-        self.cost_model = self._build_cost_model()
         self.scheduler = Scheduler(
             enable_stage_batching=self.config.enable_stage_batching,
             max_stage_batch_size=self.config.max_stage_batch_size,
-            stage_batch_policy=self.config.stage_batch_policy,
             shards=self.config.scheduler_shards,
-            cost_model=self.cost_model,
         )
         self.executor_pool = ExecutorPool(
             self.scheduler,
@@ -94,7 +90,6 @@ class PretzelRuntime:
             materializer=self.materializer,
             vector_pooling=self.config.enable_vector_pooling,
             pool_entries=self.config.vector_pool_entries,
-            backend_policy=self.cost_model,
         )
         self._inline_pool = VectorPool(
             enabled=self.config.enable_vector_pooling,
@@ -127,33 +122,6 @@ class PretzelRuntime:
         #: "not sampled" -- a worker minting its own traces would re-sample
         #: pass-through traffic and double the effective trace volume.
         self.mint_traces = True
-
-    def _build_cost_model(self) -> Optional[CostModel]:
-        """The per-stage cost model, or None for the byte-identical default.
-
-        Built when the config opts into either half of it: a non-reference
-        ``kernel_backend`` (the batch engine dispatches through it) or the
-        ``"cost-model"`` batch policy (the sizer reads knees from it; the
-        backend stays pinned to ``"reference"`` so the execution path is
-        unchanged).  Default config -> None -> the executors call the exact
-        pre-backend code path.
-        """
-        backend = self.config.kernel_backend
-        if backend == "reference" and self.config.stage_batch_policy != "cost-model":
-            return None
-        if backend not in ("reference", "cost-model"):
-            from repro.operators import backends as backend_registry
-
-            if backend not in backend_registry.all_backend_names():
-                raise ValueError(
-                    f"unknown kernel_backend {backend!r} "
-                    f"(registered: {['reference', 'cost-model'] + backend_registry.all_backend_names()})"
-                )
-        return CostModel(
-            max_batch_size=self.config.max_stage_batch_size,
-            probe_interval=self.config.backend_probe_interval,
-            pinned=None if backend == "cost-model" else backend,
-        )
 
     # -- registration (off-line -> on-line handoff) -----------------------------
 
@@ -276,12 +244,10 @@ class PretzelRuntime:
                         del self._stage_plan_count[signature]
                         self.compiler.stage_catalog.pop(signature, None)
                         # The physical stage no longer exists: drop its
-                        # batching telemetry and adaptive-sizer EMA too, or
-                        # plan churn grows them without bound and a
-                        # re-registered signature inherits stale state.
+                        # batching telemetry too, or plan churn grows it
+                        # without bound and a re-registered signature
+                        # inherits stale counters.
                         self.scheduler.forget_signature(signature)
-                        if self.cost_model is not None:
-                            self.cost_model.forget(signature)
                 # One release per operator occurrence: registration interned
                 # each stage-graph node once, shared stages included.
                 for operator in stage.physical.operators:
@@ -420,9 +386,7 @@ class PretzelRuntime:
             started = time.perf_counter()
             live = len(record_column)
             try:
-                final = execute_plan_stage_columns(
-                    stage, record_column, columns, self.materializer, self.cost_model
-                )
+                final = execute_plan_stage_columns(stage, record_column, columns, self.materializer)
             except Exception:  # re-run the stage per record to attribute the fault
                 contexts: List[Dict[Tuple[str, str], Any]] = []
                 for index in range(live):
@@ -505,10 +469,6 @@ class PretzelRuntime:
         if self.config.enable_tracing:
             # Same gating discipline as the profiler block above.
             stats["tracing"] = observability.tracer().stats()
-        if self.cost_model is not None:
-            # Gated like profiling/tracing: default (reference, fixed) runs
-            # keep the pre-backend stats shape.
-            stats["cost_model"] = self.cost_model.snapshot()
         return stats
 
     # -- lifecycle -----------------------------------------------------------------------

@@ -24,18 +24,12 @@ requests -- even requests for different model plans -- frequently wait to run
 an identical physical stage.  With ``enable_stage_batching`` on, a free
 executor pulls a :class:`StageBatch` instead of a single event: the first
 runnable event plus every other queued event whose next stage shares its
-``physical.full_signature``, up to the cap chosen by the configured batch
-sizer.  Latency-sensitive requests always bypass coalescing (they run alone,
+``physical.full_signature``, up to ``max_stage_batch_size``.
+Latency-sensitive requests always bypass coalescing (they run alone,
 preserving the request-response latency profile), and reserved executors only
 coalesce within their private queue, so reservation isolation is preserved.
 Observed batch sizes and the backlog behind each pull are recorded in
 :class:`repro.telemetry.batching.StageBatchTelemetry`.
-
-**Adaptive batch sizing.**  The per-pull cap comes from a policy object
-(:mod:`repro.core.batch_policy`): ``stage_batch_policy="fixed"`` (default)
-always allows ``max_stage_batch_size``; ``"adaptive"`` sizes each pull from
-the smoothed per-signature backlog the index exposes, growing toward the
-ceiling only while telemetry shows batches actually filling.
 
 Reservation-based scheduling (Section 4.2.2, "Reservation-based Scheduling")
 gives a plan a dedicated executor and a private queue, emulating
@@ -67,7 +61,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.batch_policy import make_batch_sizer
 from repro.core.oven.plan import ModelPlan
 from repro.observability import registry, tracer
 from repro.observability.tracing import TraceContext
@@ -320,9 +313,7 @@ class Scheduler:
         self,
         enable_stage_batching: bool = False,
         max_stage_batch_size: int = 16,
-        stage_batch_policy: str = "fixed",
         shards: int = 1,
-        cost_model: Optional[Any] = None,
     ) -> None:
         if max_stage_batch_size < 1:
             raise ValueError("max_stage_batch_size must be >= 1")
@@ -330,15 +321,8 @@ class Scheduler:
             raise ValueError("shards must be >= 1")
         self.enable_stage_batching = enable_stage_batching
         self.max_stage_batch_size = max_stage_batch_size
-        self.stage_batch_policy = stage_batch_policy
         self.shards = shards
         self.batching = StageBatchTelemetry()
-        self.batch_sizer = make_batch_sizer(
-            stage_batch_policy,
-            max_stage_batch_size,
-            telemetry=self.batching,
-            cost_model=cost_model,
-        )
         self._low = [_Stripe("scheduler.low") for _ in range(shards)]
         self._high = [_Stripe("scheduler.high") for _ in range(shards)]
         #: plan id -> executor id holding the reservation
@@ -389,16 +373,12 @@ class Scheduler:
     # -- per-signature state ------------------------------------------------------
 
     def forget_signature(self, signature: str) -> None:
-        """Drop batching state for a signature whose last plan unregistered.
+        """Drop a signature's batching telemetry once its last plan unregisters.
 
-        Clears both the telemetry counters and the adaptive sizer's backlog
-        EMA so plan churn cannot grow them without bound, and a later plan
-        re-creating the same physical stage starts from a fresh estimate.
-        (The telemetry is internally locked; the sizer's EMA table tolerates
-        a racing ``batch_cap`` resurrecting one forgotten entry.)
+        Plan churn then cannot grow the counters without bound, and a later
+        plan re-creating the same physical stage starts from zero.
         """
         self.batching.forget(signature)
-        self.batch_sizer.forget(signature)
 
     # -- reservations -----------------------------------------------------------
 
@@ -511,7 +491,7 @@ class Scheduler:
         when stage batching is enabled and the event is not latency-sensitive,
         queued events visible to this executor whose next stage has the same
         physical signature are popped straight off the signature index (up to
-        the batch sizer's cap for this pull).  Queue order of non-coalesced
+        ``max_stage_batch_size``).  Queue order of non-coalesced
         events is preserved, and formation cost is O(batch size).
         """
         event = self._next_ready(executor_id, time.perf_counter() + timeout)
@@ -605,25 +585,24 @@ class Scheduler:
         all of a leader's peers live on the leader's stripe index in each
         class.  Latency-sensitive events are never indexed as coalescible, so
         they are skipped by construction.  Returns the coalescible backlog
-        observed behind the leader (for telemetry and the adaptive sizer).
+        observed behind the leader (for telemetry).
         """
         signature = events[0].signature
+        limit = self.max_stage_batch_size
         if executor_id in self._reserved_queues:
             with self._reserve_lock:
                 reserved = self._reserved_queues.get(executor_id)
                 if reserved is not None:
                     backlog = reserved.coalescible_depth(signature)
-                    limit = self.batch_sizer.batch_cap(signature, backlog)
                     events.extend(reserved.pop_matching(signature, limit - len(events)))
                     return backlog
         high = self._stripe_of(self._high, signature)
         low = self._stripe_of(self._low, signature)
         # Depth reads are racy by design (atomic dict lookups; the backlog
-        # only steers the sizer); the pops below hold each stripe's lock.
+        # is only reported); the pops below hold each stripe's lock.
         backlog = high.queue.coalescible_depth(signature) + low.queue.coalescible_depth(
             signature
         )
-        limit = self.batch_sizer.batch_cap(signature, backlog)
         for stripe in (high, low):
             if len(events) >= limit:
                 break

@@ -101,20 +101,90 @@ def _best_split(
     return best_feature, best_threshold, X[:, best_feature] <= best_threshold
 
 
-def leaf_csr(leaves: np.ndarray, width: int) -> ColumnBatch:
-    """A :class:`TreeFeaturizer` batch as one sparse column.
+#: the per-tree node arrays, in the order an ensemble's arena copies them
+_NODE_KEYS = ("feature", "threshold", "left", "right", "value")
 
-    ``leaves`` is the ``(n_records, n_trees)`` matrix of feature indices
-    (each tree's leaf index past the node ranges of the trees before it), so
-    it is already CSR row-major: one increasing index per tree per record.
+#: the only root of a lone tree's own node arrays
+_ROOT = np.zeros(1, dtype=np.int64)
+
+
+def _descend(
+    feature: np.ndarray,
+    threshold: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    roots: np.ndarray,
+    matrix: np.ndarray,
+) -> np.ndarray:
+    """Level-order descent of every record from every root: the batch tree walk.
+
+    One lane per ``(record, root)`` pair.  Every pass gathers the lanes still
+    at internal nodes, runs their split comparisons as one numpy expression
+    and steps them to their left/right child together, so a tree level costs
+    one gather, one compare and one select however many trees share the node
+    arrays.  The per-lane comparisons are exactly the scalar
+    :meth:`DecisionTree._leaf_of` ones, so the leaves (and every output
+    derived from them) are bit-equal.  Returns the ``(n_records, n_roots)``
+    leaf node indices.
     """
-    n_records, n_trees = leaves.shape
-    return ColumnBatch.from_csr(
-        np.arange(0, n_records * n_trees + 1, n_trees),
-        leaves.reshape(-1),
-        np.ones(leaves.size, dtype=np.float64),
-        width,
-    )
+    n_records = matrix.shape[0]
+    n_roots = roots.shape[0]
+    state = np.tile(roots, n_records)
+    lane_rows = np.repeat(np.arange(n_records), n_roots)
+    active = np.flatnonzero(left[state] != -1)
+    while active.size:
+        current = state[active]
+        go_left = matrix[lane_rows[active], feature[current]] <= threshold[current]
+        state[active] = np.where(go_left, left[current], right[current])
+        active = active[left[state[active]] != -1]
+    return state.reshape(n_records, n_roots)
+
+
+class _FlatEnsemble:
+    """All member trees' node arrays concatenated into one arena.
+
+    Child indices are rebased so each tree addresses its own slice, and each
+    tree's root sits at its cumulative node offset, so a lane's final arena
+    index is exactly ``offset + local leaf index`` -- the
+    :class:`TreeFeaturizer` feature index.  ``sources`` holds the node arrays
+    the arena was copied from: the arena is current only while every tree
+    still holds those very objects.
+    """
+
+    __slots__ = ("sources", "feature", "threshold", "left", "right", "value", "roots")
+
+    def __init__(self, trees: Sequence[DecisionTree]) -> None:
+        self.sources = _node_arrays(trees)
+        sizes = [tree.n_nodes for tree in trees]
+        self.roots = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+        self.feature = np.concatenate([tree._nodes["feature"] for tree in trees])
+        self.threshold = np.concatenate([tree._nodes["threshold"] for tree in trees])
+        self.left = self._rebased(trees, "left")
+        self.right = self._rebased(trees, "right")
+        self.value = np.concatenate([tree._nodes["value"] for tree in trees])
+
+    def _rebased(self, trees: Sequence[DecisionTree], key: str) -> np.ndarray:
+        """Child indices shifted into the arena; ``-1`` leaf markers stay ``-1``."""
+        return np.concatenate(
+            [
+                np.where(tree._nodes[key] >= 0, tree._nodes[key] + base, -1)
+                for base, tree in zip(self.roots, trees)
+            ]
+        )
+
+    def built_from(self, trees: Sequence[DecisionTree]) -> bool:
+        current = _node_arrays(trees)
+        return len(current) == len(self.sources) and all(
+            array is source for array, source in zip(current, self.sources)
+        )
+
+    def leaves(self, matrix: np.ndarray) -> np.ndarray:
+        """Arena leaf indices, shape ``(n_records, n_trees)``."""
+        return _descend(self.feature, self.threshold, self.left, self.right, self.roots, matrix)
+
+
+def _node_arrays(trees: Sequence[DecisionTree]) -> List[np.ndarray]:
+    return [tree._nodes[key] for tree in trees for key in _NODE_KEYS]
 
 
 def _record_view(value: Any) -> memoryview:
@@ -231,29 +301,6 @@ class DecisionTree(Operator):
         """The leaf value the record lands on (the ensembles' per-tree score)."""
         return float(self._nodes["value"][self._leaf_of(features)])
 
-    def _leaves_of(self, matrix: np.ndarray) -> np.ndarray:
-        """Vectorized level-order traversal over a whole batch.
-
-        Every record descends one tree level per pass: the records still at
-        internal nodes are gathered, their split comparisons run as one numpy
-        expression, and they step to their left/right child together.  The
-        per-record comparisons are exactly the scalar :meth:`_leaf_of` ones,
-        so the resulting leaves (and therefore outputs) are bit-equal.
-        """
-        assert self._nodes is not None
-        feature = self._nodes["feature"]
-        threshold = self._nodes["threshold"]
-        left = self._nodes["left"]
-        right = self._nodes["right"]
-        leaves = np.zeros(matrix.shape[0], dtype=np.int64)
-        active = np.flatnonzero(left[leaves] != -1)
-        while active.size:
-            current = leaves[active]
-            go_left = matrix[active, feature[current]] <= threshold[current]
-            leaves[active] = np.where(go_left, left[current], right[current])
-            active = active[left[leaves[active]] != -1]
-        return leaves
-
     supports_batch = True
 
     def transform(self, value: Any) -> float:
@@ -262,7 +309,7 @@ class DecisionTree(Operator):
         return self._value_of(_record_view(value))
 
     def transform_batch(self, values: Any) -> ColumnBatch:
-        """Score a whole batch with one level-order array traversal."""
+        """Score a whole batch with one level-order descent of the node arrays."""
         if self._nodes is None:
             raise RuntimeError("DecisionTree used before fit()")
         batch = as_column_batch(values)
@@ -271,7 +318,11 @@ class DecisionTree(Operator):
         matrix = batch_matrix(batch)
         if matrix is None:
             return ColumnBatch.from_rows([self.transform(value) for value in batch.rows])
-        return ColumnBatch.from_scalars(self._nodes["value"][self._leaves_of(matrix)])
+        nodes = self._nodes
+        leaves = _descend(
+            nodes["feature"], nodes["threshold"], nodes["left"], nodes["right"], _ROOT, matrix
+        )
+        return ColumnBatch.from_scalars(nodes["value"][leaves[:, 0]])
 
     def leaf_index(self, value: Any) -> int:
         """Index of the leaf the record falls into (used by TreeFeaturizer)."""
@@ -303,7 +354,54 @@ class DecisionTree(Operator):
         return {"max_depth": self.max_depth, "min_leaf": self.min_leaf, "seed": self.seed}
 
 
-class RandomForest(Operator):
+class _TreeEnsemble(Operator):
+    """An operator over member decision trees, batched as one node arena.
+
+    Its batch kernel descends every member tree at once over a
+    :class:`_FlatEnsemble`.  The arena is derived state, like the trees'
+    memoryviews: kept off the pickle (:attr:`derived_attributes`), never a
+    :class:`Parameter` (so :meth:`memory_bytes` does not count it), built by
+    :meth:`prepare` under AOT, and rebuilt whenever a member's node array is
+    no longer the object it was copied from (refit, arena rebind or
+    privatize, model-file load).
+    """
+
+    derived_attributes = Operator.derived_attributes + ("_arena",)
+    supports_batch = True
+    trees: List[DecisionTree]
+
+    def prepare(self) -> None:
+        if self.trees:
+            self._node_arena()
+
+    def _node_arena(self) -> _FlatEnsemble:
+        arena = self.__dict__.get("_arena")
+        if arena is None or not arena.built_from(self.trees):
+            arena = self._arena = _FlatEnsemble(self.trees)
+        return arena
+
+    def transform_batch(self, values: Any) -> ColumnBatch:
+        """One arena descent for the whole batch; the scalar loop for non-vectors."""
+        if not self.trees:
+            raise RuntimeError(f"{self.name} used before fit()")
+        batch = as_column_batch(values)
+        if not batch:
+            return self._empty_batch()
+        matrix = batch_matrix(batch)
+        if matrix is None:
+            return ColumnBatch.from_rows([self.transform(value) for value in batch.rows])
+        arena = self._node_arena()
+        return self._from_leaves(arena, arena.leaves(matrix))
+
+    def _empty_batch(self) -> ColumnBatch:
+        return ColumnBatch.from_rows([])
+
+    def _from_leaves(self, arena: _FlatEnsemble, leaves: np.ndarray) -> ColumnBatch:
+        """The batch output from the ``(n_records, n_trees)`` arena leaf indices."""
+        raise NotImplementedError
+
+
+class RandomForest(_TreeEnsemble):
     """Bagged ensemble of regression trees (mean aggregation)."""
 
     name = "RandomForest"
@@ -349,28 +447,19 @@ class RandomForest(Operator):
             self.trees.append(tree)
         return self
 
-    supports_batch = True
-
     def transform(self, value: Any) -> float:
         if not self.trees:
             raise RuntimeError("RandomForest used before fit()")
         record = _record_view(value)
         return float(np.mean([tree._value_of(record) for tree in self.trees]))
 
-    def transform_batch(self, values: Any) -> ColumnBatch:
-        """One level-order batch traversal per tree, one mean over the stack."""
-        if not self.trees:
-            raise RuntimeError("RandomForest used before fit()")
-        batch = as_column_batch(values)
-        if not batch:
-            return ColumnBatch.from_scalars(np.empty(0, dtype=np.float64))
-        matrix = batch_matrix(batch)
-        if matrix is None:
-            return ColumnBatch.from_rows([self.transform(value) for value in batch.rows])
-        scores = np.stack(
-            [tree._nodes["value"][tree._leaves_of(matrix)] for tree in self.trees]
-        )
-        return ColumnBatch.from_scalars(np.mean(scores, axis=0))
+    def _empty_batch(self) -> ColumnBatch:
+        return ColumnBatch.from_scalars(np.empty(0, dtype=np.float64))
+
+    def _from_leaves(self, arena: _FlatEnsemble, leaves: np.ndarray) -> ColumnBatch:
+        # The one float reduction of the tree families: the mean may differ
+        # from the scalar one in the last ulp (the oracle's rtol carve-out).
+        return ColumnBatch.from_scalars(np.mean(arena.value[leaves], axis=1))
 
     def parameters(self) -> List[Parameter]:
         params = [
@@ -404,7 +493,7 @@ class RandomForest(Operator):
         }
 
 
-class TreeEnsembleClassifier(Operator):
+class TreeEnsembleClassifier(_TreeEnsemble):
     """Multi-class classifier built from one regression tree per class.
 
     Outputs the vector of per-class scores (one-vs-rest), matching the
@@ -449,28 +538,15 @@ class TreeEnsembleClassifier(Operator):
             self.trees.append(tree)
         return self
 
-    supports_batch = True
-
     def transform(self, value: Any) -> DenseVector:
         if not self.trees:
             raise RuntimeError("TreeEnsembleClassifier used before fit()")
         record = _record_view(value)
         return DenseVector(np.array([tree._value_of(record) for tree in self.trees]))
 
-    def transform_batch(self, values: Any) -> ColumnBatch:
-        """Per-class score columns filled by one batch traversal per tree."""
-        if not self.trees:
-            raise RuntimeError("TreeEnsembleClassifier used before fit()")
-        batch = as_column_batch(values)
-        if not batch:
-            return ColumnBatch.from_rows([])
-        matrix = batch_matrix(batch)
-        if matrix is None:
-            return ColumnBatch.from_rows([self.transform(value) for value in batch.rows])
-        scores = np.empty((matrix.shape[0], len(self.trees)), dtype=np.float64)
-        for position, tree in enumerate(self.trees):
-            scores[:, position] = tree._nodes["value"][tree._leaves_of(matrix)]
-        return ColumnBatch.from_matrix(scores)
+    def _from_leaves(self, arena: _FlatEnsemble, leaves: np.ndarray) -> ColumnBatch:
+        """Per-class score columns: each tree's leaf value, one column per tree."""
+        return ColumnBatch.from_matrix(arena.value[leaves])
 
     def predict_class(self, value: Any) -> int:
         return int(np.argmax(self.transform(value).values))
@@ -497,7 +573,7 @@ class TreeEnsembleClassifier(Operator):
         return {"n_classes": self.n_classes, "max_depth": self.max_depth}
 
 
-class TreeFeaturizer(Operator):
+class TreeFeaturizer(_TreeEnsemble):
     """Encode a record as the one-hot concatenation of per-tree leaf indices.
 
     This is the classic "gradient-boosted trees as featurizer" trick: the
@@ -547,8 +623,6 @@ class TreeFeaturizer(Operator):
             self.trees.append(tree)
         return self
 
-    supports_batch = True
-
     def transform(self, value: Any) -> SparseVector:
         if not self.trees:
             raise RuntimeError("TreeFeaturizer used before fit()")
@@ -564,27 +638,21 @@ class TreeFeaturizer(Operator):
             np.array(indices, dtype=np.int64), np.ones(len(indices), dtype=np.float64), offset
         )
 
-    def transform_batch(self, values: Any) -> ColumnBatch:
-        """All leaf indices for the whole batch from one traversal per tree.
+    def _from_leaves(self, arena: _FlatEnsemble, leaves: np.ndarray) -> ColumnBatch:
+        """The batch as one sparse column, straight from the arena leaf indices.
 
-        The ``(n, n_trees)`` leaf-index matrix is the batch's CSR storage as
-        is: every record holds exactly one increasing index per tree, so
-        ``indptr`` is a stride-``n_trees`` range and the data are ones.
+        An arena index *is* the feature index (cumulative node offset plus
+        local leaf index), so the ``(n, n_trees)`` leaf matrix is the CSR
+        storage as is: one increasing index per tree per record, ``indptr`` a
+        stride-``n_trees`` range and the data ones.
         """
-        if not self.trees:
-            raise RuntimeError("TreeFeaturizer used before fit()")
-        batch = as_column_batch(values)
-        if not batch:
-            return ColumnBatch.from_rows([])
-        matrix = batch_matrix(batch)
-        if matrix is None:
-            return ColumnBatch.from_rows([self.transform(value) for value in batch.rows])
-        leaf_columns = np.empty((matrix.shape[0], len(self.trees)), dtype=np.int64)
-        offset = 0
-        for position, tree in enumerate(self.trees):
-            leaf_columns[:, position] = offset + tree._leaves_of(matrix)
-            offset += tree.n_nodes
-        return leaf_csr(leaf_columns, offset)
+        n_records, n_trees = leaves.shape
+        return ColumnBatch.from_csr(
+            np.arange(0, n_records * n_trees + 1, n_trees),
+            leaves.reshape(-1),
+            np.ones(leaves.size, dtype=np.float64),
+            arena.feature.shape[0],
+        )
 
     def parameters(self) -> List[Parameter]:
         params = [

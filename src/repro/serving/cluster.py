@@ -1459,17 +1459,6 @@ class PretzelCluster:
             # recorder state rides in workers[id]["tracing"] (and the spans
             # themselves are harvested by trace_dump()).
             result["tracing"] = observability.tracer().stats()
-        backend_snapshots = {
-            worker_id: entry["stats"]["cost_model"]
-            for worker_id, entry in workers.items()
-            if "stats" in entry and "cost_model" in entry["stats"]
-        }
-        if backend_snapshots:
-            # Per-worker kernel-backend cost models (measured EMAs, knees,
-            # selection mode), keyed by worker id.  Present only when the
-            # config enables the backend registry or cost-model sizer, so
-            # default-config clusters keep the pre-backend stats shape.
-            result["backends"] = backend_snapshots
         return result
 
     def wire_stats(self) -> Dict[str, int]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.clipper.container import ModelContainer
 from repro.core.engines import execute_plan_stage, execute_plan_stage_batch
@@ -84,7 +84,6 @@ def calibrate_plan_stage_batches(
     records: Sequence[Any],
     batch_size: int = 100,
     repetitions: int = 3,
-    backend_policy: Optional[Any] = None,
 ) -> CalibratedPlan:
     """Measure *per-record* per-stage times of the vectorized batch path.
 
@@ -93,10 +92,6 @@ def calibrate_plan_stage_batches(
     records (the sample records tiled as needed), the way an executor serves a
     coalesced :class:`StageBatch`.  The returned times are per record, so they
     are directly comparable to :func:`calibrate_plan_stages`.
-
-    ``backend_policy`` is forwarded to the engine: pass the runtime's (or a
-    warmed stand-alone) :class:`~repro.core.cost_model.CostModel` to calibrate
-    the cost-model-dispatched kernels instead of the reference path.
     """
     if not records:
         raise ValueError("calibration needs at least one record")
@@ -111,10 +106,7 @@ def calibrate_plan_stage_batches(
             items = [(stage, record, values) for record, values in zip(tiled, values_list)]
             start = time.perf_counter()
             execute_plan_stage_batch(
-                items,
-                materializer=runtime.materializer,
-                pool=runtime._inline_pool,
-                backend_policy=backend_policy,
+                items, materializer=runtime.materializer, pool=runtime._inline_pool
             )
             totals[index] += time.perf_counter() - start
     samples = repetitions * batch_size

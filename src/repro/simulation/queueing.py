@@ -19,10 +19,8 @@ semantics: each simulated queue keeps a per-``(model, stage)`` index of its
 coalescible entries (the simulator's stand-in for the physical-stage
 signature), and batch members are taken from that index in FIFO order --
 exactly what :class:`repro.core.scheduler.ReadyQueue` does -- rather than by
-scanning the queue.  The adaptive batch-size policy is the *same*
-:class:`repro.core.batch_policy.AdaptiveBatchSizer` object the real engine
-runs, fed by a :class:`repro.telemetry.batching.StageBatchTelemetry`, so the
-fig12/fig13 calibration stays honest across both implementations.
+scanning the queue, and each pull is capped at ``max_stage_batch`` just as the
+real scheduler caps it at ``max_stage_batch_size``.
 """
 
 from __future__ import annotations
@@ -33,10 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro.core.batch_policy import AdaptiveBatchSizer, CostModelBatchSizer
-from repro.core.cost_model import CostModel
-from repro.telemetry.batching import StageBatchTelemetry
 
 __all__ = [
     "ArrivalProcess",
@@ -268,11 +262,6 @@ class _SimQueue:
         self._size -= 1
         return ready, seq, request
 
-    def queued_for(self, key: Tuple[str, int]) -> int:
-        """Coalescible entries queued for ``key`` (the sim's backlog gauge)."""
-        bucket = self._index.get(key)
-        return len(bucket) if bucket else 0
-
     def coalesce(self, key: Tuple[str, int], start: float, limit: int) -> List[_SimRequest]:
         """Take up to ``limit`` ready entries for ``key``, oldest first."""
         bucket = self._index.get(key)
@@ -300,7 +289,6 @@ def simulate_stage_scheduler(
     event_overhead: float = 5e-6,
     reservations: Optional[Dict[str, int]] = None,
     max_stage_batch: Optional[int] = None,
-    stage_batch_policy: str = "fixed",
 ) -> SimulationResult:
     """Simulate PRETZEL's batch engine over ``n_cores`` executors.
 
@@ -318,35 +306,14 @@ def simulate_stage_scheduler(
     queue's signature index into one service whose time is the sum of the
     members' stage times plus a single per-event overhead.  Latency-sensitive
     requests are never coalesced, matching the real scheduler's bypass.
-
-    ``stage_batch_policy="adaptive"`` sizes each pull with the *same*
-    :class:`~repro.core.batch_policy.AdaptiveBatchSizer` the real scheduler
-    uses (fed by a private :class:`StageBatchTelemetry`), instead of always
-    allowing ``max_stage_batch`` members.  ``stage_batch_policy="cost-model"``
-    runs the *same* :class:`~repro.core.batch_policy.CostModelBatchSizer` the
-    real scheduler uses, backed by a private
-    :class:`~repro.core.cost_model.CostModel` fed online from every simulated
-    service span -- each signature's cap converges to its measured
-    amortization knee exactly as on the real engine.
     """
     if n_cores < 1:
         raise ValueError("need at least one core")
-    if stage_batch_policy not in ("fixed", "adaptive", "cost-model"):
-        raise ValueError(f"unknown stage_batch_policy {stage_batch_policy!r}")
     reservations = reservations or {}
     for core in reservations.values():
         if not 0 <= core < n_cores:
             raise ValueError(f"reserved core {core} out of range for {n_cores} cores")
     coalescing = max_stage_batch is not None and max_stage_batch > 1
-    sizer = None
-    cost_model: Optional[CostModel] = None
-    if coalescing and stage_batch_policy == "adaptive":
-        sizer = AdaptiveBatchSizer(max_stage_batch, telemetry=StageBatchTelemetry())
-    elif coalescing and stage_batch_policy == "cost-model":
-        cost_model = CostModel(max_batch_size=max_stage_batch)
-        sizer = CostModelBatchSizer(
-            max_stage_batch, cost_model, telemetry=StageBatchTelemetry()
-        )
 
     pending = sorted(arrivals, key=lambda a: a.time)
     pending_index = 0
@@ -425,30 +392,16 @@ def simulate_stage_scheduler(
         start = max(now, ready_time)
         members = [request]
         if coalescing:
-            # Mirror Scheduler.next_batch exactly: every pull is recorded --
-            # latency-sensitive leaders as singleton batches with zero backlog
-            # -- so the occupancy the adaptive sizer reads is diluted by LS
-            # traffic the same way in both implementations.
-            batch_key = (request.arrival.model, request.next_stage)
-            backlog = 0
+            # Mirror Scheduler.next_batch: every pull counts as a batch,
+            # latency-sensitive leaders as singletons.
             if not request.arrival.latency_sensitive:
-                backlog = queue.queued_for(batch_key)
-                if sizer is not None:
-                    cap = sizer.batch_cap(batch_key, backlog)
-                else:
-                    cap = max_stage_batch
-                members.extend(queue.coalesce(batch_key, start, cap - 1))
+                batch_key = (request.arrival.model, request.next_stage)
+                members.extend(queue.coalesce(batch_key, start, max_stage_batch - 1))
             batches_formed += 1
             batch_events += len(members)
-            if sizer is not None and sizer.telemetry is not None:
-                sizer.telemetry.record(batch_key, len(members), backlog=backlog)
         service = (
             sum(member.stage_times[member.next_stage] for member in members) + event_overhead
         )
-        if cost_model is not None:
-            # Feed the knee estimator from the simulated span, exactly as the
-            # executors feed it measured wall-clock on the real engine.
-            cost_model.record(batch_key, "reference", len(members), service)
         finish = start + service
         core_free_at[core] = finish
         core_busy[core] += service

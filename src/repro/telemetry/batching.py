@@ -41,8 +41,7 @@ class StageBatchTelemetry:
 
         ``backlog`` is the coalescible queue depth the scheduler's signature
         index observed behind the batch leader at pull time; the per-signature
-        mean backlog feeds adaptive batch sizing and the backlog column of
-        :meth:`per_stage_rows`.
+        mean backlog feeds the backlog column of :meth:`per_stage_rows`.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")

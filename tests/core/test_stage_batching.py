@@ -204,21 +204,17 @@ class TestFakeClockTimeout:
         assert telemetry.mean_batch_size("live") == 2.0
         telemetry.forget("never-seen")  # unknown signatures are a no-op
 
-    def test_scheduler_forget_signature_clears_telemetry_and_sizer(self):
-        scheduler = Scheduler(
-            enable_stage_batching=True,
-            max_stage_batch_size=16,
-            stage_batch_policy="adaptive",
-        )
+    def test_scheduler_forget_signature_clears_telemetry(self):
+        scheduler = Scheduler(enable_stage_batching=True, max_stage_batch_size=16)
         plan = StubPlan("tok")
         for index in range(6):
             scheduler.submit(InferenceRequest(f"p{index}", plan, "x"))
         assert scheduler.next_batch(0, timeout=0.0) is not None
         assert scheduler.batching.total_batches == 1
-        assert scheduler.batch_sizer.smoothed_backlog("tok") > 0.0
+        assert scheduler.batching.mean_backlog("tok") > 0.0
         scheduler.forget_signature("tok")
         assert scheduler.batching.total_batches == 0
-        assert scheduler.batch_sizer.smoothed_backlog("tok") == 0.0
+        assert scheduler.batching.mean_backlog("tok") == 0.0
 
 
 def _build_sentiment_plans(corpus, count):
@@ -302,15 +298,9 @@ class TestEndToEndBatching:
 
     def test_plan_churn_does_not_leak_per_signature_state(self, sa_pipeline, sa_inputs):
         """Regression: unregistering a signature's last plan must drop its
-        telemetry counters and the adaptive sizer's EMA -- they used to
-        accumulate forever under register/unregister churn."""
-        runtime = PretzelRuntime(
-            PretzelConfig(
-                num_executors=2,
-                enable_stage_batching=True,
-                stage_batch_policy="adaptive",
-            )
-        )
+        telemetry counters -- they used to accumulate forever under
+        register/unregister churn."""
+        runtime = PretzelRuntime(PretzelConfig(num_executors=2, enable_stage_batching=True))
         try:
             runtime.register(sa_pipeline, plan_id="first")
             runtime.register(sa_pipeline, plan_id="second")
@@ -323,7 +313,6 @@ class TestEndToEndBatching:
             assert runtime.scheduler.batching._batches == {}
             assert runtime.scheduler.batching._backlog_sum == {}
             assert runtime.scheduler.batching._loop_fallbacks == {}
-            assert runtime.scheduler.batch_sizer._backlog_ema == {}
         finally:
             runtime.shutdown()
 

@@ -16,7 +16,6 @@ import pytest
 
 import repro.core.oven.rewrite_ops as rewrite_ops
 from repro.core.oven.rewrite_ops import MarginCombiner, PartialLinearScorer
-from repro.operators import backends as backend_registry
 from repro.operators import (
     PCA,
     CharNgramFeaturizer,
@@ -327,91 +326,6 @@ def test_core_numeric_families_declare_vectorized_kernels():
         assert operator is not None, f"no equivalence case covers family {family!r}"
         assert operator.supports_batch, f"{family} fell back to the per-record loop"
         assert type(operator).transform_batch is not Operator.transform_batch
-
-
-def _backend_cases():
-    """One oracle case per (fitted case, registered backend kernel) pair.
-
-    Every kernel in the backend registry runs the same batch-vs-scalar
-    oracle as the reference kernels.  Kernels registered ``exact=True``
-    inherit the case's tolerance (bit-equality stays bit-equality);
-    ``exact=False`` kernels get the reduction-reordering carve-out.
-    Unavailable backends (numba absent) produce skips, not failures.
-    """
-    cases = []
-    for name, operator, batch, tolerance in _CASES:
-        for spec in backend_registry.registered_kernels():
-            if spec.family != operator.name:
-                continue
-            effective = tolerance if spec.exact else CLOSE
-            entry = backend_registry.backend(spec.backend)
-            available = entry is not None and entry.available
-            cases.append(
-                (f"{name}[{spec.backend}]", operator, batch, effective, spec, available)
-            )
-    return cases
-
-
-_BACKEND_CASES = _backend_cases()
-
-
-@pytest.mark.parametrize(
-    "name,operator,batch,tolerance,spec,available",
-    _BACKEND_CASES,
-    ids=[case[0] for case in _BACKEND_CASES],
-)
-def test_backend_kernels_match_the_scalar_oracle(
-    name, operator, batch, tolerance, spec, available
-):
-    if not available:
-        pytest.skip(f"backend {spec.backend!r} is unavailable on this host")
-    rows = batch.rows if isinstance(batch, ColumnBatch) else list(batch)
-    batched = spec.fn(operator, batch)
-    assert isinstance(batched, ColumnBatch), f"{name} must return a ColumnBatch"
-    assert len(batched) == len(rows)
-    scalar = [operator.transform(value) for value in rows]
-    for index, (batch_row, scalar_row) in enumerate(zip(batched.rows, scalar)):
-        assert _rows_equal(batch_row, scalar_row, tolerance), (
-            f"{name}: backend row {index} diverges from the scalar oracle: "
-            f"{batch_row!r} != {scalar_row!r}"
-        )
-    empty = ColumnBatch.from_rows([])
-    assert len(spec.fn(operator, empty)) == 0, f"{name} mishandles the empty batch"
-
-
-def test_every_registered_backend_kernel_has_oracle_coverage():
-    """Registry scan: a kernel cannot land without joining the oracle.
-
-    Every registered (family, backend) pair -- available or not -- must be
-    exercised by at least one fitted case above; a backend added for a family
-    without an equivalence case fails here, exactly like the operator-level
-    scan below.
-    """
-    covered = {operator.name for _name, operator, _batch, _tolerance in _CASES}
-    missing = sorted(
-        f"{spec.backend}:{spec.family}"
-        for spec in backend_registry.registered_kernels()
-        if spec.family not in covered
-    )
-    assert not missing, (
-        f"backend kernels without oracle coverage: {missing}; "
-        "add a fitted case for the family so every backend runs the oracle"
-    )
-
-
-def test_unavailable_backends_stay_out_of_dispatch():
-    """An unavailable backend keeps its kernels registered (the oracle and
-
-    the registry scan still see them) but never shows up where dispatch looks:
-    ``backend_names()`` and ``backends_for_family()``.
-    """
-    for name in backend_registry.all_backend_names():
-        entry = backend_registry.backend(name)
-        if entry.available:
-            continue
-        assert name not in backend_registry.backend_names()
-        for spec in entry.kernels.values():
-            assert name not in backend_registry.backends_for_family(spec.family)
 
 
 def _concrete_operator_classes():

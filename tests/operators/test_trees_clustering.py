@@ -7,7 +7,14 @@ import pytest
 
 from repro.operators.clustering import KMeans
 from repro.operators.decomposition import PCA
-from repro.operators.trees import DecisionTree, RandomForest, TreeEnsembleClassifier, TreeFeaturizer
+from repro.operators.trees import (
+    _ROOT,
+    DecisionTree,
+    RandomForest,
+    TreeEnsembleClassifier,
+    TreeFeaturizer,
+    _descend,
+)
 from repro.operators.vectors import DenseVector, SparseVector
 
 
@@ -194,7 +201,14 @@ class TestScalarWalkViews:
             assert leaf == _numpy_walk(tree, row)
             assert tree.transform(DenseVector(row)) == float(tree._nodes["value"][leaf])
         matrix = np.vstack(probes)
-        assert tree._leaves_of(matrix).tolist() == [_numpy_walk(tree, row) for row in probes]
+        nodes = tree._nodes
+        leaves = _descend(
+            nodes["feature"], nodes["threshold"], nodes["left"], nodes["right"], _ROOT, matrix
+        )
+        assert leaves[:, 0].tolist() == [_numpy_walk(tree, row) for row in probes]
+        assert tree.transform_batch([DenseVector(row) for row in probes]).rows == [
+            float(nodes["value"][_numpy_walk(tree, row)]) for row in probes
+        ]
 
     def test_views_are_zero_copy_derived_state_kept_off_the_pickle(self):
         tree, records = self._tree()
@@ -256,6 +270,173 @@ class TestScalarWalkViews:
                 else:
                     assert got == expected
             assert all("_node_view_cache" in tree.__dict__ for tree in ensemble.trees)
+
+
+#: batch sizes around the old 16-record slice, plus one and two large calls
+BATCH_SIZES = [1, 15, 16, 17, 100, 256]
+
+#: (family, factory, training target, bit-equal to the scalar oracle); the
+#: forest's mean is the one float reduction and gets the rtol carve-out
+TREE_FAMILIES = [
+    ("DecisionTree", lambda: DecisionTree(max_depth=5, min_leaf=2, seed=1), "labels", True),
+    ("RandomForest", lambda: RandomForest(n_trees=6, max_depth=4, seed=2), "labels", False),
+    (
+        "TreeEnsembleClassifier",
+        lambda: TreeEnsembleClassifier(n_classes=3, max_depth=4, seed=3),
+        "classes",
+        True,
+    ),
+    ("TreeFeaturizer", lambda: TreeFeaturizer(n_trees=5, max_depth=4, seed=4), "labels", True),
+]
+
+
+def _fit(factory, target, seed=8):
+    records, labels = _step_data(n=200, seed=seed)
+    first = np.array([record.values[0] > 0.3 for record in records], dtype=int)
+    targets = {"labels": labels, "classes": (np.asarray(labels) > 0).astype(int) + first}
+    return factory().fit(records, targets[target])
+
+
+def _probe_rows(n, seed=11):
+    """Uniform rows with NaN, +-inf and -0.0 entries mixed in."""
+    rng = np.random.default_rng(seed + n)
+    matrix = rng.uniform(-1, 1, size=(n, 4))
+    mask = rng.random(size=matrix.shape) < 0.05
+    matrix[mask] = rng.choice([np.nan, np.inf, -np.inf, -0.0], size=int(mask.sum()))
+    return [DenseVector(row) for row in matrix]
+
+
+def _assert_batch_matches_scalar(operator, rows, exact):
+    batched = operator.transform_batch(rows)
+    assert len(batched) == len(rows)
+    for got, record in zip(batched.rows, rows):
+        expected = operator.transform(record)
+        if isinstance(expected, SparseVector):
+            assert isinstance(got, SparseVector) and got.size == expected.size
+            assert got.indices.tolist() == expected.indices.tolist()
+            assert got.values.tolist() == expected.values.tolist()
+        elif isinstance(expected, DenseVector):
+            assert got.values.tolist() == expected.values.tolist()
+        elif exact:
+            assert got == expected
+        else:
+            assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+def _trees_of(operator):
+    return operator.trees if hasattr(operator, "trees") else [operator]
+
+
+@pytest.fixture(scope="module")
+def fitted_trees():
+    return {name: (_fit(factory, target), exact) for name, factory, target, exact in TREE_FAMILIES}
+
+
+_FAMILY_IDS = [family[0] for family in TREE_FAMILIES]
+
+
+class TestBatchKernels:
+    """``transform_batch`` is one level-order descent (an arena for ensembles)."""
+
+    @pytest.mark.parametrize("n", BATCH_SIZES)
+    @pytest.mark.parametrize("name", _FAMILY_IDS)
+    def test_transform_batch_matches_the_scalar_loop(self, fitted_trees, name, n):
+        operator, exact = fitted_trees[name]
+        _assert_batch_matches_scalar(operator, _probe_rows(n), exact)
+
+    @pytest.mark.parametrize("name,factory,target,exact", TREE_FAMILIES, ids=_FAMILY_IDS)
+    def test_refit_after_a_batch_call_serves_the_new_trees(self, name, factory, target, exact):
+        operator = _fit(factory, target)
+        rows = _probe_rows(40)
+        operator.transform_batch(rows)
+        stale = operator.__dict__.get("_arena")
+        records, labels = _step_data(n=150, seed=21)
+        operator.fit(records, labels if target == "labels" else np.arange(150) % 3)
+        _assert_batch_matches_scalar(operator, rows, exact)
+        if stale is not None:
+            assert operator.__dict__["_arena"] is not stale
+            assert not stale.built_from(operator.trees)
+
+    @pytest.mark.parametrize("name,factory,target,exact", TREE_FAMILIES, ids=_FAMILY_IDS)
+    def test_swapped_node_arrays_rebuild_the_arena(self, name, factory, target, exact):
+        """Arena rebind and privatize replace node arrays with equal copies
+        under a live operator; a refit replaces them with different ones."""
+        operator = _fit(factory, target)
+        rows = _probe_rows(60)
+        operator.transform_batch(rows)
+        stale = operator.__dict__.get("_arena")
+        for tree in _trees_of(operator):
+            for key in list(tree._nodes):
+                replacement = tree._nodes[key].copy()
+                replacement.setflags(write=False)  # read-only, as an arena view is
+                tree._nodes[key] = replacement
+        _assert_batch_matches_scalar(operator, rows, exact)
+        if stale is not None:
+            fresh = operator.__dict__["_arena"]
+            assert fresh is not stale and fresh.built_from(operator.trees)
+            assert not stale.built_from(operator.trees)
+        # one array of one tree, with different content: identity, not content
+        last = _trees_of(operator)[-1]
+        last._nodes["threshold"] = last._nodes["threshold"] + 0.25
+        _assert_batch_matches_scalar(operator, rows, exact)
+
+    @pytest.mark.parametrize("name,factory,target,exact", TREE_FAMILIES, ids=_FAMILY_IDS)
+    def test_arena_is_derived_state(self, name, factory, target, exact):
+        operator = _fit(factory, target)
+        pickled = pickle.dumps(operator)
+        parameters = [(p.name, p.checksum, p.nbytes) for p in operator.parameters()]
+        accounted = operator.memory_bytes()
+        operator.prepare()
+        arena = operator.__dict__.get("_arena")
+        assert (arena is not None) == hasattr(operator, "trees")
+        operator.transform_batch(_probe_rows(17))
+        operator.prepare()
+        assert operator.__dict__.get("_arena") is arena  # idempotent, not rebuilt
+        assert "_arena" not in operator.__getstate__()
+        assert pickle.dumps(operator) == pickled
+        assert [(p.name, p.checksum, p.nbytes) for p in operator.parameters()] == parameters
+        assert operator.memory_bytes() == accounted
+
+
+def test_batch_calls_leave_an_ac_plans_bytes_and_accounting_unchanged():
+    """The arenas a batch call builds never reach what identifies or sizes a model."""
+    from repro.core import PretzelConfig, PretzelRuntime
+    from repro.serving import encode_model
+    from repro.workloads import build_attendee_family
+
+    family = build_attendee_family(
+        n_pipelines=3,
+        n_pca_versions=1,
+        n_kmeans_versions=1,
+        n_tree_featurizer_versions=1,
+        n_configurations=1,
+        tree_featurizer_trees=4,
+        seed=5,
+    )
+    generated = family.pipelines[2]  # the DecisionTree-final variant
+    pipeline = generated.pipeline
+
+    def snapshot():
+        return (
+            encode_model(pipeline, generated.stats),
+            [operator.signature() for operator in pipeline.operators()],
+            [operator.memory_bytes() for operator in pipeline.operators()],
+        )
+
+    before = snapshot()
+    ensembles = [
+        operator
+        for operator in pipeline.operators()
+        if isinstance(operator, (TreeFeaturizer, TreeEnsembleClassifier))
+    ]
+    assert len(ensembles) == 2
+    with PretzelRuntime(PretzelConfig(enable_stage_batching=True)) as runtime:
+        plan_id = runtime.register(pipeline, stats=generated.stats)
+        assert all("_arena" in op.__dict__ for op in ensembles)  # built by AOT prepare()
+        accounted = runtime.memory_bytes()
+        assert len(runtime.predict_batch(plan_id, family.sample_inputs(100))) == 100
+        assert runtime.memory_bytes() == accounted
+    assert snapshot() == before
 
 
 def test_sparse_vector_from_sorted_wraps_without_copying():
