@@ -114,19 +114,22 @@ def _arena_sweep(mode: str, threads: int) -> tuple[float, dict]:
 
 
 def _bench_arena() -> tuple[list, dict]:
+    modes = ("locked", "lock-free")
     rows = []
     wait_stats: dict = {}
     for threads in THREAD_COUNTS:
-        row = {"threads": threads}
-        for mode in ("locked", "lock-free"):
-            best = 0.0
-            best_meta = None
-            for _ in range(ARENA_TRIALS):
+        best = dict.fromkeys(modes, 0.0)
+        # Interleaved best-of-trials: a slow host episode hits both modes
+        # alike instead of one mode's whole series.
+        for _ in range(ARENA_TRIALS):
+            for mode in modes:
                 ops, meta = _arena_sweep(mode, threads)
-                if ops > best:
-                    best, best_meta = ops, meta
-            row[f"{mode}_kops"] = best / 1e3
-            wait_stats[(mode, threads)] = best_meta
+                if ops > best[mode]:
+                    best[mode] = ops
+                    wait_stats[(mode, threads)] = meta
+        row = {"threads": threads}
+        for mode in modes:
+            row[f"{mode}_kops"] = best[mode] / 1e3
         row["speedup"] = row["lock-free_kops"] / row["locked_kops"]
         rows.append(row)
     return rows, wait_stats

@@ -1155,15 +1155,19 @@ class PretzelCluster:
         except WorkerFailure as error:
             # A dispatch can race the demotion's teardown: the worker already
             # dropped the plan (KeyError) but the tier gate was not yet
-            # visible when we checked.  Rehydrate and retry exactly once.
+            # visible when we checked.  Rehydrate (if still gated) and retry
+            # exactly once, holding the plan's transition lock: every
+            # demotion try-acquires it, so the plan cannot be demoted again
+            # between its rehydration and the retried round trip.
             if error.error_type != "KeyError":
                 raise
-            with self._lock:
-                live = self._plans.get(plan_id)
-                compressed = live is not None and live.get("tier") == "compressed"
-            if not compressed or not self._rehydrate_plan(plan_id):
-                raise
-            return self._dispatch_once(plan_id, records, latency_sensitive, trace)
+            with self._plan_lock(plan_id):
+                with self._lock:
+                    live = self._plans.get(plan_id)
+                    gated = live is not None and live.get("tier") == "compressed"
+                if live is None or (gated and not self._rehydrate_plan(plan_id)):
+                    raise
+                return self._dispatch_once(plan_id, records, latency_sensitive, trace)
         finally:
             elapsed = time.perf_counter() - started
             self._request_latency.observe(elapsed)

@@ -89,6 +89,22 @@ class TestCoalescing:
         assert len(scheduler.next_batch(0, timeout=0.0)) == 2
         assert len(scheduler.next_batch(0, timeout=0.0)) == 1
 
+    def test_whole_backlog_coalesces_below_the_cap(self):
+        """The cap is a ceiling, not a target: a backlog shorter than it
+        leaves in one pull, and the backlog behind the leader is recorded."""
+        scheduler = Scheduler(enable_stage_batching=True, max_stage_batch_size=16)
+        plan = StubPlan("tok")
+        for index in range(10):
+            scheduler.submit(InferenceRequest(f"p{index}", plan, "x"))
+        assert len(scheduler.next_batch(0, timeout=0.0)) == 10
+        assert scheduler.batching.mean_backlog("tok") == pytest.approx(9.0)
+        assert scheduler.queue_depths() == {"low": 0, "high": 0}
+
+    @pytest.mark.parametrize("kwargs", [{"max_stage_batch_size": 0}, {"shards": 0}])
+    def test_rejects_non_positive_sizes(self, kwargs):
+        with pytest.raises(ValueError):
+            Scheduler(enable_stage_batching=True, **kwargs)
+
     def test_high_priority_coalesced_before_low(self):
         """In-flight (high-queue) events join a batch ahead of new admissions."""
         scheduler = Scheduler(enable_stage_batching=True, max_stage_batch_size=3)

@@ -344,6 +344,40 @@ class TestBatchKernels:
         operator, exact = fitted_trees[name]
         _assert_batch_matches_scalar(operator, _probe_rows(n), exact)
 
+    @pytest.mark.parametrize("name", _FAMILY_IDS)
+    def test_sparse_rows_match_the_scalar_loop(self, fitted_trees, name):
+        """Sparse records reach the descent through the batch's CSR scatter."""
+        operator, exact = fitted_trees[name]
+        rows = []
+        for row in _probe_rows(40):
+            dense = row.to_numpy()
+            dense[::2] = 0.0
+            nonzero = np.flatnonzero(dense)
+            rows.append(SparseVector(nonzero, dense[nonzero], dense.shape[0]))
+        _assert_batch_matches_scalar(operator, rows, exact)
+
+    @pytest.mark.parametrize("name,factory,target,exact", TREE_FAMILIES, ids=_FAMILY_IDS)
+    def test_ragged_rows_fall_back_to_the_scalar_loop(self, name, factory, target, exact):
+        """Rows of different widths form no matrix: every record takes the
+        scalar ``transform``, and no arena is built for them."""
+        operator = _fit(factory, target)
+        rows = [
+            DenseVector(np.append(row.to_numpy(), [0.5, -0.5])) if index % 3 == 0 else row
+            for index, row in enumerate(_probe_rows(20))
+        ]
+        _assert_batch_matches_scalar(operator, rows, exact)
+        assert "_arena" not in operator.__dict__
+
+    @pytest.mark.parametrize("name", _FAMILY_IDS)
+    def test_empty_batch_is_an_empty_column(self, fitted_trees, name):
+        operator, _ = fitted_trees[name]
+        assert len(operator.transform_batch([])) == 0
+
+    @pytest.mark.parametrize("name,factory,target,exact", TREE_FAMILIES, ids=_FAMILY_IDS)
+    def test_batch_before_fit_raises(self, name, factory, target, exact):
+        with pytest.raises(RuntimeError, match="before fit"):
+            factory().transform_batch(_probe_rows(3))
+
     @pytest.mark.parametrize("name,factory,target,exact", TREE_FAMILIES, ids=_FAMILY_IDS)
     def test_refit_after_a_batch_call_serves_the_new_trees(self, name, factory, target, exact):
         operator = _fit(factory, target)

@@ -205,6 +205,49 @@ def test_concurrent_registration_races_compression_pass():
         assert cluster.predict("anchor", _RECORD) == anchor_output
 
 
+def test_dispatch_retry_after_a_raced_demotion_cannot_be_demoted_again():
+    """A dispatch that loses the race with a demotion's teardown rehydrates
+    and retries once; a second demotion landing inside that retry (another
+    thread's registration squeezing the arena) must be refused, or the
+    retried round trip finds the plan torn down again and the caller gets a
+    ``KeyError`` for a registered plan."""
+    with PretzelCluster(_config(num_workers=1, placement_replicas=1)) as cluster:
+        pipeline = _linear_pipeline("plan", seed=6)
+        cluster.register(pipeline, plan_id="plan")
+        expected = cluster.predict("plan", _RECORD)
+        router = cluster.router
+        original = router.acquire
+        calls = []
+        retry_demotions = []
+
+        def racing_acquire(plan_id):
+            # Each demotion lands after the router picked a worker and
+            # before the predict round trip reaches it.
+            worker_id = original(plan_id)
+            calls.append(cluster.lifecycle.tier_of(plan_id))
+            if len(calls) == 1:
+                assert cluster._demote_plan_compressed(plan_id, frozenset())
+            else:
+                demoter = threading.Thread(
+                    target=lambda: retry_demotions.append(
+                        cluster._demote_plan_compressed(plan_id, frozenset())
+                    )
+                )
+                demoter.start()
+                demoter.join(timeout=30.0)
+            return worker_id
+
+        router.acquire = racing_acquire
+        try:
+            assert cluster.predict("plan", _RECORD) == expected
+        finally:
+            router.acquire = original
+        assert calls == ["resident", "resident"]  # rehydrated before the retry
+        assert retry_demotions == [False]
+        assert cluster.lifecycle.tier_of("plan") == "resident"
+        assert cluster.stats()["control_plane"]["rehydrations"] == 1
+
+
 def test_traffic_ema_policy_stays_byte_identical_to_pre_tier_surface(
     sa_pipeline, sa_pipeline_variant, sa_inputs
 ):
