@@ -1,17 +1,14 @@
 """Contention microbench: the hot paths the profiler said were lock-bound.
 
-Four sections, one report (``results/contention_microbench.txt`` + its
+Three sections, one report (``results/contention_microbench.txt`` + its
 machine-readable ``.json`` twin):
 
-* **arena** -- raw ``acquire_slab``/``release_slab`` pairs, threads x
-  ops/sec, lock-free free lists vs the ``"locked"`` baseline.  The gate:
-  >= 2x throughput at 4 threads, and single-thread within 10% of the
-  baseline (no regression when there is nothing to contend on).
-* **locks** -- the wait registry's view of the same runs: in lock-free mode
-  the fast path never touches ``arena.meta``, so its acquisition count
-  collapses and recorded wait time cannot exceed the locked baseline's.
-* **scheduler** -- self-feeding submit+pop threads against ``shards=1`` vs
-  ``shards=4`` (striped queues must not cost throughput on one host).
+* **arena** -- raw ``acquire_slab``/``release_slab`` pairs on the lock-free
+  free lists, threads x ops/sec (recorded).  The one assert is structural:
+  the lock wait registry shows 0 ``arena.meta`` acquisitions on the warm
+  fast path at every thread count.
+* **scheduler** -- self-feeding submit+pop threads against the one queue
+  per priority class, threads x ops/sec (recorded).
 * **register-under-pressure** -- concurrent plan registrations on a
   budget-squeezed cluster (demotions racing registrations through the
   per-plan/phase lock split), which the old global lifecycle lock fully
@@ -24,7 +21,8 @@ report, not asserted: it is a wall-clock measurement that reads 17-20% on a
 ``profiling.overhead_share`` layer metric is the measurement of record.
 
 ``CONTENTION_SMOKE=1`` shrinks op counts for the CI smoke job; thread
-counts and every assert stay identical.
+counts and every assert stay identical.  Throughput is recorded, never
+asserted: on a 2-CPU host it moves with neighbour load.
 """
 
 from __future__ import annotations
@@ -55,13 +53,8 @@ ARENA_BUDGET = 8 * 1024 * 1024
 ARENA_OPS_PER_THREAD = 3_000 if SMOKE else 20_000
 ARENA_TRIALS = 3
 ARENA_SIZES = (256, 1024, 4096)
-# The full run must clear the paper-grade 2x gate; the CI smoke run times a
-# much shorter loop on a shared runner, so it gets headroom for timer noise
-# (the recorded numbers, not the gate, are the artifact there).
-ARENA_SPEEDUP_GATE = 1.5 if SMOKE else 2.0
 
 SCHED_OPS_PER_THREAD = 1_000 if SMOKE else 5_000
-SCHED_SHARDS = [1, 4]
 
 REGISTER_THREADS = 4
 REGISTER_PLANS_PER_THREAD = 2 if SMOKE else 4
@@ -73,12 +66,12 @@ OVERHEAD_PREDICTS = 150 if SMOKE else 600
 # -- arena alloc/free ----------------------------------------------------------
 
 
-def _arena_sweep(mode: str, threads: int) -> tuple[float, dict]:
-    """(pairs/sec, arena.meta lock stats) for one mode x thread count."""
-    arena = SharedMemoryArena(ARENA_BUDGET, concurrency=mode)
+def _arena_sweep(threads: int) -> tuple[float, dict]:
+    """(pairs/sec, arena.meta lock stats) for one thread count."""
+    arena = SharedMemoryArena(ARENA_BUDGET)
     try:
         # Pre-carve every size class so the measured loop hits the free
-        # lists, not the bump pointer (which is meta-locked in both modes).
+        # lists, not the bump pointer (which is meta-locked).
         warm = [
             arena.acquire_slab(size)
             for size in ARENA_SIZES
@@ -113,33 +106,32 @@ def _arena_sweep(mode: str, threads: int) -> tuple[float, dict]:
         arena.close()
 
 
-def _bench_arena() -> tuple[list, dict]:
-    modes = ("locked", "lock-free")
+def _bench_arena() -> list:
+    """One row per thread count: best-of-trials kops plus the arena.meta
+    acquisitions summed over every trial (the structural invariant)."""
     rows = []
-    wait_stats: dict = {}
     for threads in THREAD_COUNTS:
-        best = dict.fromkeys(modes, 0.0)
-        # Interleaved best-of-trials: a slow host episode hits both modes
-        # alike instead of one mode's whole series.
+        best = 0.0
+        meta_acquisitions = 0
         for _ in range(ARENA_TRIALS):
-            for mode in modes:
-                ops, meta = _arena_sweep(mode, threads)
-                if ops > best[mode]:
-                    best[mode] = ops
-                    wait_stats[(mode, threads)] = meta
-        row = {"threads": threads}
-        for mode in modes:
-            row[f"{mode}_kops"] = best[mode] / 1e3
-        row["speedup"] = row["lock-free_kops"] / row["locked_kops"]
-        rows.append(row)
-    return rows, wait_stats
+            ops, meta = _arena_sweep(threads)
+            best = max(best, ops)
+            meta_acquisitions += meta["acquisitions"]
+        rows.append(
+            {
+                "threads": threads,
+                "kops": best / 1e3,
+                "meta_acquisitions": meta_acquisitions,
+            }
+        )
+    return rows
 
 
 # -- scheduler submit/pop ------------------------------------------------------
 
 
-def _scheduler_sweep(shards: int, threads: int) -> float:
-    scheduler = Scheduler(shards=shards)
+def _scheduler_sweep(threads: int) -> float:
+    scheduler = Scheduler()
     plans = [StubPlan(f"sig-{index}") for index in range(threads)]
     barrier = threading.Barrier(threads + 1)
     errors: list = []
@@ -170,14 +162,10 @@ def _scheduler_sweep(shards: int, threads: int) -> float:
 
 
 def _bench_scheduler() -> list:
-    rows = []
-    for threads in THREAD_COUNTS:
-        row = {"threads": threads}
-        for shards in SCHED_SHARDS:
-            row[f"shards{shards}_kops"] = _scheduler_sweep(shards, threads) / 1e3
-        row["ratio"] = row["shards4_kops"] / row["shards1_kops"]
-        rows.append(row)
-    return rows
+    return [
+        {"threads": threads, "kops": _scheduler_sweep(threads) / 1e3}
+        for threads in THREAD_COUNTS
+    ]
 
 
 # -- register under pressure ---------------------------------------------------
@@ -304,39 +292,27 @@ def _bench_profiler_overhead() -> dict:
 
 def test_contention_microbench(benchmark):
     def run():
-        arena_rows, wait_stats = _bench_arena()
+        arena_rows = _bench_arena()
         scheduler_rows = _bench_scheduler()
         register = _bench_register_under_pressure()
         overhead = _bench_profiler_overhead()
-        return arena_rows, wait_stats, scheduler_rows, register, overhead
+        return arena_rows, scheduler_rows, register, overhead
 
-    arena_rows, wait_stats, scheduler_rows, register, overhead = benchmark.pedantic(
+    arena_rows, scheduler_rows, register, overhead = benchmark.pedantic(
         run, iterations=1, rounds=1
     )
 
-    max_threads = THREAD_COUNTS[-1]
-    locked_meta = wait_stats[("locked", max_threads)]
-    lock_free_meta = wait_stats[("lock-free", max_threads)]
-
     arena_report = ExperimentReport(
         "Contention microbench: arena",
-        "acquire_slab/release_slab pairs (kops/sec) per thread count, "
-        "lock-free free lists vs the single-lock baseline "
-        f"({ARENA_OPS_PER_THREAD} pairs/thread, best of {ARENA_TRIALS}).",
+        "acquire_slab/release_slab pairs (kops/sec) per thread count on the "
+        f"lock-free free lists ({ARENA_OPS_PER_THREAD} pairs/thread, best of "
+        f"{ARENA_TRIALS}); meta_acquisitions sums arena.meta over every trial.",
     )
     arena_report.rows = arena_rows
-    arena_report.add_note(
-        f"arena.meta at {max_threads} threads -- locked: "
-        f"{locked_meta['acquisitions']} acquisitions, "
-        f"{locked_meta['wait_seconds']:.4f}s waited; lock-free: "
-        f"{lock_free_meta['acquisitions']} acquisitions, "
-        f"{lock_free_meta['wait_seconds']:.4f}s waited"
-    )
     scheduler_report = ExperimentReport(
         "Contention microbench: scheduler",
-        "self-feeding submit+pop (kops/sec) per thread count, one striped "
-        f"queue vs {SCHED_SHARDS[-1]} stripes per priority class "
-        f"({SCHED_OPS_PER_THREAD} ops/thread).",
+        "self-feeding submit+pop (kops/sec) per thread count, one queue per "
+        f"priority class ({SCHED_OPS_PER_THREAD} ops/thread).",
     )
     scheduler_report.rows = scheduler_rows
     register_report = ExperimentReport(
@@ -363,32 +339,14 @@ def test_contention_microbench(benchmark):
         metrics={
             "smoke": SMOKE,
             "arena": arena_rows,
-            "arena_meta_lock": {
-                "locked": locked_meta,
-                "lock_free": lock_free_meta,
-                "threads": max_threads,
-            },
             "scheduler": scheduler_rows,
             "register_under_pressure": register,
             "profiler_overhead": overhead,
         },
     )
 
-    by_threads = {row["threads"]: row for row in arena_rows}
-    # The tentpole's gate: the lock-free allocator must at least double
-    # multi-threaded alloc/free throughput without regressing the
-    # uncontended single-thread path by more than 10%.
-    assert by_threads[4]["speedup"] >= ARENA_SPEEDUP_GATE, arena_rows
-    assert by_threads[1]["speedup"] >= 0.9, arena_rows
-    # The profiler's view of why: the locked baseline takes arena.meta for
-    # every pair while the lock-free fast path stays off it entirely, so
-    # its recorded wait cannot exceed the baseline's.
-    assert locked_meta["acquisitions"] >= 2 * ARENA_OPS_PER_THREAD * max_threads
-    assert lock_free_meta["acquisitions"] <= locked_meta["acquisitions"] * 0.05
-    assert lock_free_meta["wait_seconds"] <= max(locked_meta["wait_seconds"], 1e-9)
-    # Striping must not cost throughput (shards=1 stays the default; the
-    # stripes exist for multi-core hosts this container cannot express).
-    for row in scheduler_rows:
-        assert row["ratio"] >= 0.5, scheduler_rows
-    # overhead["overhead_ratio"] is recorded in the report above, not gated
-    # here (see the module docstring).
+    # The structural invariant behind the lock-free arena: with every size
+    # class warm, alloc/free pairs are free-list pops and pushes and never
+    # take the metadata lock, at any thread count.
+    for row in arena_rows:
+        assert row["meta_acquisitions"] == 0, arena_rows

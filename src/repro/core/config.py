@@ -44,13 +44,6 @@ class PretzelConfig:
     max_stage_batch_size:
         Upper bound on the number of stage events coalesced into one
         :class:`~repro.core.scheduler.StageBatch` (the cap of every pull).
-    runtime_overhead_bytes:
-        Fixed footprint of the hosting process (counted once, shared by all
-        plans -- the whole point of the white-box architecture).
-    per_plan_overhead_bytes:
-        Small per-plan bookkeeping footprint (plan metadata, stage bindings).
-    vector_pool_entries:
-        Number of pre-allocated buffers per size class per executor.
     num_workers:
         Worker processes of the multi-process serving tier
         (:class:`~repro.serving.cluster.PretzelCluster`).  Each worker hosts a
@@ -78,7 +71,8 @@ class PretzelConfig:
         predict chunk, stats, shutdown); a worker that stays silent longer is
         treated as failed so callers never hang on a stuck process.  The
         control plane also uses it as the death deadline: a worker silent
-        past this long (despite pings) is declared dead and failed over.
+        past this long (despite pings) is declared dead, evicted from every
+        placement, and its plans are re-registered onto the survivors.
     transport:
         Byte transport between the cluster and its workers: ``"pipe"`` (a
         ``multiprocessing`` duplex pipe, single-host, byte-identical to the
@@ -90,11 +84,6 @@ class PretzelConfig:
         heartbeat; only workers idle longer than this receive an explicit
         ping.  Also the TTL after which the router ages out a worker's
         reported backlog (an idle worker is not shunned on stale depth).
-    failover_policy:
-        ``"re-register"`` (on worker death, evict it from all placements and
-        re-register its plans onto survivors through the normal registration
-        path) or ``"evict-only"`` (drop the dead worker from placements but
-        do not re-home plans; surviving replicas keep serving).
     arena_eviction_policy:
         What to do when the shared-memory arena cannot fit a registration:
         ``"traffic-ema"`` evicts the coldest plan's exclusively-referenced
@@ -107,50 +96,19 @@ class PretzelConfig:
         which becomes the final tier -- or ``"none"`` (the new plan's
         overflowing parameters simply stay private, the pre-control-plane
         behaviour).
-    arena_codec:
-        Codec for the compressed tier: ``"auto"`` picks per slab from the
-        slab size, the plan's traffic EMA and each codec's observed
-        compression-ratio EMA; or pin one of ``"zlib-fast"``, ``"zlib"``,
-        ``"lzma"``.  Ignored unless the policy is ``"compress-tiered"``.
-    arena_min_compress_ratio:
-        A slab enters the compressed tier only if compressed/raw is at or
-        below this (and the payload lands in a smaller slab class);
-        otherwise the plan skips straight to privatize-then-evict.
-    arena_cold_compress_ema:
-        Decayed-traffic threshold below which a large slab is considered
-        deep-cold and the heavier (better-ratio) codec is tried first.
     enable_profiling:
         Run the always-on sampling profiler (:mod:`repro.profiling`): a
-        background thread samples per-thread frames, attributing self-time
-        to pipeline stages, and the runtime's named locks record contended
-        wait time.  Surfaced as ``stats()["profile"]``; overhead is bounded
-        by the contention microbench's <5% assert, so it defaults to on.
-    profiler_interval_seconds:
-        Sampling period of the profiler thread (default 5 ms / 200 Hz).
-    scheduler_shards:
-        Number of lock stripes per scheduler priority class.  ``1``
-        (default) keeps the scheduler's global FIFO order byte-identical to
-        the single-condition scheduler; higher values stripe each class by
-        physical-stage signature so producers and executors contend on
-        ``1/shards`` of the traffic (per-signature FIFO and stage batching
-        are preserved -- a signature always lives on one stripe).
-    arena_concurrency:
-        ``"lock-free"`` (default) serves the shared-memory arena's slab
-        alloc/free from per-size-class concurrent free lists (GIL-atomic
-        deque push/pop in the style of Blelloch & Wei's fixed-size-class
-        free lists) with only the bump pointer/compaction behind a narrow
-        lock; ``"locked"`` keeps every allocator operation behind one
-        global lock (the pre-profiling baseline the contention microbench
-        compares against).
+        background thread samples per-thread frames every
+        ``DEFAULT_INTERVAL_SECONDS``, attributing self-time to pipeline
+        stages, and the runtime's named locks record contended wait time.
+        Surfaced as ``stats()["profile"]``.
     enable_tracing:
         Run the distributed request tracer (:mod:`repro.observability`):
         the front door head-samples 1-in-``trace_sample_rate`` requests,
         threads a :class:`~repro.observability.tracing.TraceContext` through
         the wire envelope, and records typed spans at every hop into a
         per-process flight recorder.  Surfaced as ``stats()["tracing"]``,
-        ``cluster.trace_dump()`` and ``cluster.trace_breakdown()``; like the
-        profiler, overhead is gated under 5% by a benchmark, so it defaults
-        to on.
+        ``cluster.trace_dump()`` and ``cluster.trace_breakdown()``.
     trace_sample_rate:
         Head-based sampling ratio: trace 1 in N front-door requests
         (``1`` traces everything -- tests and demos; the default keeps the
@@ -169,9 +127,6 @@ class PretzelConfig:
     num_executors: int = 2
     enable_stage_batching: bool = False
     max_stage_batch_size: int = 16
-    runtime_overhead_bytes: int = 2 * 1024 * 1024
-    per_plan_overhead_bytes: int = 4 * 1024
-    vector_pool_entries: int = 8
     num_workers: int = 2
     shm_budget_bytes: int = 64 * 1024 * 1024
     shm_min_parameter_bytes: int = 4096
@@ -181,15 +136,8 @@ class PretzelConfig:
     worker_timeout_seconds: float = 60.0
     transport: str = "pipe"
     heartbeat_interval_seconds: float = 5.0
-    failover_policy: str = "re-register"
     arena_eviction_policy: str = "traffic-ema"
-    arena_codec: str = "auto"
-    arena_min_compress_ratio: float = 0.9
-    arena_cold_compress_ema: float = 0.5
     enable_profiling: bool = True
-    profiler_interval_seconds: float = 0.005
-    scheduler_shards: int = 1
-    arena_concurrency: str = "lock-free"
     enable_tracing: bool = True
     trace_sample_rate: int = 64
     trace_buffer_size: int = 2048

@@ -61,13 +61,12 @@ class Executor(threading.Thread):
         scheduler: Scheduler,
         materializer: Optional[SubPlanMaterializer] = None,
         vector_pooling: bool = True,
-        pool_entries: int = 8,
     ):
         super().__init__(name=f"pretzel-executor-{executor_id}", daemon=True)
         self.executor_id = executor_id
         self.scheduler = scheduler
         self.materializer = materializer
-        self.vector_pool = VectorPool(enabled=vector_pooling, entries_per_class=pool_entries)
+        self.vector_pool = VectorPool(enabled=vector_pooling)
         self.stages_executed = 0
         self.batches_executed = 0
         self.busy_seconds = 0.0
@@ -170,7 +169,6 @@ class ExecutorPool:
         num_executors: int,
         materializer: Optional[SubPlanMaterializer] = None,
         vector_pooling: bool = True,
-        pool_entries: int = 8,
     ):
         if num_executors < 1:
             raise ValueError("need at least one executor")
@@ -181,7 +179,6 @@ class ExecutorPool:
                 scheduler=scheduler,
                 materializer=materializer,
                 vector_pooling=vector_pooling,
-                pool_entries=pool_entries,
             )
             for index in range(num_executors)
         ]

@@ -42,6 +42,12 @@ from repro.operators.batch import ColumnBatch
 
 __all__ = ["PretzelRuntime", "RegisteredPlan"]
 
+#: fixed footprint of the hosting process, counted once and shared by all
+#: plans -- the whole point of the white-box architecture
+RUNTIME_OVERHEAD_BYTES = 2 * 1024 * 1024
+#: per-plan bookkeeping footprint (plan metadata, stage bindings)
+PER_PLAN_OVERHEAD_BYTES = 4 * 1024
+
 
 @dataclass
 class RegisteredPlan:
@@ -82,19 +88,14 @@ class PretzelRuntime:
         self.scheduler = Scheduler(
             enable_stage_batching=self.config.enable_stage_batching,
             max_stage_batch_size=self.config.max_stage_batch_size,
-            shards=self.config.scheduler_shards,
         )
         self.executor_pool = ExecutorPool(
             self.scheduler,
             num_executors=self.config.num_executors,
             materializer=self.materializer,
             vector_pooling=self.config.enable_vector_pooling,
-            pool_entries=self.config.vector_pool_entries,
         )
-        self._inline_pool = VectorPool(
-            enabled=self.config.enable_vector_pooling,
-            entries_per_class=self.config.vector_pool_entries,
-        )
+        self._inline_pool = VectorPool(enabled=self.config.enable_vector_pooling)
         self._request_response = RequestResponseEngine(
             materializer=self.materializer, pool=self._inline_pool
         )
@@ -104,9 +105,8 @@ class PretzelRuntime:
         self._lock = threading.Lock()
         self._next_reserved_executor = 0
         if self.config.enable_profiling:
-            # One process-global sampler shared by every runtime; the first
-            # runtime's interval wins (restarting would tear attribution).
-            profiling.ensure_started(self.config.profiler_interval_seconds)
+            # One process-global sampler shared by every runtime.
+            profiling.ensure_started()
         # One process-global tracer too; last configure wins, so a runtime
         # created with tracing off silences earlier runtimes deliberately
         # (mirrors the profiler's session-wide semantics).
@@ -435,12 +435,12 @@ class PretzelRuntime:
 
     def memory_bytes(self) -> int:
         """Resident footprint: shared parameters + per-plan overhead + pools."""
-        total = self.config.runtime_overhead_bytes
+        total = RUNTIME_OVERHEAD_BYTES
         if self.config.enable_object_store:
             total += self.object_store.memory_bytes()
         else:
             total += sum(reg.plan.memory_bytes() for reg in self._plans.values())
-        total += self.config.per_plan_overhead_bytes * len(self._plans)
+        total += PER_PLAN_OVERHEAD_BYTES * len(self._plans)
         total += self.executor_pool.memory_bytes()
         total += self._inline_pool.memory_bytes()
         return total

@@ -35,18 +35,13 @@ Reservation-based scheduling (Section 4.2.2, "Reservation-based Scheduling")
 gives a plan a dedicated executor and a private queue, emulating
 container-style isolation while still sharing parameters and physical stages.
 
-**Sharded queue locking.**  The scheduler's shared state is no longer a
-single condition variable: each priority class is a list of ``shards``
-*stripes*, each its own (:class:`~repro.profiling.locks.ProfiledLock`,
-:class:`ReadyQueue`) pair, and events are routed to ``hash(signature) %
-shards`` -- a signature always lives on exactly one stripe, so per-signature
-FIFO order and stage batching are preserved while producers and executors
-contend on ``1/shards`` of the traffic.  ``shards=1`` (the default) keeps
-the global FIFO order of the single-condition scheduler.  Executors park on
-a separate sleep condition guarded by a sleeper count: a producer only
-touches the condition when someone is actually asleep, and a consumer
-re-polls the stripes *after* registering as a sleeper, which (under the
-GIL's sequential consistency) closes the missed-wakeup window.
+**Locking.**  Each priority class is one
+:class:`~repro.profiling.locks.ProfiledLock` guarding one
+:class:`ReadyQueue`.  Executors park on a separate sleep condition guarded
+by a sleeper count: a producer only touches the condition when someone is
+actually asleep, and a consumer re-polls the queues *after* registering as a
+sleeper, which (under the GIL's sequential consistency) closes the
+missed-wakeup window.
 
 Shutting the scheduler down fails every still-queued request fast (instead of
 leaving callers blocked in :meth:`InferenceRequest.wait` until their timeout).
@@ -279,12 +274,8 @@ class ReadyQueue:
                 del self._coalescible[signature]
 
 
-class _Stripe:
-    """One lock+queue pair of a striped priority class.
-
-    Every stripe of a class shares one lock *name*, so the profiling
-    registry aggregates their wait time into a single per-class row.
-    """
+class _PriorityClass:
+    """One priority class: a named lock and the ready queue it guards."""
 
     __slots__ = ("lock", "queue")
 
@@ -296,11 +287,10 @@ class _Stripe:
 class Scheduler:
     """Signature-indexed ready queues + reservation bookkeeping; executors pull from it.
 
-    Locking: each priority class is ``shards`` independently locked stripes
-    (events routed by signature hash, so per-signature FIFO and batching are
-    untouched); reservations live behind their own lock; sleeping executors
-    park on a dedicated condition that producers touch only when the sleeper
-    count says someone is actually waiting.  The ``scheduled_events`` /
+    Locking: each priority class has its own lock; reservations live behind
+    their own lock; sleeping executors park on a dedicated condition that
+    producers touch only when the sleeper count says someone is actually
+    waiting.  The ``scheduled_events`` /
     ``completed_requests`` counters are registry-backed
     :class:`~repro.observability.metrics.Counter` instruments (the
     attributes remain as read-only properties), still bumped with plain
@@ -313,18 +303,14 @@ class Scheduler:
         self,
         enable_stage_batching: bool = False,
         max_stage_batch_size: int = 16,
-        shards: int = 1,
     ) -> None:
         if max_stage_batch_size < 1:
             raise ValueError("max_stage_batch_size must be >= 1")
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
         self.enable_stage_batching = enable_stage_batching
         self.max_stage_batch_size = max_stage_batch_size
-        self.shards = shards
         self.batching = StageBatchTelemetry()
-        self._low = [_Stripe("scheduler.low") for _ in range(shards)]
-        self._high = [_Stripe("scheduler.high") for _ in range(shards)]
+        self._low = _PriorityClass("scheduler.low")
+        self._high = _PriorityClass("scheduler.high")
         #: plan id -> executor id holding the reservation
         self._reservations: Dict[str, int] = {}
         #: executor id -> private queue of events for its reserved plans
@@ -352,19 +338,14 @@ class Scheduler:
     def completed_requests(self) -> int:
         return self._completed_total.value
 
-    def _stripe_of(self, stripes: List[_Stripe], signature: str) -> _Stripe:
-        if len(stripes) == 1:
-            return stripes[0]
-        return stripes[hash(signature) % len(stripes)]
-
     def _wake(self) -> None:
         """Wake parked executors iff any are parked.
 
         A producer that appended before a consumer registered as a sleeper
-        may read a zero count here -- but that consumer re-polls the stripes
+        may read a zero count here -- but that consumer re-polls the queues
         *after* incrementing ``_sleepers`` and before waiting, so under the
         GIL's total order it either sees the append or is seen by this read.
-        Never called with a stripe lock held (keeps the lock graph acyclic).
+        Never called with a queue lock held (keeps the lock graph acyclic).
         """
         if self._sleepers:
             with self._sleep_cond:
@@ -464,13 +445,12 @@ class Scheduler:
                     return True
             # reservation vanished between the probe and the lock: fall
             # through to shared routing
-        stripes = self._low if event.is_first else self._high
-        stripe = self._stripe_of(stripes, event.signature)
-        with stripe.lock:
+        target = self._low if event.is_first else self._high
+        with target.lock:
             if self._shutdown:
                 return False
             self._events_total.inc()
-            stripe.queue.append(event)
+            target.queue.append(event)
         return True
 
     # -- executor protocol ---------------------------------------------------------
@@ -559,33 +539,25 @@ class Scheduler:
                 if reserved is not None:
                     return reserved.popleft()
             # reservation dropped while we waited: fall through to shared
-        shards = self.shards
-        start = executor_id % shards
-        for stripes in (self._high, self._low):
-            for step in range(shards):
-                stripe = stripes[(start + step) % shards]
-                # Racy emptiness pre-check: skipping idle stripes without
-                # touching their locks is what keeps the scan O(1) in the
-                # common case.  A miss (emptied between check and pop) just
-                # returns None from popleft.
-                if not stripe.queue:
-                    continue
-                with stripe.lock:
-                    event = stripe.queue.popleft()
-                if event is not None:
-                    return event
+        for shared in (self._high, self._low):
+            # Racy emptiness pre-check: an idle class costs no lock.  A miss
+            # (emptied between check and pop) just returns None from popleft.
+            if not shared.queue:
+                continue
+            with shared.lock:
+                event = shared.queue.popleft()
+            if event is not None:
+                return event
         return None
 
     def _coalesce_into(self, events: List[StageEvent], executor_id: int) -> int:
         """Pop same-signature peers from this executor's queues into ``events``.
 
         A reserved executor only coalesces from its private queue (isolation);
-        shared executors drain the high-priority stripe before the low-priority
-        one, mirroring the pull order.  Because stripes are routed by signature,
-        all of a leader's peers live on the leader's stripe index in each
-        class.  Latency-sensitive events are never indexed as coalescible, so
-        they are skipped by construction.  Returns the coalescible backlog
-        observed behind the leader (for telemetry).
+        shared executors drain the high-priority queue before the low-priority
+        one, mirroring the pull order.  Latency-sensitive events are never
+        indexed as coalescible, so they are skipped by construction.  Returns
+        the coalescible backlog observed behind the leader (for telemetry).
         """
         signature = events[0].signature
         limit = self.max_stage_batch_size
@@ -596,18 +568,16 @@ class Scheduler:
                     backlog = reserved.coalescible_depth(signature)
                     events.extend(reserved.pop_matching(signature, limit - len(events)))
                     return backlog
-        high = self._stripe_of(self._high, signature)
-        low = self._stripe_of(self._low, signature)
         # Depth reads are racy by design (atomic dict lookups; the backlog
-        # is only reported); the pops below hold each stripe's lock.
-        backlog = high.queue.coalescible_depth(signature) + low.queue.coalescible_depth(
-            signature
+        # is only reported); the pops below hold each class's lock.
+        backlog = sum(
+            shared.queue.coalescible_depth(signature) for shared in (self._high, self._low)
         )
-        for stripe in (high, low):
+        for shared in (self._high, self._low):
             if len(events) >= limit:
                 break
-            with stripe.lock:
-                events.extend(stripe.queue.pop_matching(signature, limit - len(events)))
+            with shared.lock:
+                events.extend(shared.queue.pop_matching(signature, limit - len(events)))
         return backlog
 
     def on_stage_complete(self, event: StageEvent, output: Any) -> None:
@@ -656,10 +626,9 @@ class Scheduler:
         """
         self._shutdown = True
         abandoned: List[StageEvent] = []
-        for stripes in (self._low, self._high):
-            for stripe in stripes:
-                with stripe.lock:
-                    abandoned.extend(stripe.queue.drain())
+        for shared in (self._low, self._high):
+            with shared.lock:
+                abandoned.extend(shared.queue.drain())
         with self._reserve_lock:
             for queue in self._reserved_queues.values():
                 abandoned.extend(queue.drain())
@@ -677,10 +646,7 @@ class Scheduler:
         return self._shutdown
 
     def queue_depths(self) -> Dict[str, int]:
-        depths = {
-            "low": sum(len(stripe.queue) for stripe in self._low),
-            "high": sum(len(stripe.queue) for stripe in self._high),
-        }
+        depths = {"low": len(self._low.queue), "high": len(self._high.queue)}
         with self._reserve_lock:
             for executor_id, queue in self._reserved_queues.items():
                 depths[f"reserved[{executor_id}]"] = len(queue)
@@ -693,18 +659,14 @@ class Scheduler:
         scanned -- so telemetry can sample the backlog shape cheaply even
         under deep queues.
         """
-        totals: Dict[str, int] = {}
-        for stripes in (self._low, self._high):
-            for stripe in stripes:
-                with stripe.lock:
-                    merged = stripe.queue.signature_depths()
-                for signature, depth in merged.items():
-                    totals[signature] = totals.get(signature, 0) + depth
+        snapshots = []
+        for shared in (self._low, self._high):
+            with shared.lock:
+                snapshots.append(shared.queue.signature_depths())
         with self._reserve_lock:
-            merged_reserved = [
-                queue.signature_depths() for queue in self._reserved_queues.values()
-            ]
-        for depths in merged_reserved:
+            snapshots.extend(queue.signature_depths() for queue in self._reserved_queues.values())
+        totals: Dict[str, int] = {}
+        for depths in snapshots:
             for signature, depth in depths.items():
                 totals[signature] = totals.get(signature, 0) + depth
         return totals

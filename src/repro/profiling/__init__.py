@@ -20,7 +20,7 @@ sampler thread.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.profiling.locks import (
     GLOBAL_LOCK_REGISTRY,
@@ -73,15 +73,11 @@ def profiler() -> SamplingProfiler:
     return _GLOBAL_PROFILER
 
 
-def ensure_started(interval_seconds: Optional[float] = None) -> SamplingProfiler:
+def ensure_started() -> SamplingProfiler:
     """Start the process-global sampler if it is not already running.
 
-    ``interval_seconds`` only takes effect when the sampler is not yet
-    running (the first runtime in the process wins; restarting mid-flight
-    would tear another runtime's attribution).
+    It samples every :data:`DEFAULT_INTERVAL_SECONDS`.
     """
-    if interval_seconds is not None and not _GLOBAL_PROFILER.running:
-        _GLOBAL_PROFILER.interval_seconds = float(interval_seconds)
     _register_default_markers(_GLOBAL_PROFILER)
     _GLOBAL_PROFILER.start()
     return _GLOBAL_PROFILER

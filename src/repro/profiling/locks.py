@@ -1,13 +1,13 @@
 """Named-lock instrumentation: wait-time telemetry cheap enough to leave on.
 
 The runtime's hot locks (arena metadata, cluster phase transitions, scheduler
-stripes, worker channels) are wrapped in :class:`ProfiledLock` /
+queues, worker channels) are wrapped in :class:`ProfiledLock` /
 :class:`ProfiledRLock`.  The wrappers add exactly one extra C call to the
 *uncontended* path -- a non-blocking ``acquire(False)`` that usually succeeds
 -- and only a contended acquisition pays two ``perf_counter`` reads to record
 how long the thread actually waited.  Wait time is accumulated per lock
 *name* in a process-global :class:`LockWaitRegistry`, so all per-plan locks
-(or all stripes of one scheduler class) share a single row in
+(or the priority classes of every scheduler) share a single row in
 ``stats()["profile"]["locks"]``.
 
 The counters are telemetry-grade: they are updated with plain ``+=`` on

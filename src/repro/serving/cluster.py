@@ -29,8 +29,7 @@ parameter sharing:
   :class:`~repro.serving.control.plane.ControlPlane` turns the static tier
   dynamic: piggybacked heartbeats plus idle pings detect dead workers, death
   evicts the worker from every placement and re-registers its plans onto
-  survivors (``failover_policy="re-register"``), and in-flight requests to
-  the dead worker fail with the retryable
+  survivors, and in-flight requests to the dead worker fail with the retryable
   :class:`~repro.serving.control.failure.WorkerFailedError`.  The
   :class:`~repro.serving.control.lifecycle.PlanLifecycle` reference-counts
   every plan's arena checksums so :meth:`PretzelCluster.unregister` can give
@@ -330,11 +329,6 @@ class PretzelCluster:
             raise ValueError(
                 f"unknown transport {self.config.transport!r} (pipe or socket)"
             )
-        if self.config.failover_policy not in ("re-register", "evict-only"):
-            raise ValueError(
-                f"unknown failover_policy {self.config.failover_policy!r} "
-                "(re-register or evict-only)"
-            )
         if self.config.arena_eviction_policy not in ("traffic-ema", "compress-tiered", "none"):
             raise ValueError(
                 f"unknown arena_eviction_policy {self.config.arena_eviction_policy!r} "
@@ -353,10 +347,6 @@ class PretzelCluster:
                 enable_compressed_tier=(
                     self.config.arena_eviction_policy == "compress-tiered"
                 ),
-                codec=self.config.arena_codec,
-                min_compress_ratio=self.config.arena_min_compress_ratio,
-                cold_codec_traffic_ema=self.config.arena_cold_compress_ema,
-                concurrency=self.config.arena_concurrency,
             )
             if self.config.shm_budget_bytes > 0
             else None
@@ -396,9 +386,6 @@ class PretzelCluster:
         self._in_transition: Set[str] = set()
         self._closed = False
         self.arena_overflows = 0
-        if self.config.enable_profiling:
-            # One process-global sampler, shared with any in-process runtime.
-            profiling.ensure_started(self.config.profiler_interval_seconds)
         # The tracing front door: sampling decisions are made here and ride
         # the wire envelope; workers inherit the knobs through the config.
         observability.configure(
@@ -416,6 +403,11 @@ class PretzelCluster:
             for index in range(num_workers):
                 worker_id = f"worker-{index}"
                 self._workers[worker_id] = self._spawn_worker(context, worker_id)
+            if self.config.enable_profiling:
+                # One process-global sampler, shared with any in-process
+                # runtime.  Started only after every fork: a thread alive
+                # at fork() leaves the child's interpreter state undefined.
+                profiling.ensure_started()
             for index, address in enumerate(attach):
                 host, port = self._parse_address(address)
                 worker_id = f"worker-attached-{index}"
@@ -1273,8 +1265,6 @@ class PretzelCluster:
         round trips run on a background fail-over thread, so the client
         whose request discovered the death gets its retryable error at once
         instead of waiting out up to one worker timeout per affected plan.
-        With ``failover_policy="evict-only"`` placements just lose the dead
-        worker -- surviving replicas keep serving, nothing is re-homed.
         Returns the number of plans queued for re-homing.
         """
         handle = self._workers.pop(worker_id, None)
@@ -1294,7 +1284,7 @@ class PretzelCluster:
                 if worker_id in info["workers"]:
                     info["workers"] = [w for w in info["workers"] if w != worker_id]
                     affected.append(plan_id)
-        if self.config.failover_policy != "re-register" or not affected:
+        if not affected:
             return 0
         threading.Thread(
             target=self._rehome_plans,

@@ -156,7 +156,6 @@ class ControlPlane:
         ages = self.detector.heartbeat_ages()
         stats = {
             "transport": self.cluster.config.transport,
-            "failover_policy": self.cluster.config.failover_policy,
             "arena_eviction_policy": self.cluster.config.arena_eviction_policy,
             "heartbeat_interval_seconds": self.heartbeat_interval_seconds,
             "failovers": self.failovers,

@@ -11,17 +11,13 @@ white-box sharing across the process boundary:
   constant time in the style of fixed-size-class allocators (Blelloch & Wei,
   "Concurrent Fixed-Size Allocation and Free in Constant Time"): each
   power-of-two size class keeps a free list of slab offsets, a bump pointer
-  carves fresh slabs, and both operations are a single push/pop.  With
-  ``concurrency="lock-free"`` (default) the free lists are *concurrent*:
-  each class is a ``collections.deque`` whose append/pop are single C calls
-  -- atomic under the GIL, CPython's stand-in for the paper's CAS -- so the
-  fast-path alloc and free take **no lock at all**; only the bump pointer,
-  tail compaction and slab splitting sit behind a narrow metadata lock, and
-  the compressed tier keeps its operations fully serialized.
-  ``concurrency="locked"`` keeps every operation behind one global lock
-  (the pre-profiling baseline ``benchmarks/test_contention_microbench.py``
-  measures against).  Parameter buffers are deduplicated by the same content
-  checksum the Object Store compares
+  carves fresh slabs, and both operations are a single push/pop.  The free
+  lists are *concurrent*: each class is a ``collections.deque`` whose
+  append/pop are single C calls -- atomic under the GIL, CPython's stand-in
+  for the paper's CAS -- so the fast-path alloc and free take **no lock at
+  all**; only the bump pointer, tail compaction, slab splitting and the
+  compressed tier sit behind a narrow metadata lock.  Parameter buffers are
+  deduplicated by the same content checksum the Object Store compares
   (:attr:`repro.operators.base.Parameter.checksum`), so a weight array
   registered by every worker occupies exactly one slab.
 * :class:`ArenaRef` -- a picklable/JSON-able handle (segment, offset, dtype,
@@ -61,7 +57,6 @@ import threading
 import uuid
 import zlib
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
@@ -85,9 +80,6 @@ __all__ = [
 #: rounding and bookkeeping.
 _MIN_SLAB_BYTES = 64
 
-#: shared no-op context for paths where the metadata lock is already held
-_NULL_CONTEXT = nullcontext()
-
 #: codec registry for the compressed tier: name -> (compress, decompress).
 #: Stdlib only -- the serving tier must not grow binary dependencies.
 CODECS: Dict[str, Tuple[Callable[[bytes], bytes], Callable[[bytes], bytes]]] = {
@@ -101,6 +93,12 @@ CODECS: Dict[str, Tuple[Callable[[bytes], bytes], Callable[[bytes], bytes]]] = {
 _DEEP_COLD_SLAB_BYTES = 256 * 1024
 #: below this the fast codec leads: codec setup cost dominates tiny slabs
 _SMALL_SLAB_BYTES = 64 * 1024
+#: decayed-traffic threshold below which a big slab counts as deep-cold
+_COLD_TRAFFIC_EMA = 0.5
+#: a slab enters the compressed tier only if compressed/raw is at or below
+#: this (and the payload lands in a smaller slab class); otherwise its plan
+#: skips straight to privatize-then-evict
+_MIN_COMPRESS_RATIO = 0.9
 
 
 class SizeAdaptiveCodecPolicy:
@@ -112,23 +110,22 @@ class SizeAdaptiveCodecPolicy:
     that, a per-codec EMA of *achieved* compression ratios reorders the
     list so a codec that demonstrably compresses this workload better gets
     tried first.  Ratios are rounded before sorting so noise does not flip
-    the deterministic size order.  ``codec`` pins a single codec (the
-    ``arena_codec`` config knob); ``"auto"`` enables the adaptive order.
+    the deterministic size order.  ``codec`` pins a single codec;
+    ``"auto"`` (the cluster's choice) enables the adaptive order.
     """
 
-    def __init__(self, codec: str = "auto", cold_traffic_ema: float = 0.5):
+    def __init__(self, codec: str = "auto"):
         if codec != "auto" and codec not in CODECS:
             raise ValueError(
                 f"unknown arena codec {codec!r} (auto, {', '.join(sorted(CODECS))})"
             )
         self.codec = codec
-        self.cold_traffic_ema = cold_traffic_ema
         self._ratio_ema: Dict[str, float] = {}
 
     def candidates(self, nbytes: int, traffic_ema: float) -> List[str]:
         if self.codec != "auto":
             return [self.codec]
-        if nbytes >= _DEEP_COLD_SLAB_BYTES and traffic_ema <= self.cold_traffic_ema:
+        if nbytes >= _DEEP_COLD_SLAB_BYTES and traffic_ema <= _COLD_TRAFFIC_EMA:
             order = ["lzma", "zlib"]
         elif nbytes >= _SMALL_SLAB_BYTES:
             order = ["zlib", "zlib-fast"]
@@ -224,35 +221,25 @@ class SharedMemoryArena:
         name: Optional[str] = None,
         enable_compressed_tier: bool = False,
         codec: str = "auto",
-        min_compress_ratio: float = 0.9,
-        cold_codec_traffic_ema: float = 0.5,
-        concurrency: str = "lock-free",
     ):
         if budget_bytes <= 0:
             raise ValueError("budget_bytes must be positive")
-        if concurrency not in ("lock-free", "locked"):
-            raise ValueError(
-                f"unknown arena concurrency {concurrency!r} (lock-free or locked)"
-            )
         self.budget_bytes = budget_bytes
-        self.concurrency = concurrency
         segment_name = name or f"pretzel-arena-{os.getpid()}-{uuid.uuid4().hex[:8]}"
         self._shm = shared_memory.SharedMemory(create=True, size=budget_bytes, name=segment_name)
-        #: the metadata lock.  ``"locked"`` mode holds it for every
-        #: operation (the baseline).  ``"lock-free"`` mode narrows it to the
-        #: slow paths only: bump-pointer carving, tail compaction, slab
-        #: splitting, the compressed tier, and close -- the fast-path
-        #: alloc/free never touch it.
+        #: the metadata lock, held on the slow paths only: bump-pointer
+        #: carving, tail compaction, slab splitting, the compressed tier, and
+        #: close -- the fast-path alloc/free never touch it.
         self._lock = ProfiledLock("arena.meta")
         self._bump = 0
         #: size class -> free slab offsets (constant-time alloc/free).
         #: ``deque.append``/``deque.pop`` are single C calls -- atomic under
-        #: the GIL -- so in lock-free mode the deque itself is the ownership
-        #: token: whoever pops (or ``remove``s) an offset owns the slab.
+        #: the GIL -- so the deque itself is the ownership token: whoever
+        #: pops (or ``remove``s) an offset owns the slab.
         self._free_lists: Dict[int, Deque[int]] = {}
-        #: checksum -> live ref.  In lock-free mode ``dict.setdefault`` is
-        #: the publish point of `put_array` and ``dict.pop`` the claim point
-        #: of `free`; both are single atomic C calls.
+        #: checksum -> live ref.  ``dict.setdefault`` is the publish point of
+        #: `put_array` and ``dict.pop`` the claim point of `free`; both are
+        #: single atomic C calls.
         self._refs: Dict[str, ArenaRef] = {}
         self.dedup_hits = 0
         self.allocations = 0
@@ -261,10 +248,7 @@ class SharedMemoryArena:
         # -- compressed tier (inert unless enabled: the "traffic-ema" policy
         #    must keep allocator behavior and stats byte-identical) --
         self.enable_compressed_tier = enable_compressed_tier
-        self.min_compress_ratio = min_compress_ratio
-        self.codec_policy = SizeAdaptiveCodecPolicy(
-            codec=codec, cold_traffic_ema=cold_codec_traffic_ema
-        )
+        self.codec_policy = SizeAdaptiveCodecPolicy(codec=codec)
         #: checksum -> compressed payload entry (disjoint from ``_refs``)
         self._compressed: Dict[str, _CompressedSlab] = {}
         #: free slab offset -> size class (for tail reclamation)
@@ -297,8 +281,8 @@ class SharedMemoryArena:
         """Pop a recycled slab of this size class, if any.  O(1).
 
         ``deque.pop`` is one atomic C call: whoever gets the offset owns the
-        slab, so this needs no lock in lock-free mode (a raced-empty pop is
-        a miss, not an error).  The offset-class record is dropped after the
+        slab, so this needs no lock (a raced-empty pop is a miss, not an
+        error).  The offset-class record is dropped after the
         pop; a release/pop interleaving can at worst leave a slab without a
         record, which only costs a missed tail-reclaim opportunity -- the
         slab itself stays allocatable from its deque.
@@ -313,11 +297,6 @@ class SharedMemoryArena:
         self._free_offset_class.pop(offset, None)
         return offset
 
-    def _reacquire_slab_locked(self, offset: int, size: int) -> None:
-        """Take back a specific just-freed slab (locked-mode commit rollback)."""
-        self._free_lists.get(size, deque()).remove(offset)
-        self._free_offset_class.pop(offset, None)
-
     def _reclaim_tail_locked(self) -> int:
         """Lazy tail-only compaction: fold free slabs back into the bump region.
 
@@ -327,7 +306,7 @@ class SharedMemoryArena:
         only when the compressed tier is enabled: with plain eviction the
         monotone bump pointer is part of the PR 5 behavior contract.
 
-        Holds the metadata lock, but in lock-free mode allocators race it:
+        Holds the metadata lock, but lock-free allocators race it:
         ``deque.remove`` is the atomic claim -- success means this thread
         owns the slab (nobody else can pop a removed offset), ``ValueError``
         means an allocator took it after our snapshot and we just drop the
@@ -412,7 +391,7 @@ class SharedMemoryArena:
         return offset, size
 
     def _allocate(self, nbytes: int) -> Tuple[int, int]:
-        """Lock-free-mode allocation: free-list pop first, lock only on miss.
+        """Allocation: free-list pop first, metadata lock only on a miss.
 
         The fast path -- a recycled slab of the right class exists -- is a
         single lock-free deque pop.  Only a miss falls into the metadata
@@ -435,55 +414,27 @@ class SharedMemoryArena:
         it exercises exactly the slab acquisition `put_array` performs, minus
         the numpy copy and ref bookkeeping that dominate its wall time.
         """
-        if self.concurrency == "locked":
-            with self._lock:
-                if self._closed:
-                    raise RuntimeError("arena is closed")
-                return self._allocate_locked(nbytes)
         if self._closed:
             raise RuntimeError("arena is closed")
         return self._allocate(nbytes)
 
     def release_slab(self, offset: int, size: int) -> None:
         """Return a raw slab taken with :meth:`acquire_slab`.  O(1)."""
-        if self.concurrency == "locked":
-            with self._lock:
-                if not self._closed:
-                    self._release_slab(offset, size)
-            return
         if not self._closed:
             self._release_slab(offset, size)
 
     def put_array(self, checksum: str, array: np.ndarray) -> ArenaRef:
-        """Store (or find) the shared copy of ``array``; dedup by checksum."""
+        """Store (or find) the shared copy of ``array``; dedup by checksum.
+
+        Compute-then-publish: the dedup probe, the slab write and the
+        publish all happen without the metadata lock; the atomic
+        ``setdefault`` is the linearization point, and the loser of a
+        same-checksum race simply recycles its private slab as one more
+        dedup hit.
+        """
         if not _shareable(array):
             raise TypeError("only fixed-width numpy arrays can be arena-backed")
         contiguous = np.ascontiguousarray(array)
-        if self.concurrency == "locked":
-            with self._lock:
-                if self._closed:
-                    raise RuntimeError("arena is closed")
-                existing = self._refs.get(checksum)
-                if existing is not None:
-                    self.dedup_hits += 1
-                    return existing
-                if checksum in self._compressed:
-                    # The bytes already live here, just squeezed: dedup by
-                    # restoring the compressed entry instead of storing a twin.
-                    ref = self._decompress_locked(checksum)
-                    self.dedup_hits += 1
-                    return ref
-                offset, _ = self._allocate_locked(contiguous.nbytes)
-                ref = self._build_ref(offset, contiguous)
-                self._write_slab(ref, contiguous)
-                self._refs[checksum] = ref
-                self.allocations += 1
-                return ref
-        # Lock-free mode: compute-then-publish.  The dedup probe, the slab
-        # write and the publish all happen without the metadata lock; the
-        # atomic ``setdefault`` is the linearization point, and the loser of
-        # a same-checksum race simply recycles its private slab as one more
-        # dedup hit.
         if self._closed:
             raise RuntimeError("arena is closed")
         existing = self._refs.get(checksum)  # atomic probe
@@ -491,9 +442,10 @@ class SharedMemoryArena:
             self.dedup_hits += 1
             return existing
         if checksum in self._compressed:
-            # Compressed-tier restore stays fully serialized (tier metadata
-            # is only ever touched under the lock); re-check both tables
-            # once inside.
+            # The bytes already live here, just squeezed: dedup by restoring
+            # the compressed entry instead of storing a twin.  The restore
+            # stays fully serialized (tier metadata is only ever touched
+            # under the lock); re-check both tables once inside.
             with self._lock:
                 if self._closed:
                     raise RuntimeError("arena is closed")
@@ -546,26 +498,18 @@ class SharedMemoryArena:
 
         After :meth:`close` this is a no-op returning False: a late teardown
         (e.g. a raced unregister during shutdown) must not mutate allocator
-        metadata of an unlinked segment.  (Lock-free mode can leave one
-        stray bookkeeping entry if a free races the close itself; harmless,
-        the segment is already unlinked.)  Compressed-tier entries are freed
-        the same way -- their payload slab is released.
+        metadata of an unlinked segment.  (A free racing the close itself
+        can leave one stray bookkeeping entry; harmless, the segment is
+        already unlinked.)  Compressed-tier entries are freed the same way
+        -- their payload slab is released.
         """
-        if self.concurrency == "locked":
-            with self._lock:
-                if self._closed:
-                    return False
-                return self._free_impl(checksum)
         if self._closed:
             return False
-        return self._free_impl(checksum)
-
-    def _free_impl(self, checksum: str) -> bool:
-        # ``dict.pop`` is the atomic claim: in lock-free mode exactly one of
-        # two racing frees (or a free racing commit_compress) gets the ref.
+        # ``dict.pop`` is the atomic claim: exactly one of two racing frees
+        # (or a free racing commit_compress) gets the ref.
         ref = self._refs.pop(checksum, None)
         if ref is None:
-            with self._maybe_lock():
+            with self._lock:
                 entry = self._compressed.pop(checksum, None)
                 if entry is None:
                     return False
@@ -578,13 +522,6 @@ class SharedMemoryArena:
         self._release_slab(ref.offset, _size_class(ref.nbytes))
         self.frees += 1
         return True
-
-    def _maybe_lock(self) -> Any:
-        """The metadata lock in lock-free mode; a no-op in locked mode
-        (whose public entry points already hold it)."""
-        if self.concurrency == "locked":
-            return _NULL_CONTEXT
-        return self._lock
 
     # -- compressed tier -------------------------------------------------------
 
@@ -599,7 +536,7 @@ class SharedMemoryArena:
 
         Pure read: no allocator state changes, so the caller can trial every
         slab of a victim plan and only commit if the whole plan benefits.  A
-        payload qualifies only if it beats ``min_compress_ratio`` AND lands
+        payload qualifies only if it beats ``_MIN_COMPRESS_RATIO`` AND lands
         in a strictly smaller size class -- compression that does not shrink
         the slab is footprint noise.  Misses feed ``failed_compressions`` so
         the stats show incompressible plans skipping to eviction.
@@ -614,7 +551,7 @@ class SharedMemoryArena:
                 payload = CODECS[codec][0](raw)
                 ratio = len(payload) / max(1, ref.nbytes)
                 self.codec_policy.record(codec, ratio)
-                if ratio <= self.min_compress_ratio and _size_class(len(payload)) < _size_class(
+                if ratio <= _MIN_COMPRESS_RATIO and _size_class(len(payload)) < _size_class(
                     ref.nbytes
                 ):
                     return codec, payload
@@ -637,69 +574,42 @@ class SharedMemoryArena:
         with self._lock:
             if self._closed:
                 return False
-            if self.concurrency == "locked":
-                return self._commit_compress_locked(checksum, codec, payload)
-            return self._commit_compress_lock_free(checksum, codec, payload)
-
-    def _commit_compress_locked(self, checksum: str, codec: str, payload: bytes) -> bool:
-        ref = self._refs.get(checksum)
-        if ref is None:
-            return False
-        size = _size_class(ref.nbytes)
-        # Free first so the payload can reuse the tail the original
-        # occupied.  Rollback is safe: the payload's size class is
-        # strictly smaller, so if its allocation still fails the freed
-        # slab cannot have been consumed -- it is either on the free list
-        # (re-acquirable) or was tail-reclaimed into a bump region large
-        # enough to carve the smaller slab from (contradiction).
-        del self._refs[checksum]
-        self._release_slab(ref.offset, size)
-        try:
-            offset, payload_size = self._allocate_locked(len(payload))
-        except ArenaExhaustedError:
-            self._reacquire_slab_locked(ref.offset, size)
-            self._refs[checksum] = ref
-            return False
-        self._finish_compress(checksum, codec, payload, ref, offset)
-        return True
-
-    def _commit_compress_lock_free(self, checksum: str, codec: str, payload: bytes) -> bool:
-        # The metadata lock is held, but lock-free `free`/`put_array` do not
-        # take it: a released slab can be stolen before any re-acquire, so
-        # the locked mode's free-first-then-rollback order is unsound here.
-        ref = self._refs.get(checksum)
-        if ref is None:
-            return False
-        size = _size_class(ref.nbytes)
-        if _size_class(len(payload)) >= size:
-            # Would not shrink the slab (the trial gate normally prevents
-            # this); in-place carving below also relies on strict shrink.
-            return False
-        # Claim the ref before touching slabs: exactly one of this commit
-        # and any concurrent lock-free free gets the original.
-        claimed = self._refs.pop(checksum, None)
-        if claimed is None:
-            return False
-        carved_in_place = False
-        try:
-            offset, _ = self._allocate_locked(len(payload))
-        except ArenaExhaustedError:
-            # No room elsewhere: carve the payload out of the original slab
-            # itself (its class is strictly larger).  The remainder halves
-            # are published buddy-style; the payload occupies the slab's
-            # front, which we own outright -- no steal window, and the same
-            # space-reuse guarantee the locked mode gets from free-first.
-            carved_in_place = True
-            payload_size = _size_class(len(payload))
-            offset = claimed.offset
-            chunk = size
-            while chunk > payload_size:
-                chunk //= 2
-                self._release_slab(offset + chunk, chunk)
-        self._finish_compress(checksum, codec, payload, claimed, offset)
-        if not carved_in_place:
-            self._release_slab(claimed.offset, size)
-        return True
+            # The metadata lock is held, but lock-free `free`/`put_array` do
+            # not take it: a released slab can be stolen before any
+            # re-acquire, so the original is released only after the payload
+            # has a home.
+            ref = self._refs.get(checksum)
+            if ref is None:
+                return False
+            size = _size_class(ref.nbytes)
+            if _size_class(len(payload)) >= size:
+                # Would not shrink the slab (the trial gate normally prevents
+                # this); in-place carving below also relies on strict shrink.
+                return False
+            # Claim the ref before touching slabs: exactly one of this commit
+            # and any concurrent free gets the original.
+            claimed = self._refs.pop(checksum, None)
+            if claimed is None:
+                return False
+            carved_in_place = False
+            try:
+                offset, _ = self._allocate_locked(len(payload))
+            except ArenaExhaustedError:
+                # No room elsewhere: carve the payload out of the original
+                # slab itself (its class is strictly larger).  The remainder
+                # halves are published buddy-style; the payload occupies the
+                # slab's front, which we own outright -- no steal window.
+                carved_in_place = True
+                payload_size = _size_class(len(payload))
+                offset = claimed.offset
+                chunk = size
+                while chunk > payload_size:
+                    chunk //= 2
+                    self._release_slab(offset + chunk, chunk)
+            self._finish_compress(checksum, codec, payload, claimed, offset)
+            if not carved_in_place:
+                self._release_slab(claimed.offset, size)
+            return True
 
     def _finish_compress(
         self, checksum: str, codec: str, payload: bytes, original: ArenaRef, offset: int
@@ -783,16 +693,10 @@ class SharedMemoryArena:
     # -- lookups ---------------------------------------------------------------
 
     def get(self, checksum: str) -> Optional[ArenaRef]:
-        if self.concurrency == "locked":
-            with self._lock:
-                return self._refs.get(checksum)
         return self._refs.get(checksum)  # dict.get is one atomic C call
 
     def refs(self) -> Dict[str, ArenaRef]:
         """Snapshot of every live (checksum -> ref) mapping."""
-        if self.concurrency == "locked":
-            with self._lock:
-                return dict(self._refs)
         return dict(self._refs)  # dict(...) snapshots atomically
 
     def view(self, ref: ArenaRef) -> np.ndarray:

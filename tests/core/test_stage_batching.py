@@ -100,7 +100,7 @@ class TestCoalescing:
         assert scheduler.batching.mean_backlog("tok") == pytest.approx(9.0)
         assert scheduler.queue_depths() == {"low": 0, "high": 0}
 
-    @pytest.mark.parametrize("kwargs", [{"max_stage_batch_size": 0}, {"shards": 0}])
+    @pytest.mark.parametrize("kwargs", [{"max_stage_batch_size": 0}])
     def test_rejects_non_positive_sizes(self, kwargs):
         with pytest.raises(ValueError):
             Scheduler(enable_stage_batching=True, **kwargs)

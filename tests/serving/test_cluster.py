@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro import profiling
 from repro.core.config import PretzelConfig
 from repro.core.runtime import PretzelRuntime
 from repro.serving import BackpressureError, PretzelCluster, WorkerFailure
@@ -485,11 +486,26 @@ def test_unknown_transport_rejected():
 
 def test_unknown_policies_rejected_at_construction():
     """A typo in a policy knob must fail fast, not silently select the
-    degraded fallback behaviour (e.g. never re-homing plans)."""
-    with pytest.raises(ValueError):
-        PretzelCluster(_config(failover_policy="reregister"))
+    degraded fallback behaviour (e.g. keeping overflow private)."""
     with pytest.raises(ValueError):
         PretzelCluster(_config(arena_eviction_policy="lru"))
+
+
+def test_profiler_thread_is_not_alive_at_worker_spawn(monkeypatch):
+    """A thread alive at fork() leaves the child's interpreter state
+    undefined, so the cluster starts the sampler only after its spawn loop."""
+    profiling.stop()
+    alive_at_spawn = []
+    spawn = PretzelCluster._spawn_worker
+
+    def recording_spawn(self, context, worker_id):
+        alive_at_spawn.append(profiling.profiler().running)
+        return spawn(self, context, worker_id)
+
+    monkeypatch.setattr(PretzelCluster, "_spawn_worker", recording_spawn)
+    with PretzelCluster(_config()):
+        assert profiling.profiler().running
+    assert alive_at_spawn == [False, False]
 
 
 def test_failed_registration_rolls_back_arena_slabs(sa_pipeline, sa_pipeline_variant):

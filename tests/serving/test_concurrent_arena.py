@@ -1,6 +1,6 @@
 """Concurrency stress tests for the shared-memory arena.
 
-The lock-free mode's correctness argument is that single C calls (deque
+The lock-free arena's correctness argument is that single C calls (deque
 push/pop, dict setdefault/pop) are the atomic ownership tokens.  These tests
 race the claimed-atomic paths from multiple threads and check the allocator
 invariants that would break if the argument were wrong:
@@ -8,18 +8,16 @@ invariants that would break if the argument were wrong:
 * no double-allocation and no overlapping live slabs,
 * exactly-once frees (a raced ``free`` loses the claim and returns False),
 * byte-equality of every array across dedup hits and across a
-  compress -> rehydrate round trip under concurrent allocator churn.
-
-Both concurrency modes run the same invariant checks -- the locked baseline
-documents that the *contract* is mode-independent.
+  compress -> rehydrate round trip under concurrent allocator churn,
+* the warm fast path never takes the ``arena.meta`` lock.
 """
 
 import random
 import threading
 
 import numpy as np
-import pytest
 
+from repro.profiling import GLOBAL_LOCK_REGISTRY
 from repro.serving.shm_store import (
     ArenaExhaustedError,
     SharedMemoryArena,
@@ -28,7 +26,6 @@ from repro.serving.shm_store import (
 
 BUDGET = 4 * 1024 * 1024
 THREADS = 4
-MODES = ("lock-free", "locked")
 
 
 def _assert_disjoint(intervals, bump):
@@ -51,10 +48,9 @@ def _free_intervals(arena):
     ]
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_racing_acquire_release_slabs(mode):
+def test_racing_acquire_release_slabs():
     """An alloc/free storm must never hand one slab to two owners."""
-    arena = SharedMemoryArena(BUDGET, concurrency=mode)
+    arena = SharedMemoryArena(BUDGET)
     try:
         errors = []
         #: offset -> unique owner token; setdefault/del are the atomic
@@ -109,11 +105,47 @@ def test_racing_acquire_release_slabs(mode):
         arena.close()
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_racing_put_free_dedup_and_exactly_once_free(mode):
+def test_warm_acquire_release_never_takes_the_meta_lock():
+    """Once every size class has a free slab per thread, alloc/free pairs are
+    pure free-list pops and pushes: ``arena.meta`` records 0 acquisitions."""
+    sizes = (256, 1024, 4096)
+    arena = SharedMemoryArena(BUDGET)
+    try:
+        # Warm: one spare slab per class beyond what THREADS can hold at once,
+        # so no pop ever misses and falls back to bump carving.
+        warm = [arena.acquire_slab(size) for size in sizes for _ in range(THREADS + 1)]
+        for offset, size in warm:
+            arena.release_slab(offset, size)
+        GLOBAL_LOCK_REGISTRY.reset()
+        barrier = threading.Barrier(THREADS)
+        errors = []
+
+        def worker(index):
+            try:
+                barrier.wait(timeout=10.0)
+                for step in range(2000):
+                    offset, size = arena.acquire_slab(sizes[(index + step) % len(sizes)])
+                    arena.release_slab(offset, size)
+            except Exception as error:  # pragma: no cover - surfaced below
+                errors.append(repr(error))
+
+        threads = [threading.Thread(target=worker, args=(index,)) for index in range(THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not errors, errors
+        meta = GLOBAL_LOCK_REGISTRY.snapshot()["arena.meta"]
+        assert meta["acquisitions"] == 0, meta
+        assert arena.allocated_bytes == sum(size * (THREADS + 1) for size in sizes)
+    finally:
+        arena.close()
+
+
+def test_racing_put_free_dedup_and_exactly_once_free():
     """Concurrent puts of the same checksums dedup to one slab each, every
     view is byte-equal, and each checksum's slab is freed exactly once."""
-    arena = SharedMemoryArena(BUDGET, concurrency=mode)
+    arena = SharedMemoryArena(BUDGET)
     try:
         rng = np.random.default_rng(7)
         arrays = {
@@ -173,13 +205,10 @@ def test_double_free_returns_false():
         arena.close()
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_compress_rehydrate_races_allocator_churn(mode):
+def test_compress_rehydrate_races_allocator_churn():
     """Repeated compress -> rehydrate cycles racing an alloc/free storm must
     restore every array byte-equal and keep slabs disjoint."""
-    arena = SharedMemoryArena(
-        BUDGET, enable_compressed_tier=True, codec="zlib-fast", concurrency=mode
-    )
+    arena = SharedMemoryArena(BUDGET, enable_compressed_tier=True, codec="zlib-fast")
     try:
         # Highly compressible payloads so every trial qualifies.
         pattern = np.arange(64, dtype=np.float64)

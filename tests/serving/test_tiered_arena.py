@@ -278,7 +278,6 @@ def test_traffic_ema_policy_stays_byte_identical_to_pre_tier_surface(
         }
         assert set(stats["control_plane"]) == {
             "transport",
-            "failover_policy",
             "arena_eviction_policy",
             "heartbeat_interval_seconds",
             "failovers",
