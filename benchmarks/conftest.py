@@ -90,6 +90,15 @@ def _session_report_dir(tmp_path_factory):
         _report_dir = str(tmp_path_factory.mktemp("results"))
 
 
+def claim(name: str, value: float, floor: float) -> Dict[str, Any]:
+    """One wall-clock claim as report ``metrics`` fields: value, floor and whether met.
+
+    Timing claims are recorded, not asserted: they move with host load, and
+    the benchmark harness's trajectory is what gates them.
+    """
+    return {name: value, f"{name}_floor": floor, f"{name}_met": value > floor}
+
+
 def write_report(name: str, text: str, metrics: Optional[Dict[str, Any]] = None) -> None:
     """Persist a figure report so it survives pytest output capture.
 

@@ -7,7 +7,7 @@ means of sub-millisecond timings that move with host load.
 
 import numpy as np
 
-from conftest import write_report
+from conftest import claim, write_report
 from repro.core.config import PretzelConfig
 from repro.core.runtime import PretzelRuntime
 from repro.telemetry.reporting import ExperimentReport
@@ -22,11 +22,6 @@ MIN_SPEEDUP_FLOOR = 0.7
 NO_AOT_COLD_RATIO_FLOOR = 1.1
 #: disabling pooling must never make the hot path meaningfully faster
 NO_POOLING_HOT_RATIO_FLOOR = 0.75
-
-
-def _claim(name, value, floor):
-    """One wall-clock claim as report fields: value, floor and whether met."""
-    return {name: value, f"{name}_floor": floor, f"{name}_met": value > floor}
 
 
 def _hot_latencies(runtime, plan_ids, inputs, repetitions=6):
@@ -81,13 +76,13 @@ def test_fig10_subplan_materialization(benchmark, sa_family, sa_inputs):
         "fig10_subplan_materialization",
         report.render(),
         metrics={
-            **_claim("mean_speedup", mean_speedup, MEAN_SPEEDUP_FLOOR),
-            **_claim(
+            **claim("mean_speedup", mean_speedup, MEAN_SPEEDUP_FLOOR),
+            **claim(
                 "frac_above_1_5x",
                 float(np.mean([s >= 1.5 for s in speedups])),
                 FRAC_ABOVE_1_5X_FLOOR,
             ),
-            **_claim("min_speedup", float(min(speedups)), MIN_SPEEDUP_FLOOR),
+            **claim("min_speedup", float(min(speedups)), MIN_SPEEDUP_FLOOR),
         },
     )
     # Structural: materialized stage outputs were actually reused.
@@ -135,12 +130,12 @@ def test_ablation_aot_and_vector_pooling(benchmark, sa_family, sa_inputs):
         "ablation_aot_pooling",
         report.render(),
         metrics={
-            **_claim(
+            **claim(
                 "no_aot_cold_ratio",
                 results["no-aot"][0] / results["full"][0],
                 NO_AOT_COLD_RATIO_FLOOR,
             ),
-            **_claim(
+            **claim(
                 "no_pooling_hot_ratio",
                 results["no-pooling"][1] / results["full"][1],
                 NO_POOLING_HOT_RATIO_FLOOR,

@@ -63,6 +63,18 @@ class TransformNode:
         self.resolved_output_size: Optional[int] = None
 
     @property
+    def operator(self) -> Operator:
+        return self._operator
+
+    @operator.setter
+    def operator(self, operator: Operator) -> None:
+        # A new operator (the compiler's Object Store intern) gets its own
+        # signature.  The cache holds only the string: keeping the operator
+        # would pin an unpickled plan's private trained state past its intern.
+        self._operator = operator
+        self._signature: Optional[str] = None
+
+    @property
     def annotations(self) -> Annotation:
         return self.operator.annotations
 
@@ -70,8 +82,15 @@ class TransformNode:
         return self.operator.is_pipeline_breaker()
 
     def signature(self) -> str:
-        """Identity of the transformation: operator family, config and params."""
-        return self.operator.signature()
+        """Identity of the transformation: operator family, config and params.
+
+        Computed once per operator: the optimizer's rules compare stage
+        signatures many times while planning, and each computation checksums
+        the operator's trained state.
+        """
+        if self._signature is None:
+            self._signature = self._operator.signature()
+        return self._signature
 
     def __repr__(self) -> str:
         return f"TransformNode({self.id}, {self.operator.name}, upstream={self.upstream})"

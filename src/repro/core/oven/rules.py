@@ -261,11 +261,13 @@ class RemoveDuplicateBranchStagesRule:
 
     def apply(self, graph: StageGraph) -> bool:
         stages = list(graph)
+        # Once per stage per pass: the graph only changes right before the
+        # pass returns.
+        signatures = [stage.full_signature() for stage in stages]
         for first_index, keeper in enumerate(stages):
-            for duplicate in stages[first_index + 1 :]:
-                if duplicate.id not in graph.stages or keeper.id not in graph.stages:
-                    continue
-                if keeper.full_signature() != duplicate.full_signature():
+            for second_index in range(first_index + 1, len(stages)):
+                duplicate = stages[second_index]
+                if signatures[first_index] != signatures[second_index]:
                     continue
                 if keeper.external_inputs() != duplicate.external_inputs():
                     continue

@@ -69,6 +69,26 @@ class Annotation(enum.Flag):
     VECTORIZABLE = enum.auto()
 
 
+#: value types a *flat* dict may hold (exact types: a subclass may override
+#: ``repr``); see :func:`_flat_value_types`
+_FLAT_VALUE_TYPES = frozenset((int, float, bool, str, type(None)))
+#: ``str(dtype).encode()`` of the numeric dtypes seen so far, by
+#: ``(dtype.type, dtype.str)``
+_DTYPE_TAGS: Dict[Tuple[type, str], bytes] = {}
+
+
+def _flat_value_types(mapping: dict) -> Optional[set]:
+    """The value types of a dict of ``str`` keys and scalar values, else None.
+
+    Such a *flat* dict (a trained vocabulary, a config) is checksummed and
+    sized in bulk, at C speed, with the same result as the per-entry walk.
+    """
+    if not set(map(type, mapping)) <= {str}:
+        return None
+    value_types = set(map(type, mapping.values()))
+    return value_types if value_types <= _FLAT_VALUE_TYPES else None
+
+
 def _checksum_of(value: Any) -> str:
     """Stable content checksum used for parameter deduplication."""
     hasher = hashlib.sha256()
@@ -78,12 +98,32 @@ def _checksum_of(value: Any) -> str:
 
 def _feed(hasher: "hashlib._Hash", value: Any) -> None:
     if isinstance(value, np.ndarray):
+        dtype = value.dtype
+        if dtype.kind in "biufc":
+            # A numeric dtype's str() is its name ("float64") when native,
+            # else its ``.str`` ("<f8"): both are fixed by the scalar type
+            # and ``.str``.  Unpickled dtypes are fresh objects, so the key
+            # is not the dtype itself.
+            key = (dtype.type, dtype.str)
+            tag = _DTYPE_TAGS.get(key)
+            if tag is None:
+                tag = _DTYPE_TAGS[key] = str(dtype).encode()
+        else:
+            tag = str(dtype).encode()
         hasher.update(b"ndarray")
-        hasher.update(str(value.dtype).encode())
+        hasher.update(tag)
         hasher.update(str(value.shape).encode())
         hasher.update(np.ascontiguousarray(value).tobytes())
     elif isinstance(value, dict):
         hasher.update(b"dict")
+        if _flat_value_types(value) is not None:
+            # The per-entry walk below feeds repr(key) + repr(item) in
+            # repr(key) order.  SHA-256 is streaming, so one update of the
+            # concatenation is the same digest; and str reprs are prefix-free,
+            # so sorting the concatenations orders them by repr(key) too.
+            entries = map(str.__add__, map(repr, value), map(repr, value.values()))
+            hasher.update("".join(sorted(entries)).encode())
+            return
         for key in sorted(value, key=repr):
             hasher.update(repr(key).encode())
             _feed(hasher, value[key])
@@ -91,8 +131,6 @@ def _feed(hasher: "hashlib._Hash", value: Any) -> None:
         hasher.update(b"seq")
         for item in value:
             _feed(hasher, item)
-    elif isinstance(value, (int, float, str, bool)) or value is None:
-        hasher.update(repr(value).encode())
     else:
         hasher.update(repr(value).encode())
 
@@ -104,6 +142,21 @@ def _nbytes_of(value: Any) -> int:
     if isinstance(value, dict):
         # Keys are typically short strings (n-grams); count their UTF-8 bytes
         # plus a small per-entry overhead for the hash-table slot.
+        value_types = _flat_value_types(value)
+        if value_types is not None:
+            # The loop below in closed form: str items count their UTF-8
+            # bytes, every other flat item 8.
+            strings = (
+                [item for item in value.values() if type(item) is str]
+                if str in value_types
+                else []
+            )
+            return (
+                len("".join(value).encode())
+                + len("".join(strings).encode())
+                + 16 * len(value)
+                + 8 * (len(value) - len(strings))
+            )
         total = 0
         for key, item in value.items():
             total += len(str(key).encode()) + 16

@@ -400,6 +400,14 @@ class _TreeEnsemble(Operator):
         """The batch output from the ``(n_records, n_trees)`` arena leaf indices."""
         raise NotImplementedError
 
+    def _member_parameters(self, prefix: str) -> List[Parameter]:
+        """Each fitted member's node arrays as ``{prefix}.tree{i}.nodes`` (memo on the member)."""
+        return [
+            Parameter(f"{prefix}.tree{index}.nodes", tree._nodes, owner=tree)
+            for index, tree in enumerate(self.trees)
+            if tree._nodes is not None
+        ]
+
 
 class RandomForest(_TreeEnsemble):
     """Bagged ensemble of regression trees (mean aggregation)."""
@@ -462,7 +470,7 @@ class RandomForest(_TreeEnsemble):
         return ColumnBatch.from_scalars(np.mean(arena.value[leaves], axis=1))
 
     def parameters(self) -> List[Parameter]:
-        params = [
+        return [
             Parameter(
                 "forest.config",
                 {
@@ -471,16 +479,9 @@ class RandomForest(_TreeEnsemble):
                     "feature_fraction": self.feature_fraction,
                     "seed": self.seed,
                 },
-            )
+            ),
+            *self._member_parameters("forest"),
         ]
-        for index, tree in enumerate(self.trees):
-            tree_params = tree.parameters()
-            for param in tree_params:
-                if param.name == "tree.nodes":
-                    params.append(
-                        Parameter(f"forest.tree{index}.nodes", param.value, owner=tree)
-                    )
-        return params
 
     def output_size(self) -> Optional[int]:
         return 1
@@ -552,19 +553,13 @@ class TreeEnsembleClassifier(_TreeEnsemble):
         return int(np.argmax(self.transform(value).values))
 
     def parameters(self) -> List[Parameter]:
-        params = [
+        return [
             Parameter(
                 "treeclassifier.config",
                 {"n_classes": self.n_classes, "max_depth": self.max_depth, "seed": self.seed},
-            )
+            ),
+            *self._member_parameters("treeclassifier"),
         ]
-        for index, tree in enumerate(self.trees):
-            for param in tree.parameters():
-                if param.name == "tree.nodes":
-                    params.append(
-                        Parameter(f"treeclassifier.tree{index}.nodes", param.value, owner=tree)
-                    )
-        return params
 
     def output_size(self) -> Optional[int]:
         return self.n_classes
@@ -655,19 +650,13 @@ class TreeFeaturizer(_TreeEnsemble):
         )
 
     def parameters(self) -> List[Parameter]:
-        params = [
+        return [
             Parameter(
                 "treefeaturizer.config",
                 {"n_trees": self.n_trees, "max_depth": self.max_depth, "seed": self.seed},
-            )
+            ),
+            *self._member_parameters("treefeaturizer"),
         ]
-        for index, tree in enumerate(self.trees):
-            for param in tree.parameters():
-                if param.name == "tree.nodes":
-                    params.append(
-                        Parameter(f"treefeaturizer.tree{index}.nodes", param.value, owner=tree)
-                    )
-        return params
 
     def output_size(self) -> Optional[int]:
         return sum(tree.n_nodes for tree in self.trees) if self.trees else None

@@ -244,3 +244,53 @@ class TestModelPlanCompiler:
         assert plan.max_vector_size > 0
         assert plan.stage_count() == len(plan.stages)
         assert plan.sink_stage().is_sink
+
+
+def test_registration_signs_each_operator_occurrence_a_fixed_number_of_times(monkeypatch):
+    """Registering an AC plan computes each operator signature a bounded number of times.
+
+    Once while planning (cached on the node), once at the Object Store intern,
+    and once for the interned operator's physical stage.  The optimizer's
+    all-pairs duplicate-stage check must not multiply this.
+    """
+    from repro.core import PretzelRuntime
+    from repro.operators.base import Operator
+    from repro.workloads import build_attendee_family
+
+    family = build_attendee_family(
+        n_pipelines=1,
+        n_pca_versions=1,
+        n_kmeans_versions=1,
+        n_tree_featurizer_versions=1,
+        n_configurations=1,
+        seed=41,
+    )
+    generated = family.pipelines[0]
+    calls = []
+    signature = Operator.signature
+    monkeypatch.setattr(Operator, "signature", lambda self: calls.append(1) or signature(self))
+    with PretzelRuntime(PretzelConfig(enable_profiling=False)) as runtime:
+        plan_id = runtime.register(generated.pipeline, stats=generated.stats)
+        signed = len(calls)
+        occurrences = sum(len(stage.physical.operators) for stage in runtime.plan(plan_id).stages)
+    assert occurrences >= 8
+    assert signed <= 3 * occurrences
+
+
+def test_node_signature_cache_follows_the_operator_and_holds_no_reference():
+    """The cached signature is dropped on reassignment and never pins the old operator."""
+    import gc
+    import weakref
+
+    from repro.operators.linear import LinearRegressor
+
+    private = LinearRegressor(weights=np.array([1.0]), bias=0.0)
+    canonical = LinearRegressor(weights=np.array([2.0]), bias=0.0)
+    node = TransformNode(private, [SOURCE])
+    assert node.signature() == private.signature()
+    released = weakref.ref(private)
+    node.operator = canonical
+    del private
+    gc.collect()
+    assert released() is None
+    assert node.signature() == canonical.signature()
