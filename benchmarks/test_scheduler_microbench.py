@@ -5,15 +5,16 @@ on every pull, so batch-formation cost grew linearly with the backlog --
 quadratic work over a drain, exactly under the deep backlogs batching exists
 to absorb.  The signature-indexed :class:`~repro.core.scheduler.ReadyQueue`
 pops members straight off the leader signature's bucket, so per-pull cost
-must stay ~flat as the queue depth grows 10x.  This bench pins that with
-numbers in ``benchmarks/results/scheduler_microbench.txt``.
+must stay ~flat as the queue depth grows 10x.  This bench records that
+(a ``claim()`` in the report's metrics, not an assert) with numbers in
+``benchmarks/results/scheduler_microbench.txt``.
 """
 
 from __future__ import annotations
 
 import time
 
-from conftest import write_report
+from conftest import claim, write_report
 from repro.core.scheduler import InferenceRequest, Scheduler
 from repro.telemetry.reporting import ExperimentReport
 from repro.testing import StubPlan
@@ -69,14 +70,15 @@ def test_batch_formation_cost_stays_flat_under_deep_backlog(benchmark):
         "across a 10x backlog sweep (the seed deque scan grew ~linearly).",
     )
     report.rows = rows
-    write_report("scheduler_microbench", report.render())
+    # O(batch size) claim: 10x the backlog must not cost anywhere near 10x per
+    # pull.  > 0.25 means the deep backlog costs under 4x the shallow one per
+    # pull (the seed implementation measured ~10x, i.e. ~0.1).
+    shallow, deep = rows[0]["mean_pull_us"], rows[-1]["mean_pull_us"]
+    write_report(
+        "scheduler_microbench",
+        report.render(),
+        metrics=claim("shallow_over_deep_pull_ratio", max(shallow, 0.5) / deep, 0.25),
+    )
     # Every pull coalesces a full batch at both depths.
     for row in rows:
         assert row["mean_batch_size"] == MAX_BATCH
-    # O(batch size) claim: 10x the backlog must not cost anywhere near 10x per
-    # pull.  4x is a generous bound for CI noise; the seed implementation
-    # measures ~10x here.
-    shallow, deep = rows[0]["mean_pull_us"], rows[-1]["mean_pull_us"]
-    assert deep < 4 * max(shallow, 0.5), (
-        f"batch formation scaled with queue depth: {shallow:.2f}us -> {deep:.2f}us"
-    )

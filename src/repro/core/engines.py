@@ -21,10 +21,16 @@ entry points wrap it:
 * :func:`execute_plan_stage_batch` runs a
   :class:`~repro.core.scheduler.StageBatch` -- ``submit`` events coalesced
   across requests (and plans) because they share one physical stage -- whose
-  externals and outputs live in per-request dictionaries, and layers
-  sub-plan materialization and pooled working memory around the call;
+  externals and outputs live in per-request dictionaries: it gathers them,
+  makes one :meth:`~repro.core.oven.physical.PhysicalStage.execute_batch`
+  call (rows -> columns -> rows) and scatters the outputs back;
 * :func:`execute_plan_stage` is the batch-of-1 path of the request-response
   engine, the compiled scalar stage, bit-identical to the seed engine.
+
+Sub-plan materialization and the pooled working buffer live on the scalar
+path only: the materialization cache is keyed per record, so callers with
+materialization enabled run their records through
+:func:`execute_plan_stage` instead of a batched entry point.
 """
 
 from __future__ import annotations
@@ -58,13 +64,14 @@ def execute_plan_stage(
 ) -> Any:
     """Execute one plan stage for one request: the scalar fast path.
 
-    Semantically this is :func:`execute_plan_stage_batch` with a single item
-    (same gather, cache protocol, pooled working buffer and scatter; the
-    batch implementation's batch-of-one short circuit runs the identical
-    compiled scalar stage), but the request-response engine calls this per
-    stage per prediction, so the body avoids the batch path's per-call list
-    machinery -- the AC pipelines' stages are only tens of microseconds and
-    the wrapper overhead is measurable at fig12's scale.
+    Computes what :func:`execute_plan_stage_batch` computes for a single
+    item (same gather and scatter; the batch path's batch-of-one short
+    circuit runs the identical compiled scalar stage), plus the two things
+    only the scalar path does: the sub-plan materialization lookup and store,
+    and the pooled working buffer.  The request-response engine calls this
+    per stage per prediction, so the body avoids the batch path's per-call
+    list machinery -- the AC pipelines' stages are only tens of microseconds
+    and the wrapper overhead is measurable at fig12's scale.
     """
     physical = stage.physical
     buffer = None
@@ -94,8 +101,6 @@ def execute_plan_stage(
 
 def execute_plan_stage_batch(
     items: Sequence[Tuple[PlanStage, Any, Dict[Tuple[str, str], Any]]],
-    materializer: Optional[SubPlanMaterializer] = None,
-    pool: Optional[VectorPool] = None,
 ) -> List[Any]:
     """Execute one stage for many requests, each with its own value dictionary.
 
@@ -103,75 +108,35 @@ def execute_plan_stage_batch(
     stage must wrap the same physical stage (same ``full_signature``) -- the
     invariant :meth:`Scheduler.next_batch` establishes.  The plan-level
     wrappers may still differ (each plan names its stages and exports its own
-    keys), so externals are gathered and outputs scattered per request, while
-    the stage itself runs once over the whole batch, columnar
-    (:class:`~repro.operators.batch.ColumnBatch`) inside
-    :meth:`~repro.core.oven.physical.PhysicalStage.execute_batch`.
-
-    Working memory comes from the executor's pool: a single record leases the
-    stage's scalar working buffer exactly as the seed engine did, a real batch
-    leases ``batch x max_vector_size`` scratch that the columnar gather stacks
-    external vectors into.  Records with a materialization-cache hit are
-    excluded from the batched execution; misses are stored back, exactly as
-    before.  Returns each request's final stage output, in ``items`` order.
+    keys), so each request's externals are gathered and its outputs scattered
+    into its own ``values``, while the stage itself runs once over the whole
+    batch through
+    :meth:`~repro.core.oven.physical.PhysicalStage.execute_batch` (a batch of
+    one short-circuits to the compiled scalar stage).  Returns each request's
+    final stage output, in ``items`` order.
     """
     if not items:
         return []
     physical = items[0][0].physical
-    buffer = None
-    if pool is not None and physical.max_vector_size:
-        # With pooling disabled this is a fresh allocation on the data path
-        # (the behaviour the Section 5.2.1 ablation measures).
-        buffer = pool.acquire(len(items) * physical.max_vector_size)
-    try:
-        externals_per_item: List[List[Any]] = []
-        outputs_per_item: List[Optional[List[Any]]] = [None] * len(items)
-        misses: List[int] = []
-        for index, (stage, record, values) in enumerate(items):
-            externals = [
-                record if upstream is None else values[(upstream, transform_id)]
-                for upstream, transform_id in stage.external_refs
-            ]
-            externals_per_item.append(externals)
-            if materializer is not None and materializer.enabled:
-                cached = materializer.lookup(stage.physical, externals)
-                if cached is not None:
-                    outputs_per_item[index] = cached
-                    continue
-            misses.append(index)
-        if len(misses) == 1:
-            # The compiled scalar fused path: what the seed engine ran for
-            # every record, bit-identical by construction.
-            batch_outputs = [physical.execute(externals_per_item[misses[0]])]
-        elif misses:
-            miss_externals = [externals_per_item[index] for index in misses]
-            batch_outputs = physical.execute_batch(miss_externals, scratch=buffer)
-        else:
-            batch_outputs = []
-        for position, index in enumerate(misses):
-            outputs = batch_outputs[position]
-            outputs_per_item[index] = outputs
-            if materializer is not None and materializer.enabled:
-                stage = items[index][0]
-                materializer.store(stage.physical, externals_per_item[index], outputs)
-        results: List[Any] = []
-        for index, (stage, _record, values) in enumerate(items):
-            outputs = outputs_per_item[index]
-            assert outputs is not None
-            for position, key in enumerate(stage.output_keys):
-                values[key] = outputs[position]
-            results.append(outputs[stage.physical.final_position()])
-        return results
-    finally:
-        if buffer is not None and pool is not None:
-            pool.release(buffer)
+    externals = [
+        [
+            record if upstream is None else values[(upstream, transform_id)]
+            for upstream, transform_id in stage.external_refs
+        ]
+        for stage, record, values in items
+    ]
+    results: List[Any] = []
+    for (stage, _record, values), outputs in zip(items, physical.execute_batch(externals)):
+        for position, key in enumerate(stage.output_keys):
+            values[key] = outputs[position]
+        results.append(outputs[physical.final_position()])
+    return results
 
 
 def execute_plan_stage_columns(
     stage: PlanStage,
     records: ColumnBatch,
     columns: Dict[Tuple[str, str], ColumnBatch],
-    materializer: Optional[SubPlanMaterializer] = None,
 ) -> ColumnBatch:
     """Execute one plan stage over a whole group of records, column in, column out.
 
@@ -180,28 +145,13 @@ def execute_plan_stage_columns(
     upstream stages published (the scalar path's ``values`` dictionary, one
     column per key instead of one value).  The stage's output columns are
     published under its ``output_keys``; its final column is returned.
-
-    With materialization enabled the cache is keyed per record, so the
-    stage goes through :func:`execute_plan_stage_batch` over per-record
-    views of the columns and its outputs are regrouped into columns.
     """
     physical = stage.physical
-    if materializer is not None and materializer.enabled:
-        contexts = [record_values(stage, columns, index) for index in range(len(records))]
-        execute_plan_stage_batch(
-            [(stage, record, values) for record, values in zip(records, contexts)],
-            materializer=materializer,
-        )
-        outputs = [
-            ColumnBatch.from_rows([values[key] for values in contexts])
-            for key in stage.output_keys
-        ]
-    else:
-        externals = [
-            records if upstream is None else columns[(upstream, transform_id)]
-            for upstream, transform_id in stage.external_refs
-        ]
-        outputs = physical.execute_columns(externals)
+    externals = [
+        records if upstream is None else columns[(upstream, transform_id)]
+        for upstream, transform_id in stage.external_refs
+    ]
+    outputs = physical.execute_columns(externals)
     for key, column in zip(stage.output_keys, outputs):
         columns[key] = column
     return outputs[physical.final_position()]

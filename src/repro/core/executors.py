@@ -16,7 +16,9 @@ the whole batch through a single vectorized
 :func:`~repro.core.engines.execute_plan_stage_batch` call.  If the batched
 path raises, the executor falls back to per-event scalar execution so errors
 are attributed to the request that caused them and healthy requests in the
-same batch still complete.
+same batch still complete.  A batch of one, and any batch while sub-plan
+materialization is on (its cache is keyed per record), runs event by event
+through that scalar path, the only user of the executor's vector pool.
 """
 
 from __future__ import annotations
@@ -115,10 +117,12 @@ class Executor(threading.Thread):
 
         A failure inside the vectorized path cannot be attributed to a single
         member, so the batch is retried event by event through the scalar
-        path; only the offending request fails.
+        path; only the offending request fails.  A single event, or any batch
+        while materialization is enabled, takes that scalar path directly.
         """
-        if len(batch) == 1:
-            self.execute_event(batch.events[0])
+        if len(batch) == 1 or (self.materializer is not None and self.materializer.enabled):
+            for event in batch.events:
+                self.execute_event(event)
             return
         items = [
             (
@@ -133,9 +137,7 @@ class Executor(threading.Thread):
             _record_queue_wait(event)
         started = time.perf_counter() if traced else 0.0
         try:
-            outputs = execute_plan_stage_batch(
-                items, materializer=self.materializer, pool=self.vector_pool
-            )
+            outputs = execute_plan_stage_batch(items)
         except BaseException:  # noqa: BLE001 - re-run members to isolate the fault
             for event in batch.events:
                 self.execute_event(event)
@@ -198,9 +200,9 @@ class ExecutorPool:
     def started(self) -> bool:
         return self._started
 
-    def preallocate(self, sizes: List[int], entries: Optional[int] = None) -> None:
+    def preallocate(self, sizes: List[int]) -> None:
         for executor in self.executors:
-            executor.vector_pool.preallocate(sizes, entries=entries)
+            executor.vector_pool.preallocate(sizes)
 
     def shutdown(self) -> None:
         self.scheduler.shutdown()

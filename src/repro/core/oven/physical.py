@@ -181,11 +181,7 @@ class PhysicalStage:
             operator.name for operator in self.operators if not operator.supports_batch
         ]
 
-    def execute_columns(
-        self,
-        columns: Sequence[ColumnBatch],
-        scratch: Optional[Any] = None,
-    ) -> List[ColumnBatch]:
+    def execute_columns(self, columns: Sequence[ColumnBatch]) -> List[ColumnBatch]:
         """Run the stage once over whole columns; returns one column per transform.
 
         ``columns`` holds one :class:`~repro.operators.batch.ColumnBatch` per
@@ -198,9 +194,7 @@ class PhysicalStage:
         positions and, through the runtime, later stages consume: no row is
         materialized between them.  A batch of one short-circuits to
         :meth:`execute` -- the compiled scalar path, bit-identical to the
-        request-response engine.  ``scratch`` optionally provides a pooled
-        flat float64 buffer the first kernel may stack a single external
-        column into.
+        request-response engine.
         """
         expected = len(self.external_inputs)
         if len(columns) != expected:
@@ -224,10 +218,6 @@ class PhysicalStage:
         if n_records == 1:
             self.batched_executions += 1
             return self._columns_of([self.execute([column.row(0) for column in columns])])
-        if scratch is not None and expected == 1:
-            # One scratch lease per stage call: with a single external slot no
-            # second column can collide on the buffer while it is still read.
-            columns[0].attach_scratch(scratch)
         per_transform: List[ColumnBatch] = []
         for position, bindings in enumerate(self._bindings):
             if len(bindings) == 1:
@@ -258,11 +248,7 @@ class PhysicalStage:
             for position in range(len(self._bindings))
         ]
 
-    def execute_batch(
-        self,
-        batch: Sequence[Sequence[Any]],
-        scratch: Optional[Any] = None,
-    ) -> List[List[Any]]:
+    def execute_batch(self, batch: Sequence[Sequence[Any]]) -> List[List[Any]]:
         """Run the stage once for many records; returns per-record outputs.
 
         The per-record view of :meth:`execute_columns` for callers that hold
@@ -284,7 +270,7 @@ class PhysicalStage:
             ColumnBatch.from_rows([external_values[slot] for external_values in batch])
             for slot in range(expected)
         ]
-        outputs = [column.rows for column in self.execute_columns(columns, scratch=scratch)]
+        outputs = [column.rows for column in self.execute_columns(columns)]
         return [[rows[record] for rows in outputs] for record in range(len(batch))]
 
     def interpret(self, external_values: Sequence[Any]) -> List[Any]:

@@ -160,19 +160,6 @@ class PretzelRuntime:
         sizes = [stage.physical.max_vector_size for stage in plan.stages]
         self.executor_pool.preallocate(sizes)
         self._inline_pool.preallocate(sizes)
-        if self.config.enable_stage_batching:
-            # Pay the executors' gather-scratch allocations upfront too (the
-            # submit path; predict_batch groups lease none): a StageBatch of
-            # n records leases an n x max_vector_size buffer,
-            # and the power-of-two classes double up to the batch-size cap,
-            # so one buffer per doubling covers every class a batch can hit.
-            batch_sizes = []
-            scale = 2
-            while scale < self.config.max_stage_batch_size:
-                batch_sizes.extend(size * scale for size in sizes)
-                scale *= 2
-            batch_sizes.extend(size * self.config.max_stage_batch_size for size in sizes)
-            self.executor_pool.preallocate(batch_sizes, entries=1)
         return identifier
 
     def _compile_to_plan(
@@ -327,8 +314,9 @@ class PretzelRuntime:
         scheduler, where coalescing across requests is the point; one call's
         records have nothing to wait for.
 
-        With stage batching off, or for a latency-sensitive call (whose
-        records run alone, as on the scheduler), the records loop the scalar
+        With stage batching off, for a latency-sensitive call (whose records
+        run alone, as on the scheduler), or with sub-plan materialization on
+        (its cache is keyed per record), the records loop the scalar
         request-response path, bit-identical to calling :meth:`predict` per
         record.  ``timeout`` is kept for callers of the queued engine; the
         caller-runs path never waits.  A sampled call records one
@@ -343,7 +331,9 @@ class PretzelRuntime:
             trace = observability.tracer().maybe_trace()
         started = time.perf_counter()
         try:
-            if self.config.enable_stage_batching and not latency_sensitive:
+            if self.config.enable_stage_batching and not (
+                latency_sensitive or self.materializer.enabled
+            ):
                 return self._run_group(registered.plan, records, trace)
             return [
                 self._request_response.predict(
@@ -367,8 +357,8 @@ class PretzelRuntime:
         Stage outputs travel between stages as columns
         (:func:`execute_plan_stage_columns`): an n-gram stage's CSR column is
         what the linear stage downstream reduces, with no per-record value in
-        between.  No gather scratch is leased: a caller-side pool would keep
-        an ``n x max_vector_size`` buffer per size class alive between calls.
+        between.  Nothing is leased from a vector pool: the gather allocates
+        and frees per call.
 
         Errors: when a stage's columnar call raises, its records re-run that
         stage one by one through the scalar path.  The call raises the error
@@ -386,13 +376,13 @@ class PretzelRuntime:
             started = time.perf_counter()
             live = len(record_column)
             try:
-                final = execute_plan_stage_columns(stage, record_column, columns, self.materializer)
+                final = execute_plan_stage_columns(stage, record_column, columns)
             except Exception:  # re-run the stage per record to attribute the fault
                 contexts: List[Dict[Tuple[str, str], Any]] = []
                 for index in range(live):
                     values = record_values(stage, columns, index)
                     try:
-                        execute_plan_stage(stage, records[index], values, self.materializer)
+                        execute_plan_stage(stage, records[index], values)
                     except Exception as error:  # raised once the group is done
                         failure = error
                         break

@@ -158,7 +158,9 @@ class StageBatch:
 
     Every member's next stage has the same ``physical.full_signature``, so the
     whole batch can be served by a single (possibly vectorized)
-    :meth:`~repro.core.oven.physical.PhysicalStage.execute_batch` call.
+    :meth:`~repro.core.oven.physical.PhysicalStage.execute_batch` call
+    (:func:`~repro.core.engines.execute_plan_stage_batch`); a batch of one, or
+    any batch while materialization is on, runs member by member instead.
     """
 
     events: List[StageEvent]

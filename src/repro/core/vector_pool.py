@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from collections import defaultdict
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -39,30 +39,23 @@ class VectorPool:
         self.allocations = 0
         self.returned = 0
 
-    def preallocate(self, sizes: List[int], entries: Optional[int] = None) -> None:
-        """Fill the pool for the given sizes (called at plan registration).
-
-        ``entries`` caps how many buffers each size class is filled to
-        (default: the pool's ``entries_per_class``); batch-scratch classes
-        use 1 -- a stage executes one batch at a time per executor, and the
-        classes are large.
-        """
+    def preallocate(self, sizes: List[int]) -> None:
+        """Fill each size class to ``entries_per_class`` buffers (called at
+        plan registration)."""
         if not self.enabled:
             return
-        target = self.entries_per_class if entries is None else min(entries, self.entries_per_class)
-        # Compute-then-publish: the numpy allocations (the expensive part --
-        # registration-time prefills can be megabytes) happen outside the
+        # Compute-then-publish: the numpy allocations happen outside the
         # lock, which is held only to read each bucket's depth and to splice
-        # the fresh buffers in.  Racing prefills may overshoot ``target`` by
-        # a few buffers per class; acquire/release still bound the pool at
-        # ``entries_per_class``, so the overshoot is transient.
+        # the fresh buffers in.  Racing prefills may overshoot
+        # ``entries_per_class`` by a few buffers per class; acquire/release
+        # still bound the pool there, so the overshoot is transient.
         wanted: Dict[int, int] = {}
         with self._lock:
             for size in sizes:
                 if size <= 0:
                     continue
                 cls = _size_class(size)
-                shortfall = target - len(self._buckets[cls])
+                shortfall = self.entries_per_class - len(self._buckets[cls])
                 if shortfall > 0:
                     wanted[cls] = max(wanted.get(cls, 0), shortfall)
         if not wanted:

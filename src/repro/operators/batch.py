@@ -64,7 +64,7 @@ Csr = Tuple[np.ndarray, np.ndarray, np.ndarray, int]
 class ColumnBatch:
     """One column of a record batch, columnar when the values allow it."""
 
-    __slots__ = ("_rows", "_matrix", "_csr", "_scalars", "_parts", "_scratch", "_length")
+    __slots__ = ("_rows", "_matrix", "_csr", "_scalars", "_parts", "_length")
 
     def __init__(self) -> None:  # use the from_* constructors
         self._rows: Optional[List[Any]] = None
@@ -72,7 +72,6 @@ class ColumnBatch:
         self._csr: Optional[Csr] = None
         self._scalars: Optional[np.ndarray] = None
         self._parts: Optional[List["ColumnBatch"]] = None
-        self._scratch: Optional[np.ndarray] = None
         self._length = 0
 
     # -- constructors --------------------------------------------------------
@@ -148,26 +147,6 @@ class ColumnBatch:
 
     # -- columnar views ------------------------------------------------------
 
-    def attach_scratch(self, buffer: Optional[np.ndarray]) -> "ColumnBatch":
-        """Offer a flat float64 scratch buffer for columnar materialization.
-
-        The engine leases the buffer from the executor's
-        :class:`~repro.core.vector_pool.VectorPool` for the duration of one
-        stage execution, so stacking this column into a matrix reuses pooled
-        memory instead of allocating on the data path.  Matrices written into
-        scratch are never cached on the column and never exposed through
-        :attr:`rows` (which always returns the original row objects), so no
-        reference can outlive the lease.
-        """
-        self._scratch = buffer
-        return self
-
-    def _scratch_matrix(self, n_rows: int, width: int) -> Optional[np.ndarray]:
-        """A contiguous ``(n_rows, width)`` view of the scratch buffer, if it fits."""
-        if self._scratch is None or width <= 0 or self._scratch.size < n_rows * width:
-            return None
-        return self._scratch[: n_rows * width].reshape(n_rows, width)
-
     @property
     def parts(self) -> Optional[List["ColumnBatch"]]:
         """The per-branch columns of an n-ary input column (None otherwise)."""
@@ -201,15 +180,12 @@ class ColumnBatch:
             return 0
         return None
 
-    def dense_matrix(self, out: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+    def dense_matrix(self) -> Optional[np.ndarray]:
         """The batch as one ``(n_records, width)`` float64 matrix, or None.
 
         Returns the columnar storage directly when the batch was built from a
-        matrix; otherwise the rows are stacked if (and only if) every row is a
-        :class:`DenseVector` of one width.  ``out`` optionally provides the
-        destination buffer (e.g. pooled scratch from a
-        :class:`~repro.core.vector_pool.VectorPool`); a stacked matrix written
-        into ``out`` is *not* cached, because pooled buffers are recycled.
+        matrix; otherwise the rows are stacked (once, then cached) if and only
+        if every row is a :class:`DenseVector` of one width.
         """
         if self._matrix is not None:
             return self._matrix
@@ -224,13 +200,6 @@ class ColumnBatch:
                 width = row.size
             elif row.size != width:
                 return None
-        if out is None:
-            out = self._scratch_matrix(len(rows), width)
-        if out is not None and out.shape[0] >= len(rows) and out.shape[1] == width:
-            matrix = out[: len(rows)]
-            for index, row in enumerate(rows):
-                matrix[index] = row.values
-            return matrix
         matrix = np.empty((len(rows), width), dtype=np.float64)
         for index, row in enumerate(rows):
             matrix[index] = row.values
@@ -385,7 +354,7 @@ def _scatter_csr(matrix: np.ndarray, column_offset: int, csr: Csr) -> None:
         matrix[rows, indices + column_offset if column_offset else indices] = data
 
 
-def batch_matrix(batch: ColumnBatch, out: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+def batch_matrix(batch: ColumnBatch) -> Optional[np.ndarray]:
     """The batch as one ``(n, width)`` float64 matrix, densifying as needed.
 
     Unlike :meth:`ColumnBatch.dense_matrix` (dense-vector rows only, zero
@@ -396,19 +365,12 @@ def batch_matrix(batch: ColumnBatch, out: Optional[np.ndarray] = None) -> Option
     then takes its per-record fallback, which reports the real error for
     genuinely bad records.
     """
-    matrix = batch.dense_matrix(out=out)
+    matrix = batch.dense_matrix()
     if matrix is not None:
         return matrix
     csr = batch.sparse_csr()
     if csr is not None:
-        n_rows, width = len(batch), csr[3]
-        if out is None:
-            out = batch._scratch_matrix(n_rows, width)
-        if out is not None and out.shape[0] >= n_rows and out.shape[1] == width:
-            matrix = out[:n_rows]
-            matrix[:] = 0.0
-        else:
-            matrix = np.zeros((n_rows, width), dtype=np.float64)
+        matrix = np.zeros((len(batch), csr[3]), dtype=np.float64)
         _scatter_csr(matrix, 0, csr)
         return matrix
     rows = batch.rows
@@ -428,12 +390,7 @@ def batch_matrix(batch: ColumnBatch, out: Optional[np.ndarray] = None) -> Option
         elif array.shape[0] != width:
             return None
         arrays.append(array)
-    if out is None:
-        out = batch._scratch_matrix(len(arrays), width)
-    if out is not None and out.shape[0] >= len(arrays) and out.shape[1] == width:
-        matrix = out[: len(arrays)]
-    else:
-        matrix = np.empty((len(arrays), width), dtype=np.float64)
+    matrix = np.empty((len(arrays), width), dtype=np.float64)
     for index, array in enumerate(arrays):
         matrix[index] = array
     return matrix

@@ -7,11 +7,13 @@ the sample:
 * **top-of-stack function** -- which function the thread was executing at
   the sample instant (self-time, scalene's core statistic); and
 * **pipeline stage** -- the sampler walks up the stack looking for a
-  registered *marker* code object (the engine's ``execute_plan_stage`` /
-  ``execute_plan_stage_batch`` / ``execute_plan_stage_columns``) and, on a
-  hit, reads the stage's physical signature out of the frame's locals.  A
-  sample inside a stage therefore counts toward that stage's self-time,
-  operators included, without the stage ever being wrapped or timed inline.
+  registered *marker* code object -- the engine's three stage entry points:
+  ``execute_plan_stage`` (scalar), ``execute_plan_stage_batch`` (a
+  scheduler ``StageBatch``) and ``execute_plan_stage_columns`` (a
+  ``predict_batch`` group) -- and, on a hit, reads the stage's physical
+  signature out of the frame's locals.  A sample inside a stage therefore
+  counts toward that stage's self-time, operators included, without the
+  stage ever being wrapped or timed inline.
 
 The profiled threads pay **nothing**: no ``sys.setprofile`` hooks, no
 signals, no per-call bookkeeping.  The whole cost sits on the sampler

@@ -105,9 +105,7 @@ def calibrate_plan_stage_batches(
         for index, stage in enumerate(plan.stages):
             items = [(stage, record, values) for record, values in zip(tiled, values_list)]
             start = time.perf_counter()
-            execute_plan_stage_batch(
-                items, materializer=runtime.materializer, pool=runtime._inline_pool
-            )
+            execute_plan_stage_batch(items)
             totals[index] += time.perf_counter() - start
     samples = repetitions * batch_size
     return CalibratedPlan(
