@@ -99,6 +99,11 @@ def claim(name: str, value: float, floor: float) -> Dict[str, Any]:
     return {name: value, f"{name}_floor": floor, f"{name}_met": value > floor}
 
 
+def claim_below(name: str, value: float, ceiling: float) -> Dict[str, Any]:
+    """Like :func:`claim`, for a wall-clock value that must stay under a ceiling."""
+    return {name: value, f"{name}_ceiling": ceiling, f"{name}_met": value < ceiling}
+
+
 def write_report(name: str, text: str, metrics: Optional[Dict[str, Any]] = None) -> None:
     """Persist a figure report so it survives pytest output capture.
 

@@ -10,7 +10,7 @@ machine-readable ``.json`` twin):
 * **scheduler** -- self-feeding submit+pop threads against the one queue
   per priority class, threads x ops/sec (recorded).
 * **register-under-pressure** -- concurrent plan registrations on a
-  budget-squeezed cluster (demotions racing registrations through the
+  budget-squeezed cluster (dedup claims and overflows racing through the
   per-plan/phase lock split), which the old global lifecycle lock fully
   serialized.
 
@@ -179,19 +179,18 @@ def _compressible_pipeline(name: str, seed: int, n: int = 16384) -> Pipeline:
 
 
 def _bench_register_under_pressure() -> dict:
-    """Concurrent registrations on a budget so tight every thread's plans
-    keep demoting other threads' plans (the compress-while-serving race)."""
+    """Concurrent registrations on a budget so tight most plans overflow:
+    their weights stay private while other registrations claim slabs."""
     total = REGISTER_THREADS * REGISTER_PLANS_PER_THREAD
     n = 16384
-    # Room for only a quarter of the plans: most registrations run the
-    # demotion ladder while other registrations are in flight.
+    # Room for only a quarter of the plans: most registrations overflow
+    # while other registrations are in flight.
     budget = max(total // 4, 2) * n * 8 + 256 * 1024
     config = PretzelConfig(
         num_workers=1,
         placement_replicas=1,
         shm_budget_bytes=budget,
         shm_min_parameter_bytes=1024,
-        arena_eviction_policy="compress-tiered",
         worker_timeout_seconds=120.0,
     )
     record = [1.0] * n
@@ -223,8 +222,8 @@ def _bench_register_under_pressure() -> dict:
             thread.join(timeout=600.0)
         elapsed = time.perf_counter() - started
         assert not errors, errors
-        # Every plan survived the storm and serves correct bytes (demoted
-        # plans rehydrate on first touch).
+        # Every plan survived the storm and serves correct bytes (overflowed
+        # plans from their private copies).
         for index in range(REGISTER_THREADS):
             for step in range(REGISTER_PLANS_PER_THREAD):
                 plan_id = f"plan-{index}-{step}"
@@ -233,14 +232,13 @@ def _bench_register_under_pressure() -> dict:
                 ).predict(record)
                 got = cluster.predict(plan_id, record)
                 assert abs(got - expected) < 1e-9 * max(1.0, abs(expected))
-        control = cluster.stats()["control_plane"]
+        overflows = cluster.stats()["arena_overflows"]
     return {
         "threads": REGISTER_THREADS,
         "plans": total,
         "seconds": elapsed,
         "registrations_per_sec": total / elapsed,
-        "compressions": control["arena_compressions"],
-        "rehydrations": control["rehydrations"],
+        "arena_overflows": overflows,
     }
 
 
@@ -317,9 +315,9 @@ def test_contention_microbench(benchmark):
     scheduler_report.rows = scheduler_rows
     register_report = ExperimentReport(
         "Contention microbench: register under pressure",
-        "concurrent registrations racing compressed-tier demotions on a "
-        "half-sized arena (per-plan + phase locks; the old global lifecycle "
-        "lock fully serialized this).",
+        "concurrent registrations overflowing a quarter-sized arena "
+        "(per-plan + phase locks; the old global lifecycle lock fully "
+        "serialized this).",
     )
     register_report.rows = [register]
     register_report.add_note(

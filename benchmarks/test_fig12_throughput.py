@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 
-from conftest import write_report
+from conftest import claim, write_report
 from repro.core.config import PretzelConfig
 from repro.core.runtime import PretzelRuntime
 from repro.mlnet.runtime import MLNetRuntime
@@ -112,22 +112,38 @@ def _run(family, inputs):
 
 
 def _check_shape(rows):
-    # PRETZEL scales close to linearly and the black box scales worse, so the
-    # gap widens with core count (the paper's headline observation).
-    one = next(r for r in rows if r["cores"] == 1)
-    eight = next(r for r in rows if r["cores"] == 8)
-    top = rows[-1]
-    assert eight["pretzel_kqps"] > 5.0 * one["pretzel_kqps"]
-    assert (eight["mlnet_kqps"] / one["mlnet_kqps"]) < (
-        eight["pretzel_kqps"] / one["pretzel_kqps"]
-    )
-    assert top["speedup"] > one["speedup"]
-    assert top["pretzel_kqps"] > top["mlnet_kqps"]
     # Stage-level batching (vectorized batched stage execution) must never
     # lose throughput against the unbatched configuration of the same run.
+    # Structural, not a timing claim: every batched stage time is clamped at
+    # its scalar time in _calibrate, so the simulator sees no slower stage.
     assert np.mean([r["pretzel_batched_kqps"] for r in rows]) >= np.mean(
         [r["pretzel_kqps"] for r in rows]
     )
+
+
+def _shape_claims(rows):
+    """PRETZEL scales close to linearly and the black box scales worse, so
+    the gap widens with core count (the paper's headline observation).
+
+    The series are simulated from service times measured on this host, so
+    each ordering is a wall-clock claim: a ratio above its floor means it
+    held.
+    """
+    one = next(r for r in rows if r["cores"] == 1)
+    eight = next(r for r in rows if r["cores"] == 8)
+    top = rows[-1]
+    pretzel_scaling = eight["pretzel_kqps"] / one["pretzel_kqps"]
+    mlnet_scaling = eight["mlnet_kqps"] / one["mlnet_kqps"]
+    return {
+        **claim("pretzel_8_core_scaling", pretzel_scaling, 5.0),
+        **claim("pretzel_over_mlnet_scaling_ratio", pretzel_scaling / mlnet_scaling, 1.0),
+        **claim("top_over_one_core_speedup_ratio", top["speedup"] / one["speedup"], 1.0),
+        **claim(
+            "top_pretzel_over_mlnet_kqps_ratio",
+            top["pretzel_kqps"] / max(top["mlnet_kqps"], 1e-9),
+            1.0,
+        ),
+    }
 
 
 #: the unclamped batch-path speedup the figure claims (observed 1.19-1.30x on
@@ -148,12 +164,9 @@ def _claims(rows, raw_speedup, win_ratio_floor):
     """
     win_ratio = min(row["pretzel_kqps"] / max(row["mlnet_kqps"], 1e-9) for row in rows)
     return {
-        "raw_speedup": raw_speedup,
-        "raw_speedup_floor": RAW_SPEEDUP_FLOOR,
-        "raw_speedup_met": raw_speedup > RAW_SPEEDUP_FLOOR,
-        "min_win_ratio": win_ratio,
-        "min_win_ratio_floor": win_ratio_floor,
-        "min_win_ratio_met": win_ratio > win_ratio_floor,
+        **claim("raw_speedup", raw_speedup, RAW_SPEEDUP_FLOOR),
+        **claim("min_win_ratio", win_ratio, win_ratio_floor),
+        **_shape_claims(rows),
     }
 
 
@@ -331,21 +344,34 @@ def test_fig12_cluster_scaling(sa_family, sa_inputs):
         "Real N-worker cluster footprint; linear_mb is N private copies.",
     )
     memory.rows = memory_rows
+    # Throughput claims, recorded rather than asserted (they are simulated
+    # from measured round trips): a 4-worker cluster beats the
+    # single-process runtime with margin, and adding workers keeps paying.
+    by_workers = {row["workers"]: row for row in throughput_rows}
     write_report(
         "fig12_cluster_scaling",
         throughput.render() + "\n\n" + memory.render(),
         metrics={
             "raw_overhead_ms": raw_overhead_ms,
             "min_raw_overhead_ms": min_raw_overhead_ms,
+            **claim(
+                "cluster_4_over_single_kqps_ratio",
+                by_workers[4]["cluster_kqps"] / single_kqps,
+                1.5,
+            ),
+            **claim(
+                "cluster_4_over_2_kqps_ratio",
+                by_workers[4]["cluster_kqps"] / by_workers[2]["cluster_kqps"],
+                1.0,
+            ),
+            **claim(
+                "cluster_2_over_1_kqps_ratio",
+                by_workers[2]["cluster_kqps"] / by_workers[1]["cluster_kqps"],
+                1.0,
+            ),
         },
     )
 
-    # Throughput: a 4-worker cluster must beat the single-process runtime
-    # strictly (and with margin), and adding workers must keep paying off.
-    by_workers = {row["workers"]: row for row in throughput_rows}
-    assert by_workers[4]["cluster_kqps"] > single_kqps
-    assert by_workers[4]["cluster_kqps"] > 1.5 * single_kqps
-    assert by_workers[4]["cluster_kqps"] > by_workers[2]["cluster_kqps"] > by_workers[1]["cluster_kqps"]
     # Memory: strictly sub-linear in N, and the gap is explained by shared
     # parameters mapped once -- N workers pay the arena once instead of N
     # private copies (2.5 of the 3 saved copies leaves accounting noise room).

@@ -1,6 +1,6 @@
 """Figure 5: per-operator latency breakdown of one SA pipeline."""
 
-from conftest import write_report
+from conftest import claim, claim_below, write_report
 from repro.telemetry.reporting import ExperimentReport
 
 
@@ -20,13 +20,21 @@ def test_fig5_latency_breakdown(benchmark, sa_family, sa_inputs):
     )
     for node, seconds in breakdown.items():
         report.add_row(operator=node, share_pct=100.0 * seconds / total, micros=seconds * 1e6)
-    write_report("fig5_latency_breakdown", report.render())
-
-    # Shape: featurization (n-grams + the Concat buffer) dominates; the final
-    # linear model is a negligible fraction, as in the paper.
+    # Shape, recorded as wall-clock claims: featurization (n-grams + the
+    # Concat buffer) dominates; the final linear model is a negligible
+    # fraction, as in the paper.
     featurization = (
         breakdown["char_ngram"] + breakdown["word_ngram"] + breakdown["concat"]
     )
-    assert featurization / total > 0.6
-    assert breakdown["classifier"] / total < 0.15
-    assert breakdown["concat"] > breakdown["classifier"]
+    write_report(
+        "fig5_latency_breakdown",
+        report.render(),
+        metrics={
+            **claim("featurization_share", featurization / total, 0.6),
+            **claim_below("classifier_share", breakdown["classifier"] / total, 0.15),
+            **claim(
+                "concat_over_classifier", breakdown["concat"] / breakdown["classifier"], 1.0
+            ),
+        },
+    )
+    assert all(seconds > 0 for seconds in breakdown.values())

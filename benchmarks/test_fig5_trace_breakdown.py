@@ -28,7 +28,7 @@ ratio, so it is not asserted (it read 1.089 on a loaded 2-CPU host).
 import os
 import time
 
-from conftest import write_report
+from conftest import claim_below, write_report
 from repro import observability
 from repro.core.config import PretzelConfig
 from repro.core.engines import execute_plan_stage
@@ -202,9 +202,7 @@ def test_fig5_trace_breakdown(benchmark, sa_family, sa_inputs):
             "blackbox_groups": blackbox_groups,
             "live_groups": live_groups,
             "overhead": overhead,
-            "overhead_ratio": overhead["overhead_ratio"],
-            "overhead_ratio_ceiling": OVERHEAD_CEILING,
-            "overhead_ratio_met": overhead["overhead_ratio"] < OVERHEAD_CEILING,
+            **claim_below("overhead_ratio", overhead["overhead_ratio"], OVERHEAD_CEILING),
             "tolerances": {
                 "live_vs_offline": LIVE_VS_OFFLINE_TOL,
                 "live_vs_blackbox": LIVE_VS_BLACKBOX_TOL,

@@ -52,7 +52,10 @@ class PretzelConfig:
     shm_budget_bytes:
         Size of the shared-memory arena backing deduplicated parameter
         buffers across worker processes.  ``0`` disables the arena (workers
-        keep private parameter copies, the "no shared arena" ablation).
+        keep private parameter copies, the "no shared arena" ablation).  A
+        parameter that does not fit stays private to its plan's workers and
+        is counted in the cluster's ``arena_overflows``; registered plans
+        are never evicted to make room.
     shm_min_parameter_bytes:
         Parameters below this size are not worth a shared-memory slab (the
         slab header and page granularity would dominate); they stay private.
@@ -84,18 +87,6 @@ class PretzelConfig:
         heartbeat; only workers idle longer than this receive an explicit
         ping.  Also the TTL after which the router ages out a worker's
         reported backlog (an idle worker is not shunned on stale depth).
-    arena_eviction_policy:
-        What to do when the shared-memory arena cannot fit a registration:
-        ``"traffic-ema"`` evicts the coldest plan's exclusively-referenced
-        slabs (victims picked by per-plan request-rate EMA, Ariadne-style;
-        the victim's workers privatize those parameters first, so it keeps
-        serving), ``"compress-tiered"`` inserts a compressed tier before
-        that eviction -- the coldest resident plan's slabs are compressed in
-        place and the first request touching it rehydrates them; plans whose
-        slabs do not compress fall through to the privatize-then-evict path,
-        which becomes the final tier -- or ``"none"`` (the new plan's
-        overflowing parameters simply stay private, the pre-control-plane
-        behaviour).
     enable_profiling:
         Run the always-on sampling profiler (:mod:`repro.profiling`): a
         background thread samples per-thread frames every
@@ -136,7 +127,6 @@ class PretzelConfig:
     worker_timeout_seconds: float = 60.0
     transport: str = "pipe"
     heartbeat_interval_seconds: float = 5.0
-    arena_eviction_policy: str = "traffic-ema"
     enable_profiling: bool = True
     enable_tracing: bool = True
     trace_sample_rate: int = 64

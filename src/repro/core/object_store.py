@@ -287,43 +287,6 @@ class ObjectStore:
         with self._lock:
             return list(self._operators.values())
 
-    def rebind_parameters(self, checksum: str, resolve: Any) -> int:
-        """Rebind stored parameters with this checksum via a per-parameter resolver.
-
-        ``resolve(parameter)`` returns the replacement value for that stored
-        parameter, or None to leave it untouched.  The per-parameter hook
-        matters when parameters sharing a checksum differ in layout
-        (reshaped views of the same bytes): each gets a replacement matching
-        *its own* shape/dtype instead of one caller-chosen value for all.
-        Returns how many stored parameters were rebound.
-        """
-        swapped = 0
-        with self._lock:
-            for key, parameter in list(self._parameters.items()):
-                if parameter.checksum != checksum:
-                    continue
-                value = resolve(parameter)
-                if value is None:
-                    continue
-                clone = Parameter.__new__(Parameter)
-                clone.name = parameter.name
-                clone.value = value
-                clone.checksum = parameter.checksum
-                clone.nbytes = parameter.nbytes
-                self._parameters[key] = clone
-                swapped += 1
-        return swapped
-
-    def replace_parameter_value(self, checksum: str, value: Any) -> int:
-        """Rebind every stored parameter with this checksum onto ``value``.
-
-        Used when a shared slab is reclaimed under a still-registered plan
-        (arena budget-pressure eviction): the worker privatizes the bytes
-        and the store must stop holding the about-to-be-recycled view.
-        Returns how many stored parameters were rebound.
-        """
-        return self.rebind_parameters(checksum, lambda _parameter: value)
-
     def _is_shared(self, parameter: Parameter) -> bool:
         backing = self.parameter_backing
         return backing is not None and backing.is_shared(parameter)

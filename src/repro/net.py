@@ -347,8 +347,8 @@ def unpack_value_batch(obj: Any) -> Any:
 
 # -- data-plane predict frames -----------------------------------------------
 #
-# The envelope above is the *control plane*: register, unregister, demote,
-# ping, stats, traces, metrics -- and any predict whose records do not fit a
+# The envelope above is the *control plane*: register, unregister, ping,
+# stats, traces, metrics -- and any predict whose records do not fit a
 # frame.  A conforming predict and its reply travel on the *data plane*: a
 # fixed ``struct`` header followed by raw values, no JSON and no key names in
 # either direction.  Both ends derive the plan's input schema from the same

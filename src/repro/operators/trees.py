@@ -265,7 +265,7 @@ class DecisionTree(Operator):
         :meth:`_leaf_of`.  The views are derived state: kept off the pickle
         (:attr:`derived_attributes`), never a :class:`Parameter`, valid over
         read-only arena views, and rebuilt whenever a ``_nodes`` array has
-        been replaced (arena rebind / privatize, model-file load) -- checked
+        been replaced (arena rebind, model-file load) -- checked
         by identity, like the parameter memo.
         """
         nodes = self._nodes
@@ -362,8 +362,8 @@ class _TreeEnsemble(Operator):
     memoryviews: kept off the pickle (:attr:`derived_attributes`), never a
     :class:`Parameter` (so :meth:`memory_bytes` does not count it), built by
     :meth:`prepare` under AOT, and rebuilt whenever a member's node array is
-    no longer the object it was copied from (refit, arena rebind or
-    privatize, model-file load).
+    no longer the object it was copied from (refit, arena rebind,
+    model-file load).
     """
 
     derived_attributes = Operator.derived_attributes + ("_arena",)

@@ -33,24 +33,21 @@ parameter sharing:
   :class:`~repro.serving.control.failure.WorkerFailedError`.  The
   :class:`~repro.serving.control.lifecycle.PlanLifecycle` reference-counts
   every plan's arena checksums so :meth:`PretzelCluster.unregister` can give
-  exclusively-referenced slabs back to the allocator's free lists, and picks
-  budget-pressure eviction victims by per-plan traffic EMA
-  (``arena_eviction_policy="traffic-ema"``).  With
-  ``arena_eviction_policy="compress-tiered"`` the first response to pressure
-  is instead to *compress* the coldest plan's slabs in place; the first
-  request touching the demoted plan rehydrates them (decompress, re-ship
-  refs, workers re-adopt) before dispatch, and only incompressible plans
-  fall through to the privatize-then-evict final tier.
+  exclusively-referenced slabs back to the allocator's free lists.
+* **Arena pressure.**  A parameter that does not fit the arena stays
+  private on the workers of the plan registering it and is counted in
+  ``arena_overflows``.  No registered plan is ever demoted or torn down to
+  make room: a plan leaves the arena only through :meth:`unregister`.
+  Evicting a plan would free nothing anyway -- its one shared copy would
+  become one private copy per hosting worker.
 
 Lifecycle transitions are plan-parallel: each plan id owns a transition
-lock (registration, unregister, rehydration and fail-over re-homing of one
-plan serialize on it; demotion *try-acquires* its victim's, keeping the lock
-graph acyclic), and only the arena claim protocol -- dedup-claim,
-exclusivity recheck before a free/compress, release-on-teardown -- runs
-under a short global phase lock.  One plan's multi-second worker round
-trips therefore never stall another plan's registration or demotion
-(compress-while-serving); the named locks report contended wait time
-through ``stats()["profile"]["locks"]``.
+lock (registration, unregister and fail-over re-homing of one plan
+serialize on it), and only the arena claim protocol -- dedup-claim and
+release-on-teardown -- runs under a short global phase lock.  One plan's
+multi-second worker round trips therefore never stall another plan's
+registration; the named locks report contended wait time through
+``stats()["profile"]["locks"]``.
 
 The facade mirrors :class:`~repro.core.runtime.PretzelRuntime`:
 ``register`` / ``unregister`` / ``predict`` / ``predict_batch`` / ``stats``
@@ -66,7 +63,7 @@ import multiprocessing
 import threading
 import time
 import uuid
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import observability, profiling
 from repro.core.config import PretzelConfig
@@ -329,11 +326,6 @@ class PretzelCluster:
             raise ValueError(
                 f"unknown transport {self.config.transport!r} (pipe or socket)"
             )
-        if self.config.arena_eviction_policy not in ("traffic-ema", "compress-tiered", "none"):
-            raise ValueError(
-                f"unknown arena_eviction_policy {self.config.arena_eviction_policy!r} "
-                "(traffic-ema, compress-tiered or none)"
-            )
         num_workers = max(0 if attach else 1, int(self.config.num_workers))
         if num_workers + len(attach) < 1:
             raise ValueError("a cluster needs at least one worker (spawned or attached)")
@@ -342,12 +334,7 @@ class PretzelCluster:
         )
         context = multiprocessing.get_context(method)
         self.arena: Optional[SharedMemoryArena] = (
-            SharedMemoryArena(
-                self.config.shm_budget_bytes,
-                enable_compressed_tier=(
-                    self.config.arena_eviction_policy == "compress-tiered"
-                ),
-            )
+            SharedMemoryArena(self.config.shm_budget_bytes)
             if self.config.shm_budget_bytes > 0
             else None
         )
@@ -365,25 +352,18 @@ class PretzelCluster:
         self._msg_ids = itertools.count()
         self._lock = threading.Lock()
         #: short global "phase" lock serializing only the arena *claim
-        #: protocol*: dedup-claim (slab probe + lifecycle note), the
-        #: exclusivity recheck before any free/compress, and
+        #: protocol*: dedup-claim (slab probe + lifecycle note) and
         #: release-on-teardown.  Each section holds it for microseconds, so
-        #: one thread's eviction can never free a slab another thread's
+        #: one thread's unregister can never free a slab another thread's
         #: in-progress registration has dedup-hit but not yet claimed --
         #: without serializing whole registrations behind each other.
         self._phase_lock = ProfiledRLock("cluster.phase")
         #: per-plan transition locks (created on first use, never removed --
         #: one small object per distinct plan id ever seen).  A plan's
-        #: registration, unregister, rehydration and re-home serialize on
-        #: its own lock; demotion try-acquires its victim's lock, so the
-        #: lock graph stays acyclic and plans transition in parallel.
+        #: registration, unregister and re-home serialize on its own lock,
+        #: so plans transition in parallel.
         self._plan_locks: Dict[str, ProfiledRLock] = {}
         self._plan_locks_guard = threading.Lock()
-        #: plans whose register messages (initial registration or fail-over
-        #: re-homing) are currently in flight: their arena refs travel inside
-        #: those messages, so eviction must not pick them as victims even
-        #: when their lifecycle entry says their slabs are exclusive.
-        self._in_transition: Set[str] = set()
         self._closed = False
         self.arena_overflows = 0
         # The tracing front door: sampling decisions are made here and ride
@@ -528,17 +508,11 @@ class PretzelCluster:
         registered_on: List[str] = []
         uncertain: Optional[str] = None
         # The plan's own transition lock serializes this registration against
-        # a concurrent unregister / rehydration / re-home of the same id
-        # while *other* plans register, demote and rehydrate in parallel;
-        # the arena claim protocol itself is the short phase-locked section
-        # inside _put_shared.
+        # a concurrent unregister / re-home of the same id while *other*
+        # plans register in parallel; the arena claim protocol itself is the
+        # short phase-locked section inside _put_shared.
         with self._plan_lock(identifier):
             try:
-                with self._phase_lock:
-                    # Visible before the first slab claim: eviction snapshots
-                    # this set under the same lock, and the demote path's
-                    # try-acquire of our plan lock backstops any staleness.
-                    self._in_transition.add(identifier)
                 arena_refs = self._share_parameters(identifier, pipeline, stats)
                 placed = self.router.place(identifier, replicas)
                 model_b64 = encode_model(pipeline, stats)
@@ -574,36 +548,27 @@ class PretzelCluster:
                         raise
                     registered_on.append(worker_id)
                     rebound += int(reply.get("rebound_arrays", 0))
-                # The complete record (hosting workers included) must be
-                # visible before the plan leaves the in-transition set: an
-                # eviction that picks this plan as victim the instant the
-                # flag drops must see who hosts it, or _demote_plan would
-                # "ack" against an empty worker list and free freshly
-                # adopted slabs.  A worker evicted *during* the round trips
-                # is filtered out -- the fail-over that evicted it could not
-                # see this plan yet, so reinstating the dead id here would
-                # poison later teardown acks.
+                # A worker evicted *during* the round trips is filtered out
+                # -- the fail-over that evicted it could not see this plan
+                # yet, so reinstating the dead id here would poison later
+                # teardown acks.
                 with self._lock:
                     self._plans[identifier] = {
                         "workers": [w for w in registered_on if w in self._workers],
                         "engine": engine,
                         "replicas": replicas or self.config.placement_replicas,
-                        # Retained only while it can ever be shipped again:
+                        # Retained only while it can ever be shipped again,
                         # to a worker that does not host the plan (fail-over
-                        # re-homing) or on rehydration.  A plan placed on
-                        # every worker has no such worker -- membership only
-                        # shrinks -- so its encoding is dropped, not kept
-                        # for the life of the cluster.
+                        # re-homing).  A plan placed on every worker has no
+                        # such worker -- membership only shrinks -- so its
+                        # encoding is dropped, not kept for the life of the
+                        # cluster.
                         "model_b64": (
-                            model_b64
-                            if len(placed) < len(self._workers)
-                            or self.config.arena_eviction_policy == "compress-tiered"
-                            else None
+                            model_b64 if len(placed) < len(self._workers) else None
                         ),
                         "arena_refs": arena_refs,
                         "shared_parameters": len(arena_refs),
                         "rebound_arrays": rebound,
-                        "tier": "resident",
                         # Each hosting worker compiled its copy from the
                         # same pipeline with the same function.
                         "schema": input_frame_schema(pipeline),
@@ -611,9 +576,6 @@ class PretzelCluster:
             except BaseException:
                 self._roll_back_registration(identifier, registered_on, uncertain)
                 raise
-            finally:
-                with self._phase_lock:
-                    self._in_transition.discard(identifier)
         return identifier
 
     def _teardown_on_workers(
@@ -622,7 +584,7 @@ class PretzelCluster:
         """Send a teardown-class message to each worker; True iff all acked.
 
         The liveness guard of the arena reclamation protocol, shared by
-        unregister, registration rollback and demote: a worker that fails the
+        unregister and registration rollback: a worker that fails the
         round trip blocks the free (returns False) *unless* its connection is
         gone and its process is provably dead -- a dead worker no longer maps
         anything.  Workers already evicted from the membership are skipped
@@ -702,8 +664,8 @@ class PretzelCluster:
         self._ensure_open()
         with self._plan_lock(plan_id):
             # Popping the plan under its transition lock serializes the
-            # teardown against a concurrent fail-over re-homing or
-            # rehydration of the same plan: either that writer finished (and
+            # teardown against a concurrent fail-over re-homing of the same
+            # plan: either that writer finished (and
             # info["workers"] includes the new host, which then acks below)
             # or it has not started yet (and will find the plan gone).
             # Other plans keep registering and serving in parallel.
@@ -749,12 +711,9 @@ class PretzelCluster:
         shared bytes cannot back a hash table without rebuilding -- and
         therefore duplicating -- it.
 
-        Under budget pressure (``ArenaExhaustedError``) and
-        ``arena_eviction_policy="traffic-ema"``, the coldest plans'
-        exclusively-referenced slabs are evicted (their workers privatize
-        the parameters first) to make room; when nothing evictable remains
-        the overflowing parameter stays worker-private and is counted in
-        ``arena_overflows``.
+        Under budget pressure (``ArenaExhaustedError``) the overflowing
+        parameter stays worker-private and is counted in
+        ``arena_overflows``; no other plan's slabs are touched.
         """
         if self.arena is None:
             return {}
@@ -769,12 +728,10 @@ class PretzelCluster:
             try:
                 ref = self._put_shared(plan_id, parameter)
             except ArenaExhaustedError:
-                ref = self._evict_for(plan_id, parameter, pinned=frozenset(refs))
-                if ref is None:
-                    # Smaller parameters may still fit a recycled slab; keep
-                    # scanning but record that sharing is no longer complete.
-                    self.arena_overflows += 1
-                    continue
+                # Smaller parameters may still fit a recycled slab; keep
+                # scanning but record that sharing is no longer complete.
+                self.arena_overflows += 1
+                continue
             refs[parameter.checksum] = ref.to_dict()
         return refs
 
@@ -782,312 +739,30 @@ class PretzelCluster:
         """Claim one parameter's slab for ``plan_id`` (copy outside the lock).
 
         The arena claim protocol: a dedup hit on another plan's slab is only
-        safe if the claim (``note_registered``) lands before any demote or
-        unregister rechecks that slab's exclusivity -- and both sides run
-        under the global phase lock, so the recheck is authoritative.  The
-        expensive part (the memcpy + checksum of a first-time put) runs
-        *outside* that lock: a brand-new slab has no lifecycle entry yet, so
-        nothing can free it before the claim below.
+        safe if the claim (``note_registered``) lands before an unregister
+        decides that slab's exclusivity -- and both sides run under the
+        global phase lock, so that decision is authoritative.  The expensive
+        part (the memcpy + checksum of a first-time put) runs *outside* that
+        lock: a brand-new slab has no lifecycle entry yet, so nothing can
+        free it before the claim below.
         """
         assert self.arena is not None
         checksum = parameter.checksum
         if self.arena.get(checksum) is None:
-            # First put of these bytes (or a compressed-tier re-inflation):
-            # do the copy without stalling other plans' phase transitions.
-            # May raise ArenaExhaustedError -> the caller evicts and retries.
+            # First put of these bytes: do the copy without stalling other
+            # plans' phase transitions.  May raise ArenaExhaustedError -> the
+            # caller keeps the parameter private.
             self.arena.put_array(checksum, parameter.value)
         with self._phase_lock:
-            # Probe-and-claim atomically: a demote/unregister may have freed
-            # or compressed the slab between the put above and here (we held
-            # no claim yet).  Re-putting under the phase lock is then a rare
-            # one-off copy, never the common case.
+            # Probe-and-claim atomically: an unregister may have freed the
+            # slab between the put above and here (we held no claim yet).
+            # Re-putting under the phase lock is then a rare one-off copy,
+            # never the common case.
             ref = self.arena.get(checksum)
             if ref is None:
                 ref = self.arena.put_array(checksum, parameter.value)
             self.lifecycle.note_registered(plan_id, [checksum])
         return ref
-
-    def _evict_for(
-        self, plan_id: str, parameter: Any, pinned: frozenset
-    ) -> Optional[Any]:
-        """Evict cold plans' exclusive slabs until ``parameter`` fits.
-
-        Victims are the lowest-traffic plans (EMA, Ariadne-style) that still
-        have freeable slabs; ``pinned`` protects checksums the in-progress
-        registration already handed out.  Returns the new ref, or None when
-        eviction cannot make room.
-        """
-        return self._evict_until(
-            plan_id,
-            pinned,
-            lambda: self._put_shared(plan_id, parameter),
-        )
-
-    def _evict_until(
-        self, plan_id: str, pinned: frozenset, attempt: Any
-    ) -> Optional[Any]:
-        """Demote cold plans until ``attempt()`` stops raising exhaustion.
-
-        Shared by registration (attempt = put the overflowing parameter) and
-        rehydration (attempt = decompress the touched plan's next slab).
-        Under ``"compress-tiered"`` each victim is first *compressed in
-        place* -- only plans whose slabs refuse to compress (or that are
-        already compressed) fall through to the final privatize-then-evict
-        tier.  Returns ``attempt()``'s result, or None when nothing more can
-        be freed.
-        """
-        if (
-            self.config.arena_eviction_policy not in ("traffic-ema", "compress-tiered")
-            or self.arena is None
-        ):
-            return None
-        tiered = self.config.arena_eviction_policy == "compress-tiered"
-        # Plans whose register messages are in flight carry their arena refs
-        # inside those messages; evicting them would free slabs a worker is
-        # about to adopt.  The snapshot is taken under the phase lock; a
-        # transition starting *after* it is still safe, because every demote
-        # try-acquires its victim's plan lock -- which that transition holds.
-        with self._phase_lock:
-            tried: Set[str] = {plan_id} | set(self._in_transition)
-        while True:
-            # Only resident plans are demotable under the tiered policy: a
-            # compressed plan's payload slabs are its sole copy of the bytes
-            # (the workers tore it down) and stay until rehydration or
-            # unregister frees them.
-            victim = self.lifecycle.victim(
-                exclude=tried,
-                pinned=pinned,
-                tiers=("resident",) if tiered else None,
-            )
-            if victim is None:
-                return None
-            tried.add(victim)
-            demoted = False
-            if tiered:
-                demoted = self._demote_plan_compressed(victim, pinned)
-            if not demoted and self.lifecycle.tier_of(victim) == "resident":
-                # Final tier: privatize on the workers, then free outright.
-                # Reached directly under "traffic-ema", or under the tiered
-                # policy when the victim's slabs refused to compress.
-                demoted = self._demote_plan(victim, pinned)
-            if not demoted:
-                continue
-            try:
-                return attempt()
-            except ArenaExhaustedError:
-                continue
-
-    def _demote_plan_compressed(self, victim: str, pinned: frozenset) -> bool:
-        """Compress one cold plan's exclusive slabs in place (tier demotion).
-
-        The compressed tier's write path: every exclusive un-pinned slab is
-        trial-compressed first (pure read) -- if none qualifies the plan is
-        left untouched and the caller falls through to plain eviction.
-        Otherwise the plan is torn down on its hosting workers (the same
-        liveness protocol as unregister: the original slabs are about to be
-        recycled), gated to the compressed tier so dispatch rehydrates
-        before routing, and only then are the slabs actually moved.  If the
-        teardown is not fully acked nothing is freed -- the plan sits gated
-        with its payloads unwritten and heals through the rehydration path.
-
-        Self-locking: the victim's plan lock is *try*-acquired, so a caller
-        holding its own plan lock never blocks on another plan's (acyclic
-        lock graph) -- a victim mid-transition is simply skipped this round.
-        """
-        assert self.arena is not None
-        victim_lock = self._plan_lock(victim)
-        if not victim_lock.acquire(blocking=False):
-            return False
-        try:
-            checksums = sorted(self.lifecycle.exclusive_checksums(victim) - set(pinned))
-            if not checksums:
-                return False
-            heat = self.lifecycle.traffic(victim)
-            qualified: List[Tuple[str, str, bytes]] = []
-            for checksum in checksums:
-                trial = self.arena.trial_compress(checksum, traffic_ema=heat)
-                if trial is not None:
-                    qualified.append((checksum, trial[0], trial[1]))
-            if not qualified:
-                return False  # incompressible: skip straight to the final tier
-            with self._lock:
-                info = self._plans.get(victim)
-                hosting = list(info.get("workers", ())) if info else []
-            # Gate *before* the teardown round trips: a dispatch racing the
-            # demotion must either find the plan still registered on its
-            # workers or find the compressed gate and rehydrate (which
-            # serializes behind the victim's plan lock, held here).
-            self.lifecycle.set_tier(victim, "compressed")
-            with self._lock:
-                if info is not None:
-                    info["tier"] = "compressed"
-            if not self._teardown_on_workers(
-                hosting, "unregister", plan_id=victim, drop_checksums=checksums
-            ):
-                # A live worker may still map the slabs: free nothing.  The
-                # plan is already gated, so the next request re-registers it
-                # through the rehydration path and the demotion is retried
-                # later.
-                return False
-            compressed = 0
-            with self._phase_lock:
-                # A registrant may have dedup-claimed one of these checksums
-                # since the exclusivity snapshot above; its claim was
-                # recorded under the phase lock, so rechecking here (same
-                # lock) is authoritative before any slab is moved.
-                still = self.lifecycle.exclusive_checksums(victim)
-                for checksum, codec, payload in qualified:
-                    if checksum not in still:
-                        continue
-                    if self.arena.commit_compress(checksum, codec, payload):
-                        compressed += 1
-            with self._lock:
-                if info is not None:
-                    info["workers"] = []
-            self.router.set_placement(victim, [])
-            if compressed:
-                self.control.arena_compressions += 1
-            return compressed > 0
-        finally:
-            victim_lock.release()
-
-    def _rehydrate_plan(self, plan_id: str) -> bool:
-        """Rehydrate a compressed plan before dispatch (first-touch path).
-
-        Decompresses every restorable slab into fresh resident slabs (making
-        room through the normal demotion ladder if needed), re-ships the
-        (checksum -> ref) table with a ``replace`` register to the plan's
-        placement, and lifts the tier gate.  Workers re-adopt the views
-        during that registration, exactly as on first registration -- a slab
-        that cannot be restored (exhausted arena, unacked demotion) simply
-        ships no ref and stays worker-private.
-        """
-        started = time.perf_counter()
-        # The plan's transition lock makes first-touch rehydration exclusive
-        # with a concurrent demote, re-home or unregister of the same plan;
-        # concurrent dispatchers of *this* plan queue here briefly and then
-        # take the raced-early-return below, while other plans keep serving.
-        with self._plan_lock(plan_id):
-            with self._lock:
-                info = self._plans.get(plan_id)
-                if info is None or info.get("tier") != "compressed":
-                    return info is not None  # raced: someone else rehydrated
-                snapshot = dict(info)
-            with self._phase_lock:
-                self._in_transition.add(plan_id)
-            try:
-                owned = sorted(self.lifecycle.checksums(plan_id))
-                refs: Dict[str, Dict[str, Any]] = {}
-                for checksum in owned:
-                    assert self.arena is not None
-                    ref = self.arena.get(checksum)
-                    if ref is None:
-                        try:
-                            ref = self.arena.decompress(checksum)
-                        except KeyError:
-                            continue  # lost to an unacked demotion: stays private
-                        except ArenaExhaustedError:
-                            ref = self._evict_until(
-                                plan_id,
-                                frozenset(owned),
-                                lambda checksum=checksum: self.arena.decompress(checksum),
-                            )
-                            if ref is None:
-                                continue
-                    refs[checksum] = ref.to_dict()
-                survivors = [w for w in snapshot.get("workers", ()) if w in self._workers]
-                desired = min(
-                    int(snapshot.get("replicas") or self.config.placement_replicas),
-                    max(len(self._workers), 1),
-                )
-                if self.router.ring is not None and len(survivors) < desired:
-                    for candidate in self.router.ring.placement(plan_id, desired):
-                        if candidate not in survivors and candidate in self._workers:
-                            survivors.append(candidate)
-                            if len(survivors) >= desired:
-                                break
-                hosting: List[str] = []
-                for worker_id in survivors:
-                    handle = self._workers.get(worker_id)
-                    if handle is None:
-                        continue
-                    try:
-                        handle.request(
-                            self._message(
-                                "register",
-                                plan_id=plan_id,
-                                model_b64=snapshot["model_b64"],
-                                engine=snapshot["engine"],
-                                arena_refs=refs,
-                                replace=True,
-                            ),
-                            self.config.worker_timeout_seconds,
-                        )
-                    except (WorkerFailure, WorkerTimeout):
-                        continue
-                    hosting.append(worker_id)
-                if not hosting:
-                    return False  # stay gated; the next request retries
-                self.lifecycle.set_tier(plan_id, "resident")
-                with self._lock:
-                    live = self._plans.get(plan_id)
-                    if live is not None:
-                        live["tier"] = "resident"
-                        live["workers"] = hosting
-                        live["arena_refs"] = refs
-                        live["shared_parameters"] = len(refs)
-                self.router.set_placement(plan_id, hosting)
-                self.control.rehydrations += 1
-                self.control.rehydration_seconds.append(time.perf_counter() - started)
-                return True
-            finally:
-                with self._phase_lock:
-                    self._in_transition.discard(plan_id)
-
-    def _demote_plan(self, victim: str, pinned: frozenset) -> bool:
-        """Privatize and free one plan's exclusive slabs (it keeps serving).
-
-        Every hosting worker must acknowledge the ``demote`` (replacing its
-        adopted views with private copies) before a single slab is freed --
-        a worker we cannot reach keeps the slabs alive (no free) unless it
-        is provably dead.
-
-        Self-locking, like :meth:`_demote_plan_compressed`: the victim's
-        plan lock is try-acquired so demotion never blocks on (or deadlocks
-        with) a victim that is mid-registration or mid-rehydration.
-        """
-        victim_lock = self._plan_lock(victim)
-        if not victim_lock.acquire(blocking=False):
-            return False
-        try:
-            checksums = sorted(self.lifecycle.exclusive_checksums(victim) - set(pinned))
-            if not checksums:
-                return False
-            with self._lock:
-                hosting = list(self._plans.get(victim, {}).get("workers", ()))
-            if not self._teardown_on_workers(hosting, "demote", checksums=checksums):
-                return False
-            assert self.arena is not None
-            with self._phase_lock:
-                # Exclusivity is rechecked under the phase lock: a checksum
-                # dedup-claimed by a concurrent registrant since the snapshot
-                # stays live.  The victim's claim is dropped either way --
-                # its workers privatized the parameter regardless.
-                still = self.lifecycle.exclusive_checksums(victim)
-                for checksum in checksums:
-                    if checksum in still:
-                        self.arena.free(checksum)
-                self.lifecycle.remove_checksums(victim, checksums)
-            with self._lock:
-                info = self._plans.get(victim)
-                if info is not None and "arena_refs" in info:
-                    for checksum in checksums:
-                        info["arena_refs"].pop(checksum, None)
-                    info["shared_parameters"] = len(info["arena_refs"])
-            self.control.arena_evictions += 1
-            return True
-        finally:
-            victim_lock.release()
 
     def _compiled_parameters(
         self, pipeline: Pipeline, stats: Optional[Dict[str, TransformStats]]
@@ -1130,36 +805,15 @@ class PretzelCluster:
 
     def _dispatch(self, plan_id: str, records: List[Any], latency_sensitive: bool) -> List[Any]:
         self._ensure_open()
-        with self._lock:
-            info = self._plans.get(plan_id)
-            gated = info is not None and info.get("tier") == "compressed"
+        info = self._plans.get(plan_id)
         if info is None:
             raise KeyError(f"plan {plan_id!r} is not registered")
-        if gated:
-            # First touch of a compressed plan: rehydrate before routing.
-            self._rehydrate_plan(plan_id)
         # The cluster front door is where sampling happens: 1-in-N dispatches
         # get a TraceContext whose root span id every hop parents under.
         trace = observability.tracer().maybe_trace()
         started = time.perf_counter()
         try:
-            return self._dispatch_once(plan_id, records, latency_sensitive, trace)
-        except WorkerFailure as error:
-            # A dispatch can race the demotion's teardown: the worker already
-            # dropped the plan (KeyError) but the tier gate was not yet
-            # visible when we checked.  Rehydrate (if still gated) and retry
-            # exactly once, holding the plan's transition lock: every
-            # demotion try-acquires it, so the plan cannot be demoted again
-            # between its rehydration and the retried round trip.
-            if error.error_type != "KeyError":
-                raise
-            with self._plan_lock(plan_id):
-                with self._lock:
-                    live = self._plans.get(plan_id)
-                    gated = live is not None and live.get("tier") == "compressed"
-                if live is None or (gated and not self._rehydrate_plan(plan_id)):
-                    raise
-                return self._dispatch_once(plan_id, records, latency_sensitive, trace)
+            return self._send_predict(plan_id, info, records, latency_sensitive, trace)
         finally:
             elapsed = time.perf_counter() - started
             self._request_latency.observe(elapsed)
@@ -1172,16 +826,14 @@ class PretzelCluster:
                     attributes={"plan_id": plan_id, "records": len(records)},
                 )
 
-    def _dispatch_once(
+    def _send_predict(
         self,
         plan_id: str,
+        info: Dict[str, Any],
         records: List[Any],
         latency_sensitive: bool,
         trace: Any = None,
     ) -> List[Any]:
-        info = self._plans.get(plan_id)
-        if info is None:
-            raise KeyError(f"plan {plan_id!r} is not registered")
         tracer = observability.tracer()
         # May raise BackpressureError (saturated) or WorkerFailedError (every
         # placed worker evicted mid-fail-over) -- both typed and retryable.
@@ -1249,7 +901,6 @@ class PretzelCluster:
                 raise
             backlog = reply.get("backlog")
             self.control.record_reply(worker_id)
-            self.lifecycle.note_traffic(plan_id, len(records))
             return unpack_value_batch(reply["outputs"])
         finally:
             self.router.release(worker_id, backlog=backlog)
@@ -1306,76 +957,66 @@ class PretzelCluster:
         """Top a plan's placement back up to its replica count.
 
         The whole re-home holds the plan's transition lock, serializing it
-        against a concurrent unregister, budget-pressure demotion, or
-        another worker's fail-over touching the *same* plan -- so the arena
-        refs the re-register messages carry cannot be freed mid-flight, and
-        the worker-list update cannot lose a concurrent writer's ack.
-        Re-homes of different plans run in parallel.
+        against a concurrent unregister or another worker's fail-over
+        touching the *same* plan -- so the arena refs the re-register
+        messages carry cannot be freed mid-flight, and the worker-list
+        update cannot lose a concurrent writer's ack.  Re-homes of different
+        plans run in parallel.
         """
         with self._plan_lock(plan_id):
-            with self._phase_lock:
-                self._in_transition.add(plan_id)
-            try:
-                with self._lock:
-                    live = self._plans.get(plan_id)
-                    if live is None or "model_b64" not in live:
-                        # Unregistered while queued, or still registering
-                        # (that register call will roll back or finish on
-                        # the survivors it reached).
-                        return False
-                    if live.get("tier") == "compressed":
-                        # Its recorded arena refs point at freed slabs; the
-                        # next request re-registers it through rehydration.
-                        return False
-                    info = dict(live)
-                survivors = [w for w in info["workers"] if w in self._workers]
-                desired = min(
-                    int(info.get("replicas") or self.config.placement_replicas),
-                    max(len(self._workers), 1),
-                )
-                candidates: List[str] = []
-                if (
-                    info["model_b64"] is not None  # None: every worker hosted it
-                    and self.router.ring is not None
-                    and len(survivors) < desired
-                ):
-                    for candidate in self.router.ring.placement(plan_id, desired):
-                        if candidate not in survivors and candidate in self._workers:
-                            candidates.append(candidate)
-                            if len(survivors) + len(candidates) >= desired:
-                                break
-                gained = False
-                for candidate in candidates:
-                    candidate_handle = self._workers.get(candidate)
-                    if candidate_handle is None:
-                        continue
-                    try:
-                        candidate_handle.request(
-                            self._message(
-                                "register",
-                                plan_id=plan_id,
-                                model_b64=info["model_b64"],
-                                engine=info["engine"],
-                                arena_refs=dict(info.get("arena_refs") or {}),
-                            ),
-                            self.config.worker_timeout_seconds,
-                        )
-                    except (WorkerFailure, WorkerTimeout):
-                        continue  # this survivor is struggling too; skip it
-                    survivors.append(candidate)
-                    gained = True
-                if gained:
-                    # Counted before the placement write so stats observed
-                    # right after a successful retry already include it.
-                    self.control.plans_failed_over += 1
-                with self._lock:
-                    if plan_id in self._plans:
-                        self._plans[plan_id]["workers"] = survivors
-                self.router.set_placement(plan_id, survivors)
-                return gained
-            finally:
-                with self._phase_lock:
-                    self._in_transition.discard(plan_id)
+            with self._lock:
+                live = self._plans.get(plan_id)
+                if live is None or "model_b64" not in live:
+                    # Unregistered while queued, or still registering (that
+                    # register call will roll back or finish on the
+                    # survivors it reached).
+                    return False
+                info = dict(live)
+            survivors = [w for w in info["workers"] if w in self._workers]
+            desired = min(
+                int(info.get("replicas") or self.config.placement_replicas),
+                max(len(self._workers), 1),
+            )
+            candidates: List[str] = []
+            if (
+                info["model_b64"] is not None  # None: every worker hosted it
+                and self.router.ring is not None
+                and len(survivors) < desired
+            ):
+                for candidate in self.router.ring.placement(plan_id, desired):
+                    if candidate not in survivors and candidate in self._workers:
+                        candidates.append(candidate)
+                        if len(survivors) + len(candidates) >= desired:
+                            break
+            gained = False
+            for candidate in candidates:
+                candidate_handle = self._workers.get(candidate)
+                if candidate_handle is None:
+                    continue
+                try:
+                    candidate_handle.request(
+                        self._message(
+                            "register",
+                            plan_id=plan_id,
+                            model_b64=info["model_b64"],
+                            engine=info["engine"],
+                            arena_refs=dict(info.get("arena_refs") or {}),
+                        ),
+                        self.config.worker_timeout_seconds,
+                    )
+                except (WorkerFailure, WorkerTimeout):
+                    continue  # this survivor is struggling too; skip it
+                survivors.append(candidate)
+                gained = True
+            if gained:
+                # Counted before the placement write so stats observed right
+                # after a successful retry already include it.
+                self.control.plans_failed_over += 1
+            with self._lock:
+                if plan_id in self._plans:
+                    self._plans[plan_id]["workers"] = survivors
+            self.router.set_placement(plan_id, survivors)
+            return gained
 
     # -- introspection ----------------------------------------------------------
 
@@ -1400,7 +1041,7 @@ class PretzelCluster:
         that worker (including ``object_store`` hit/miss/eviction counters,
         ``stage_batching``, ``queue_depths`` and ``signature_backlog``), so
         per-worker cache health and backlog are visible from one call.
-        ``control_plane`` carries fail-over/eviction counters, per-worker
+        ``control_plane`` carries fail-over/unregister counters, per-worker
         heartbeat ages and liveness verdicts.
         """
         self._ensure_open()

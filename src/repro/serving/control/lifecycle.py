@@ -1,4 +1,4 @@
-"""Plan lifecycle bookkeeping: arena refcounts and traffic-based eviction.
+"""Plan lifecycle bookkeeping: reference counts over arena slabs.
 
 The shared-memory arena's ``free`` carries a liveness contract: a slab may
 only be recycled once no worker still serves a plan mapping it.  The cluster
@@ -13,49 +13,27 @@ contract is enforced here with plain reference counts:
   (:meth:`release` computes the freeable set, the cluster frees after the
   acks).
 
-For budget pressure the lifecycle also keeps a per-plan **traffic EMA** --
-an exponentially decayed request rate (half-life ``halflife_seconds``)
-updated on every dispatch -- and picks eviction victims Ariadne-style by
-coldness: the plan with the lowest decayed traffic among those that still
-have freeable (exclusive, un-pinned) slabs.  ``pinned`` protects checksums
-the in-progress registration has already handed out references to, so an
-eviction triggered mid-registration can never free a slab the new plan is
-about to map.
+A plan's claims end only when the plan is unregistered (or its registration
+rolls back): nothing demotes a registered plan out of the arena.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Set
 
 __all__ = ["PlanLifecycle"]
 
 
 class PlanLifecycle:
-    """Reference counts and traffic heat for every cluster-registered plan."""
+    """Reference counts of every cluster-registered plan's arena slabs."""
 
-    def __init__(
-        self,
-        halflife_seconds: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if halflife_seconds <= 0:
-            raise ValueError("halflife_seconds must be positive")
-        self.halflife_seconds = halflife_seconds
-        self._clock = clock
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         #: plan -> checksums it shares through the arena
         self._plan_checksums: Dict[str, Set[str]] = {}
         #: checksum -> plans referencing its slab
         self._checksum_plans: Dict[str, Set[str]] = {}
-        self._traffic_ema: Dict[str, float] = {}
-        self._traffic_at: Dict[str, float] = {}
-        #: plan -> memory tier ("resident" is implicit; only demoted plans
-        #: appear here, so the tier-less policies never see this state)
-        self._tier: Dict[str, str] = {}
-
-    # -- registration ----------------------------------------------------------
 
     def note_registered(self, plan_id: str, checksums: Iterable[str]) -> None:
         with self._lock:
@@ -63,8 +41,6 @@ class PlanLifecycle:
             for checksum in checksums:
                 owned.add(checksum)
                 self._checksum_plans.setdefault(checksum, set()).add(plan_id)
-            self._traffic_ema.setdefault(plan_id, 0.0)
-            self._traffic_at.setdefault(plan_id, self._clock())
 
     def plans(self) -> List[str]:
         with self._lock:
@@ -73,44 +49,6 @@ class PlanLifecycle:
     def checksums(self, plan_id: str) -> Set[str]:
         with self._lock:
             return set(self._plan_checksums.get(plan_id, ()))
-
-    # -- tiers ------------------------------------------------------------------
-
-    def set_tier(self, plan_id: str, tier: str) -> None:
-        """Record which memory tier a plan's shared slabs occupy."""
-        with self._lock:
-            if plan_id not in self._plan_checksums:
-                return
-            if tier == "resident":
-                self._tier.pop(plan_id, None)
-            else:
-                self._tier[plan_id] = tier
-
-    def tier_of(self, plan_id: str) -> str:
-        with self._lock:
-            return self._tier.get(plan_id, "resident")
-
-    # -- traffic ----------------------------------------------------------------
-
-    def note_traffic(self, plan_id: str, records: int = 1) -> None:
-        """Fold ``records`` served requests into the plan's decayed rate."""
-        with self._lock:
-            if plan_id not in self._traffic_ema:
-                return
-            self._traffic_ema[plan_id] = self._decayed_locked(plan_id) + records
-            self._traffic_at[plan_id] = self._clock()
-
-    def traffic(self, plan_id: str) -> float:
-        with self._lock:
-            if plan_id not in self._traffic_ema:
-                return 0.0
-            return self._decayed_locked(plan_id)
-
-    def _decayed_locked(self, plan_id: str) -> float:
-        elapsed = self._clock() - self._traffic_at[plan_id]
-        return self._traffic_ema[plan_id] * (0.5 ** (elapsed / self.halflife_seconds))
-
-    # -- reclamation -------------------------------------------------------------
 
     def exclusive_checksums(self, plan_id: str) -> Set[str]:
         """Checksums whose slab no *other* plan references."""
@@ -139,72 +77,11 @@ class PlanLifecycle:
                     plans.discard(plan_id)
                     if not plans:
                         del self._checksum_plans[checksum]
-            self._traffic_ema.pop(plan_id, None)
-            self._traffic_at.pop(plan_id, None)
-            self._tier.pop(plan_id, None)
             return freeable
-
-    def remove_checksums(self, plan_id: str, checksums: Iterable[str]) -> None:
-        """Drop specific checksums from a plan's arena membership (demotion).
-
-        The plan stays registered (and its traffic tracked); only its claim
-        on these slabs ends.  Used after an eviction re-registered the plan
-        with private copies of the dropped parameters.
-        """
-        with self._lock:
-            owned = self._plan_checksums.get(plan_id)
-            if owned is None:
-                return
-            for checksum in checksums:
-                owned.discard(checksum)
-                plans = self._checksum_plans.get(checksum)
-                if plans is not None:
-                    plans.discard(plan_id)
-                    if not plans:
-                        del self._checksum_plans[checksum]
-
-    # -- eviction -----------------------------------------------------------------
-
-    def victim(
-        self,
-        exclude: Iterable[str] = (),
-        pinned: FrozenSet[str] = frozenset(),
-        tiers: Optional[Iterable[str]] = None,
-    ) -> Optional[str]:
-        """Coldest plan (lowest traffic EMA) with at least one freeable slab.
-
-        ``exclude`` removes plans that must not be demoted (the one being
-        registered); ``pinned`` removes checksums the caller already relies
-        on; ``tiers`` restricts candidates to plans currently in one of the
-        given memory tiers (the compress-tiered policy demotes *resident*
-        plans first and only then evicts already-compressed ones).  Returns
-        ``None`` when eviction cannot free anything.
-        """
-        excluded = set(exclude)
-        allowed = None if tiers is None else set(tiers)
-        with self._lock:
-            candidates = [
-                plan_id
-                for plan_id in self._plan_checksums
-                if plan_id not in excluded
-                and (allowed is None or self._tier.get(plan_id, "resident") in allowed)
-                and (self._exclusive_locked(plan_id) - set(pinned))
-            ]
-            if not candidates:
-                return None
-            return min(candidates, key=lambda plan: (self._decayed_locked(plan), plan))
-
-    # -- reporting ---------------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
         with self._lock:
             return {
                 "plans_tracked": len(self._plan_checksums),
                 "shared_checksums": len(self._checksum_plans),
-                "traffic_ema": {
-                    plan: round(self._decayed_locked(plan), 3) for plan in self._traffic_ema
-                },
-                # present only when some plan left the resident tier, so the
-                # tier-less policies' stats stay byte-identical
-                **({"tiers": dict(self._tier)} if self._tier else {}),
             }

@@ -1,4 +1,4 @@
-"""The control plane: heartbeats, fail-over and arena-pressure eviction.
+"""The control plane: heartbeats, fail-over and lifecycle accounting.
 
 One :class:`ControlPlane` per :class:`~repro.serving.cluster.PretzelCluster`.
 It owns the pieces that make the cluster *dynamic*:
@@ -13,7 +13,7 @@ It owns the pieces that make the cluster *dynamic*:
   normal registration path (arena adoption included), and let in-flight
   requests fail with the retryable
   :class:`~repro.serving.control.failure.WorkerFailedError`;
-* the eviction/unregister counters surfaced as
+* the fail-over/unregister counters surfaced as
   ``PretzelCluster.stats()["control_plane"]``.
 
 The heartbeat thread never blocks dispatch: pings use a non-blocking
@@ -25,7 +25,6 @@ error, or timeout) faster than any ping could.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from typing import TYPE_CHECKING, Any, Dict, Optional, Set
 
 from repro.serving.control.failure import FailureDetector
@@ -59,15 +58,8 @@ class ControlPlane:
         )
         self.failovers = 0
         self.plans_failed_over = 0
-        self.arena_evictions = 0
         self.unregistered_plans = 0
         self.heartbeats_sent = 0
-        # compressed-tier accounting (only surfaced in stats() under the
-        # "compress-tiered" policy, so the other policies' stats stay
-        # byte-identical to the pre-tier control plane)
-        self.arena_compressions = 0
-        self.rehydrations = 0
-        self.rehydration_seconds: deque = deque(maxlen=256)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -154,13 +146,11 @@ class ControlPlane:
 
     def stats(self) -> Dict[str, Any]:
         ages = self.detector.heartbeat_ages()
-        stats = {
+        return {
             "transport": self.cluster.config.transport,
-            "arena_eviction_policy": self.cluster.config.arena_eviction_policy,
             "heartbeat_interval_seconds": self.heartbeat_interval_seconds,
             "failovers": self.failovers,
             "plans_failed_over": self.plans_failed_over,
-            "arena_evictions": self.arena_evictions,
             "unregistered_plans": self.unregistered_plans,
             "heartbeats_sent": self.heartbeats_sent,
             "heartbeat_ages_seconds": {w: round(age, 3) for w, age in ages.items()},
@@ -168,13 +158,3 @@ class ControlPlane:
             "dead_workers": sorted(self.detector.dead_workers()),
             "lifecycle": self.cluster.lifecycle.stats(),
         }
-        if self.cluster.config.arena_eviction_policy == "compress-tiered":
-            samples = sorted(self.rehydration_seconds)
-            stats["arena_compressions"] = self.arena_compressions
-            stats["rehydrations"] = self.rehydrations
-            stats["p99_rehydration_seconds"] = (
-                round(samples[min(len(samples) - 1, int(0.99 * len(samples)))], 6)
-                if samples
-                else None
-            )
-        return stats

@@ -38,18 +38,11 @@ Wire protocol (all requests carry ``msg_id``; every reply echoes it):
 ``ping``       -> ``{"pong": true, "backlog": int}`` (heartbeat; the
                backlog keeps the router's load view fresh on idle workers)
 ``register``   ``plan_id``, ``model_b64`` (pickled ``(pipeline, stats)``),
-               ``engine``, ``arena_refs``, optional ``replace`` (tear down
-               any existing registration of this id first -- the compressed
-               tier's rehydration re-ships refs this way) -> registration
-               summary
+               ``engine``, ``arena_refs`` -> registration summary
 ``unregister`` ``plan_id``, optional ``drop_checksums`` -> teardown ack
                (full plan lifecycle: runtime teardown releases the Object
                Store's operator/parameter holds, and the listed arena refs
                are forgotten because the owner is about to free the slabs)
-``demote``     ``checksums`` -> ``{"privatized_arrays": int}`` (arena
-               budget-pressure eviction: adopted views are replaced by
-               private copies so the owner may recycle the slabs while the
-               plans keep serving)
 ``predict``    ``plan_id``, ``records``, ``latency_sensitive``, optional
                ``trace`` (a :meth:`TraceContext.to_wire` dict riding the
                envelope or, fixed-width, the frame header) ->
@@ -218,8 +211,8 @@ class ServingWorker:
         try:
             return self._schemas[plan_id]
         except KeyError:
-            # The envelope path's error, so the cluster's demotion-race retry
-            # (keyed on KeyError) treats both planes alike.
+            # The envelope path's error, so both planes report an unknown
+            # plan alike.
             raise KeyError(f"plan {plan_id!r} is not registered") from None
 
     def handle(self, message: Dict[str, Any]) -> Dict[str, Any]:
@@ -255,16 +248,7 @@ class ServingWorker:
         return {"pong": True, "backlog": self._backlog()}
 
     def _handle_register(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Register a plan; ``replace=True`` re-registers an existing one.
-
-        The replace path is the rehydration re-adoption flow: a plan demoted
-        to the compressed tier was unregistered here, and the cluster now
-        re-ships the model together with the fresh post-decompress arena
-        refs.  Unregistering first is a no-op for unknown plan ids, so the
-        same message also lands the plan on a worker that never hosted it.
-        """
-        if message.get("replace"):
-            self._unregister(message["plan_id"])
+        """Register a plan, rebinding its weights onto the listed arena slabs."""
         pipeline, stats = decode_model(message["model_b64"])
         rebound = 0
         if self.arena is not None:
@@ -296,7 +280,10 @@ class ServingWorker:
         refs here guarantees a recycled slab is never re-adopted under a
         later registration.
         """
-        self._unregister(message["plan_id"])
+        # The plan and its schema go together: a frame can never be decoded
+        # against the columns of a registration that is gone.
+        self._schemas.pop(message["plan_id"], None)
+        self.runtime.unregister(message["plan_id"])
         dropped = 0
         if self.arena is not None:
             dropped = self.arena.drop_refs(message.get("drop_checksums") or ())
@@ -306,20 +293,6 @@ class ServingWorker:
             "dropped_refs": dropped,
             "memory_bytes": self.runtime.memory_bytes(),
         }
-
-    def _unregister(self, plan_id: str) -> None:
-        """Drop a plan and its schema together: a frame can never be decoded
-        against the columns of a registration that is gone."""
-        self._schemas.pop(plan_id, None)
-        self.runtime.unregister(plan_id)
-
-    def _handle_demote(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Privatize adopted arena views ahead of a budget-pressure eviction."""
-        privatized = 0
-        checksums = message.get("checksums") or ()
-        if self.arena is not None and checksums:
-            privatized = self.arena.privatize(self.runtime.object_store, checksums)
-        return {"privatized_arrays": privatized}
 
     def _handle_predict(self, message: Dict[str, Any]) -> Dict[str, Any]:
         plan_id = message["plan_id"]

@@ -27,6 +27,7 @@ DELETED_FIELDS = (
     "runtime_overhead_bytes",
     "per_plan_overhead_bytes",
     "vector_pool_entries",
+    "arena_eviction_policy",
 )
 
 FIELDS = [field.name for field in dataclasses.fields(PretzelConfig)]
@@ -49,7 +50,7 @@ def test_deleted_field_is_rejected(name):
 
 
 def test_field_count():
-    assert len(FIELDS) == 22
+    assert len(FIELDS) == 21
 
 
 @pytest.mark.parametrize("name", FIELDS)

@@ -128,17 +128,6 @@ class TestObjectStoreRelease:
         )
         assert any(p.checksum == weights_param.checksum for p in store.parameters())
 
-    def test_replace_parameter_value_rebinds_stored_copy(self):
-        store = ObjectStore()
-        value = np.arange(8, dtype=np.float64)
-        stored = store.intern_parameter(Parameter("w", value))
-        replacement = value.copy()
-        assert store.replace_parameter_value(stored.checksum, replacement) == 1
-        refreshed = next(p for p in store.parameters() if p.checksum == stored.checksum)
-        assert refreshed.value is replacement
-        assert refreshed.nbytes == stored.nbytes
-
-
 def test_runtime_unregister_releases_object_store_holds(sa_pipeline):
     """PretzelRuntime.unregister mirrors registration: the last plan using an
     operator releases its canonical copy (and parameters), the stage catalog

@@ -224,7 +224,7 @@ class TestScalarWalkViews:
         assert [parameter.name for parameter in tree.parameters()] == ["tree.config", "tree.nodes"]
 
     def test_views_follow_a_replaced_node_array(self):
-        """Arena rebind / privatize swap arrays under a live tree: the views
+        """An arena rebind swaps arrays under a live tree: the views
         are identity-checked and must never walk the array that was replaced."""
         tree, records = self._tree()
         probe = records[3]
@@ -393,7 +393,7 @@ class TestBatchKernels:
 
     @pytest.mark.parametrize("name,factory,target,exact", TREE_FAMILIES, ids=_FAMILY_IDS)
     def test_swapped_node_arrays_rebuild_the_arena(self, name, factory, target, exact):
-        """Arena rebind and privatize replace node arrays with equal copies
+        """An arena rebind replaces node arrays with equal copies
         under a live operator; a refit replaces them with different ones."""
         operator = _fit(factory, target)
         rows = _probe_rows(60)

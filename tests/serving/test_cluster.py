@@ -428,67 +428,59 @@ def test_unregister_unknown_plan_raises():
             cluster.unregister("never-registered")
 
 
-def test_arena_pressure_evicts_coldest_plan_and_it_keeps_serving(
+def test_arena_pressure_leaves_overflow_private(
     sa_pipeline, sa_pipeline_variant, sa_inputs
 ):
-    """Budget pressure: a registration that does not fit evicts the coldest
-    plan's exclusive slabs (traffic-EMA victim selection); the victim's
-    workers privatize those parameters first, so it keeps serving correctly."""
+    """A registration that does not fit the arena keeps its overflowing
+    parameters private to its workers: the resident plan keeps every slab,
+    nothing is freed, both plans serve bit-equal outputs, and only an
+    unregister makes room for a later registration."""
     # Find how much one plan's shared set costs, then budget for ~1 plan.
     with PretzelCluster(_config()) as probe:
         probe.register(sa_pipeline, plan_id="probe")
         per_plan = probe.arena.stats()["allocated_bytes"]
-    config = _config(shm_budget_bytes=per_plan + 1024)
-    with PretzelCluster(config) as cluster:
-        cluster.register(sa_pipeline, plan_id="cold")
-        # Heat a different plan?  No: "cold" is the only registered plan, so
-        # it is the coldest by construction when the next registration needs
-        # room for its distinct classifier weights.
-        cluster.register(sa_pipeline_variant, plan_id="warm")
+    with PretzelRuntime(PretzelConfig()) as runtime, PretzelCluster(
+        _config(shm_budget_bytes=per_plan + 1024)
+    ) as cluster:
+        oracle = {
+            "A": runtime.register(sa_pipeline, plan_id="A"),
+            "B": runtime.register(sa_pipeline_variant, plan_id="B"),
+        }
+        cluster.register(sa_pipeline, plan_id="A")
+        resident = dict(cluster._plans["A"]["arena_refs"])
+        shared = cluster._plans["A"]["shared_parameters"]
+        assert shared >= 1
+        cluster.register(sa_pipeline_variant, plan_id="B")
+        # The resident plan was not touched to make room...
+        assert cluster._plans["A"]["arena_refs"] == resident
+        assert cluster._plans["A"]["shared_parameters"] == shared
         stats = cluster.stats()
-        assert stats["control_plane"]["arena_evictions"] >= 1
-        assert stats["arena"]["frees"] >= 1
-        # Both plans keep serving bit-equal predictions -- the victim through
-        # its privatized copies, the newcomer through the arena.
-        assert cluster.predict("cold", sa_inputs[0]) == pytest.approx(
-            sa_pipeline.predict(sa_inputs[0])
-        )
-        assert cluster.predict("warm", sa_inputs[0]) == pytest.approx(
-            sa_pipeline_variant.predict(sa_inputs[0])
-        )
-
-
-def test_arena_eviction_policy_none_overflows_instead(
-    sa_pipeline, sa_pipeline_variant, sa_inputs
-):
-    with PretzelCluster(_config()) as probe:
-        probe.register(sa_pipeline, plan_id="probe")
-        per_plan = probe.arena.stats()["allocated_bytes"]
-    config = _config(shm_budget_bytes=per_plan + 1024, arena_eviction_policy="none")
-    with PretzelCluster(config) as cluster:
-        cluster.register(sa_pipeline, plan_id="first")
-        cluster.register(sa_pipeline_variant, plan_id="second")
-        stats = cluster.stats()
-        assert stats["control_plane"]["arena_evictions"] == 0
-        assert stats["arena_overflows"] >= 1
-        # Nothing was reclaimed under the first plan...
         assert stats["arena"]["frees"] == 0
-        # ...and both plans serve correctly (the overflow stayed private).
-        assert cluster.predict("second", sa_inputs[0]) == pytest.approx(
-            sa_pipeline_variant.predict(sa_inputs[0])
+        overflows = stats["arena_overflows"]
+        assert overflows >= 1
+        # ...and both plans serve bit-equal outputs, B through its private
+        # copies of the parameters that did not fit.
+        for record in sa_inputs:
+            for plan_id in ("A", "B"):
+                assert cluster.predict(plan_id, record) == runtime.predict(
+                    oracle[plan_id], record
+                )
+        # Unregistering A frees its exclusive slabs; a third registration
+        # then fits without a new overflow.
+        cluster.unregister("A")
+        cluster.register(sa_pipeline, plan_id="C")
+        stats = cluster.stats()
+        assert stats["arena_overflows"] == overflows
+        assert stats["arena"]["frees"] >= 1
+        assert cluster._plans["C"]["shared_parameters"] == shared
+        assert cluster.predict("C", sa_inputs[0]) == runtime.predict(
+            oracle["A"], sa_inputs[0]
         )
 
 
 def test_unknown_transport_rejected():
     with pytest.raises(ValueError):
         PretzelCluster(_config(transport="carrier-pigeon"))
-
-
-def test_unknown_policies_rejected_at_construction():
-    """A typo in a policy knob must fail fast, not silently select the
-    degraded fallback behaviour (e.g. keeping overflow private)."""
-    with pytest.raises(ValueError):
-        PretzelCluster(_config(arena_eviction_policy="lru"))
 
 
 def test_profiler_thread_is_not_alive_at_worker_spawn(monkeypatch):
@@ -713,7 +705,3 @@ def test_encoded_model_is_retained_only_while_it_can_be_reshipped(sa_pipeline):
         cluster.register(sa_pipeline, plan_id="one-replica", replicas=1)
         assert cluster._plans["everywhere"]["model_b64"] is None
         assert cluster._plans["one-replica"]["model_b64"]
-    tiered = _config(num_workers=2, placement_replicas=2, arena_eviction_policy="compress-tiered")
-    with PretzelCluster(tiered) as cluster:
-        cluster.register(sa_pipeline, plan_id="everywhere")
-        assert cluster._plans["everywhere"]["model_b64"]  # rehydration re-ships it

@@ -7,8 +7,7 @@ invariants that would break if the argument were wrong:
 
 * no double-allocation and no overlapping live slabs,
 * exactly-once frees (a raced ``free`` loses the claim and returns False),
-* byte-equality of every array across dedup hits and across a
-  compress -> rehydrate round trip under concurrent allocator churn,
+* byte-equality of every array across dedup hits,
 * the warm fast path never takes the ``arena.meta`` lock.
 """
 
@@ -18,11 +17,7 @@ import threading
 import numpy as np
 
 from repro.profiling import GLOBAL_LOCK_REGISTRY
-from repro.serving.shm_store import (
-    ArenaExhaustedError,
-    SharedMemoryArena,
-    _size_class,
-)
+from repro.serving.shm_store import ArenaExhaustedError, SharedMemoryArena
 
 BUDGET = 4 * 1024 * 1024
 THREADS = 4
@@ -201,93 +196,5 @@ def test_double_free_returns_false():
         arena.put_array("chk", np.ones(1024))
         assert arena.free("chk") is True
         assert arena.free("chk") is False
-    finally:
-        arena.close()
-
-
-def test_compress_rehydrate_races_allocator_churn():
-    """Repeated compress -> rehydrate cycles racing an alloc/free storm must
-    restore every array byte-equal and keep slabs disjoint."""
-    arena = SharedMemoryArena(BUDGET, enable_compressed_tier=True, codec="zlib-fast")
-    try:
-        # Highly compressible payloads so every trial qualifies.
-        pattern = np.arange(64, dtype=np.float64)
-        arrays = {
-            f"cold-{index}": np.tile(pattern, 128) + index for index in range(3)
-        }
-        for checksum, value in arrays.items():
-            arena.put_array(checksum, value)
-        errors = []
-        stop = threading.Event()
-
-        def churn(seed):
-            rng = random.Random(seed)
-            held = []
-            try:
-                while not stop.is_set():
-                    if held and rng.random() < 0.5:
-                        arena.release_slab(*held.pop())
-                    else:
-                        try:
-                            held.append(arena.acquire_slab(rng.choice((128, 2048))))
-                        except ArenaExhaustedError:
-                            while held:
-                                arena.release_slab(*held.pop())
-                for slab in held:
-                    arena.release_slab(*slab)
-            except Exception as error:  # pragma: no cover - surfaced below
-                errors.append(repr(error))
-
-        def cycle():
-            try:
-                for _ in range(12):
-                    for checksum in arrays:
-                        trial = arena.trial_compress(checksum)
-                        if trial is None:
-                            errors.append(f"{checksum}: trial refused")
-                            return
-                        if not arena.commit_compress(checksum, *trial):
-                            errors.append(f"{checksum}: commit refused")
-                            return
-                        if not arena.is_compressed(checksum):
-                            errors.append(f"{checksum}: not in compressed tier")
-                            return
-                    for checksum, value in arrays.items():
-                        ref = None
-                        for _attempt in range(50):
-                            try:
-                                ref = arena.decompress(checksum)
-                                break
-                            except ArenaExhaustedError:
-                                continue  # churn pressure; it drains fast
-                        if ref is None:
-                            errors.append(f"{checksum}: rehydration starved")
-                            return
-                        if not np.array_equal(arena.view(ref), value):
-                            errors.append(f"{checksum}: bytes differ after rehydration")
-                            return
-            except Exception as error:  # pragma: no cover - surfaced below
-                errors.append(repr(error))
-            finally:
-                stop.set()
-
-        churners = [threading.Thread(target=churn, args=(seed,)) for seed in range(2)]
-        cycler = threading.Thread(target=cycle)
-        for thread in churners + [cycler]:
-            thread.start()
-        cycler.join(timeout=120.0)
-        stop.set()
-        for thread in churners:
-            thread.join(timeout=60.0)
-        assert not errors, errors
-        # Everything resident again, byte-equal, and the slab map is sane.
-        live = []
-        for checksum, value in arrays.items():
-            ref = arena.get(checksum)
-            assert ref is not None and np.array_equal(arena.view(ref), value)
-            live.append((ref.offset, _size_class(ref.nbytes)))
-        _assert_disjoint(live + _free_intervals(arena), arena._bump)
-        assert arena.rehydrations >= len(arrays)
-        assert arena.compressions >= len(arrays)
     finally:
         arena.close()

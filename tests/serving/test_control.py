@@ -266,7 +266,7 @@ def test_worker_failed_error_is_retryable_and_typed():
 
 class TestPlanLifecycle:
     def test_exclusive_vs_shared_checksums(self):
-        lifecycle = PlanLifecycle(clock=FakeClock())
+        lifecycle = PlanLifecycle()
         lifecycle.note_registered("a", ["c1", "c2"])
         lifecycle.note_registered("b", ["c2", "c3"])
         assert lifecycle.exclusive_checksums("a") == {"c1"}
@@ -278,60 +278,8 @@ class TestPlanLifecycle:
         assert lifecycle.plans() == []
 
     def test_release_is_idempotent_for_unknown_plans(self):
-        lifecycle = PlanLifecycle(clock=FakeClock())
+        lifecycle = PlanLifecycle()
         assert lifecycle.release("ghost") == set()
-
-    def test_traffic_ema_decays_with_halflife(self):
-        clock = FakeClock()
-        lifecycle = PlanLifecycle(halflife_seconds=10.0, clock=clock)
-        lifecycle.note_registered("a", [])
-        lifecycle.note_traffic("a", records=8)
-        assert lifecycle.traffic("a") == pytest.approx(8.0)
-        clock.advance(10.0)
-        assert lifecycle.traffic("a") == pytest.approx(4.0)
-        clock.advance(20.0)
-        assert lifecycle.traffic("a") == pytest.approx(1.0)
-        # New traffic folds into the decayed value.
-        lifecycle.note_traffic("a", records=3)
-        assert lifecycle.traffic("a") == pytest.approx(4.0)
-
-    def test_victim_is_coldest_plan_with_freeable_slabs(self):
-        clock = FakeClock()
-        lifecycle = PlanLifecycle(halflife_seconds=10.0, clock=clock)
-        lifecycle.note_registered("cold", ["c1"])
-        lifecycle.note_registered("hot", ["c2"])
-        lifecycle.note_registered("shared-only", ["c1"])  # c1 now shared
-        lifecycle.note_traffic("hot", records=100)
-        # "cold" and "shared-only" both have zero traffic, but neither has an
-        # exclusive slab any more -- only "hot" does.
-        assert lifecycle.victim() == "hot"
-        # Exclude the only candidate -> nothing to evict.
-        assert lifecycle.victim(exclude=["hot"]) is None
-        # Pinning c2 removes hot's freeable set too.
-        assert lifecycle.victim(pinned=frozenset({"c2"})) is None
-
-    def test_victim_prefers_lowest_traffic(self):
-        clock = FakeClock()
-        lifecycle = PlanLifecycle(halflife_seconds=10.0, clock=clock)
-        lifecycle.note_registered("a", ["c1"])
-        lifecycle.note_registered("b", ["c2"])
-        lifecycle.note_traffic("a", records=10)
-        lifecycle.note_traffic("b", records=1)
-        assert lifecycle.victim() == "b"
-
-    def test_remove_checksums_demotes_without_unregistering(self):
-        lifecycle = PlanLifecycle(clock=FakeClock())
-        lifecycle.note_registered("a", ["c1", "c2"])
-        lifecycle.remove_checksums("a", ["c1"])
-        assert lifecycle.checksums("a") == {"c2"}
-        assert "a" in lifecycle.plans()
-        stats = lifecycle.stats()
-        assert stats["plans_tracked"] == 1
-        assert stats["shared_checksums"] == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PlanLifecycle(halflife_seconds=0)
 
 
 class TestReadTimeout:

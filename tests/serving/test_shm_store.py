@@ -1,7 +1,5 @@
 """Tests for the shared-memory arena and its worker-side client."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -9,12 +7,10 @@ from repro.core.object_store import ObjectStore
 from repro.operators.base import Parameter, _checksum_of
 from repro.operators.linear import LinearRegressor
 from repro.serving.shm_store import (
-    CODECS,
     ArenaClient,
     ArenaExhaustedError,
     ArenaRef,
     SharedMemoryArena,
-    SizeAdaptiveCodecPolicy,
 )
 
 
@@ -98,147 +94,6 @@ class TestSharedMemoryArena:
         assert arena.frees == 0
 
 
-@pytest.fixture()
-def tiered():
-    with SharedMemoryArena(budget_bytes=1024 * 1024, enable_compressed_tier=True) as owned:
-        yield owned
-
-
-def _compressible(n=4096):
-    # Structured (highly repetitive) float payload: compresses well under
-    # every registered codec, unlike random bytes.
-    return (np.arange(n, dtype=np.float64) % 17) * 0.25
-
-
-class TestCompressedTier:
-    def test_compress_decompress_round_trip_is_bit_equal(self, tiered):
-        array = _compressible()
-        checksum = _checksum_of(array)
-        original = tiered.put_array(checksum, array)
-        trial = tiered.trial_compress(checksum)
-        assert trial is not None
-        codec, payload = trial
-        assert codec in CODECS
-        assert tiered.commit_compress(checksum, codec, payload)
-        assert tiered.is_compressed(checksum)
-        assert tiered.get(checksum) is None
-        # The tier actually shrinks footprint while holding the bytes.
-        assert tiered.used_bytes < array.nbytes
-        restored = tiered.decompress(checksum)
-        assert not tiered.is_compressed(checksum)
-        assert restored.nbytes == original.nbytes
-        assert restored.shape == original.shape
-        assert restored.dtype == original.dtype
-        view = tiered.view(restored)
-        assert view.tobytes() == array.tobytes()  # bit-equality, not approx
-        stats = tiered.stats()["tier"]
-        assert stats["compressions"] == 1
-        assert stats["rehydrations"] == 1
-        assert stats["compressed_parameters"] == 0
-
-    def test_incompressible_slab_is_skipped(self, tiered):
-        noise = np.frombuffer(os.urandom(8192), dtype=np.uint8)
-        checksum = _checksum_of(noise)
-        tiered.put_array(checksum, noise)
-        assert tiered.trial_compress(checksum) is None
-        assert tiered.failed_compressions == 1
-        assert tiered.get(checksum) is not None  # untouched, still resident
-
-    def test_put_array_rehydrates_compressed_duplicate(self, tiered):
-        array = _compressible()
-        checksum = _checksum_of(array)
-        tiered.put_array(checksum, array)
-        codec, payload = tiered.trial_compress(checksum)
-        tiered.commit_compress(checksum, codec, payload)
-        # Registering the same content again must dedup through the
-        # compressed tier (restore in place), not store a twin copy.
-        ref = tiered.put_array(checksum, array)
-        assert tiered.dedup_hits == 1
-        assert not tiered.is_compressed(checksum)
-        assert tiered.view(ref).tobytes() == array.tobytes()
-
-    def test_free_releases_compressed_payload_slab(self, tiered):
-        array = _compressible()
-        checksum = _checksum_of(array)
-        tiered.put_array(checksum, array)
-        codec, payload = tiered.trial_compress(checksum)
-        tiered.commit_compress(checksum, codec, payload)
-        assert tiered.free(checksum)  # an unregister while compressed
-        assert tiered.used_bytes == 0
-        assert not tiered.is_compressed(checksum)
-        assert not tiered.free(checksum)
-
-    def test_tail_compaction_reclaims_bump_space(self):
-        with SharedMemoryArena(budget_bytes=4096, enable_compressed_tier=True) as arena:
-            arena.put_array("a", np.zeros(256))  # 2048B slab at offset 0
-            arena.put_array("b", np.ones(256))  # 2048B slab at offset 2048
-            assert arena.allocated_bytes == 4096
-            arena.free("a")
-            arena.free("b")
-            # A 4096B-class allocation fits no free 2048B slab; only folding
-            # both freed slabs back into the bump region makes room.
-            ref = arena.put_array("c", np.zeros(512))
-            assert ref.offset == 0
-            assert arena.bump_reclaimed_bytes == 4096
-            assert arena.stats()["tier"]["bump_reclaimed_bytes"] == 4096
-
-    def test_small_allocation_splits_a_larger_free_slab(self):
-        """A freed parameter slab serves much smaller compressed payloads:
-        when the exact class is empty, tail reclaim is blocked (the free
-        slab is not at the bump frontier) and the bump region is full, the
-        allocator halves the smallest larger free slab buddy-style."""
-        with SharedMemoryArena(budget_bytes=4096, enable_compressed_tier=True) as arena:
-            arena.put_array("a", np.zeros(256))  # 2048B slab at offset 0
-            arena.put_array("b", np.ones(256))  # 2048B slab at offset 2048
-            arena.free("a")  # free slab at 0 does NOT touch the bump (4096)
-            ref = arena.put_array("c", np.zeros(64))  # 512B class
-            assert ref.offset == 0
-            stats = arena.stats()
-            # The 2048B slab became 512 (used) + 512 + 1024 (free halves).
-            assert stats["free_slabs"] == 2
-            assert stats["free_slab_bytes"] == 1536
-            assert arena.bump_reclaimed_bytes == 0
-            # The carved slab holds real bytes at the right offset.
-            assert arena.view(ref).tobytes() == np.zeros(64).tobytes()
-
-    def test_disabled_tier_keeps_pr5_surface(self, arena):
-        # The plain arena: no "tier" stats key, no compaction, and the tier
-        # entry points refuse to run.
-        assert "tier" not in arena.stats()
-        arena.put_array("a", np.zeros(64))
-        with pytest.raises(RuntimeError):
-            arena.trial_compress("a")
-        with pytest.raises(RuntimeError):
-            arena.commit_compress("a", "zlib", b"x")
-        with pytest.raises(RuntimeError):
-            arena.decompress("a")
-
-
-class TestSizeAdaptiveCodecPolicy:
-    def test_static_order_follows_size_and_coldness(self):
-        policy = SizeAdaptiveCodecPolicy()
-        assert policy.candidates(16 * 1024, traffic_ema=0.0)[0] == "zlib-fast"
-        assert policy.candidates(128 * 1024, traffic_ema=0.0)[0] == "zlib"
-        assert policy.candidates(512 * 1024, traffic_ema=0.0)[0] == "lzma"
-        # A warm plan's big slab is not handed to the slow codec.
-        assert policy.candidates(512 * 1024, traffic_ema=5.0)[0] == "zlib"
-
-    def test_observed_ratio_reorders_candidates(self):
-        policy = SizeAdaptiveCodecPolicy()
-        # zlib-fast keeps demonstrating a far better ratio than zlib: it
-        # should lead even at sizes whose static order prefers zlib.
-        for _ in range(4):
-            policy.record("zlib-fast", 0.1)
-            policy.record("zlib", 0.9)
-        assert policy.candidates(128 * 1024, traffic_ema=0.0)[0] == "zlib-fast"
-
-    def test_pinned_codec_bypasses_adaptivity(self):
-        policy = SizeAdaptiveCodecPolicy(codec="lzma")
-        assert policy.candidates(64, traffic_ema=9.0) == ["lzma"]
-        with pytest.raises(ValueError):
-            SizeAdaptiveCodecPolicy(codec="snappy")
-
-
 class TestArenaClient:
     def test_adopt_rebinds_to_shared_view(self, arena):
         parameter = _param(np.arange(24))
@@ -282,41 +137,6 @@ class TestArenaClient:
             # second pass recognizes it instead of double counting.
             assert client._is_arena_view(operator.weights)
             assert client.rebind_operator(operator) == 1  # idempotent swap
-        finally:
-            client.close()
-
-
-    def test_privatize_keys_copies_by_parameter_shape(self, arena):
-        # Regression: two stored parameters sharing a checksum but holding
-        # differently-reshaped views of the same slab must each be rebound
-        # onto a private copy of *their own* layout -- the old
-        # last-attribute-wins dict handed both the same (wrong for one)
-        # shape.  Same-checksum-different-shape cannot arise from the real
-        # content hash (shape feeds the digest), so the parameters are
-        # forged the way a corrupted or adversarial store would present them.
-        flat = np.arange(64, dtype=np.float64)
-        checksum = _checksum_of(flat)
-        ref = arena.put_array(checksum, flat)
-        client = ArenaClient(arena.name)
-        try:
-            client.update_refs({checksum: ref})
-            store = ObjectStore()
-            view_flat = client.view(ref)
-            view_square = view_flat.reshape(8, 8)
-            for name, value in (("w_flat", view_flat), ("w_square", view_square)):
-                forged = Parameter.__new__(Parameter)
-                forged.name = name
-                forged.value = value
-                forged.checksum = checksum
-                forged.nbytes = int(value.nbytes)
-                store._parameters[f"{name}:{checksum}"] = forged
-            client.privatize(store, {checksum})
-            rebound = {p.name: p for p in store.parameters()}
-            assert rebound["w_flat"].value.shape == (64,)
-            assert rebound["w_square"].value.shape == (8, 8)
-            for parameter in rebound.values():
-                assert not client._is_arena_view(parameter.value)
-                assert parameter.value.tobytes() == flat.tobytes()
         finally:
             client.close()
 
