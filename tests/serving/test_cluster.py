@@ -478,6 +478,40 @@ def test_arena_pressure_leaves_overflow_private(
         )
 
 
+def test_unregistering_an_overflowed_plan_leaves_the_resident_plan_intact(
+    sa_pipeline, sa_pipeline_variant, sa_inputs
+):
+    """Tearing down a plan whose parameters overflowed frees only slabs it
+    claimed alone; the resident plan keeps every slab and keeps serving."""
+    with PretzelCluster(_config()) as probe:
+        probe.register(sa_pipeline, plan_id="probe")
+        per_plan = probe.arena.stats()["allocated_bytes"]
+    with PretzelCluster(_config(shm_budget_bytes=per_plan + 1024)) as cluster:
+        cluster.register(sa_pipeline, plan_id="A")
+        resident = dict(cluster._plans["A"]["arena_refs"])
+        cluster.register(sa_pipeline_variant, plan_id="B")
+        overflows = cluster.stats()["arena_overflows"]
+        assert overflows >= 1
+        claimed_by_b = cluster.lifecycle.exclusive_checksums("B")
+
+        cluster.unregister("B")
+
+        assert cluster.arena.stats()["frees"] == len(claimed_by_b)
+        assert cluster._plans["A"]["arena_refs"] == resident
+        for checksum in resident:
+            assert cluster.arena.get(checksum) is not None
+        assert cluster.lifecycle.plans() == ["A"]
+        assert cluster.predict("A", sa_inputs[0]) == pytest.approx(
+            sa_pipeline.predict(sa_inputs[0])
+        )
+        # With A still resident, B overflows again on re-registration and
+        # serves from its private copies.
+        cluster.register(sa_pipeline_variant, plan_id="B")
+        assert cluster.stats()["arena_overflows"] > overflows
+        assert cluster.predict("B", sa_inputs[0]) == pytest.approx(
+            sa_pipeline_variant.predict(sa_inputs[0])
+        )
+
 def test_unknown_transport_rejected():
     with pytest.raises(ValueError):
         PretzelCluster(_config(transport="carrier-pigeon"))

@@ -17,7 +17,7 @@ import threading
 import numpy as np
 
 from repro.profiling import GLOBAL_LOCK_REGISTRY
-from repro.serving.shm_store import ArenaExhaustedError, SharedMemoryArena
+from repro.serving.shm_store import ArenaExhaustedError, SharedMemoryArena, _size_class
 
 BUDGET = 4 * 1024 * 1024
 THREADS = 4
@@ -189,6 +189,57 @@ def test_racing_put_free_dedup_and_exactly_once_free():
     finally:
         arena.close()
 
+
+def test_racing_puts_past_the_budget_keep_accounting_exact():
+    """Threads put distinct arrays until the arena is full: every put either
+    publishes a byte-equal slab or raises ``ArenaExhaustedError`` and leaves
+    no trace, and the published slabs never overlap or leave the budget."""
+    budget = 64 * 1024
+    arena = SharedMemoryArena(budget)
+    try:
+        rng = np.random.default_rng(11)
+        arrays = {
+            f"t{thread}-{index}": rng.standard_normal(int(rng.integers(64, 1024)))
+            for thread in range(THREADS)
+            for index in range(24)
+        }
+        stored = {}
+        rejected = []
+        errors = []
+        barrier = threading.Barrier(THREADS)
+
+        def worker(thread):
+            try:
+                barrier.wait(timeout=10.0)
+                for index in range(24):
+                    checksum = f"t{thread}-{index}"
+                    try:
+                        stored[checksum] = arena.put_array(checksum, arrays[checksum])
+                    except ArenaExhaustedError:
+                        rejected.append(checksum)
+            except Exception as error:  # pragma: no cover - surfaced below
+                errors.append(repr(error))
+
+        threads = [threading.Thread(target=worker, args=(thread,)) for thread in range(THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not errors, errors
+        assert rejected, "the budget should overflow"
+        assert len(stored) + len(rejected) == len(arrays)
+        assert arena.refs() == stored
+        assert arena.allocations == len(stored)
+        assert arena.dedup_hits == 0
+        for checksum in rejected:
+            assert arena.get(checksum) is None
+        for checksum, ref in stored.items():
+            np.testing.assert_array_equal(arena.view(ref), arrays[checksum])
+        live = [(ref.offset, _size_class(ref.nbytes)) for ref in stored.values()]
+        _assert_disjoint(live + _free_intervals(arena), arena._bump)
+        assert arena._bump <= budget
+    finally:
+        arena.close()
 
 def test_double_free_returns_false():
     arena = SharedMemoryArena(BUDGET)

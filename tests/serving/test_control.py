@@ -281,6 +281,69 @@ class TestPlanLifecycle:
         lifecycle = PlanLifecycle()
         assert lifecycle.release("ghost") == set()
 
+    def test_note_registered_accumulates_claims(self):
+        lifecycle = PlanLifecycle()
+        lifecycle.note_registered("a", ["c1"])
+        lifecycle.note_registered("a", ["c2", "c1"])
+        assert lifecycle.checksums("a") == {"c1", "c2"}
+        assert lifecycle.exclusive_checksums("a") == {"c1", "c2"}
+        assert lifecycle.plans() == ["a"]
+
+    def test_checksums_returns_a_copy(self):
+        lifecycle = PlanLifecycle()
+        lifecycle.note_registered("a", ["c1"])
+        lifecycle.checksums("a").add("c2")
+        lifecycle.exclusive_checksums("a").clear()
+        assert lifecycle.checksums("a") == {"c1"}
+        assert lifecycle.exclusive_checksums("a") == {"c1"}
+        assert lifecycle.checksums("ghost") == set()
+
+    def test_plan_without_arena_parameters_is_tracked(self):
+        """A plan whose every parameter overflowed (or is too small to
+        share) claims nothing, so its release frees nothing."""
+        lifecycle = PlanLifecycle()
+        lifecycle.note_registered("private", [])
+        assert lifecycle.plans() == ["private"]
+        assert lifecycle.stats() == {"plans_tracked": 1, "shared_checksums": 0}
+        assert lifecycle.release("private") == set()
+        assert lifecycle.plans() == []
+
+    def test_stats_count_plans_and_distinct_checksums(self):
+        lifecycle = PlanLifecycle()
+        lifecycle.note_registered("a", ["c1", "c2"])
+        lifecycle.note_registered("b", ["c2"])
+        assert lifecycle.stats() == {"plans_tracked": 2, "shared_checksums": 2}
+        lifecycle.release("a")
+        assert lifecycle.stats() == {"plans_tracked": 1, "shared_checksums": 1}
+        lifecycle.release("b")
+        assert lifecycle.stats() == {"plans_tracked": 0, "shared_checksums": 0}
+
+    def test_concurrent_sharers_free_each_checksum_exactly_once(self):
+        """Racing registrations and releases of plans sharing one checksum
+        set: every checksum is reported freeable by exactly one release (the
+        last sharer's), never by an earlier one."""
+        lifecycle = PlanLifecycle()
+        checksums = [f"c{index}" for index in range(16)]
+        plans = [f"p{index}" for index in range(8)]
+        for plan_id in plans:
+            lifecycle.note_registered(plan_id, checksums)
+        freed = []
+        barrier = threading.Barrier(len(plans))
+
+        def release(plan_id):
+            barrier.wait(timeout=10.0)
+            freed.append(lifecycle.release(plan_id))
+
+        threads = [threading.Thread(target=release, args=(plan_id,)) for plan_id in plans]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert len(freed) == len(plans)
+        assert sorted(len(batch) for batch in freed) == [0] * (len(plans) - 1) + [16]
+        assert set().union(*freed) == set(checksums)
+        assert lifecycle.stats() == {"plans_tracked": 0, "shared_checksums": 0}
+
 
 class TestReadTimeout:
     def test_mid_frame_stall_raises_instead_of_hanging(self):

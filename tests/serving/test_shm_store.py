@@ -11,6 +11,7 @@ from repro.serving.shm_store import (
     ArenaExhaustedError,
     ArenaRef,
     SharedMemoryArena,
+    _size_class,
 )
 
 
@@ -93,6 +94,120 @@ class TestSharedMemoryArena:
         assert arena.free("a") is False
         assert arena.frees == 0
 
+    @pytest.mark.parametrize(
+        "nbytes, expected", [(1, 64), (64, 64), (65, 128), (4097, 8192)]
+    )
+    def test_size_class_is_the_smallest_covering_power_of_two(self, nbytes, expected):
+        assert _size_class(nbytes) == expected
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_non_positive_budget_rejected(self, budget):
+        with pytest.raises(ValueError):
+            SharedMemoryArena(budget_bytes=budget)
+
+    @pytest.mark.parametrize("dtype", ["int8", "float32", "complex128", "bool"])
+    def test_every_fixed_width_dtype_round_trips(self, arena, dtype):
+        array = (np.arange(12).reshape(3, 4) % 3).astype(dtype)
+        ref = arena.put_array(_checksum_of(array), array)
+        view = arena.view(ref)
+        assert view.dtype == array.dtype
+        assert view.shape == (3, 4)
+        np.testing.assert_array_equal(view, array)
+
+    def test_freed_slab_is_reused_only_within_its_size_class(self, arena):
+        small = arena.put_array("small", np.zeros(10))  # 80B -> 128B class
+        arena.free("small")
+        bump = arena.allocated_bytes
+        bigger = arena.put_array("bigger", np.zeros(20))  # 160B -> 256B class
+        assert bigger.offset == bump  # carved fresh, the 128B slab stays free
+        assert arena.allocated_bytes == bump + 256
+        same_class = arena.put_array("same", np.zeros(12))  # 96B -> 128B class
+        assert same_class.offset == small.offset
+
+    def test_stats_report_recycled_slabs(self, arena):
+        arena.put_array("a", np.zeros(10))  # 128B class
+        arena.put_array("b", np.zeros(100))  # 1024B class
+        arena.free("a")
+        arena.free("b")
+        stats = arena.stats()
+        assert stats["free_slabs"] == 2
+        assert stats["free_slab_bytes"] == 128 + 1024
+        assert stats["frees"] == 2
+        assert stats["parameters"] == 0
+        assert stats["used_bytes"] == 0
+        assert stats["allocated_bytes"] == 128 + 1024
+
+    def test_dedup_hit_allocates_nothing(self, arena):
+        array = np.arange(40, dtype=np.float64)
+        arena.put_array("x", array)
+        bump = arena.allocated_bytes
+        arena.put_array("x", array)
+        assert arena.allocations == 1
+        assert arena.allocated_bytes == bump
+
+    def test_failed_put_leaves_the_arena_unchanged(self):
+        with SharedMemoryArena(budget_bytes=4096) as tiny:
+            tiny.put_array("a", np.zeros(256))  # 2048B slab
+            before = tiny.stats()
+            with pytest.raises(ArenaExhaustedError):
+                tiny.put_array("b", np.zeros(1024))
+            assert tiny.get("b") is None
+            assert tiny.stats() == before
+
+    def test_full_arena_fits_a_put_into_a_recycled_slab(self):
+        """Only a free makes room: once full, a same-class put succeeds
+        exactly when an earlier slab of that class was freed."""
+        with SharedMemoryArena(budget_bytes=4096) as tiny:
+            first = tiny.put_array("a", np.zeros(256))  # 2048B slab
+            tiny.put_array("b", np.ones(256))  # fills the budget
+            with pytest.raises(ArenaExhaustedError):
+                tiny.put_array("c", np.full(256, 2.0))
+            assert tiny.free("a")
+            ref = tiny.put_array("c", np.full(256, 2.0))
+            assert ref.offset == first.offset
+            assert tiny.allocated_bytes == 4096
+            np.testing.assert_array_equal(tiny.view(ref), np.full(256, 2.0))
+
+    def test_get_and_refs_track_live_parameters(self, arena):
+        ref = arena.put_array("a", np.zeros(8))
+        assert arena.get("a") == ref
+        snapshot = arena.refs()
+        assert snapshot == {"a": ref}
+        snapshot.clear()  # a copy: clearing it leaves the arena alone
+        assert len(arena) == 1
+        arena.free("a")
+        assert arena.get("a") is None
+        assert arena.refs() == {}
+
+    def test_acquire_release_slab_round_trip(self, arena):
+        offset, size = arena.acquire_slab(100)
+        assert size == 128
+        arena.release_slab(offset, size)
+        assert arena.acquire_slab(120) == (offset, size)
+        assert arena.allocated_bytes == 128
+
+    def test_closed_arena_rejects_new_slabs(self):
+        arena = SharedMemoryArena(budget_bytes=4096)
+        offset, size = arena.acquire_slab(64)
+        arena.close()
+        with pytest.raises(RuntimeError):
+            arena.put_array("a", np.zeros(8))
+        with pytest.raises(RuntimeError):
+            arena.acquire_slab(64)
+        arena.release_slab(offset, size)  # a no-op after close
+        assert arena.stats()["free_slabs"] == 0
+        arena.close()  # idempotent
+
+    def test_free_hands_the_slab_to_the_next_same_class_put(self, arena):
+        """Why frees wait for every worker's teardown ack: the next put of
+        the same class overwrites the bytes under any view still held."""
+        old = arena.put_array("old", np.zeros(16))
+        stale_view = arena.view(old)
+        arena.free("old")
+        new = arena.put_array("new", np.full(16, 7.0))
+        assert new.offset == old.offset
+        np.testing.assert_array_equal(stale_view, np.full(16, 7.0))
+
 
 class TestArenaClient:
     def test_adopt_rebinds_to_shared_view(self, arena):
@@ -139,6 +254,61 @@ class TestArenaClient:
             assert client.rebind_operator(operator) == 1  # idempotent swap
         finally:
             client.close()
+
+    def test_drop_refs_stops_future_adoption(self, arena):
+        parameter = _param(np.arange(24))
+        ref = arena.put_array(parameter.checksum, parameter.value)
+        client = ArenaClient(arena.name)
+        try:
+            client.update_refs({parameter.checksum: ref})
+            assert client.drop_refs([parameter.checksum, "never-known"]) == 1
+            assert client.adopt(parameter) is parameter
+            assert not client.is_shared(parameter)
+            assert client.drop_refs([parameter.checksum]) == 0
+            assert client.stats()["known_refs"] == 0
+        finally:
+            client.close()
+
+    def test_adopting_an_arena_view_keeps_the_parameter(self, arena):
+        array = np.arange(24, dtype=np.float64)
+        ref = arena.put_array(_checksum_of(array), array)
+        client = ArenaClient(arena.name)
+        try:
+            client.update_refs({_checksum_of(array): ref})
+            mapped = Parameter("w", client.view(ref))
+            assert client.adopt(mapped) is mapped
+            assert client.adopted_parameters == 1
+            assert client.adopted_bytes == mapped.nbytes
+        finally:
+            client.close()
+
+    def test_client_view_maps_the_owner_slab(self, arena):
+        array = np.arange(16, dtype=np.float64)
+        ref = arena.put_array("a", array)
+        client = ArenaClient(arena.name)
+        try:
+            view = client.view(ref)
+            assert client._is_arena_view(view)
+            assert not client._is_arena_view(array)
+            np.testing.assert_array_equal(view, array)
+            assert not view.flags.writeable
+        finally:
+            client.close()
+
+    def test_rebind_operator_leaves_unshared_arrays_private(self, arena):
+        weights = np.arange(32, dtype=np.float64)
+        operator = LinearRegressor(weights=weights, bias=0.5)
+        client = ArenaClient(arena.name)
+        try:
+            assert client.rebind_operator(operator) == 0
+            assert operator.weights is weights
+            assert client.stats()["rebound_arrays"] == 0
+        finally:
+            client.close()
+
+    def test_attaching_to_a_missing_segment_raises(self):
+        with pytest.raises(FileNotFoundError):
+            ArenaClient("pretzel-arena-no-such-segment")
 
 
 class TestObjectStoreWithBacking:
