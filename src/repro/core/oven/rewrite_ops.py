@@ -33,12 +33,14 @@ def _identity(margin: float) -> float:
     return margin
 
 
+# The scalar links clamp with builtins: ``np.clip`` on one Python float costs
+# several times the ``np.exp`` it guards, and clamps to the same value.
 def _sigmoid(margin: float) -> float:
-    return float(1.0 / (1.0 + np.exp(-np.clip(margin, -30.0, 30.0))))
+    return float(1.0 / (1.0 + np.exp(-min(max(margin, -30.0), 30.0))))
 
 
 def _exp(margin: float) -> float:
-    return float(np.exp(np.clip(margin, -30.0, 30.0)))
+    return float(np.exp(min(max(margin, -30.0), 30.0)))
 
 
 LINK_FUNCTIONS: Dict[str, Callable[[float], float]] = {

@@ -345,30 +345,25 @@ class _NgramFeaturizerBase(Operator):
     def _count_grams(self, value: Any) -> Tuple[Dict[int, float], int]:
         """Count one record's in-vocabulary grams: ``(index -> count, total)``.
 
-        The per-gram loop: one string join and one dictionary probe per gram.
-        It defines what the array kernels must reproduce bit for bit, and it
-        serves what they do not: vocabularies without a key table, token lists
-        whose tokens contain the joiner, and single-record word n-grams.
+        The per-gram loop: one string join and one dictionary probe per gram,
+        driven by builtins -- ``zip`` over ``n`` shifted unit lists yields the
+        windows, ``map`` joins and probes them, and unigrams are the units
+        themselves.  It serves what the array kernels do not: single-record
+        word n-grams, vocabularies without a key table, and token lists whose
+        tokens contain the joiner.
         """
         assert self.dictionary is not None
         units = self._units(value)
-        lookup = self.dictionary.lookup
+        get = self.dictionary.ngram_to_index.get
         joiner = self._joiner()
         low, high = self.ngram_range
-        binary = self.weighting == "binary"
         counts: Dict[int, float] = {}
         total = 0
-        for n in range(low, high + 1):
-            if len(units) < n:
-                continue
-            for start in range(len(units) - n + 1):
-                index = lookup(joiner.join(units[start : start + n]))
-                total += 1
-                if index is None:
-                    continue
-                if binary:
-                    counts[index] = 1.0
-                else:
+        for n in range(low, min(high, len(units)) + 1):
+            grams = units if n == 1 else map(joiner.join, zip(*(units[k:] for k in range(n))))
+            total += len(units) - n + 1
+            for index in map(get, grams):
+                if index is not None:
                     counts[index] = counts.get(index, 0.0) + 1.0
         return counts, total
 
@@ -376,13 +371,13 @@ class _NgramFeaturizerBase(Operator):
         if self.dictionary is None:
             raise RuntimeError(f"{self.name} used before fit(): no dictionary")
         counts, total = self._count_grams(value)
-        if self.weighting == "tf" and total > 0:
-            counts = {idx: val / total for idx, val in counts.items()}
-        if not counts:
-            return SparseVector(np.empty(0, dtype=np.int64), np.empty(0), self.dictionary.size)
-        indices = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-        values = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-        return SparseVector(indices, values, self.dictionary.size)
+        # Dictionary values are distinct feature indices below ``size``, so
+        # the sorted keys already hold the SparseVector invariant.
+        indices = sorted(counts)
+        values = np.fromiter(map(counts.__getitem__, indices), np.float64, len(indices))
+        return SparseVector.from_sorted(
+            np.array(indices, dtype=np.int64), self._weigh(values, total), self.dictionary.size
+        )
 
     def _weigh(self, counts: np.ndarray, totals: Any) -> np.ndarray:
         """Feature values from gram counts (``totals``: grams per record)."""
@@ -536,8 +531,9 @@ class CharNgramFeaturizer(_NgramFeaturizerBase):
 
         The text becomes a code-point array, then unit ids; the rolling window
         keys for every ``n`` in range are resolved with one ``searchsorted``
-        against the dictionary's key table, and the matched feature indices
-        are sorted and counted (``np.unique``) into ``(index, count)`` pairs.
+        against the dictionary's key table.  The matched feature indices are
+        sorted in place and counted as runs: one ``not_equal`` marks where a
+        run starts, and the gaps between the starts are the counts.
         """
         if self.dictionary is None:
             raise RuntimeError(f"{self.name} used before fit(): no dictionary")
@@ -549,13 +545,20 @@ class CharNgramFeaturizer(_NgramFeaturizerBase):
         ids = table.unit_ids.take(_code_points(self._text(value)), mode="clip")
         windows = [keys for _n, keys in table.windows(ids, low, high)]
         if not windows:
-            return SparseVector(np.empty(0, dtype=np.int64), np.empty(0), size)
+            return SparseVector.from_sorted(np.empty(0, dtype=np.int64), np.empty(0), size)
         keys = np.concatenate(windows)
         keys.sort()  # which window matched is irrelevant; sorted needles search faster
         _hit, features = table.match(keys)
-        indices, counts = np.unique(features, return_counts=True)
+        features.sort()
+        # edges[i]: a run starts at features[i]; the padding at both ends
+        # makes the last start the end of the array
+        edges = np.ones(features.size + 1, dtype=bool)
+        np.not_equal(features[1:], features[:-1], out=edges[1:-1])
+        starts = np.flatnonzero(edges)
         total = sum(max(ids.size - n + 1, 0) for n in range(low, high + 1))
-        return SparseVector(indices, self._weigh(counts, total), size)
+        return SparseVector.from_sorted(
+            features[starts[:-1]], self._weigh(np.diff(starts), total), size
+        )
 
     def _batch_unit_ids(
         self, rows: Sequence[Any], table: _NgramKeyTable

@@ -1,7 +1,11 @@
 """Tests for Flour programs and the Oven optimizer (rules, steps, plans)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import PretzelConfig
 from repro.core.flour import FlourContext, flour_from_pipeline
@@ -9,7 +13,12 @@ from repro.core.object_store import ObjectStore
 from repro.core.oven.compiler import ModelPlanCompiler
 from repro.core.oven.logical import SOURCE, GraphValidationError, TransformGraph, TransformNode
 from repro.core.oven.optimizer import OvenOptimizer
-from repro.core.oven.rewrite_ops import LINK_FUNCTIONS, MarginCombiner, PartialLinearScorer
+from repro.core.oven.rewrite_ops import (
+    ARRAY_LINK_FUNCTIONS,
+    LINK_FUNCTIONS,
+    MarginCombiner,
+    PartialLinearScorer,
+)
 from repro.core.oven.rules import PushLinearModelThroughConcatRule
 from repro.operators import Tokenizer, WordNgramFeaturizer
 from repro.operators.base import ValueKind
@@ -203,6 +212,54 @@ class TestRewriteOps:
 
     def test_link_registry_complete(self):
         assert set(LINK_FUNCTIONS) == {"identity", "sigmoid", "exp"}
+
+    @pytest.mark.parametrize("name", ["sigmoid", "exp"])
+    @pytest.mark.parametrize(
+        "margin",
+        [
+            0.0,
+            -0.0,
+            30.0,
+            -30.0,
+            math.nextafter(30.0, math.inf),
+            math.nextafter(-30.0, -math.inf),
+            30.5,
+            -31.0,
+            math.inf,
+            -math.inf,
+            math.nan,
+        ],
+    )
+    def test_scalar_link_edges_are_bit_equal_to_the_clip_expression(self, name, margin):
+        _assert_scalar_link_pinned(name, margin)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        margin=st.floats(allow_nan=True, allow_infinity=True),
+        name=st.sampled_from(["sigmoid", "exp"]),
+    )
+    def test_scalar_link_is_bit_equal_to_the_clip_expression_property(self, margin, name):
+        _assert_scalar_link_pinned(name, margin)
+
+
+#: the scalar links' former ``np.clip`` expressions, the reference they keep
+_CLIP_LINKS = {
+    "sigmoid": lambda margin: float(1.0 / (1.0 + np.exp(-np.clip(margin, -30.0, 30.0)))),
+    "exp": lambda margin: float(np.exp(np.clip(margin, -30.0, 30.0))),
+}
+
+
+def _assert_scalar_link_pinned(name, margin):
+    """The builtin-clamped scalar link equals, bit for bit, the ``np.clip``
+    expression and the array link on a one-element array."""
+    actual = LINK_FUNCTIONS[name](margin)
+    assert isinstance(actual, float)
+    expected = (
+        _CLIP_LINKS[name](margin),
+        float(ARRAY_LINK_FUNCTIONS[name](np.array([margin]))[0]),
+    )
+    for reference in expected:
+        assert np.float64(actual).tobytes() == np.float64(reference).tobytes()
 
 
 class TestModelPlanCompiler:

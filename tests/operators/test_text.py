@@ -12,7 +12,6 @@ from repro.operators.text import (
     NgramDictionary,
     Tokenizer,
     WordNgramFeaturizer,
-    _NgramFeaturizerBase,
     _NgramKeyTable,
 )
 from repro.operators.vectors import SparseVector
@@ -162,12 +161,14 @@ def test_tokenizer_is_deterministic_and_lowercase_property(text):
     assert all(token == token.lower() for token in tokens_a)
 
 
-# -- the array n-gram kernel against the per-gram loop -------------------------
+# -- the n-gram kernels against a slow reference -------------------------------
 #
-# ``_NgramFeaturizerBase.transform`` is the per-gram loop (one ``str.join`` and
-# one dictionary probe per gram): the oracle.  ``CharNgramFeaturizer.transform``
-# and both featurizers' ``transform_batch`` run the packed-key array kernel and
-# must reproduce it bit for bit.
+# ``_slow_reference`` is a literal per-gram loop (one ``str.join`` and one
+# dictionary probe per window) feeding the validating ``SparseVector``
+# constructor: the oracle.  It shares no code with the kernels it checks --
+# the builtin-driven probe loop of ``_NgramFeaturizerBase.transform``, the
+# array kernel of ``CharNgramFeaturizer.transform`` and both featurizers'
+# ``transform_batch`` -- and each must reproduce it bit for bit.
 
 #: characters the vocabularies are trained on: NUL, a space, an astral code
 #: point and a non-ASCII letter beside plain letters
@@ -184,8 +185,28 @@ _VOCAB_TOKENS = ["a", "b", "cc", "", "\u00e9\U0001f600", "a b"]
 _INPUT_TOKENS = _VOCAB_TOKENS + ["zz", "b a", "\x00"]
 
 
-def _oracle(featurizer, value):
-    return _NgramFeaturizerBase.transform(featurizer, value)
+def _slow_reference(featurizer, value):
+    """The featurizer's output for ``value``, computed the slow, obvious way."""
+    units = featurizer._units(value)
+    joiner = featurizer._joiner()
+    vocabulary = featurizer.dictionary.ngram_to_index
+    low, high = featurizer.ngram_range
+    counts = {}
+    total = 0
+    for n in range(low, high + 1):
+        for start in range(len(units) - n + 1):
+            total += 1
+            index = vocabulary.get(joiner.join(units[start : start + n]))
+            if index is not None:
+                counts[index] = counts.get(index, 0.0) + 1.0
+    if featurizer.weighting == "binary":
+        counts = {index: 1.0 for index in counts}
+    elif featurizer.weighting == "tf":
+        counts = {index: count / total for index, count in counts.items()}
+    return SparseVector(list(counts), list(counts.values()), featurizer.dictionary.size)
+
+
+_oracle = _slow_reference
 
 
 def _assert_bit_equal(actual, expected):
@@ -197,14 +218,26 @@ def _assert_bit_equal(actual, expected):
     assert actual.values.tobytes() == expected.values.tobytes()
 
 
+def _assert_holds_the_invariant(vector):
+    """What ``SparseVector.from_sorted`` takes on trust from the kernels."""
+    assert vector.indices.dtype == np.int64 and vector.values.dtype == np.float64
+    assert vector.indices.ndim == 1 and vector.indices.shape == vector.values.shape
+    assert np.all(np.diff(vector.indices) > 0)
+    assert np.all((vector.indices >= 0) & (vector.indices < vector.size))
+
+
 def _assert_kernel_matches_oracle(featurizer, rows):
-    """Scalar kernel == oracle per row, and batch row i == scalar of row i."""
+    """Scalar kernel == oracle per row, and batch row i == scalar of row i;
+    every output holds the sorted, in-bounds, int64/float64 invariant."""
     expected = [_oracle(featurizer, row) for row in rows]
     for row, vector in zip(rows, expected):
-        _assert_bit_equal(featurizer.transform(row), vector)
+        actual = featurizer.transform(row)
+        _assert_holds_the_invariant(actual)
+        _assert_bit_equal(actual, vector)
     batch = featurizer.transform_batch(rows).rows
     assert len(batch) == len(rows)
     for vector, reference in zip(batch, expected):
+        _assert_holds_the_invariant(vector)
         _assert_bit_equal(vector, reference)
 
 
