@@ -1,4 +1,4 @@
-"""Contention microbench: the hot paths the profiler said were lock-bound.
+"""Contention microbench: the runtime's lock-bound hot paths.
 
 Three sections, one report (``results/contention_microbench.txt`` + its
 machine-readable ``.json`` twin):
@@ -14,12 +14,6 @@ machine-readable ``.json`` twin):
   per-plan/phase lock split), which the old global lifecycle lock fully
   serialized.
 
-Plus the profiler's own bill: a fig12-style predict slice timed with the
-sampler on vs off (interleaved min-of-trials).  The ratio is *recorded* in the
-report, not asserted: it is a wall-clock measurement that reads 17-20% on a
-2-CPU host against a 5% budget (ROADMAP item 1, flake (a)), and the harness's
-``profiling.overhead_share`` layer metric is the measurement of record.
-
 ``CONTENTION_SMOKE=1`` shrinks op counts for the CI smoke job; thread
 counts and every assert stay identical.  Throughput is recorded, never
 asserted: on a 2-CPU host it moves with neighbour load.
@@ -34,9 +28,7 @@ import time
 import numpy as np
 
 from conftest import write_report
-from repro import profiling
 from repro.core.config import PretzelConfig
-from repro.core.runtime import PretzelRuntime
 from repro.core.scheduler import InferenceRequest, Scheduler
 from repro.mlnet.pipeline import Pipeline
 from repro.operators.linear import LinearRegressor
@@ -58,9 +50,6 @@ SCHED_OPS_PER_THREAD = 1_000 if SMOKE else 5_000
 
 REGISTER_THREADS = 4
 REGISTER_PLANS_PER_THREAD = 2 if SMOKE else 4
-
-OVERHEAD_TRIALS = 3 if SMOKE else 5
-OVERHEAD_PREDICTS = 150 if SMOKE else 600
 
 
 # -- arena alloc/free ----------------------------------------------------------
@@ -242,49 +231,6 @@ def _bench_register_under_pressure() -> dict:
     }
 
 
-# -- profiler overhead ---------------------------------------------------------
-
-
-def _bench_profiler_overhead() -> dict:
-    """Fig12-style predict slice, sampler on vs off, interleaved trials."""
-    runtime = PretzelRuntime(PretzelConfig())
-    try:
-        plan_ids = []
-        for index in range(4):
-            plan_ids.append(
-                runtime.register(_compressible_pipeline(f"ov-{index}", seed=index, n=4096))
-            )
-        record = [1.0] * 4096
-        for plan_id in plan_ids:
-            runtime.predict(plan_id, record)  # warm: compile + pools
-
-        def slice_seconds() -> float:
-            started = time.perf_counter()
-            for _ in range(OVERHEAD_PREDICTS):
-                for plan_id in plan_ids:
-                    runtime.predict(plan_id, record)
-            return time.perf_counter() - started
-
-        best_on = float("inf")
-        best_off = float("inf")
-        # Interleaved min-of-trials: host-speed drift (GC, turbo, noisy
-        # neighbours) hits both series alike; the min rejects outliers.
-        for _ in range(OVERHEAD_TRIALS):
-            profiling.ensure_started()
-            best_on = min(best_on, slice_seconds())
-            profiling.stop()
-            best_off = min(best_off, slice_seconds())
-        profiling.ensure_started()  # restore the always-on default
-        return {
-            "predicts": OVERHEAD_PREDICTS * len(plan_ids),
-            "sampler_on_seconds": best_on,
-            "sampler_off_seconds": best_off,
-            "overhead_ratio": best_on / best_off,
-        }
-    finally:
-        runtime.shutdown()
-
-
 # -- the bench -----------------------------------------------------------------
 
 
@@ -293,10 +239,9 @@ def test_contention_microbench(benchmark):
         arena_rows = _bench_arena()
         scheduler_rows = _bench_scheduler()
         register = _bench_register_under_pressure()
-        overhead = _bench_profiler_overhead()
-        return arena_rows, scheduler_rows, register, overhead
+        return arena_rows, scheduler_rows, register
 
-    arena_rows, scheduler_rows, register, overhead = benchmark.pedantic(
+    arena_rows, scheduler_rows, register = benchmark.pedantic(
         run, iterations=1, rounds=1
     )
 
@@ -320,14 +265,6 @@ def test_contention_microbench(benchmark):
         "serialized this).",
     )
     register_report.rows = [register]
-    register_report.add_note(
-        f"profiler overhead on a fig12-style predict slice: "
-        f"{(overhead['overhead_ratio'] - 1) * 100:.2f}% "
-        f"({overhead['predicts']} predicts, sampler on "
-        f"{overhead['sampler_on_seconds']:.3f}s vs off "
-        f"{overhead['sampler_off_seconds']:.3f}s, interleaved best of "
-        f"{OVERHEAD_TRIALS})"
-    )
     write_report(
         "contention_microbench",
         "\n\n".join(
@@ -339,7 +276,6 @@ def test_contention_microbench(benchmark):
             "arena": arena_rows,
             "scheduler": scheduler_rows,
             "register_under_pressure": register,
-            "profiler_overhead": overhead,
         },
     )
 

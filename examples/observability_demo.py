@@ -1,8 +1,8 @@
 """Observability: follow one request across processes, read the live fig5.
 
-The sampling profiler (``examples/multi_process_serving.py`` shows the rest
-of the serving tier) answers "where does *aggregate* time go"; this demo
-shows the two surfaces that answer the per-request questions:
+``examples/multi_process_serving.py`` shows the rest of the serving tier;
+this demo shows the two surfaces that answer "where does the time go", per
+request and per stage:
 
 * **Distributed tracing** -- every sampled request mints a
   :class:`~repro.observability.TraceContext` at the cluster front door that

@@ -8,7 +8,6 @@ series, Section 5.4.1's reservation scheduling) are produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 __all__ = ["PretzelConfig"]
 
@@ -66,9 +65,6 @@ class PretzelConfig:
     placement_replicas:
         How many workers each plan is placed on by the cluster's
         consistent-hash ring (capped at ``num_workers``).
-    mp_start_method:
-        ``multiprocessing`` start method for cluster workers; ``None`` picks
-        ``"fork"`` where available (fast, Linux) and ``"spawn"`` elsewhere.
     worker_timeout_seconds:
         Upper bound on any single cluster <-> worker round trip (register,
         predict chunk, stats, shutdown); a worker that stays silent longer is
@@ -88,11 +84,11 @@ class PretzelConfig:
         ping.  Also the TTL after which the router ages out a worker's
         reported backlog (an idle worker is not shunned on stale depth).
     enable_profiling:
-        Run the always-on sampling profiler (:mod:`repro.profiling`): a
-        background thread samples per-thread frames every
-        ``DEFAULT_INTERVAL_SECONDS``, attributing self-time to pipeline
-        stages, and the runtime's named locks record contended wait time.
-        Surfaced as ``stats()["profile"]``.
+        Surface the named-lock wait registry (:mod:`repro.profiling`) as
+        ``stats()["profile"] == {"locks": {...}}`` in ``runtime.stats()`` and
+        ``cluster.stats()``.  It starts no thread; the locks record contended
+        wait either way.  Per-stage time comes from the tracer's
+        ``stage.execute`` spans (``enable_tracing``).
     enable_tracing:
         Run the distributed request tracer (:mod:`repro.observability`):
         the front door head-samples 1-in-``trace_sample_rate`` requests,
@@ -123,7 +119,6 @@ class PretzelConfig:
     shm_min_parameter_bytes: int = 4096
     max_inflight_per_worker: int = 32
     placement_replicas: int = 2
-    mp_start_method: Optional[str] = None
     worker_timeout_seconds: float = 60.0
     transport: str = "pipe"
     heartbeat_interval_seconds: float = 5.0

@@ -119,7 +119,8 @@ class PretzelFrontEnd:
         self._pending: Dict[str, _DelayedBuffer] = {}
         self._pending_lock = threading.Lock()
         #: wakes the (single, lazily started) deadline-monitor thread whenever
-        #: a buffer opens with an earlier deadline than it is waiting for
+        #: a buffer opens or is flushed, so it re-reads the earliest deadline
+        #: (and exits once none is left)
         self._deadline_changed = threading.Condition(self._pending_lock)
         self._monitor: Optional[threading.Thread] = None
         #: responses produced by deadline-timer flushes (clients that buffered
@@ -232,7 +233,7 @@ class PretzelFrontEnd:
                 del self._pending[plan_id]
             elif buffer.deadline is not None:
                 self._ensure_monitor()
-                self._deadline_changed.notify_all()
+            self._deadline_changed.notify_all()
         if full:
             return self._flush_buffer(plan_id, buffer)
         return FrontEndResponse(
@@ -244,6 +245,8 @@ class PretzelFrontEnd:
         """Flush the plan's delayed-batching buffer through the batch engine."""
         with self._pending_lock:
             buffer = self._pending.pop(plan_id, None)
+            # The monitor may be sleeping toward this buffer's deadline.
+            self._deadline_changed.notify_all()
         if buffer is None or not buffer.records:
             return FrontEndResponse(
                 plan_id=plan_id, outputs=[], prediction_seconds=0.0, network_seconds=0.0
@@ -307,7 +310,11 @@ class PretzelFrontEnd:
             self._monitor.start()
 
     def _deadline_loop(self) -> None:
-        """Flush buffers whose deadline passed; sleep until the next one."""
+        """Flush buffers whose deadline passed; sleep until the next one.
+
+        The thread exits once no buffer holds a deadline, so an idle front
+        end keeps no thread alive; the next deadline starts a fresh one.
+        """
         while True:
             expired: List[Tuple[str, _DelayedBuffer]] = []
             with self._deadline_changed:
@@ -322,8 +329,10 @@ class PretzelFrontEnd:
                     elif next_deadline is None or buffer.deadline < next_deadline:
                         next_deadline = buffer.deadline
                 if not expired:
-                    timeout = None if next_deadline is None else next_deadline - now
-                    self._deadline_changed.wait(timeout=timeout)
+                    if next_deadline is None:
+                        self._monitor = None
+                        return
+                    self._deadline_changed.wait(timeout=next_deadline - now)
                     continue
             for plan_id, buffer in expired:
                 try:

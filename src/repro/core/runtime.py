@@ -104,12 +104,8 @@ class PretzelRuntime:
         self._id_counter = itertools.count()
         self._lock = threading.Lock()
         self._next_reserved_executor = 0
-        if self.config.enable_profiling:
-            # One process-global sampler shared by every runtime.
-            profiling.ensure_started()
-        # One process-global tracer too; last configure wins, so a runtime
-        # created with tracing off silences earlier runtimes deliberately
-        # (mirrors the profiler's session-wide semantics).
+        # One process-global tracer; last configure wins, so a runtime
+        # created with tracing off silences earlier runtimes deliberately.
         observability.configure(
             enabled=self.config.enable_tracing,
             sample_rate=self.config.trace_sample_rate,
@@ -454,10 +450,11 @@ class PretzelRuntime:
             "signature_backlog": self.scheduler.signature_depths(),
         }
         if self.config.enable_profiling:
-            # Gated so profiling-off runs keep the pre-profiler stats shape.
+            # The named-lock wait registry, {"locks": ...}; gated so
+            # profiling-off runs keep the pre-profiler stats shape.
             stats["profile"] = profiling.snapshot()
         if self.config.enable_tracing:
-            # Same gating discipline as the profiler block above.
+            # Same gating discipline as the lock-wait block above.
             stats["tracing"] = observability.tracer().stats()
         return stats
 

@@ -1,6 +1,6 @@
 """Observability: distributed request tracing + the unified metrics plane.
 
-Two process-global singletons live here, mirroring the profiler's pattern
+Two process-global singletons live here, like the lock-wait registry
 (:mod:`repro.profiling`): one :class:`~repro.observability.metrics.
 MetricsRegistry` that every component registers its instruments into, and
 one :class:`~repro.observability.tracing.Tracer` flight recorder.

@@ -329,9 +329,7 @@ class PretzelCluster:
         num_workers = max(0 if attach else 1, int(self.config.num_workers))
         if num_workers + len(attach) < 1:
             raise ValueError("a cluster needs at least one worker (spawned or attached)")
-        method = self.config.mp_start_method or (
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        )
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         context = multiprocessing.get_context(method)
         self.arena: Optional[SharedMemoryArena] = (
             SharedMemoryArena(self.config.shm_budget_bytes)
@@ -383,11 +381,6 @@ class PretzelCluster:
             for index in range(num_workers):
                 worker_id = f"worker-{index}"
                 self._workers[worker_id] = self._spawn_worker(context, worker_id)
-            if self.config.enable_profiling:
-                # One process-global sampler, shared with any in-process
-                # runtime.  Started only after every fork: a thread alive
-                # at fork() leaves the child's interpreter state undefined.
-                profiling.ensure_started()
             for index, address in enumerate(attach):
                 host, port = self._parse_address(address)
                 worker_id = f"worker-attached-{index}"
@@ -1084,10 +1077,9 @@ class PretzelCluster:
             "workers": workers,
         }
         if self.config.enable_profiling:
-            # The cluster *process*'s view: sampler self-time of the dispatch
-            # threads plus contended wait on the named locks (arena.meta,
-            # cluster.phase, cluster.plan, cluster.worker-channel).  Each
-            # worker's own profile rides in workers[id]["stats"]["profile"].
+            # The cluster *process*'s contended wait on the named locks
+            # (arena.meta, cluster.phase, cluster.plan, cluster.worker-channel).
+            # Each worker's own profile rides in workers[id]["stats"]["profile"].
             result["profile"] = profiling.snapshot()
         if self.config.enable_tracing:
             # The front door's sampler state; each worker's own flight

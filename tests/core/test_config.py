@@ -28,6 +28,7 @@ DELETED_FIELDS = (
     "per_plan_overhead_bytes",
     "vector_pool_entries",
     "arena_eviction_policy",
+    "mp_start_method",
 )
 
 FIELDS = [field.name for field in dataclasses.fields(PretzelConfig)]
@@ -50,7 +51,7 @@ def test_deleted_field_is_rejected(name):
 
 
 def test_field_count():
-    assert len(FIELDS) == 21
+    assert len(FIELDS) == 20
 
 
 @pytest.mark.parametrize("name", FIELDS)

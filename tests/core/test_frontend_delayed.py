@@ -116,6 +116,28 @@ class TestDeadlineTimer:
         assert not frontend.auto_flushes
         assert not frontend.flush_errors
 
+    @pytest.mark.parametrize("delay_seconds", [0.05, 60.0])
+    def test_monitor_thread_exits_once_no_deadline_is_left(
+        self, batching_runtime, sa_inputs, delay_seconds
+    ):
+        """An idle front end keeps no thread: the monitor leaves after the
+        last deadline flush, and a manual flush wakes it to leave at once
+        instead of sleeping out the flushed buffer's deadline."""
+        frontend = PretzelFrontEnd(
+            batching_runtime,
+            FrontEndConfig(max_batch_size=16, max_batch_delay_seconds=delay_seconds),
+        )
+        frontend.predict_delayed("sa", [sa_inputs[0]])
+        monitor = frontend._monitor
+        assert monitor is not None
+        if delay_seconds > 1.0:
+            assert monitor.is_alive()
+            frontend.flush("sa")
+        monitor.join(timeout=10.0)
+        assert not monitor.is_alive()
+        assert frontend._monitor is None
+        assert len(frontend.auto_flushes) == (1 if delay_seconds < 1.0 else 0)
+
 
 class TestFlushAtomicity:
     """Regression: a flush must fail or complete as a unit -- a mid-loop

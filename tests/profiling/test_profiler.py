@@ -1,22 +1,15 @@
-"""Unit tests for the always-on profiler: named locks + sampling attribution.
+"""Unit tests for the named-lock wait profiler and its ``stats()`` wiring.
 
-The sampler's attribution logic is driven deterministically through
-``sample_once`` against threads parked at known points -- no wall-clock
-sampling, no flaky sleeps on the assertion path.
+A holder thread parked on an event makes every contended acquisition
+deterministic.
 """
 
-import gc
 import threading
-import time
-import weakref
-
-import pytest
 
 from repro.core.config import PretzelConfig
 from repro.core.runtime import PretzelRuntime
 from repro.profiling import GLOBAL_LOCK_REGISTRY
 from repro.profiling.locks import LockWaitRegistry, ProfiledLock, ProfiledRLock
-from repro.profiling.sampler import SamplingProfiler
 
 
 # -- named locks ----------------------------------------------------------------
@@ -109,124 +102,6 @@ def test_registry_reset_zeroes_but_keeps_recording():
     assert registry.snapshot()["t.reset"]["acquisitions"] == 1
 
 
-# -- sampler --------------------------------------------------------------------
-
-
-class _Stage:
-    def __init__(self, full_signature):
-        self.full_signature = full_signature
-
-
-def _marked_wait(physical, entered, release):
-    """Stand-in for the engine's stage executor: ``physical`` is the local
-    the sampler reads the signature from."""
-    entered.set()
-    release.wait(timeout=10.0)
-
-
-def test_sample_once_attributes_stage_and_function():
-    profiler = SamplingProfiler(interval_seconds=0.001)
-    profiler.register_stage_marker(_marked_wait, "physical")
-    entered = threading.Event()
-    release = threading.Event()
-    thread = threading.Thread(
-        target=_marked_wait, args=(_Stage("stage::sig"), entered, release)
-    )
-    thread.start()
-    try:
-        assert entered.wait(timeout=5.0)
-        sampled = profiler.sample_once()
-        assert sampled >= 1
-    finally:
-        release.set()
-        thread.join(timeout=5.0)
-    snapshot = profiler.snapshot()
-    assert snapshot["samples"] >= 1
-    assert "stage::sig" in snapshot["stages"]
-    stage = snapshot["stages"]["stage::sig"]
-    assert stage["samples"] >= 1
-    assert stage["est_self_seconds"] > 0
-    assert 0 < stage["share"] <= 1
-    # The parked thread's top-of-stack is inside Event.wait.
-    assert any(
-        "wait" in entry["function"] for entry in snapshot["top_functions"]
-    )
-
-
-class _Payload:
-    pass
-
-
-def _hold(payload_ref, entered, release):
-    payload = _Payload()  # a local the sampled frame keeps alive while it runs
-    payload_ref.append(weakref.ref(payload))
-    entered.set()
-    release.wait(timeout=10.0)
-
-
-def test_sample_once_keeps_no_sampled_frame_alive():
-    """Once a sampled function returns, its locals die at once: the sampler
-    leaves no reference cycle that only the cyclic collector would break."""
-    profiler = SamplingProfiler(interval_seconds=0.001)
-    payload_ref = []
-    entered = threading.Event()
-    release = threading.Event()
-    thread = threading.Thread(target=_hold, args=(payload_ref, entered, release))
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        thread.start()
-        assert entered.wait(timeout=5.0)
-        assert profiler.sample_once() >= 1
-        release.set()
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-        assert payload_ref[0]() is None
-    finally:
-        release.set()
-        if enabled:
-            gc.enable()
-
-
-def test_sample_once_without_marker_counts_functions_only():
-    profiler = SamplingProfiler(interval_seconds=0.001)
-    entered = threading.Event()
-    release = threading.Event()
-    thread = threading.Thread(
-        target=_marked_wait, args=(_Stage("unregistered"), entered, release)
-    )
-    thread.start()
-    try:
-        assert entered.wait(timeout=5.0)
-        profiler.sample_once()
-    finally:
-        release.set()
-        thread.join(timeout=5.0)
-    assert profiler.snapshot()["stages"] == {}
-
-
-def test_start_stop_idempotent_and_reset():
-    profiler = SamplingProfiler(interval_seconds=0.001)
-    profiler.start()
-    profiler.start()  # idempotent
-    assert profiler.running
-    deadline = time.monotonic() + 5.0
-    while profiler.ticks == 0 and time.monotonic() < deadline:
-        time.sleep(0.005)
-    profiler.stop()
-    profiler.stop()  # idempotent
-    assert not profiler.running
-    assert profiler.ticks > 0
-    profiler.reset()
-    assert profiler.samples == 0
-    assert profiler.snapshot()["stages"] == {}
-
-
-def test_rejects_non_positive_interval():
-    with pytest.raises(ValueError):
-        SamplingProfiler(interval_seconds=0.0)
-
-
 # -- runtime wiring -------------------------------------------------------------
 
 
@@ -235,9 +110,7 @@ def test_runtime_stats_carry_profile_payload():
     try:
         stats = runtime.stats()
         profile = stats["profile"]
-        assert set(profile) == {"sampler", "locks"}
-        assert profile["sampler"]["running"]
-        assert profile["sampler"]["interval_seconds"] > 0
+        assert set(profile) == {"locks"}
         # The scheduler's profiled locks registered under their names.
         assert any(
             name.startswith("scheduler.") for name in profile["locks"]

@@ -5,7 +5,6 @@ import time
 
 import pytest
 
-from repro import profiling
 from repro.core.config import PretzelConfig
 from repro.core.runtime import PretzelRuntime
 from repro.serving import BackpressureError, PretzelCluster, WorkerFailure
@@ -517,21 +516,29 @@ def test_unknown_transport_rejected():
         PretzelCluster(_config(transport="carrier-pigeon"))
 
 
-def test_profiler_thread_is_not_alive_at_worker_spawn(monkeypatch):
+def test_no_thread_is_alive_at_worker_spawn(monkeypatch, sa_pipeline, sa_inputs):
     """A thread alive at fork() leaves the child's interpreter state
-    undefined, so the cluster starts the sampler only after its spawn loop."""
-    profiling.stop()
+    undefined.  A default runtime serving inline starts no thread, so a
+    cluster built afterwards in the same process forks from its main thread
+    alone."""
+    threads_before = threading.active_count()
+    with PretzelRuntime(PretzelConfig()) as runtime:
+        plan_id = runtime.register(sa_pipeline)
+        runtime.predict(plan_id, sa_inputs[0])
+        runtime.predict_batch(plan_id, sa_inputs[:4])
+        assert threading.active_count() == threads_before
     alive_at_spawn = []
     spawn = PretzelCluster._spawn_worker
 
     def recording_spawn(self, context, worker_id):
-        alive_at_spawn.append(profiling.profiler().running)
+        alive_at_spawn.append(list(threading.enumerate()))
         return spawn(self, context, worker_id)
 
     monkeypatch.setattr(PretzelCluster, "_spawn_worker", recording_spawn)
     with PretzelCluster(_config()):
-        assert profiling.profiler().running
-    assert alive_at_spawn == [False, False]
+        pass
+    main = threading.main_thread()
+    assert alive_at_spawn == [[main], [main]]
 
 
 def test_failed_registration_rolls_back_arena_slabs(sa_pipeline, sa_pipeline_variant):
