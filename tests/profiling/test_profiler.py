@@ -4,8 +4,12 @@ A holder thread parked on an event makes every contended acquisition
 deterministic.
 """
 
+import importlib
 import threading
 
+import pytest
+
+from repro import profiling
 from repro.core.config import PretzelConfig
 from repro.core.runtime import PretzelRuntime
 from repro.profiling import GLOBAL_LOCK_REGISTRY
@@ -100,6 +104,80 @@ def test_registry_reset_zeroes_but_keeps_recording():
     with lock:
         pass
     assert registry.snapshot()["t.reset"]["acquisitions"] == 1
+
+
+# -- package surface ------------------------------------------------------------
+
+
+def _contend(lock):
+    """One contended acquisition of ``lock``: a holder thread keeps it until
+    the main thread is about to block on it."""
+    held = threading.Event()
+    release = threading.Event()
+
+    def holder():
+        with lock:
+            held.set()
+            release.wait(timeout=10.0)
+
+    thread = threading.Thread(target=holder)
+    thread.start()
+    assert held.wait(timeout=5.0)
+    timer = threading.Timer(0.02, release.set)
+    timer.start()
+    with lock:
+        pass
+    thread.join(timeout=5.0)
+    timer.join(timeout=5.0)
+
+
+def test_module_snapshot_is_the_global_lock_registry():
+    lock = ProfiledLock("t.module.snapshot")
+    _contend(lock)
+    snapshot = profiling.snapshot()
+    assert set(snapshot) == {"locks"}
+    row = snapshot["locks"]["t.module.snapshot"]
+    assert row == GLOBAL_LOCK_REGISTRY.snapshot()["t.module.snapshot"]
+    assert row["acquisitions"] == 2
+    assert row["contended"] == 1
+    assert row["wait_seconds"] > 0
+
+
+def test_module_reset_zeroes_the_global_registry():
+    lock = ProfiledLock("t.module.reset")
+    _contend(lock)
+    profiling.reset()
+    row = profiling.snapshot()["locks"]["t.module.reset"]
+    assert row["acquisitions"] == 0
+    assert row["contended"] == 0
+    assert row["wait_seconds"] == 0.0
+    with lock:
+        pass
+    assert profiling.snapshot()["locks"]["t.module.reset"]["acquisitions"] == 1
+
+
+def test_stop_is_a_no_op():
+    """``stop()`` starts, stops and clears nothing, however often it runs."""
+    lock = ProfiledLock("t.module.stop")
+    with lock:
+        pass
+    threads_before = set(threading.enumerate())
+    assert profiling.stop() is None
+    profiling.stop()
+    assert set(threading.enumerate()) == threads_before
+    assert profiling.snapshot()["locks"]["t.module.stop"]["acquisitions"] == 1
+
+
+def test_package_carries_no_sampler():
+    for name in (
+        "SamplingProfiler",
+        "DEFAULT_INTERVAL_SECONDS",
+        "profiler",
+        "ensure_started",
+    ):
+        assert not hasattr(profiling, name), name
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.profiling.sampler")
 
 
 # -- runtime wiring -------------------------------------------------------------

@@ -541,6 +541,26 @@ def test_no_thread_is_alive_at_worker_spawn(monkeypatch, sa_pipeline, sa_inputs)
     assert alive_at_spawn == [[main], [main]]
 
 
+@pytest.mark.parametrize("enable_profiling", [True, False])
+def test_cluster_stats_profile_is_lock_telemetry_only(sa_pipeline, enable_profiling):
+    """``enable_profiling`` gates the ``profile`` block of the cluster's and
+    each worker's stats, and the block holds lock-wait telemetry alone."""
+    with PretzelCluster(_config(enable_profiling=enable_profiling)) as cluster:
+        cluster.register(sa_pipeline)
+        stats = cluster.stats()
+    worker_stats = [worker["stats"] for worker in stats["workers"].values()]
+    assert len(worker_stats) == 2
+    if enable_profiling:
+        assert set(stats["profile"]) == {"locks"}
+        assert "cluster.phase" in stats["profile"]["locks"]
+        for worker in worker_stats:
+            assert set(worker["profile"]) == {"locks"}
+    else:
+        assert "profile" not in stats
+        for worker in worker_stats:
+            assert "profile" not in worker
+
+
 def test_failed_registration_rolls_back_arena_slabs(sa_pipeline, sa_pipeline_variant):
     """A rolled-back registration (application error on the second placed
     worker) returns the plan's freshly allocated slabs to the arena -- the
