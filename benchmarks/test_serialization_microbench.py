@@ -63,7 +63,7 @@ def _shapes(n):
 def _round_trip_json(records, outputs):
     request = serialize_message({"type": "predict", "msg_id": "m:1", "records": records})
     deserialize_message(request)
-    reply = serialize_message({"msg_id": "m:1", "ok": True, "outputs": outputs, "backlog": 0})
+    reply = serialize_message({"msg_id": "m:1", "ok": True, "outputs": outputs})
     deserialize_message(reply)
     return len(request) + len(reply)
 
@@ -74,7 +74,7 @@ def _round_trip_binary(records, outputs):
     )
     unpack_value_batch(decode_payload(request)["records"])
     reply = encode_payload(
-        {"msg_id": "m:1", "ok": True, "outputs": pack_value_batch(outputs), "backlog": 0}
+        {"msg_id": "m:1", "ok": True, "outputs": pack_value_batch(outputs)}
     )
     unpack_value_batch(decode_payload(reply)["outputs"])
     return len(request) + len(reply)
@@ -108,7 +108,7 @@ def _exchange_envelope(records, outputs):
     request = encode_predict(_predict_message(records), None)
     unpack_value_batch(decode_payload(request)["records"])
     reply = encode_payload(
-        {"outputs": pack_value_batch(outputs), "backlog": 0, "msg_id": "9f3c2a71:123456",
+        {"outputs": pack_value_batch(outputs), "msg_id": "9f3c2a71:123456",
          "ok": True, "worker_id": "worker-0"}
     )
     unpack_value_batch(decode_payload(reply)["outputs"])
@@ -120,7 +120,7 @@ def _exchange_frame(records, outputs, schema):
     decode_predict_frame(request, lambda plan_id: schema)
     reply = encode_reply_frame(
         request,
-        {"outputs": pack_value_batch(outputs), "backlog": 0, "msg_id": "9f3c2a71:123456",
+        {"outputs": pack_value_batch(outputs), "msg_id": "9f3c2a71:123456",
          "ok": True, "worker_id": "worker-0"},
     )
     decode_reply(reply)

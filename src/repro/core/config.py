@@ -81,8 +81,7 @@ class PretzelConfig:
     heartbeat_interval_seconds:
         Control-plane heartbeat cadence.  Every worker reply piggybacks as a
         heartbeat; only workers idle longer than this receive an explicit
-        ping.  Also the TTL after which the router ages out a worker's
-        reported backlog (an idle worker is not shunned on stale depth).
+        ping.
     enable_profiling:
         Surface the named-lock wait registry (:mod:`repro.profiling`) as
         ``stats()["profile"] == {"locks": {...}}`` in ``runtime.stats()`` and

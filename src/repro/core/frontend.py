@@ -31,8 +31,7 @@ from repro.net import NetworkModel
 
 __all__ = ["FrontEndConfig", "PretzelFrontEnd", "FrontEndResponse", "FlushError"]
 
-#: upper bound on how long a flush waits for its submitted requests (matches
-#: the default timeout of :meth:`PretzelRuntime.predict_batch`)
+#: upper bound on how long a flush waits for its submitted requests
 _FLUSH_WAIT_SECONDS = 60.0
 
 #: how many deadline-flush responses/errors are retained for pickup

@@ -297,7 +297,6 @@ class PretzelRuntime:
         plan_id: str,
         records: Sequence[Any],
         latency_sensitive: bool = False,
-        timeout: Optional[float] = 60.0,
         trace: Any = None,
     ) -> List[Any]:
         """Serve a batch on the calling thread, one columnar pass per stage.
@@ -314,9 +313,8 @@ class PretzelRuntime:
         run alone, as on the scheduler), or with sub-plan materialization on
         (its cache is keyed per record), the records loop the scalar
         request-response path, bit-identical to calling :meth:`predict` per
-        record.  ``timeout`` is kept for callers of the queued engine; the
-        caller-runs path never waits.  A sampled call records one
-        ``stage.execute`` span per stage (``events`` = the group size).
+        record.  A sampled call records one ``stage.execute`` span per stage
+        (``events`` = the group size).
         """
         registered = self.registered(plan_id)
         registered.predictions += len(records)

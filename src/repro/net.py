@@ -366,8 +366,10 @@ def unpack_value_batch(obj: Any) -> Any:
 #
 # Reply frame::
 #
-#     b"PZR1" | 8s msg prefix | u64 seq | u32 n | u32 backlog | u32 crc32
-#             | n float64
+#     b"PZR2" | 8s msg prefix | u64 seq | u32 n | u32 crc32 | n float64
+#
+# A magic names one layout: a layout change takes a new magic, so a frame in
+# an older layout (``PZR1``) is refused instead of misread.
 #
 # ``msg prefix:seq`` is the cluster's ordinary ``msg_id``, so a decoded frame
 # is the very message dict the envelope would have produced and goes through
@@ -378,12 +380,12 @@ def unpack_value_batch(obj: Any) -> Any:
 # byte for byte what it always was.
 
 PREDICT_FRAME_MAGIC = b"PZF1"
-REPLY_FRAME_MAGIC = b"PZR1"
+REPLY_FRAME_MAGIC = b"PZR2"
 #: every payload prefix the wire counters report as a binary message
 BINARY_MAGICS = (BINARY_MAGIC, PREDICT_FRAME_MAGIC, REPLY_FRAME_MAGIC)
 
 _REQUEST_HEAD = struct.Struct("<4s8sQBHIHI")
-_REPLY_HEAD = struct.Struct("<4s8sQII")
+_REPLY_HEAD = struct.Struct("<4s8sQI")
 _CRC = struct.Struct("<I")
 _FLAG_LATENCY_SENSITIVE = 1
 _FLAG_TRACED = 2
@@ -626,8 +628,7 @@ def encode_reply_frame(request: bytes, reply: Dict[str, Any]) -> Optional[bytes]
     is copied from the request's header, so it needs no re-parsing.
     """
     outputs = reply.get("outputs")
-    backlog = reply.get("backlog")
-    if reply.get("ok") is not True or type(backlog) is not int or not 0 <= backlog <= 0xFFFFFFFF:
+    if reply.get("ok") is not True:
         return None
     if type(outputs) is list:
         for value in outputs:
@@ -646,7 +647,7 @@ def encode_reply_frame(request: bytes, reply: Dict[str, Any]) -> Optional[bytes]
     else:
         return None
     prefix, seq = struct.unpack_from("<8sQ", request, 4)
-    head = _REPLY_HEAD.pack(REPLY_FRAME_MAGIC, prefix, seq, count, backlog)
+    head = _REPLY_HEAD.pack(REPLY_FRAME_MAGIC, prefix, seq, count)
     return b"".join((head, _CRC.pack(zlib.crc32(head)), body))
 
 
@@ -659,7 +660,7 @@ def decode_reply(data: bytes) -> Any:
         raise FrameFormatError("reply frame truncated inside its header")
     if zlib.crc32(memoryview(data)[:fixed]) != _CRC.unpack_from(data, fixed)[0]:
         raise FrameFormatError("reply frame header fails its checksum")
-    _magic, prefix, seq, count, backlog = _REPLY_HEAD.unpack_from(data)
+    _magic, prefix, seq, count = _REPLY_HEAD.unpack_from(data)
     body = memoryview(data)[fixed + _CRC.size :]
     if len(body) != 8 * count:
         raise FrameFormatError(
@@ -673,7 +674,6 @@ def decode_reply(data: bytes) -> Any:
         "msg_id": msg_id,
         "ok": True,
         "outputs": list(struct.unpack(f"<{count}d", body)),
-        "backlog": backlog,
     }
 
 

@@ -19,9 +19,9 @@ parameter sharing:
   content checksum), and workers rebind their unpickled copies onto read-only
   views of the shared slabs -- N workers map one copy of each weight.
 * **Routing.**  Plans are placed on ``placement_replicas`` workers by a
-  consistent-hash ring; each request goes to the least-loaded placed worker
-  (the router's own in-flight count plus the queue backlog workers piggyback
-  on replies, aged out after ``heartbeat_interval_seconds``).  When every
+  consistent-hash ring; each request goes to the placed worker with the
+  fewest in-flight dispatches (a worker runs each predict inline and keeps
+  no queue of its own, so that count is its whole load).  When every
   placed worker is at ``max_inflight_per_worker`` the request is shed with a
   typed :class:`~repro.serving.router.BackpressureError` instead of queueing
   without bound.
@@ -395,7 +395,6 @@ class PretzelCluster:
                 list(self._workers),
                 replicas=min(max(1, self.config.placement_replicas), len(self._workers)),
                 max_inflight_per_worker=self.config.max_inflight_per_worker,
-                backlog_ttl_seconds=self.config.heartbeat_interval_seconds,
             )
             self.lifecycle = PlanLifecycle()
             self.control = ControlPlane(self)
@@ -851,7 +850,6 @@ class PretzelCluster:
                 parent_span_id=trace.parent_span_id,
                 attributes={"shed": False, "worker_id": worker_id},
             )
-        backlog: Optional[int] = None
         try:
             handle = self._workers.get(worker_id)
             if handle is None:
@@ -892,11 +890,10 @@ class PretzelCluster:
                     self.control.worker_failed(worker_id, str(error))
                     raise WorkerFailedError(worker_id, plan_id, str(error)) from error
                 raise
-            backlog = reply.get("backlog")
             self.control.record_reply(worker_id)
             return unpack_value_batch(reply["outputs"])
         finally:
-            self.router.release(worker_id, backlog=backlog)
+            self.router.release(worker_id)
 
     # -- fail-over ---------------------------------------------------------------
 
@@ -1032,8 +1029,8 @@ class PretzelCluster:
 
         ``workers[id]["stats"]`` is the full ``PretzelRuntime.stats()`` of
         that worker (including ``object_store`` hit/miss/eviction counters,
-        ``stage_batching``, ``queue_depths`` and ``signature_backlog``), so
-        per-worker cache health and backlog are visible from one call.
+        ``stage_batching`` and the scheduler's queue depths), so per-worker
+        cache health is visible from one call.
         ``control_plane`` carries fail-over/unregister counters, per-worker
         heartbeat ages and liveness verdicts.
         """

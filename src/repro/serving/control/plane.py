@@ -5,9 +5,7 @@ It owns the pieces that make the cluster *dynamic*:
 
 * a :class:`~repro.serving.control.failure.FailureDetector` fed by every
   reply (piggybacked heartbeats) plus an idle-ping thread that only pings
-  workers silent past ``heartbeat_interval_seconds`` -- ping replies carry
-  the worker's queue backlog, so an idle worker's stale backlog is refreshed
-  and the router's least-loaded dispatch never shuns a recovered worker;
+  workers silent past ``heartbeat_interval_seconds``;
 * the fail-over procedure: on death, evict the worker from the router's
   ring and placements, re-register its plans onto survivors through the
   normal registration path (arena adoption included), and let in-flight
@@ -138,9 +136,6 @@ class ControlPlane:
                 continue  # a request is in flight; it will adjudicate liveness
             self.heartbeats_sent += 1
             self.record_reply(worker_id)
-            backlog = reply.get("backlog")
-            if backlog is not None:
-                self.cluster.router.report_backlog(worker_id, int(backlog))
 
     # -- reporting ------------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Shard router: plan placement, queue-depth-aware dispatch, admission control.
+"""Shard router: plan placement, least-in-flight dispatch, admission control.
 
 The cluster front door never executes plans; it decides *where* each request
 runs:
@@ -6,14 +6,10 @@ runs:
 * **Placement** uses a consistent-hash ring (:class:`ConsistentHashRing`)
   with virtual nodes, so each plan lands on a stable subset of workers
   (``placement_replicas``) and adding a worker moves only ~1/N of the plans.
-* **Dispatch** picks, among a plan's placed workers, the one with the lowest
-  observed load: the router's own in-flight count plus the queue backlog the
-  worker reported on its last reply (the ``queue_depths``/``signature_backlog``
-  numbers the scheduler's signature index exposes in ``runtime.stats()``).
-  A reported backlog *ages out* after ``backlog_ttl_seconds``: a worker that
-  went idle after reporting a deep queue is not shunned forever -- stale
-  reports count as zero until a fresh reply (or heartbeat ping, which also
-  piggybacks the backlog) refreshes them.
+* **Dispatch** picks, among a plan's placed workers, the one with the fewest
+  in-flight dispatches, ties broken by worker id.  That count is a worker's
+  whole load: a worker runs each predict inline and keeps no queue, so the
+  router needs nothing from it but the reply.
 * **Admission control** sheds load instead of queueing without bound: when
   every placed worker already carries ``max_inflight_per_worker`` in-flight
   dispatches, the router raises :class:`BackpressureError` -- a typed error
@@ -29,8 +25,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import threading
-import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.observability import registry
 from repro.serving.control.failure import WorkerFailedError
@@ -105,9 +100,13 @@ class ShardRouter:
     """Route plan traffic onto workers; shed when the shard is saturated.
 
     The router is deliberately ignorant of transport: callers ``acquire`` a
-    worker id before dispatching and ``release`` it when the reply arrives
-    (optionally reporting the queue backlog the worker piggybacked on the
-    reply).  That keeps it trivially testable and reusable by the simulator.
+    worker id before dispatching and ``release`` it when the reply arrives.
+    That keeps it trivially testable and reusable by the simulator.
+
+    The constructor's ``backlog_ttl_seconds`` and :meth:`release`'s
+    ``backlog`` are accepted and ignored, kept only for their one remaining
+    caller: ``benchmarks/harness/layers.py`` (``run_traced``) passes both
+    from when workers reported a queue depth.  Delete them once it stops.
     """
 
     def __init__(
@@ -117,26 +116,15 @@ class ShardRouter:
         max_inflight_per_worker: int = 32,
         vnodes: int = 64,
         backlog_ttl_seconds: Optional[float] = None,
-        clock: Callable[[], float] = time.monotonic,
     ):
         if max_inflight_per_worker < 1:
             raise ValueError("max_inflight_per_worker must be >= 1")
-        if backlog_ttl_seconds is not None and backlog_ttl_seconds <= 0:
-            raise ValueError("backlog_ttl_seconds must be positive (or None)")
         self.ring: Optional[ConsistentHashRing] = ConsistentHashRing(worker_ids, vnodes=vnodes)
         self.replicas = replicas
         self.max_inflight_per_worker = max_inflight_per_worker
-        self.backlog_ttl_seconds = backlog_ttl_seconds
-        self._clock = clock
         self._lock = threading.Lock()
         self._placements: Dict[str, List[str]] = {}
         self._inflight: Dict[str, int] = {worker: 0 for worker in self.ring.nodes}
-        #: queue backlog each worker reported on its most recent reply, with
-        #: the timestamp of the report (so stale depth ages out of dispatch)
-        self._reported_backlog: Dict[str, int] = {worker: 0 for worker in self.ring.nodes}
-        self._backlog_reported_at: Dict[str, float] = {
-            worker: self._clock() for worker in self.ring.nodes
-        }
         self._evicted: List[str] = []
         #: registry-backed instruments; ``dispatched`` / ``shed`` remain as
         #: read-only properties with per-router-instance semantics
@@ -201,8 +189,6 @@ class ShardRouter:
             survivors = [node for node in self.ring.nodes if node != worker_id] if self.ring else []
             self.ring = ConsistentHashRing(survivors, vnodes=self.ring.vnodes) if survivors else None
             self._inflight.pop(worker_id, None)
-            self._reported_backlog.pop(worker_id, None)
-            self._backlog_reported_at.pop(worker_id, None)
             for workers in self._placements.values():
                 if worker_id in workers:
                     workers.remove(worker_id)
@@ -215,7 +201,7 @@ class ShardRouter:
     # -- dispatch --------------------------------------------------------------
 
     def acquire(self, plan_id: str) -> str:
-        """Pick the least-loaded placed worker; shed when all are saturated."""
+        """Pick the least-in-flight placed worker; shed when all are saturated."""
         if plan_id not in self._placements:
             raise KeyError(f"plan {plan_id!r} has no placement (register it first)")
         with self._lock:
@@ -231,43 +217,16 @@ class ShardRouter:
             if not eligible:
                 self._shed_total.inc()
                 raise BackpressureError(plan_id, loads, self.max_inflight_per_worker)
-            now = self._clock()
-            chosen = min(
-                eligible,
-                key=lambda worker: (
-                    self._inflight[worker] + self._effective_backlog(worker, now),
-                    worker,
-                ),
-            )
+            chosen = min(eligible, key=lambda worker: (self._inflight[worker], worker))
             self._inflight[chosen] += 1
             self._dispatched_total.inc()
             return chosen
 
-    def _effective_backlog(self, worker_id: str, now: float) -> int:
-        """The reported backlog, unless the report has aged past the TTL."""
-        if self.backlog_ttl_seconds is not None:
-            if now - self._backlog_reported_at.get(worker_id, now) > self.backlog_ttl_seconds:
-                return 0
-        return self._reported_backlog.get(worker_id, 0)
-
     def release(self, worker_id: str, backlog: Optional[int] = None) -> None:
-        """Return a dispatch slot; record the backlog the worker reported."""
+        """Return a dispatch slot (a no-op for an evicted worker)."""
         with self._lock:
             if self._inflight.get(worker_id, 0) > 0:
                 self._inflight[worker_id] -= 1
-            if backlog is not None:
-                self._report_backlog_locked(worker_id, backlog)
-
-    def report_backlog(self, worker_id: str, backlog: int) -> None:
-        """Record a backlog observation outside a dispatch (heartbeat pings)."""
-        with self._lock:
-            self._report_backlog_locked(worker_id, backlog)
-
-    def _report_backlog_locked(self, worker_id: str, backlog: int) -> None:
-        if worker_id not in self._inflight:
-            return  # evicted while the reply was in flight
-        self._reported_backlog[worker_id] = backlog
-        self._backlog_reported_at[worker_id] = self._clock()
 
     def inflight(self, worker_id: str) -> int:
         with self._lock:
@@ -281,11 +240,9 @@ class ShardRouter:
                 "workers": list(self._inflight),
                 "replicas": self.replicas,
                 "max_inflight_per_worker": self.max_inflight_per_worker,
-                "backlog_ttl_seconds": self.backlog_ttl_seconds,
                 "plans_placed": len(self._placements),
                 "dispatched": self.dispatched,
                 "shed": self.shed,
                 "inflight": dict(self._inflight),
-                "reported_backlog": dict(self._reported_backlog),
                 "evicted_workers": list(self._evicted),
             }

@@ -35,8 +35,7 @@ Wire protocol (all requests carry ``msg_id``; every reply echoes it):
 =============  =========================================================
 ``type``       payload
 =============  =========================================================
-``ping``       -> ``{"pong": true, "backlog": int}`` (heartbeat; the
-               backlog keeps the router's load view fresh on idle workers)
+``ping``       -> ``{"pong": true}`` (the control plane's heartbeat)
 ``register``   ``plan_id``, ``model_b64`` (pickled ``(pipeline, stats)``),
                ``engine``, ``arena_refs`` -> registration summary
 ``unregister`` ``plan_id``, optional ``drop_checksums`` -> teardown ack
@@ -46,7 +45,7 @@ Wire protocol (all requests carry ``msg_id``; every reply echoes it):
 ``predict``    ``plan_id``, ``records``, ``latency_sensitive``, optional
                ``trace`` (a :meth:`TraceContext.to_wire` dict riding the
                envelope or, fixed-width, the frame header) ->
-               ``{"outputs": [...], "backlog": int}``; a request frame is
+               ``{"outputs": [...]}``; a request frame is
                answered with a reply frame when the outputs are floats
 ``stats``      -> ``{"stats": runtime.stats(), ...}``
 ``memory``     -> ``{"memory_bytes": int}`` (lightweight footprint probe)
@@ -242,10 +241,7 @@ class ServingWorker:
         }
 
     def _handle_ping(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        # Pings double as idle heartbeats; piggybacking the backlog here (as
-        # predict replies already do) is what lets the router age out stale
-        # depth without extra stats round trips.
-        return {"pong": True, "backlog": self._backlog()}
+        return {"pong": True}
 
     def _handle_register(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """Register a plan, rebinding its weights onto the listed arena slabs."""
@@ -312,7 +308,6 @@ class ServingWorker:
                 plan_id,
                 records,
                 latency_sensitive=bool(message.get("latency_sensitive", False)),
-                timeout=self.config.worker_timeout_seconds,
                 trace=trace,
             )
         else:
@@ -322,9 +317,7 @@ class ServingWorker:
             ]
         self.predict_seconds.observe(time.perf_counter() - started)
         self.predictions_total.inc(len(records))
-        # Piggyback the scheduler's queue depth so the router's dispatch
-        # stays queue-depth-aware without extra stats round trips.
-        return {"outputs": pack_value_batch(outputs), "backlog": self._backlog()}
+        return {"outputs": pack_value_batch(outputs)}
 
     def _handle_memory(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """Footprint probe: just the number, not the full stats payload."""
@@ -350,9 +343,6 @@ class ServingWorker:
 
     def _handle_shutdown(self, message: Dict[str, Any]) -> Dict[str, Any]:
         return {"bye": True}
-
-    def _backlog(self) -> int:
-        return sum(self.runtime.scheduler.queue_depths().values())
 
     # -- lifecycle -------------------------------------------------------------
 

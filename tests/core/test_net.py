@@ -448,20 +448,30 @@ class TestPredictFrames:
             + b"hi" b"\xc3\xa9"
         )
         reply = encode_reply_frame(
-            text, {"outputs": [0.5, -1.0], "backlog": 3, "msg_id": "a1b2c3d4:42", "ok": True, "worker_id": "w"}
+            text, {"outputs": [0.5, -1.0], "msg_id": "a1b2c3d4:42", "ok": True, "worker_id": "w"}
         )
         assert reply == (
-            b"PZR1" b"a1b2c3d4" + (42).to_bytes(8, "little")
-            + (2).to_bytes(4, "little") + (3).to_bytes(4, "little")
-            + bytes.fromhex("204c77b5")
+            b"PZR2" b"a1b2c3d4" + (42).to_bytes(8, "little")
+            + (2).to_bytes(4, "little")
+            + bytes.fromhex("9ec69b06")
             + struct.pack("<2d", 0.5, -1.0)
         )
         assert decode_reply(reply) == {
             "msg_id": "a1b2c3d4:42",
             "ok": True,
             "outputs": [0.5, -1.0],
-            "backlog": 3,
         }
+
+    def test_reply_in_the_old_pzr1_layout_is_refused(self):
+        """``PZR1`` carried a u32 after the count; its bytes are never misread."""
+        old = (
+            b"PZR1" b"a1b2c3d4" + (42).to_bytes(8, "little")
+            + (2).to_bytes(4, "little") + (3).to_bytes(4, "little")
+            + bytes.fromhex("204c77b5")
+            + struct.pack("<2d", 0.5, -1.0)
+        )
+        with pytest.raises(ValueError):
+            decode_reply(old)
 
     @pytest.mark.parametrize(
         "message, schema",
@@ -495,7 +505,7 @@ class TestPredictFrames:
 
     def test_reply_frame_truncation_and_corruption(self):
         request = encode_predict(_predict([{"a": 1.0}]), frame_schema(["a"]))
-        reply = encode_reply_frame(request, {"outputs": [1.0, 2.0, 3.0], "backlog": 0, "ok": True})
+        reply = encode_reply_frame(request, {"outputs": [1.0, 2.0, 3.0], "ok": True})
         assert decode_reply(reply)["outputs"] == [1.0, 2.0, 3.0]
         for cut in range(len(reply)):
             # a cut inside the magic is no frame at all: the envelope decoder's error
@@ -512,7 +522,7 @@ class TestPredictFrames:
 
     def test_reply_frames_carry_only_float_outputs(self):
         request = encode_predict(_predict([{"a": 1.0}]), frame_schema(["a"]))
-        ok = {"backlog": 2, "ok": True, "msg_id": "a1b2c3d4:42", "worker_id": "w"}
+        ok = {"ok": True, "msg_id": "a1b2c3d4:42", "worker_id": "w"}
         many = [float(index) / 7 for index in range(40)] + [float("nan"), -0.0]
         packed = encode_reply_frame(request, {**ok, "outputs": pack_value_batch(many)})
         assert _identical(decode_reply(packed)["outputs"], many)
@@ -520,7 +530,6 @@ class TestPredictFrames:
         for outputs in ([1], [1.0, None], ["text"], [np.float64(1.0)], [[1.0]], {"k": 1.0}, None):
             assert encode_reply_frame(request, {**ok, "outputs": outputs}) is None
         assert encode_reply_frame(request, {**ok, "outputs": [1.0], "ok": False}) is None
-        assert encode_reply_frame(request, {**ok, "outputs": [1.0], "backlog": -1}) is None
 
     def test_schema_mismatch_is_a_typed_error_never_shifted_columns(self):
         packed_with = frame_schema(["a", "b"])

@@ -302,5 +302,5 @@ class TestReservationRelease:
         assert runtime.scheduler.reserved_executor_ids() == []
         # The batch engine still serves with its full shared pool.
         plan_id = runtime.register(sa_pipeline, engine="batch")
-        outputs = runtime.predict_batch(plan_id, sa_inputs[:3], timeout=30.0)
+        outputs = runtime.predict_batch(plan_id, sa_inputs[:3])
         assert outputs == pytest.approx([sa_pipeline.predict(t) for t in sa_inputs[:3]])

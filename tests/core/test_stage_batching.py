@@ -320,7 +320,7 @@ class TestEndToEndBatching:
         try:
             runtime.register(sa_pipeline, plan_id="first")
             runtime.register(sa_pipeline, plan_id="second")
-            runtime.predict_batch("first", sa_inputs[:4], timeout=30.0)
+            runtime.predict_batch("first", sa_inputs[:4])
             assert runtime.scheduler.batching.total_batches > 0
             runtime.unregister("first")
             # "second" still references the shared stages: state survives.

@@ -686,9 +686,9 @@ def test_predicts_travel_as_frames_bit_equal_to_one_process(
             assert wire["bytes_sent"] - before["bytes_sent"] == sum(
                 _frame_bytes(plan_id, [record], schema) for record in inputs
             ) + _frame_bytes(plan_id, list(inputs), schema)
-            # reply frame: 32-byte header + one float64 per record
+            # reply frame: 28-byte header + one float64 per record
             assert wire["bytes_received"] - before["bytes_received"] == (
-                len(inputs) * (32 + 8) + 32 + 8 * len(inputs)
+                len(inputs) * (28 + 8) + 28 + 8 * len(inputs)
             )
         # no key name travels: an AC request is its header plus 40 raw doubles
         assert _frame_bytes("ac", ac_inputs[:1], input_frame_schema(ac_pipeline)) < 400

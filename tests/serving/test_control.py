@@ -5,12 +5,14 @@ import re
 import subprocess
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
 from repro.net import frame_length, frame_payload, serialize_message
 from repro.serving.control.failure import FailureDetector, WorkerFailedError
 from repro.serving.control.lifecycle import PlanLifecycle
+from repro.serving.control.plane import ControlPlane
 from repro.serving.control.transport import PipeTransport, SocketListener, SocketTransport
 
 
@@ -251,6 +253,55 @@ class TestFailureDetector:
             FailureDetector([], heartbeat_interval_seconds=0, worker_timeout_seconds=1)
         with pytest.raises(ValueError):
             FailureDetector([], heartbeat_interval_seconds=1, worker_timeout_seconds=0)
+
+
+class _PingHandle:
+    """A worker handle whose ping answers ``reply`` (None: a request holds it)."""
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.sent = []
+
+    def try_request(self, message, timeout):
+        self.sent.append(message)
+        return self.reply
+
+
+def test_heartbeat_round_pings_idle_workers_and_leaves_dispatch_alone():
+    """Only workers idle past the interval are pinged; a ``{"pong": true}``
+    reply makes the worker heard again, a busy handle is skipped, and the
+    round touches none of the router's dispatch books."""
+    from repro.serving.router import ShardRouter
+
+    handles = {
+        "w0": _PingHandle({"pong": True, "ok": True}),
+        "w1": _PingHandle(None),
+        "w2": _PingHandle({"pong": True, "ok": True}),
+    }
+    router = ShardRouter(list(handles), replicas=2)
+    router.set_placement("plan", ["w0", "w2"])
+    busy = router.acquire("plan")
+    cluster = SimpleNamespace(
+        config=SimpleNamespace(heartbeat_interval_seconds=1.0, worker_timeout_seconds=5.0),
+        _workers=handles,
+        worker_ids=lambda: list(handles),
+        _message=lambda kind: {"type": kind},
+        router=router,
+    )
+    plane = ControlPlane(cluster)
+    clock = FakeClock()
+    plane.detector = FailureDetector(
+        list(handles), heartbeat_interval_seconds=1.0, worker_timeout_seconds=5.0, clock=clock
+    )
+    books = router.stats()
+    clock.advance(1.5)
+    plane.detector.record_reply("w2")  # heard just now: not due
+    plane._heartbeat_round()
+    assert [handle.sent for handle in handles.values()] == [[{"type": "ping"}], [{"type": "ping"}], []]
+    assert plane.heartbeats_sent == 1
+    assert plane.detector.heartbeat_ages() == {"w0": 0.0, "w1": 1.5, "w2": 0.0}
+    assert router.stats() == books
+    assert router.inflight(busy) == 1
 
 
 def test_worker_failed_error_is_retryable_and_typed():

@@ -1,5 +1,7 @@
 """Tests for the serving worker's message handlers, driven in process."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -53,7 +55,6 @@ class TestHandlers:
         reply = worker.handle(_wire({"type": "ping", "msg_id": 1}))
         assert reply == {
             "pong": True,
-            "backlog": 0,
             "msg_id": 1,
             "ok": True,
             "worker_id": "worker-test",
@@ -75,10 +76,33 @@ class TestHandlers:
         )
         assert predict["ok"]
         assert len(_outputs(predict)) == 3
-        assert predict["backlog"] == 0
+        assert set(predict) == {"outputs", "msg_id", "ok", "worker_id"}
         expected = [sa_pipeline.predict(text) for text in sa_inputs[:3]]
         assert _outputs(predict) == pytest.approx(expected)
         assert worker.served_predictions == 3
+
+    def test_batch_engine_predict_runs_on_the_handler_thread(self, worker, sa_pipeline, sa_inputs):
+        """A multi-record predict on a batch-engine plan goes through
+        ``predict_batch``: outputs equal the scalar loop, the reply carries
+        only the outputs, and no executor thread starts."""
+        reply = worker.handle(
+            {
+                "type": "register",
+                "msg_id": 2,
+                "plan_id": "sa",
+                "model_b64": encode_model(sa_pipeline, None),
+                "engine": "batch",
+            }
+        )
+        assert reply["ok"]
+        threads = threading.active_count()
+        predict = worker.handle(
+            _wire({"type": "predict", "msg_id": 3, "plan_id": "sa", "records": sa_inputs[:4]})
+        )
+        assert set(predict) == {"outputs", "msg_id", "ok", "worker_id"}
+        expected = [sa_pipeline.predict(text) for text in sa_inputs[:4]]
+        assert _outputs(predict) == pytest.approx(expected)
+        assert threading.active_count() == threads
 
     def test_unregister_then_predict_fails(self, worker, sa_pipeline, sa_inputs):
         worker.handle(
@@ -337,7 +361,6 @@ class TestServeLoopSurvivesAnyPayload:
             assert reply["worker_id"] == "worker-test"
         assert replies[4] == {
             "pong": True,
-            "backlog": 0,
             "msg_id": 7,
             "ok": True,
             "worker_id": "worker-test",
