@@ -14,9 +14,11 @@ for:
 * admission control sheds overload with a typed
   :class:`~repro.serving.router.BackpressureError` instead of queueing
   without bound;
-* numeric batches travel the columnar wire: ``predict_batch`` ships one
-  dtype/shape-tagged binary frame per direction instead of N JSON-encoded
-  records (``cluster.stats()["wire"]`` counts the bytes).
+* predicts travel the data plane: records that conform to the plan's input
+  schema ship as one fixed-layout ``PZF1`` frame (raw float64 rows or UTF-8
+  texts, no key names) and float outputs come back as one ``PZR2`` frame,
+  instead of N JSON-encoded records (``cluster.wire_stats()`` counts the
+  bytes).
 
 Run with:  python examples/multi_process_serving.py
 """
@@ -80,33 +82,34 @@ def main() -> None:
         name = family.pipelines[0].name
         print(f"  placement of {name!r}: {cluster.placement(cluster_ids[name])}")
 
-        # The columnar batch path: structured numeric records (here the AC
-        # workload's 40-feature events) are shipped as ONE binary frame per
-        # batch -- raw float64 columns plus a dtype/shape header -- instead
-        # of hundreds of JSON-encoded dicts, and the float outputs come back
-        # the same way.  The wire counters make the saving visible.
+        # The data plane: a predict whose records conform to the plan's input
+        # schema travels as ONE frame per direction -- a fixed header plus raw
+        # values, no key names -- instead of N JSON-encoded records; anything
+        # else rides the JSON envelope.  The wire counters show the bytes.
         events = generate_events(n_events=200, seed=7).records
         sa_plan = cluster_ids[family.pipelines[1].name]
         before = cluster.wire_stats()
-        cluster.predict_batch(sa_plan, [inputs[0]] * 200)  # text records: JSON
+        cluster.predict_batch(sa_plan, [inputs[0]] * 200)  # texts: one PZF1 frame
         mid = cluster.wire_stats()
-        json_equivalent = len(serialize_message({"records": events}))
-        print("\nColumnar wire (per 200-record predict_batch):")
-        print(f"  text records (JSON fallback) : "
+        print("\nData-plane wire (per 200-record predict_batch):")
+        print(f"  text records as one frame : "
               f"{mid['bytes_sent'] - before['bytes_sent']} B sent, "
               f"{mid['bytes_received'] - before['bytes_received']} B received")
-        print(f"  numeric records as JSON would be ~{json_equivalent} B; "
-              f"as one columnar frame:")
-        # A quick structured-records plan is overkill for the quickstart, so
-        # frame the records directly the way cluster.predict_batch does.
-        from repro.net import encode_payload, pack_value_batch
+        # A structured-records plan is overkill for the quickstart, so frame
+        # the AC workload's 40-feature events directly the way
+        # cluster.predict_batch does for a plan with that input schema.
+        from repro.net import encode_predict, frame_schema
 
-        framed = len(encode_payload({"records": pack_value_batch(events)}))
-        print(f"  {framed} B ({json_equivalent / framed:.1f}x smaller), "
-              f"NaN markers round-tripping bit-exactly")
-        print(f"  totals: {mid['binary_messages']} binary / "
+        message = {"plan_id": "ac", "records": events, "latency_sensitive": False,
+                   "type": "predict", "msg_id": "00000000:1"}
+        as_json = len(serialize_message(message))
+        framed = len(encode_predict(message, frame_schema(list(events[0]))))
+        print(f"  numeric records as JSON would be {as_json} B; as one frame "
+              f"{framed} B ({as_json / framed:.1f}x smaller), NaN markers "
+              f"round-tripping bit-exactly")
+        print(f"  totals: {mid['binary_messages']} frame / "
               f"{mid['json_messages']} JSON requests, "
-              f"{mid['binary_replies']} binary replies")
+              f"{mid['binary_replies']} frame replies")
 
         # Plans can also be retired: unregister tears the plan down on every
         # hosting worker and gives its exclusively-referenced arena slabs back

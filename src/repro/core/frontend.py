@@ -152,7 +152,7 @@ class PretzelFrontEnd:
 
     # -- serving --------------------------------------------------------------------
 
-    def predict(self, plan_id: str, records: Sequence[Any], use_batch_engine: bool = False) -> FrontEndResponse:
+    def predict(self, plan_id: str, records: Sequence[Any]) -> FrontEndResponse:
         """Serve one client request end-to-end.
 
         An empty ``records`` sequence is answered immediately with an empty
@@ -180,7 +180,7 @@ class PretzelFrontEnd:
                     cache_hit=True,
                 )
         start = time.perf_counter()
-        if use_batch_engine or len(records) > 1:
+        if len(records) > 1:
             outputs = self.runtime.predict_batch(plan_id, records)
         else:
             outputs = [self.runtime.predict(plan_id, records[0])]

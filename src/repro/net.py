@@ -13,14 +13,11 @@ of the end-to-end numbers is preserved.
 from __future__ import annotations
 
 import json
-import math
 import operator
 import struct
 import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.observability.tracing import TRACE_WIRE_BYTES, pack_trace_wire, unpack_trace_wire
 
@@ -28,10 +25,6 @@ __all__ = [
     "NetworkModel",
     "serialize_message",
     "deserialize_message",
-    "encode_payload",
-    "decode_payload",
-    "pack_value_batch",
-    "unpack_value_batch",
     "FrameFormatError",
     "SchemaMismatchError",
     "FrameSchema",
@@ -43,7 +36,6 @@ __all__ = [
     "frame_payload",
     "frame_length",
     "parse_host_port",
-    "BINARY_MAGIC",
     "PREDICT_FRAME_MAGIC",
     "REPLY_FRAME_MAGIC",
     "BINARY_MAGICS",
@@ -76,6 +68,21 @@ def deserialize_message(data: bytes) -> Any:
     return json.loads(data.decode("utf-8"))
 
 
+# Harness-only aliases: ``benchmarks/harness/layers.py`` (the traced replay's
+# ``net.*`` rows) still imports these four names, so they stay as the JSON
+# envelope and identity row packing until ROADMAP item 2 (vii) drops them.
+encode_payload = serialize_message
+decode_payload = deserialize_message
+
+
+def pack_value_batch(values: Sequence[Any]) -> List[Any]:
+    return list(values)
+
+
+def unpack_value_batch(values: Any) -> Any:
+    return values
+
+
 #: big-endian unsigned length prefix used by the stream transports.  Pipes
 #: frame messages internally (``Connection.send_bytes``), but a TCP stream has
 #: no message boundaries, so the socket transport prefixes every
@@ -105,255 +112,16 @@ def frame_length(header: bytes) -> int:
     return length
 
 
-# -- binary frames -----------------------------------------------------------
-#
-# JSON re-encodes every numeric batch as text (``tolist()`` on the way out,
-# float parsing on the way in) and cannot represent NaN/+-inf in the RFC
-# subset at all.  A *binary message* keeps the JSON envelope for everything
-# the control plane cares about (msg ids, plan ids, flags) but ships each
-# numeric array as one raw frame of its bytes, verbatim.  Messages without
-# arrays encode byte-identically to :func:`serialize_message`, so heartbeats,
-# registration and the workers' msg-id replay cache are untouched.
-#
-# Wire layout of a binary message::
-#
-#     b"PZB1" | u32 envelope_len | envelope JSON (utf-8)
-#             | per frame: u64 data_len | raw array bytes
-#
-# In the envelope each extracted array is replaced by its metadata
-# placeholder -- the flat string ``"__frame__:index:dtype:d1,d2"`` -- so a
-# whole message parses exactly one JSON document no matter how many frames it
-# carries, and the placeholder costs one string parse, not a nested object.
-
-BINARY_MAGIC = b"PZB1"
-_U32 = struct.Struct("!I")
-_U64 = struct.Struct("!Q")
-_FRAME_PREFIX = "__frame__:"
-_BATCH_KEY = "__batch__"
-
-
-class FrameFormatError(ValueError):
-    """A binary frame failed to parse: bad magic, header, dtype or length."""
-
-
-class _PlaceholderCollision(Exception):
-    """A payload string collides with the frame placeholder prefix."""
-
-
-#: bare float batches smaller than this keep the JSON encoding: below the
-#: crossover the frame's constant cost exceeds JSON's per-float text cost
-MIN_SCALAR_FRAME = 32
-
-
-def encode_payload(payload: Any) -> bytes:
-    """Encode a message, shipping numpy arrays as raw binary frames.
-
-    Without arrays in the payload tree this returns exactly
-    :func:`serialize_message`'s bytes (plain JSON).  With arrays, the JSON
-    envelope carries dtype/shape placeholders and the arrays follow as raw
-    byte frames -- NaN and +-inf round-trip bit-exactly, unlike Python's
-    non-RFC ``NaN``/``Infinity`` JSON literals.
-    """
-    frames: List[np.ndarray] = []
-    try:
-        stripped = _extract_arrays(payload, frames)
-    except _PlaceholderCollision:
-        # Either a payload string happens to start with the placeholder
-        # prefix (the binary envelope could not tell it from a real frame) or
-        # an array's dtype has no raw-bytes form.  Arrays encode fine as JSON
-        # lists, so fall back to the JSON wire for this message.
-        return serialize_message(payload)
-    if not frames:
-        return serialize_message(payload)
-    envelope = json.dumps(
-        stripped, default=_default_encoder, separators=(",", ":")
-    ).encode("utf-8")
-    parts = [BINARY_MAGIC, _U32.pack(len(envelope)), envelope]
-    for array in frames:
-        data = array.tobytes()
-        parts.append(_U64.pack(len(data)))
-        parts.append(data)
-    return b"".join(parts)
-
-
-def decode_payload(data: bytes) -> Any:
-    """Decode :func:`encode_payload` output (JSON or binary, by magic)."""
-    if not data.startswith(BINARY_MAGIC):
-        return deserialize_message(data)
-    offset = len(BINARY_MAGIC) + _U32.size
-    if offset > len(data):
-        raise FrameFormatError("binary message truncated inside a length field")
-    (envelope_len,) = _U32.unpack_from(data, len(BINARY_MAGIC))
-    if offset + envelope_len > len(data):
-        raise FrameFormatError("binary message truncated inside the envelope")
-    try:
-        envelope = json.loads(data[offset : offset + envelope_len])
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise FrameFormatError(f"binary message envelope is not JSON: {error}") from error
-    offset += envelope_len
-    view = memoryview(data)
-    frames: List[memoryview] = []
-    while offset < len(data):
-        if offset + _U64.size > len(data):
-            raise FrameFormatError("binary frame truncated before its length")
-        (data_len,) = _U64.unpack_from(data, offset)
-        offset += _U64.size
-        if offset + data_len > len(data):
-            raise FrameFormatError("binary frame truncated inside its data")
-        frames.append(view[offset : offset + data_len])
-        offset += data_len
-    return _restore_arrays(envelope, frames)
-
-
-def _extract_arrays(value: Any, frames: List[np.ndarray]) -> Any:
-    """Replace every ndarray in the payload tree by its metadata placeholder."""
-    kind = value.__class__
-    if kind is str:
-        if value.startswith(_FRAME_PREFIX):
-            raise _PlaceholderCollision(value)
-        return value
-    if kind is int or kind is float or kind is bool or value is None:
-        return value  # the overwhelmingly common leaves, checked first
-    if kind is np.ndarray or isinstance(value, np.ndarray):
-        if value.dtype.hasobject:
-            # Object arrays have no raw-bytes representation; the JSON wire
-            # handles them via tolist(), so the whole message falls back.
-            raise _PlaceholderCollision("object-dtype array")
-        contiguous = np.ascontiguousarray(value)
-        frames.append(contiguous)
-        dims = ",".join(str(dim) for dim in contiguous.shape)
-        return f"{_FRAME_PREFIX}{len(frames) - 1}:{contiguous.dtype.str}:{dims}"
-    if isinstance(value, dict):
-        return {key: _extract_arrays(item, frames) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_extract_arrays(item, frames) for item in value]
-    return value
-
-
-def _restore_arrays(value: Any, frames: List[memoryview]) -> Any:
-    kind = value.__class__
-    if kind is str:
-        if value.startswith(_FRAME_PREFIX):
-            return _frame_to_array(value, frames)
-        return value
-    if kind is int or kind is float or kind is bool or value is None:
-        return value
-    if kind is dict:
-        return {key: _restore_arrays(item, frames) for key, item in value.items()}
-    if kind is list:
-        return [_restore_arrays(item, frames) for item in value]
-    return value
-
-
-#: tiny cache for the handful of dtypes real payloads carry
-_DTYPES: dict = {}
-
-
-def _frame_to_array(placeholder: str, frames: List[memoryview]) -> np.ndarray:
-    try:
-        index_str, dtype_str, dims = placeholder[len(_FRAME_PREFIX) :].split(":")
-        index = int(index_str)
-        dtype = _DTYPES.get(dtype_str)
-        if dtype is None:
-            dtype = _DTYPES.setdefault(dtype_str, np.dtype(dtype_str))
-        shape = tuple(int(dim) for dim in dims.split(",")) if dims else ()
-    except (TypeError, ValueError) as error:
-        raise FrameFormatError(f"malformed frame placeholder {placeholder!r}: {error}") from error
-    if dtype.hasobject:
-        raise FrameFormatError(f"refusing object dtype {dtype!r} in a binary frame")
-    if not 0 <= index < len(frames):
-        raise FrameFormatError(f"frame index {index!r} out of range")
-    if any(dim < 0 for dim in shape):
-        raise FrameFormatError(f"negative dimension in frame shape {shape}")
-    raw = frames[index]
-    expected = math.prod(shape) * dtype.itemsize
-    if len(raw) != expected:
-        raise FrameFormatError(
-            f"frame {index} carries {len(raw)}B but dtype/shape imply {expected}B"
-        )
-    return np.frombuffer(raw, dtype=dtype).reshape(shape)
-
-
-def pack_value_batch(values: Sequence[Any]) -> Any:
-    """Columnar wire form of a uniform numeric batch (or ``values`` unchanged).
-
-    Three shapes ship as one array instead of N JSON-encoded records:
-
-    * all-float batches (e.g. ``predict_batch`` outputs) -> a 1-D frame;
-    * fixed-width numeric rows (lists/arrays of floats) -> an ``(n, d)``
-      matrix frame;
-    * dict records with one shared key set and float values (the structured
-      AC events, NaN markers included) -> a column-major ``(n, k)`` frame
-      plus the key list.
-
-    Anything heterogeneous is returned unchanged and travels as JSON -- the
-    decode side (:func:`unpack_value_batch`) reproduces exactly the rows the
-    JSON path would deliver, so callers cannot observe which encoding ran
-    (apart from NaN/inf, which only the binary path round-trips exactly).
-    Bare float batches below :data:`MIN_SCALAR_FRAME` rows also stay JSON:
-    a frame's constant cost only beats JSON's per-float text cost from a few
-    dozen scalars up (see ``benchmarks/test_serialization_microbench.py``),
-    and single-prediction replies sit far below that crossover.
-    """
-    rows = list(values)
-    if not rows:
-        return rows
-    if all(type(row) is float for row in rows):
-        if len(rows) < MIN_SCALAR_FRAME:
-            return rows
-        return {_BATCH_KEY: "scalars", "values": np.asarray(rows, dtype=np.float64)}
-    if all(type(row) is dict for row in rows):
-        keys = list(rows[0])
-        key_set = set(keys)
-        for row in rows:
-            if set(row) != key_set:
-                return rows
-            for item in row.values():
-                if type(item) is not float:
-                    return rows
-        matrix = np.empty((len(rows), len(keys)), dtype=np.float64)
-        for index, row in enumerate(rows):
-            for position, key in enumerate(keys):
-                matrix[index, position] = row[key]
-        return {_BATCH_KEY: "columns", "keys": keys, "values": matrix}
-    if all(isinstance(row, (list, tuple)) for row in rows):
-        width = len(rows[0])
-        for row in rows:
-            if len(row) != width or not all(type(item) is float for item in row):
-                return rows
-        return {_BATCH_KEY: "matrix", "values": np.asarray(rows, dtype=np.float64)}
-    return rows
-
-
-def unpack_value_batch(obj: Any) -> Any:
-    """Rebuild the row list :func:`pack_value_batch` encoded (or pass through)."""
-    if not (isinstance(obj, dict) and _BATCH_KEY in obj):
-        return obj
-    kind = obj[_BATCH_KEY]
-    values = obj.get("values")
-    if not isinstance(values, np.ndarray):
-        raise FrameFormatError(f"batch of kind {kind!r} lost its array frame")
-    if kind == "scalars":
-        return values.tolist()
-    if kind == "matrix":
-        return values.tolist()
-    if kind == "columns":
-        keys = obj.get("keys")
-        if not isinstance(keys, list) or values.ndim != 2 or values.shape[1] != len(keys):
-            raise FrameFormatError("columnar batch keys and frame shape disagree")
-        return [dict(zip(keys, row)) for row in values.tolist()]
-    raise FrameFormatError(f"unknown batch kind {kind!r}")
-
-
 # -- data-plane predict frames -----------------------------------------------
 #
-# The envelope above is the *control plane*: register, unregister, ping,
-# stats, traces, metrics -- and any predict whose records do not fit a
-# frame.  A conforming predict and its reply travel on the *data plane*: a
-# fixed ``struct`` header followed by raw values, no JSON and no key names in
-# either direction.  Both ends derive the plan's input schema from the same
-# pipeline at registration (``FlourProgram.input_schema``), so nothing is
-# negotiated; a request names its schema only by fingerprint.
+# The wire has two formats.  The JSON envelope above (:func:`serialize_message`)
+# is the *control plane*: register, unregister, ping, stats, traces, metrics
+# -- and any predict whose records do not fit a frame, or whose reply is not
+# all floats.  A conforming predict and its reply travel on the *data plane*:
+# a fixed ``struct`` header followed by raw values, no JSON and no key names
+# in either direction.  Both ends derive the plan's input schema from the
+# same pipeline at registration (``FlourProgram.input_schema``), so nothing
+# is negotiated; a request names its schema only by fingerprint.
 #
 # Request frame (little-endian, no padding)::
 #
@@ -373,16 +141,16 @@ def unpack_value_batch(obj: Any) -> Any:
 #
 # ``msg prefix:seq`` is the cluster's ordinary ``msg_id``, so a decoded frame
 # is the very message dict the envelope would have produced and goes through
-# the same handler, replay cache and stale-reply discard.  The conformance
-# rule is :func:`pack_value_batch`'s: dict records whose key set equals the
-# schema and whose values are all exactly ``float`` (text: all exactly
-# ``str``, encodable as UTF-8).  Everything else falls back to the envelope,
-# byte for byte what it always was.
+# the same handler, replay cache and stale-reply discard.  A record conforms
+# when it is a dict whose key set equals the schema and whose values are all
+# exactly ``float`` (text: exactly ``str``, encodable as UTF-8).  Everything
+# else rides the JSON envelope, whose ``repr`` floats and ``NaN``/``Infinity``
+# literals round-trip every float value (NaN payload bits aside).
 
 PREDICT_FRAME_MAGIC = b"PZF1"
 REPLY_FRAME_MAGIC = b"PZR2"
 #: every payload prefix the wire counters report as a binary message
-BINARY_MAGICS = (BINARY_MAGIC, PREDICT_FRAME_MAGIC, REPLY_FRAME_MAGIC)
+BINARY_MAGICS = (PREDICT_FRAME_MAGIC, REPLY_FRAME_MAGIC)
 
 _REQUEST_HEAD = struct.Struct("<4s8sQBHIHI")
 _REPLY_HEAD = struct.Struct("<4s8sQI")
@@ -390,6 +158,10 @@ _CRC = struct.Struct("<I")
 _FLAG_LATENCY_SENSITIVE = 1
 _FLAG_TRACED = 2
 _PREDICT_KEYS = 5  # type, msg_id, plan_id, records, latency_sensitive (+ trace)
+
+
+class FrameFormatError(ValueError):
+    """A frame failed to parse: bad magic, header, checksum, length or text."""
 
 
 class SchemaMismatchError(FrameFormatError):
@@ -494,14 +266,10 @@ def encode_predict(message: Dict[str, Any], schema: Optional[FrameSchema]) -> by
     row list.  It becomes a frame when the plan has a ``schema``, every record
     conforms to it and every other field fits the header (a canonical
     ``prefix:seq`` msg id, a ``bool`` flag, a fixed-width trace context);
-    otherwise the records are packed with :func:`pack_value_batch` (in place)
-    and the message travels as the envelope -- the bytes it always had.
+    otherwise the message travels as the JSON envelope.
     """
     frame = _predict_frame(message, schema) if schema is not None else None
-    if frame is not None:
-        return frame
-    message["records"] = pack_value_batch(message["records"])
-    return encode_payload(message)
+    return frame if frame is not None else serialize_message(message)
 
 
 def _predict_frame(message: Dict[str, Any], schema: FrameSchema) -> Optional[bytes]:
@@ -622,39 +390,27 @@ def decode_predict_frame(
 def encode_reply_frame(request: bytes, reply: Dict[str, Any]) -> Optional[bytes]:
     """The reply frame answering the request frame ``request``, or None.
 
-    Only a successful predict reply whose outputs are all exactly ``float``
-    (a plain list, or the scalar batch :func:`pack_value_batch` made of one)
-    fits; errors and anything else are answered on the envelope.  The msg id
-    is copied from the request's header, so it needs no re-parsing.
+    Only a successful predict reply whose outputs are a list of exactly
+    ``float`` values fits; errors and anything else are answered on the
+    envelope.  The msg id is copied from the request's header, so it needs
+    no re-parsing.
     """
     outputs = reply.get("outputs")
-    if reply.get("ok") is not True:
+    if reply.get("ok") is not True or type(outputs) is not list:
         return None
-    if type(outputs) is list:
-        for value in outputs:
-            if type(value) is not float:
-                return None
-        count = len(outputs)
-        body = struct.pack(f"<{count}d", *outputs)
-    elif (
-        type(outputs) is dict
-        and outputs.get(_BATCH_KEY) == "scalars"
-        and isinstance(outputs.get("values"), np.ndarray)
-        and outputs["values"].ndim == 1
-    ):
-        count = outputs["values"].shape[0]
-        body = outputs["values"].astype("<f8", copy=False).tobytes()
-    else:
-        return None
+    for value in outputs:
+        if type(value) is not float:
+            return None
+    body = struct.pack(f"<{len(outputs)}d", *outputs)
     prefix, seq = struct.unpack_from("<8sQ", request, 4)
-    head = _REPLY_HEAD.pack(REPLY_FRAME_MAGIC, prefix, seq, count)
+    head = _REPLY_HEAD.pack(REPLY_FRAME_MAGIC, prefix, seq, len(outputs))
     return b"".join((head, _CRC.pack(zlib.crc32(head)), body))
 
 
 def decode_reply(data: bytes) -> Any:
-    """Decode a worker's reply: a reply frame, else :func:`decode_payload`."""
+    """Decode a worker's reply: a reply frame, else :func:`deserialize_message`."""
     if not data.startswith(REPLY_FRAME_MAGIC):
-        return decode_payload(data)
+        return deserialize_message(data)
     fixed = _REPLY_HEAD.size
     if len(data) < fixed + _CRC.size:
         raise FrameFormatError("reply frame truncated inside its header")

@@ -75,10 +75,9 @@ from repro.net import (
     FrameSchema,
     decode_reply,
     deserialize_message,
-    encode_payload,
     encode_predict,
     parse_host_port,
-    unpack_value_batch,
+    serialize_message,
 )
 from repro.serving.control.failure import WorkerFailedError
 from repro.serving.control.lifecycle import PlanLifecycle
@@ -148,8 +147,7 @@ class _WorkerHandle:
         self.lock = ProfiledLock("cluster.worker-channel")
         self.requests = 0
         #: wire accounting (message payloads, before transport framing):
-        #: binary messages are data-plane predict frames or envelopes with
-        #: columnar array frames, json messages are the plain
+        #: binary messages are data-plane predict frames, json messages the
         #: ``serialize_message`` envelope.  Registry-backed instruments
         #: (summed across handles by the unified metrics plane); the historic
         #: per-handle attributes stay available as read-only properties.
@@ -242,13 +240,13 @@ class _WorkerHandle:
         wire_trace = message.get("trace")
         try:
             encode_started = time.perf_counter()
-            # Two planes: predicts take the data plane (a frame when their
-            # records conform to the plan's schema, else the envelope with
-            # packed records); everything else is control-plane envelope.
+            # Two formats: a predict is a data-plane frame when its records
+            # conform to the plan's schema; everything else is the JSON
+            # envelope.
             encoded = (
                 encode_predict(message, schema)
                 if kind == "predict"
-                else encode_payload(message)
+                else serialize_message(message)
             )
             if wire_trace is not None:
                 observability.tracer().record(
@@ -781,7 +779,15 @@ class PretzelCluster:
     # -- serving ---------------------------------------------------------------
 
     def predict(self, plan_id: str, record: Any, latency_sensitive: bool = False) -> Any:
-        """Serve one prediction on the least-loaded worker hosting the plan."""
+        """Serve one prediction on the least-loaded worker hosting the plan.
+
+        A float output returns bit-equal to :meth:`PretzelRuntime.predict`'s
+        (a reply frame carries the raw float64).  Any other output rides the
+        JSON envelope: floats still round-trip exactly (NaN payload bits
+        aside), and a numpy array or scalar comes back as its ``tolist()``
+        (no operator emits a bare array; vectors without a JSON form fail
+        with a ``TypeError`` reply).
+        """
         return self._dispatch(plan_id, [record], latency_sensitive)[0]
 
     def predict_batch(
@@ -891,7 +897,7 @@ class PretzelCluster:
                     raise WorkerFailedError(worker_id, plan_id, str(error)) from error
                 raise
             self.control.record_reply(worker_id)
-            return unpack_value_batch(reply["outputs"])
+            return reply["outputs"]
         finally:
             self.router.release(worker_id)
 
@@ -1089,11 +1095,11 @@ class PretzelCluster:
         """Bytes and message counts on the cluster<->worker wire (no round trips).
 
         ``binary_messages`` counts requests that travelled as a data-plane
-        predict frame (:func:`repro.net.encode_predict`) or shipped at least
-        one columnar array frame (:func:`repro.net.encode_payload`);
-        ``json_messages`` are plain envelopes.  Byte counts cover both
-        directions of every request this cluster generation sent, before
-        transport framing.
+        predict frame (:func:`repro.net.encode_predict`) and
+        ``binary_replies`` the replies that came back as reply frames;
+        ``json_messages`` are JSON envelopes: control messages and
+        non-conforming predicts.  Byte counts cover both directions of every
+        request this cluster generation sent, before transport framing.
         """
         handles = list(self._workers.values()) + list(self._evicted_handles.values())
         return {

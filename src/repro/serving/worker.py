@@ -7,18 +7,18 @@ ever touches the Transport interface (``send_bytes`` / ``recv_bytes`` /
 ``poll`` / ``close``), so the same worker serves a ``multiprocessing`` duplex
 pipe (:class:`~repro.serving.control.transport.PipeTransport`, the cluster's
 default), a cluster-dialed TCP connection, or a standalone ``--listen``
-socket a remote cluster attaches to.  The wire has two planes (see
-:mod:`repro.net`).  The *control plane* is the envelope of
-:func:`repro.net.encode_payload` / :func:`repro.net.decode_payload`: the
-same JSON wire format every front-end in this repository models, with
-uniform numeric batches shipped as one columnar binary frame
-(:func:`repro.net.pack_value_batch`); pickled model payloads travel
-base64-encoded inside it, exactly once per registration.  The *data plane*
-carries the predicts whose records conform to their plan's input schema --
-derived at registration, on both ends, from the same pipeline -- as
-fixed-layout binary frames with no JSON and no key names in either
-direction (:func:`repro.net.encode_predict`); they decode into the very
-message dict the envelope would have carried and go through the same
+socket a remote cluster attaches to.  The wire has two formats (see
+:mod:`repro.net`).  The *control plane* is the JSON envelope of
+:func:`repro.net.serialize_message` / :func:`repro.net.deserialize_message`,
+the same wire format every front-end in this repository models; it carries
+every control message, every predict whose records do not conform to the
+plan's schema and every reply that is not all floats.  Pickled model
+payloads travel base64-encoded inside it, exactly once per registration.
+The *data plane* carries the predicts whose records conform to their plan's
+input schema -- derived at registration, on both ends, from the same
+pipeline -- as fixed-layout binary frames with no JSON and no key names in
+either direction (:func:`repro.net.encode_predict`); they decode into the
+very message dict the envelope would have carried and go through the same
 handler, replay cache and spans.
 
 Parameter sharing survives the process boundary: when the cluster runs a
@@ -88,15 +88,12 @@ from repro.core.runtime import PretzelRuntime
 from repro.net import (
     PREDICT_FRAME_MAGIC,
     FrameSchema,
-    decode_payload,
     decode_predict_frame,
-    encode_payload,
+    deserialize_message,
     encode_reply_frame,
     frame_schema,
-    pack_value_batch,
     parse_host_port,
     serialize_message,
-    unpack_value_batch,
 )
 from repro.serving.control.transport import PipeTransport, SocketListener, Transport
 from repro.serving.shm_store import ArenaClient, ArenaRef
@@ -201,7 +198,7 @@ class ServingWorker:
         """
         if payload.startswith(PREDICT_FRAME_MAGIC):
             return decode_predict_frame(payload, self._schema_of)
-        message = decode_payload(payload)
+        message = deserialize_message(payload)
         if not isinstance(message, dict):
             raise TypeError(f"a message is a JSON object, not {type(message).__name__}")
         return message
@@ -292,10 +289,7 @@ class ServingWorker:
 
     def _handle_predict(self, message: Dict[str, Any]) -> Dict[str, Any]:
         plan_id = message["plan_id"]
-        # Numeric batches arrive as one columnar binary frame; anything else
-        # is the original JSON row list.  Either way the rows below are
-        # exactly what the JSON path would have delivered.
-        records = unpack_value_batch(message["records"])
+        records = message["records"]
         registered = self.runtime.registered(plan_id)
         # The cluster's sampling decision rides the envelope: rebuild the
         # context (None when unsampled) so worker-side spans join the trace
@@ -317,7 +311,7 @@ class ServingWorker:
             ]
         self.predict_seconds.observe(time.perf_counter() - started)
         self.predictions_total.inc(len(records))
-        return {"outputs": pack_value_batch(outputs)}
+        return {"outputs": outputs}
 
     def _handle_memory(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """Footprint probe: just the number, not the full stats payload."""
@@ -403,7 +397,7 @@ def _serve(worker: ServingWorker, transport: Transport) -> str:
                     encode_reply_frame(payload, reply)
                     if payload.startswith(PREDICT_FRAME_MAGIC)
                     else None
-                ) or encode_payload(reply)
+                ) or serialize_message(reply)
             except TypeError as error:
                 # A handler produced a non-JSON-able value (e.g. a plan whose
                 # sink emits a custom object); report instead of crashing.

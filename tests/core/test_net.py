@@ -10,21 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import (
-    BINARY_MAGIC,
+    BINARY_MAGICS,
     PREDICT_FRAME_MAGIC,
+    REPLY_FRAME_MAGIC,
     FrameFormatError,
     SchemaMismatchError,
-    decode_payload,
     decode_predict_frame,
     decode_reply,
     deserialize_message,
-    encode_payload,
     encode_predict,
     encode_reply_frame,
     frame_schema,
-    pack_value_batch,
     serialize_message,
-    unpack_value_batch,
 )
 from repro.observability.tracing import pack_trace_wire, unpack_trace_wire
 
@@ -65,36 +62,6 @@ class TestRoundTrip:
             with pytest.raises(TypeError):
                 serialize_message({"value": bad})
 
-
-class TestBinaryFrames:
-    def test_no_arrays_encodes_byte_identical_to_json(self):
-        """Control-plane messages (no arrays) must not change on the wire:
-        the workers' msg-id replay cache and the heartbeat path compare and
-        cache these exact bytes."""
-        payload = {"type": "ping", "msg_id": "gen:1"}
-        assert encode_payload(payload) == serialize_message(payload)
-        assert decode_payload(encode_payload(payload)) == payload
-
-    def test_arrays_round_trip_with_dtype_and_shape(self):
-        payload = {
-            "outputs": np.arange(12, dtype=np.float64).reshape(3, 4),
-            "nested": {"ids": np.array([1, 2, 3], dtype=np.int64)},
-        }
-        encoded = encode_payload(payload)
-        assert encoded.startswith(BINARY_MAGIC)
-        decoded = decode_payload(encoded)
-        assert decoded["outputs"].dtype == np.float64
-        assert np.array_equal(decoded["outputs"], payload["outputs"])
-        assert decoded["nested"]["ids"].dtype == np.int64
-        assert np.array_equal(decoded["nested"]["ids"], payload["nested"]["ids"])
-
-    def test_nan_and_infinities_round_trip_exactly_in_binary(self):
-        """Binary frames carry the raw float64 bytes, so the IEEE specials
-        survive bit-exactly -- no reliance on JSON literal extensions."""
-        specials = np.array([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324])
-        decoded = decode_payload(encode_payload({"values": specials}))["values"]
-        assert decoded.tobytes() == specials.tobytes()
-
     def test_json_path_still_round_trips_nan_via_python_literals(self):
         """Regression pin for the fallback path: Python's json module emits
         the non-RFC ``NaN``/``Infinity`` literals and parses them back, so a
@@ -107,99 +74,6 @@ class TestBinaryFrames:
         assert decoded["records"][2] == float("-inf")
         assert decoded["records"][3] == "mixed"
 
-    def test_malformed_frames_raise_typed_error_not_struct_exception(self):
-        def message(envelope: bytes, frames: bytes) -> bytes:
-            return BINARY_MAGIC + struct.pack("!I", len(envelope)) + envelope + frames
-
-        frame = struct.pack("!Q", 32) + np.arange(4, dtype=np.float64).tobytes()
-        good = message(b'{"values": "__frame__:0:<f8:4"}', frame)
-        assert np.array_equal(decode_payload(good)["values"], np.arange(4.0))
-        cases = [
-            BINARY_MAGIC,  # nothing after the magic
-            BINARY_MAGIC + struct.pack("!I", 10),  # envelope length, no envelope
-            message(b"{}!!", b""),  # envelope not JSON
-            good[:-3],  # truncated inside the array data
-            # the placeholder's dtype/shape disagree with the frame's length
-            message(b'{"values": "__frame__:0:<f8:9"}', frame),
-            # frame index out of range
-            message(b'{"values": "__frame__:3:<f8:4"}', frame),
-            # unparseable dtype
-            message(b'{"values": "__frame__:0:no-such-dtype:4"}', frame),
-            # placeholder missing its index:dtype:shape fields
-            message(b'{"values": "__frame__:0"}', frame),
-        ]
-        for mangled in cases:
-            with pytest.raises(FrameFormatError):
-                decode_payload(mangled)
-        # FrameFormatError is a ValueError, never a bare struct.error.
-        assert issubclass(FrameFormatError, ValueError)
-
-    def test_rejects_object_dtype_frames(self):
-        envelope = b'{"values": "__frame__:0:|O:1"}'
-        data = (
-            BINARY_MAGIC
-            + struct.pack("!I", len(envelope))
-            + envelope
-            + struct.pack("!Q", 8)
-            + b"\x00" * 8
-        )
-        with pytest.raises(FrameFormatError):
-            decode_payload(data)
-
-    def test_object_dtype_arrays_fall_back_to_json(self):
-        """Object arrays have no raw-bytes form; shipping their pointer bytes
-        would crash the receiver, so the message keeps the JSON wire (where
-        ``tolist()`` has always handled them)."""
-        payload = {"records": np.array(["a", "bc"], dtype=object), "n": np.arange(2.0)}
-        encoded = encode_payload(payload)
-        assert not encoded.startswith(BINARY_MAGIC)
-        assert decode_payload(encoded) == {"records": ["a", "bc"], "n": [0.0, 1.0]}
-
-    def test_colliding_placeholder_strings_fall_back_to_json(self):
-        """A payload string that happens to carry the placeholder prefix must
-        not be misread as a frame (or rejected): the whole message falls back
-        to the JSON wire, where arrays still round-trip as lists."""
-        payload = {"text": "__frame__:0:<f8:4", "values": np.arange(3.0)}
-        encoded = encode_payload(payload)
-        assert not encoded.startswith(BINARY_MAGIC)
-        decoded = decode_payload(encoded)
-        assert decoded["text"] == "__frame__:0:<f8:4"
-        assert decoded["values"] == [0.0, 1.0, 2.0]
-
-
-class TestValueBatchPacking:
-    def test_float_outputs_pack_to_one_frame_and_round_trip(self):
-        outputs = [0.25, -1.5, float("nan"), float("inf")] * 16
-        packed = pack_value_batch(outputs)
-        assert isinstance(packed, dict) and "__batch__" in packed
-        rebuilt = unpack_value_batch(decode_payload(encode_payload({"o": packed}))["o"])
-        assert rebuilt[0] == 0.25 and rebuilt[1] == -1.5
-        assert math.isnan(rebuilt[2]) and rebuilt[3] == float("inf")
-        assert all(type(value) is float for value in rebuilt)
-
-    def test_small_scalar_batches_stay_json(self):
-        """Below the frame-cost crossover, bare float batches keep the JSON
-        encoding -- single-prediction replies must not pay frame overhead."""
-        assert pack_value_batch([0.25, 0.5]) == [0.25, 0.5]
-
-    def test_uniform_dict_records_pack_columnar(self):
-        records = [{"a": 1.0, "b": float("nan")}, {"a": 2.5, "b": 0.0}]
-        packed = pack_value_batch(records)
-        assert isinstance(packed, dict) and "__batch__" in packed
-        rebuilt = unpack_value_batch(decode_payload(encode_payload({"r": packed}))["r"])
-        assert rebuilt[0]["a"] == 1.0 and math.isnan(rebuilt[0]["b"])
-        assert rebuilt[1] == {"a": 2.5, "b": 0.0}
-
-    def test_heterogeneous_batches_fall_back_to_json_rows(self):
-        for rows in (
-            ["text", "more text"],  # strings
-            [{"a": 1.0}, {"b": 2.0}],  # differing keys
-            [{"a": 1}, {"a": 2}],  # ints must stay ints -> JSON
-            [[1.0, 2.0], [3.0]],  # ragged
-            [1.0, "mixed"],
-        ):
-            assert pack_value_batch(rows) == rows
-            assert unpack_value_batch(rows) == rows
 
 
 # -- data-plane predict frames -------------------------------------------------
@@ -232,17 +106,6 @@ def _predict(records, plan_id="plan-7-ac", msg_id="a1b2c3d4:42", latency_sensiti
     if trace is not None:
         message["trace"] = trace
     return message
-
-
-def _envelope_bytes(message):
-    """What the parent commit put on the wire for this predict."""
-    return encode_payload({**message, "records": pack_value_batch(message["records"])})
-
-
-def _via_envelope(message):
-    decoded = decode_payload(_envelope_bytes(message))
-    decoded["records"] = unpack_value_batch(decoded["records"])
-    return decoded
 
 
 _FLOATS = st.one_of(
@@ -297,7 +160,9 @@ class TestPredictFrames:
         frame = encode_predict(copy.deepcopy(message), schema)
         assert frame.startswith(PREDICT_FRAME_MAGIC)
         decoded = decode_predict_frame(frame, {plan_id: schema}.__getitem__)
-        assert _identical(decoded, _via_envelope(message))
+        # the very message the cluster built, every float bit-exact (NaN
+        # payloads included, which the JSON envelope would canonicalize)
+        assert _identical(decoded, message)
         # the body is the raw float64 rows and nothing else: no key travels
         assert frame.endswith(
             b"".join(struct.pack("<d", record[key]) for record in records for key in columns)
@@ -313,7 +178,7 @@ class TestPredictFrames:
         frame = encode_predict(copy.deepcopy(message), schema)
         assert frame.startswith(PREDICT_FRAME_MAGIC)
         decoded = decode_predict_frame(frame, lambda plan_id: schema)
-        assert _identical(decoded, _via_envelope(message))
+        assert _identical(decoded, deserialize_message(serialize_message(message)))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_TEXTS, min_size=1, max_size=4), st.integers(min_value=0, max_value=3))
@@ -321,12 +186,12 @@ class TestPredictFrames:
         records.insert(min(position, len(records)), "half \ud83d pair")
         message = _predict(records)
         wire = encode_predict(copy.deepcopy(message), frame_schema(()))
-        assert wire == _envelope_bytes(message)
-        assert _identical(decode_payload(wire), _via_envelope(message))
+        assert wire == serialize_message(message)
+        assert _identical(deserialize_message(wire), message)
 
     @settings(max_examples=200, deadline=None)
     @given(_row_batches(), st.data())
-    def test_non_conforming_records_yield_the_parent_commits_envelope_bytes(self, batch, data):
+    def test_non_conforming_records_yield_the_json_envelope_bytes(self, batch, data):
         columns, records = batch
         schema = frame_schema(columns)
         victim = data.draw(st.integers(min_value=0, max_value=len(records) - 1))
@@ -359,7 +224,7 @@ class TestPredictFrames:
         else:
             records = tuple(records)
         message = _predict(records)
-        expected = _envelope_bytes(message)
+        expected = serialize_message(message)
         wire = encode_predict(dict(message), schema)
         assert wire == expected
         assert not wire.startswith(PREDICT_FRAME_MAGIC)
@@ -368,7 +233,7 @@ class TestPredictFrames:
         schema = frame_schema(["a"])
         good = _predict([{"a": 1.0}])
         assert encode_predict(dict(good), schema).startswith(PREDICT_FRAME_MAGIC)
-        assert encode_predict(dict(good), None) == _envelope_bytes(good)
+        assert encode_predict(dict(good), None) == serialize_message(good)
         for change in (
             {"msg_id": 7},
             {"msg_id": "short:1"},
@@ -386,16 +251,17 @@ class TestPredictFrames:
             {"trace": {"trace_id": "a" * 16, "parent_span_id": "b" * 16, "sampled": False}},
         ):
             message = {**good, **change}
-            assert encode_predict(dict(message), schema) == _envelope_bytes(message), change
+            assert encode_predict(dict(message), schema) == serialize_message(message), change
 
     def test_control_and_fallback_bytes_are_pinned(self):
-        """Byte-identical to the parent commit: the control plane and every
-        non-conforming predict never changed on the wire."""
+        """The control plane and every non-conforming predict are the plain
+        JSON envelope: the control bytes never changed, and a predict whose
+        records do not fit the schema carries its rows as JSON, keys and all."""
         assert (
-            encode_payload({"type": "ping", "msg_id": "a1b2c3d4:0"})
+            serialize_message({"type": "ping", "msg_id": "a1b2c3d4:0"})
             == b'{"type": "ping", "msg_id": "a1b2c3d4:0"}'
         )
-        assert encode_payload(
+        assert serialize_message(
             {"plan_id": "p", "drop_checksums": ["c0"], "type": "unregister", "msg_id": "a1b2c3d4:1"}
         ) == (
             b'{"plan_id": "p", "drop_checksums": ["c0"], "type": "unregister", '
@@ -410,11 +276,8 @@ class TestPredictFrames:
             b'"latency_sensitive": false, "type": "predict", "msg_id": "a1b2c3d4:42"}'
         )
         assert encode_predict(_predict([{"f1": 0.5}]), frame_schema(["f0"])) == (
-            b"PZB1" + struct.pack("!I", 168)
-            + b'{"plan_id":"plan-7-ac","records":{"__batch__":"columns","keys":["f1"],'
-            b'"values":"__frame__:0:<f8:1,1"},"latency_sensitive":false,"type":"predict",'
-            b'"msg_id":"a1b2c3d4:42"}'
-            + struct.pack("!Q", 8) + struct.pack("<d", 0.5)
+            b'{"plan_id": "plan-7-ac", "records": [{"f1": 0.5}], "latency_sensitive": false, '
+            b'"type": "predict", "msg_id": "a1b2c3d4:42"}'
         )
 
     def test_golden_frame_layout(self):
@@ -524,12 +387,77 @@ class TestPredictFrames:
         request = encode_predict(_predict([{"a": 1.0}]), frame_schema(["a"]))
         ok = {"ok": True, "msg_id": "a1b2c3d4:42", "worker_id": "w"}
         many = [float(index) / 7 for index in range(40)] + [float("nan"), -0.0]
-        packed = encode_reply_frame(request, {**ok, "outputs": pack_value_batch(many)})
-        assert _identical(decode_reply(packed)["outputs"], many)
-        assert packed == encode_reply_frame(request, {**ok, "outputs": many})
+        framed = encode_reply_frame(request, {**ok, "outputs": many})
+        assert _identical(decode_reply(framed)["outputs"], many)
         for outputs in ([1], [1.0, None], ["text"], [np.float64(1.0)], [[1.0]], {"k": 1.0}, None):
             assert encode_reply_frame(request, {**ok, "outputs": outputs}) is None
         assert encode_reply_frame(request, {**ok, "outputs": [1.0], "ok": False}) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(_row_batches())
+    def test_json_fallback_round_trips_every_float(self, batch):
+        """A batch with one extra key rides the JSON envelope, and every float
+        -- NaN, +-inf, -0.0 and subnormals included -- decodes to the value
+        sent (``float.hex``; only a NaN's payload bits are not kept)."""
+        columns, records = batch
+        records[0]["".join(columns) + "+"] = -0.0
+        wire = encode_predict(_predict(copy.deepcopy(records)), frame_schema(columns))
+        assert not wire.startswith(PREDICT_FRAME_MAGIC)
+        decoded = deserialize_message(wire)["records"]
+        assert [{key: value.hex() for key, value in row.items()} for row in decoded] == [
+            {key: value.hex() for key, value in row.items()} for row in records
+        ]
+
+    def test_encode_predict_leaves_the_message_alone(self):
+        """Neither a frame nor the envelope rewrites the caller's message, so
+        a resend encodes the same bytes."""
+        for records, schema in (
+            ([{"a": 1.0}], frame_schema(["a"])),
+            ([{"a": 1.0, "b": 2.0}] * 40, frame_schema(["a"])),
+            ((0.5,) * 40, None),
+        ):
+            message = _predict(records)
+            original = copy.deepcopy(message)
+            first = encode_predict(message, schema)
+            assert message == original and message["records"] is records
+            assert encode_predict(message, schema) == first
+
+    def test_non_frame_replies_decode_as_the_json_envelope(self):
+        """Errors and outputs that are not all ``float`` have no reply frame;
+        their envelope is plain JSON, and arrays ride it as float64-exact
+        lists (``tolist()``)."""
+        request = encode_predict(_predict([{"a": 1.0}]), frame_schema(["a"]))
+        ok = {"ok": True, "msg_id": "a1b2c3d4:42", "worker_id": "w"}
+        for reply in (
+            {**ok, "ok": False, "outputs": None, "error": "boom", "error_type": "KeyError"},
+            {**ok, "outputs": [1, 2]},
+            {**ok, "outputs": [[0.5, -0.0], ["label"], None]},
+        ):
+            assert encode_reply_frame(request, reply) is None
+            assert decode_reply(serialize_message(reply)) == reply
+        specials = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1 / 3]
+        for outputs in (np.array(specials), [np.float64(value) for value in specials]):
+            reply = {**ok, "outputs": outputs}
+            assert encode_reply_frame(request, reply) is None
+            decoded = decode_reply(serialize_message(reply))["outputs"]
+            assert all(type(value) is float for value in decoded)
+            assert [value.hex() for value in decoded] == [value.hex() for value in specials]
+
+    def test_the_retired_array_envelope_is_no_frame(self):
+        """Two formats remain: frames (``PZF1``/``PZR2``) and JSON.  A payload
+        in the retired ``PZB1`` array-envelope layout is neither, so it fails
+        as JSON instead of being decoded."""
+        assert BINARY_MAGICS == (PREDICT_FRAME_MAGIC, REPLY_FRAME_MAGIC)
+        envelope = b'{"outputs":"__frame__:0:<f8:1"}'
+        retired = (
+            b"PZB1" + struct.pack("!I", len(envelope)) + envelope
+            + struct.pack("!Q", 8) + struct.pack("<d", 0.5)
+        )
+        with pytest.raises(ValueError) as caught:
+            decode_reply(retired)
+        assert not isinstance(caught.value, FrameFormatError)
+        with pytest.raises(FrameFormatError):
+            decode_predict_frame(retired, lambda plan_id: None)
 
     def test_schema_mismatch_is_a_typed_error_never_shifted_columns(self):
         packed_with = frame_schema(["a", "b"])

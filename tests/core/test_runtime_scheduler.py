@@ -218,6 +218,23 @@ class TestFrontEnd:
         assert response.network_seconds >= 0.004
         assert response.end_to_end_seconds > response.prediction_seconds
 
+    def test_several_records_take_predict_batch_and_one_takes_predict(
+        self, runtime, sa_pipeline, sa_inputs, monkeypatch
+    ):
+        plan_id = runtime.register(sa_pipeline)
+        frontend = PretzelFrontEnd(runtime)
+        calls = []
+        for name in ("predict", "predict_batch"):
+            real = getattr(runtime, name)
+            monkeypatch.setattr(
+                runtime, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
+            )
+        single = frontend.predict(plan_id, sa_inputs[:1]).outputs
+        several = frontend.predict(plan_id, sa_inputs[:3]).outputs
+        assert calls == ["predict", "predict_batch"]
+        assert single == pytest.approx([sa_pipeline.predict(sa_inputs[0])])
+        assert several == pytest.approx([sa_pipeline.predict(text) for text in sa_inputs[:3]])
+
     def test_prediction_cache(self, runtime, sa_pipeline, sa_inputs):
         plan_id = runtime.register(sa_pipeline)
         frontend = PretzelFrontEnd(runtime, FrontEndConfig(enable_cache=True))

@@ -234,8 +234,9 @@ def test_socket_transport_serves_the_smoke_workload(
 def test_batch_path_smoke_binary_frames_over_socket(ac_pipeline):
     """The batch-path-smoke scenario: a 2-worker socket cluster serves a
     500-record ``predict_batch`` of structured numeric records, the records
-    and outputs travel as columnar binary frames, and every output matches
-    the single-process oracle bit-for-bit."""
+    travel as one ``PZF1`` request frame and the outputs as one ``PZR2``
+    reply frame, and every output matches the single-process oracle
+    bit-for-bit."""
     from repro.workloads.events_data import generate_events
 
     records = generate_events(n_events=500, seed=123).records
@@ -248,11 +249,11 @@ def test_batch_path_smoke_binary_frames_over_socket(ac_pipeline):
         wire = cluster.wire_stats()
         oracle = [runtime.predict(reference, record) for record in records]
         assert outputs == oracle  # bit-equal, not approx
-        # The batch went out as one columnar frame and came back as one:
+        # The batch went out as one request frame and came back as one:
         # exactly one more binary request and one more binary reply.
         assert wire["binary_messages"] == before["binary_messages"] + 1
         assert wire["binary_replies"] == before["binary_replies"] + 1
-        # The columnar encoding must actually be the smaller one on the wire.
+        # The frame must actually be the smaller encoding on the wire.
         sent = wire["bytes_sent"] - before["bytes_sent"]
         from repro.net import serialize_message
 
@@ -694,16 +695,19 @@ def test_predicts_travel_as_frames_bit_equal_to_one_process(
         assert _frame_bytes("ac", ac_inputs[:1], input_frame_schema(ac_pipeline)) < 400
 
 
-def test_non_conforming_records_fall_back_to_the_envelope(ac_pipeline, ac_inputs):
-    """A record a frame cannot carry (an int value, a missing key, an extra
-    key) is served exactly as before the data plane existed."""
+@pytest.mark.parametrize("transport", ["pipe", "socket"])
+def test_non_conforming_records_fall_back_to_the_envelope(transport, ac_pipeline, ac_inputs):
+    """A record a frame cannot carry (an int value, a None, an extra key, a
+    missing key) rides the plain JSON envelope and is served exactly as the
+    single-process runtime serves it."""
     odd_records = [
         {"f0": 1},
         {**ac_inputs[0], "f3": None},
         {**ac_inputs[1], "unheard-of": 1.0},
         {key: value for key, value in ac_inputs[2].items() if key != "f7"},
     ]
-    with PretzelRuntime(PretzelConfig()) as runtime, PretzelCluster(_config()) as cluster:
+    config = _config(transport=transport)
+    with PretzelRuntime(PretzelConfig()) as runtime, PretzelCluster(config) as cluster:
         runtime.register(ac_pipeline, plan_id="ac")
         cluster.register(ac_pipeline, plan_id="ac")
         before = cluster.wire_stats()
@@ -712,17 +716,69 @@ def test_non_conforming_records_fall_back_to_the_envelope(ac_pipeline, ac_inputs
         mixed = [ac_inputs[0], odd_records[0]]
         assert cluster.predict_batch("ac", mixed) == [runtime.predict("ac", r) for r in mixed]
         wire = cluster.wire_stats()
-        # The envelope as it always was: records with an int / a None and the
-        # mixed batch ride plain JSON; the two all-float records whose key set
-        # is not the schema's are a PZB1 columnar batch -- keys and all.
-        assert wire["json_messages"] - before["json_messages"] == 3
-        assert wire["binary_messages"] - before["binary_messages"] == 2
+        # Every one of the five requests is a JSON envelope, keys and all,
+        # and so is every reply: no array envelope is left on the wire.
+        assert wire["json_messages"] - before["json_messages"] == 5
+        assert wire["binary_messages"] == before["binary_messages"]
+        assert wire["binary_replies"] == before["binary_replies"]
         assert wire["bytes_sent"] - before["bytes_sent"] > 2 * 700
         # ... and conforming records right after still take the data plane
         assert cluster.predict("ac", ac_inputs[0]) == runtime.predict("ac", ac_inputs[0])
         after = cluster.wire_stats()
         assert after["binary_messages"] == wire["binary_messages"] + 1
+        assert after["binary_replies"] == wire["binary_replies"] + 1
         assert after["bytes_sent"] - wire["bytes_sent"] < 450
+
+
+@pytest.mark.parametrize("call", ["predict", "predict_batch"])
+@pytest.mark.parametrize("transport", ["pipe", "socket"])
+def test_json_fallback_keeps_every_float_exact(transport, call, ac_pipeline, ac_inputs):
+    """Non-conforming records (an extra key) carrying NaN, +-inf and -0.0
+    ride the JSON envelope both ways; the outputs are the single-process
+    runtime's to the last bit (``float.hex``, which also tells -0.0 apart).
+    The linear plan passes ``f0``'s specials through to its outputs, so the
+    replies carry them too."""
+    import numpy as np
+
+    from repro.mlnet.pipeline import Pipeline
+    from repro.operators.featurizers import ColumnSelector
+    from repro.operators.linear import LinearRegressor
+
+    linear = Pipeline("identity-f0")
+    linear.add("selector", ColumnSelector(["f0"]), ["input"])
+    model = LinearRegressor()
+    model.weights = np.array([1.0])
+    model.bias = 0.0
+    linear.add("model", model, ["selector"])
+    specials = [float("nan"), float("inf"), float("-inf"), -0.0]
+    records = []
+    for offset, record in enumerate(ac_inputs[:4]):
+        record = {
+            key: specials[(index + offset) % 4] if (index + offset) % 3 == 0 else value
+            for index, (key, value) in enumerate(record.items())
+        }
+        record["f0"] = specials[offset]
+        record["unheard-of"] = specials[offset]
+        records.append(record)
+    config = _config(transport=transport)
+    with PretzelRuntime(PretzelConfig()) as runtime, PretzelCluster(config) as cluster:
+        for plan_id, pipeline in (("ac", ac_pipeline), ("linear", linear)):
+            runtime.register(pipeline, plan_id=plan_id)
+            cluster.register(pipeline, plan_id=plan_id)
+            oracle = [runtime.predict(plan_id, record) for record in records]
+            before = cluster.wire_stats()
+            if call == "predict":
+                outputs = [cluster.predict(plan_id, record) for record in records]
+            else:
+                outputs = cluster.predict_batch(plan_id, records)
+            wire = cluster.wire_stats()
+            assert all(type(value) is float for value in outputs)
+            assert [value.hex() for value in outputs] == [value.hex() for value in oracle]
+            calls = len(records) if call == "predict" else 1
+            assert wire["json_messages"] - before["json_messages"] == calls
+            assert wire["binary_messages"] == before["binary_messages"]
+            assert wire["binary_replies"] == before["binary_replies"]
+        assert [value.hex() for value in oracle] == ["nan", "inf", "-inf", "0x0.0p+0"]
 
 
 def test_reregistering_a_plan_id_with_other_columns_uses_the_new_schema():

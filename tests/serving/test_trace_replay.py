@@ -23,7 +23,6 @@ from repro.net import (
     deserialize_message,
     encode_predict,
     serialize_message,
-    unpack_value_batch,
 )
 from repro.serving.control.transport import SocketListener, SocketTransport
 from repro.serving.worker import (
@@ -103,7 +102,7 @@ def test_replayed_frame_records_no_new_spans_or_counters(
     client.send_bytes(predict_frame)
     first = deserialize_message(client.recv_bytes())
     assert first["ok"]
-    assert unpack_value_batch(first["outputs"]) == pytest.approx(
+    assert first["outputs"] == pytest.approx(
         [sa_pipeline.predict(sa_inputs[0])]
     )
 

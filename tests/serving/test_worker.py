@@ -11,14 +11,11 @@ from repro.mlnet.pipeline import Pipeline
 from repro.net import (
     PREDICT_FRAME_MAGIC,
     REPLY_FRAME_MAGIC,
-    decode_payload,
     decode_reply,
     deserialize_message,
-    encode_payload,
     encode_predict,
     frame_schema,
     serialize_message,
-    unpack_value_batch,
 )
 from repro.operators.featurizers import ColumnSelector
 from repro.operators.linear import LinearRegressor
@@ -41,13 +38,13 @@ def worker():
 
 
 def _wire(message):
-    """Run a message through the real wire framing both ways."""
-    return decode_payload(encode_payload(message))
+    """Run a message through the JSON envelope both ways."""
+    return deserialize_message(serialize_message(message))
 
 
 def _outputs(reply):
-    """Decode a predict reply's outputs as the cluster side would."""
-    return unpack_value_batch(reply["outputs"])
+    """A predict reply's outputs as the cluster reads them off the envelope."""
+    return _wire(reply)["outputs"]
 
 
 class TestHandlers:
@@ -336,9 +333,10 @@ def _selector_pipeline(name, columns):
 
 class TestServeLoopSurvivesAnyPayload:
     def test_malformed_payloads_get_typed_replies_and_the_loop_keeps_serving(self, worker):
-        """Regression: ``decode_payload`` ran outside any ``try`` -- each of
+        """Regression: the payload decode ran outside any ``try`` -- each of
         these payloads ended the serve loop, i.e. the process hosting every
-        plan, and the cluster failed over."""
+        plan, and the cluster failed over.  ``PZB1`` names a retired array
+        envelope: it is no frame, so it fails as JSON."""
         transport = _ScriptedTransport(
             [
                 b"PZB1\x00\x00",
@@ -351,7 +349,7 @@ class TestServeLoopSurvivesAnyPayload:
         assert _serve(worker, transport) == "eof"
         replies = [deserialize_message(data) for data in transport.sent]
         assert [reply["error_type"] for reply in replies[:4]] == [
-            "FrameFormatError",
+            "JSONDecodeError",
             "TypeError",
             "JSONDecodeError",
             "FrameFormatError",
@@ -401,7 +399,7 @@ class TestPredictFrames:
         schema = frame_schema([f"f{index}" for index in range(40)])
         transport = _ScriptedTransport([_frame("gone", ac_inputs[:1], schema, seq=5)])
         _serve(worker, transport)
-        (reply,) = [decode_payload(data) for data in transport.sent]
+        (reply,) = [deserialize_message(data) for data in transport.sent]
         # the error type the cluster's demotion-race retry keys on, addressed to the request
         assert reply["ok"] is False and reply["error_type"] == "KeyError"
         assert reply["msg_id"] == "a1b2c3d4:5"
@@ -422,7 +420,7 @@ class TestPredictFrames:
             [stale_frame, _frame("p", [{"a": 1.0, "c": 3.0}], new, seq=3)]
         )
         _serve(worker, transport)
-        refused = decode_payload(transport.sent[0])
+        refused = deserialize_message(transport.sent[0])
         assert refused["ok"] is False and refused["error_type"] == "SchemaMismatchError"
         assert refused["msg_id"] == "a1b2c3d4:1"
         assert decode_reply(transport.sent[1])["outputs"] == [31.0]
@@ -430,7 +428,38 @@ class TestPredictFrames:
         assert worker.handle({"type": "unregister", "msg_id": 4, "plan_id": "p"})["ok"]
         transport = _ScriptedTransport([_frame("p", [{"a": 1.0, "c": 3.0}], new, seq=5)])
         _serve(worker, transport)
-        assert decode_payload(transport.sent[0])["error_type"] == "KeyError"
+        assert deserialize_message(transport.sent[0])["error_type"] == "KeyError"
+
+    def test_an_envelope_predict_is_answered_on_the_envelope(self, worker):
+        """A batch with one non-conforming record rides the JSON envelope
+        (the request is no frame) and its reply is JSON too, every float --
+        NaN and +-inf included -- the runtime's own."""
+        schema = _register(worker, "p", _selector_pipeline("lin", ["a", "b"]))
+        records = [
+            {"a": float("nan"), "b": 1.0, "extra": 0.0},
+            {"a": float("inf"), "b": -0.0},
+            {"a": 0.1, "b": float("-inf")},
+        ]
+        request = encode_predict(
+            {
+                "plan_id": "p",
+                "records": records,
+                "latency_sensitive": False,
+                "type": "predict",
+                "msg_id": "a1b2c3d4:8",
+            },
+            schema,
+        )
+        assert not request.startswith(PREDICT_FRAME_MAGIC)
+        transport = _ScriptedTransport([request])
+        _serve(worker, transport)
+        (raw,) = transport.sent
+        assert not raw.startswith(REPLY_FRAME_MAGIC)
+        reply = deserialize_message(raw)
+        assert reply["ok"] is True and reply["msg_id"] == "a1b2c3d4:8"
+        oracle = [worker.runtime.predict("p", record) for record in records]
+        assert [value.hex() for value in reply["outputs"]] == [value.hex() for value in oracle]
+        assert [value.hex() for value in oracle] == ["nan", "inf", "-inf"]
 
     def test_replayed_frame_is_answered_from_the_reply_cache(self, worker, ac_pipeline, ac_inputs):
         schema = _register(worker, "ac", ac_pipeline)
@@ -457,6 +486,6 @@ class TestPredictFrames:
         schema = _register(worker, "scores", pipeline)
         transport = _ScriptedTransport([_frame("scores", [{"a": 0.5, "b": -1.0}], schema)])
         _serve(worker, transport)
-        reply = decode_payload(transport.sent[0])
+        reply = deserialize_message(transport.sent[0])
         assert reply["ok"] is False and reply["error_type"] == "TypeError"
         assert reply["msg_id"] == "a1b2c3d4:1"
