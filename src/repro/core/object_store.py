@@ -155,7 +155,7 @@ class ObjectStore:
         """Return the canonical copy of ``parameter`` (storing it if new)."""
         if not self.enabled:
             return parameter
-        key = f"{parameter.name}:{parameter.checksum}"
+        key = parameter.key
         with self._lock:
             existing = self._parameters.get(key)
             if existing is not None:
@@ -174,7 +174,16 @@ class ObjectStore:
         return parameter
 
     def has_parameter(self, parameter: Parameter) -> bool:
-        return f"{parameter.name}:{parameter.checksum}" in self._parameters
+        return parameter.key in self._parameters
+
+    def stored_parameter(self, key: str) -> Optional[Parameter]:
+        """The stored parameter under ``key`` (:attr:`Parameter.key`), else None.
+
+        Its value is the very object every plan holding the parameter
+        executes against: a serving worker resolves a by-reference register
+        to it instead of unpickling another copy.
+        """
+        return self._parameters.get(key)
 
     # -- operators ----------------------------------------------------------
 
@@ -216,7 +225,7 @@ class ObjectStore:
             # Register the operator's parameters as well so parameter-level
             # queries (and memory accounting) see them.
             for parameter in parameters:
-                key = f"{parameter.name}:{parameter.checksum}"
+                key = parameter.key
                 if key not in self._parameters:
                     self.parameter_misses += 1
                     self._store_parameter(key, parameter)
@@ -252,7 +261,7 @@ class ObjectStore:
             del self._operator_refcount[signature]
             stored = self._operators.pop(signature)
             for parameter in stored.parameters():
-                self._release_parameter_locked(f"{parameter.name}:{parameter.checksum}")
+                self._release_parameter_locked(parameter.key)
             return True
 
     def _release_parameter_locked(self, key: str) -> None:

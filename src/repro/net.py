@@ -408,9 +408,11 @@ def encode_reply_frame(request: bytes, reply: Dict[str, Any]) -> Optional[bytes]
 
 
 def decode_reply(data: bytes) -> Any:
-    """Decode a worker's reply: a reply frame, else :func:`deserialize_message`."""
+    """Decode a worker's reply: a reply frame, else JSON with its vectors rebuilt."""
     if not data.startswith(REPLY_FRAME_MAGIC):
-        return deserialize_message(data)
+        # Only a reply that carries a vector pays for the object hook.
+        hook = _decode_vector if _VECTOR_TAG in data else None
+        return json.loads(data.decode("utf-8"), object_hook=hook)
     fixed = _REPLY_HEAD.size
     if len(data) < fixed + _CRC.size:
         raise FrameFormatError("reply frame truncated inside its header")
@@ -433,21 +435,41 @@ def decode_reply(data: bytes) -> Any:
     }
 
 
+#: the key of a vector's JSON form (``repro.operators.vectors.JSON_TAG``)
+_VECTOR_TAG = b'"__vector__"'
+
+
+def _decode_vector(form: Dict[str, Any]) -> Any:
+    """A reply's JSON object as decoded, or the vector its ``to_json()`` form names."""
+    from repro.operators.vectors import JSON_TAG, vector_from_json
+
+    return vector_from_json(form) if JSON_TAG in form else form
+
+
 def _default_encoder(value: Any) -> Any:
     """Encode the non-JSON-native values a serving payload may legitimately carry.
 
-    Numpy arrays and scalars become (nested) lists/numbers via ``tolist()``,
-    which round-trips through :func:`deserialize_message`.  Anything else is
-    rejected: silently stringifying an arbitrary object would produce a
-    payload that *decodes* fine but no longer equals what was sent, and the
-    corruption would only surface far away from the serialization call.
+    Feature vectors become their tagged ``to_json()`` object, which
+    :func:`decode_reply` (and it alone: a request is never rebuilt) turns
+    back into an equal vector of the same type.  Numpy arrays and scalars
+    become (nested) lists/numbers via ``tolist()``, which round-trips
+    through :func:`deserialize_message`.
+    Anything else is rejected: silently stringifying an arbitrary object
+    would produce a payload that *decodes* fine but no longer equals what
+    was sent, and the corruption would only surface far away from the
+    serialization call.
     """
+    from repro.operators.vectors import Vector
+
+    if isinstance(value, Vector):
+        return value.to_json()
     tolist = getattr(value, "tolist", None)
     if callable(tolist):
         return tolist()
     raise TypeError(
         f"payload value of type {type(value).__name__} is not JSON-serializable; "
-        "serialize_message only round-trips JSON-native values and numpy arrays/scalars"
+        "serialize_message only round-trips JSON-native values, vectors and numpy "
+        "arrays/scalars"
     )
 
 

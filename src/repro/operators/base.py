@@ -18,15 +18,23 @@ models behave like any other featurizer.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import hashlib
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.operators.batch import ColumnBatch, as_column_batch
 
-__all__ = ["ValueKind", "OperatorKind", "Annotation", "Parameter", "Operator"]
+__all__ = [
+    "ValueKind",
+    "OperatorKind",
+    "Annotation",
+    "Parameter",
+    "Operator",
+    "known_parameters",
+]
 
 
 class ValueKind(enum.Enum):
@@ -177,6 +185,33 @@ _PARAMETER_MEMO_MIN_BYTES = 4096
 #: instance attribute holding an owner's memo: parameter name ->
 #: ``(value, checksum, nbytes)``
 _PARAMETER_MEMO_ATTR = "_parameter_memo"
+#: ``id(value)`` -> ``(value, checksum, nbytes)`` of the values whose checksum
+#: is already known; filled only inside :func:`known_parameters`
+_KNOWN_VALUES: Dict[int, Tuple[Any, str, int]] = {}
+
+
+@contextlib.contextmanager
+def known_parameters(parameters: Iterable["Parameter"]) -> Iterator[None]:
+    """Within the block, a Parameter built on one of these very values skips hashing.
+
+    It takes the checksum and size of the listed parameter holding that
+    value.  A serving worker wraps a registration in this with the
+    parameters its Object Store resolved by reference, so a shared
+    vocabulary is hashed once per process, not once per plan.  Entries are
+    matched by identity and hold their value, so a recycled ``id()`` can
+    never match one.
+    """
+    added = []
+    for parameter in parameters:
+        key = id(parameter.value)
+        if key not in _KNOWN_VALUES:
+            _KNOWN_VALUES[key] = (parameter.value, parameter.checksum, parameter.nbytes)
+            added.append(key)
+    try:
+        yield
+    finally:
+        for key in added:
+            _KNOWN_VALUES.pop(key, None)
 
 
 class Parameter:
@@ -195,7 +230,8 @@ class Parameter:
     freed as soon as the Object Store swaps in the canonical operator, and a
     canonical operator's when its last plan unregisters.  The memo is checked
     by identity, so values must be replaced, never mutated in place, once a
-    Parameter has been built from them.
+    Parameter has been built from them.  A value listed by an enclosing
+    :func:`known_parameters` is not hashed either.
     """
 
     __slots__ = ("name", "value", "checksum", "nbytes")
@@ -209,11 +245,21 @@ class Parameter:
                 self.checksum = cached[1]
                 self.nbytes = cached[2]
                 return
-        self.checksum = _checksum_of(value)
-        self.nbytes = _nbytes_of(value)
+        known = _KNOWN_VALUES.get(id(value))
+        if known is not None and known[0] is value:
+            self.checksum = known[1]
+            self.nbytes = known[2]
+        else:
+            self.checksum = _checksum_of(value)
+            self.nbytes = _nbytes_of(value)
         if owner is not None and self.nbytes >= _PARAMETER_MEMO_MIN_BYTES:
             memo = owner.__dict__.setdefault(_PARAMETER_MEMO_ATTR, {})
             memo[name] = (value, self.checksum, self.nbytes)
+
+    @property
+    def key(self) -> str:
+        """The Object Store's key for this parameter: ``name:checksum``."""
+        return f"{self.name}:{self.checksum}"
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, {self.nbytes}B, {self.checksum[:8]})"

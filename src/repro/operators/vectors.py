@@ -10,7 +10,7 @@ account for buffers precisely.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Union
+from typing import Any, Dict, Iterable, List, Sequence, Union
 
 import numpy as np
 
@@ -20,7 +20,11 @@ __all__ = [
     "SparseVector",
     "concat_vectors",
     "as_vector",
+    "vector_from_json",
 ]
+
+#: the key that marks a vector's JSON form (:meth:`Vector.to_json`)
+JSON_TAG = "__vector__"
 
 
 class Vector:
@@ -65,6 +69,13 @@ class Vector:
         """Number of explicitly stored (possibly non-zero) entries."""
         raise NotImplementedError
 
+    def to_json(self) -> Dict[str, Any]:
+        """A JSON object :func:`vector_from_json` turns back into an equal vector.
+
+        Values travel as Python floats, which JSON round-trips exactly.
+        """
+        raise NotImplementedError
+
 
 class DenseVector(Vector):
     """A dense vector backed by a 1-D ``float64`` numpy array."""
@@ -106,6 +117,9 @@ class DenseVector(Vector):
 
     def nnz(self) -> int:
         return int(np.count_nonzero(self.values))
+
+    def to_json(self) -> Dict[str, Any]:
+        return {JSON_TAG: "dense", "values": self.values.tolist()}
 
     def __len__(self) -> int:
         return self.size
@@ -214,6 +228,14 @@ class SparseVector(Vector):
     def nnz(self) -> int:
         return int(self.indices.shape[0])
 
+    def to_json(self) -> Dict[str, Any]:
+        return {
+            JSON_TAG: "sparse",
+            "size": self._size,
+            "indices": self.indices.tolist(),
+            "values": self.values.tolist(),
+        }
+
     def __len__(self) -> int:
         return self._size
 
@@ -230,6 +252,16 @@ class SparseVector(Vector):
 
     def __hash__(self) -> int:  # pragma: no cover
         return hash((self._size, self.indices.tobytes(), self.values.tobytes()))
+
+
+def vector_from_json(form: Dict[str, Any]) -> Vector:
+    """The vector whose :meth:`Vector.to_json` is ``form`` (validated)."""
+    kind = form[JSON_TAG]
+    if kind == "dense":
+        return DenseVector(form["values"])
+    if kind == "sparse":
+        return SparseVector(form["indices"], form["values"], int(form["size"]))
+    raise ValueError(f"unknown vector form {kind!r}")
 
 
 def as_vector(value: Union[Vector, np.ndarray, Sequence[float]]) -> Vector:

@@ -79,6 +79,7 @@ from repro.net import (
     parse_host_port,
     serialize_message,
 )
+from repro.operators.base import Parameter
 from repro.serving.control.failure import WorkerFailedError
 from repro.serving.control.lifecycle import PlanLifecycle
 from repro.serving.control.plane import ControlPlane
@@ -88,6 +89,7 @@ from repro.serving.shm_store import ArenaExhaustedError, SharedMemoryArena, _sha
 from repro.serving.worker import (
     encode_model,
     input_frame_schema,
+    model_references,
     socket_worker_main,
     worker_main,
 )
@@ -362,6 +364,9 @@ class PretzelCluster:
         self._plan_locks_guard = threading.Lock()
         self._closed = False
         self.arena_overflows = 0
+        #: register messages resent fully inline because a worker's Object
+        #: Store lacked some value sent by reference (see :meth:`register`)
+        self.inline_resends = 0
         # The tracing front door: sampling decisions are made here and ride
         # the wire envelope; workers inherit the knobs through the config.
         observability.configure(
@@ -479,9 +484,16 @@ class PretzelCluster:
 
         Mirrors :meth:`PretzelRuntime.register`; ``replicas`` optionally
         overrides ``placement_replicas`` for this plan (e.g. hot plans on
-        every worker).  The encoded model is retained so the control plane
-        can re-register the plan onto survivors after a worker death --
-        unless every worker hosts the plan already.
+        every worker).  With an arena, one throwaway compile learns the
+        plan's post-Oven parameters; they decide the arena's shared slabs and
+        which trained values travel by reference (their Object Store key,
+        :func:`~repro.serving.worker.model_references`).  A worker that lacks
+        one registers nothing and answers the ``missing`` keys; the model
+        then goes to it once more, fully inline.  Without an arena, the
+        model travels fully inline from the start.  The fully inline
+        model is retained so the control plane can re-register the plan onto
+        survivors after a worker death -- unless every worker hosts the plan
+        already.
         """
         if not isinstance(pipeline, Pipeline):
             raise TypeError(
@@ -503,9 +515,24 @@ class PretzelCluster:
         # short phase-locked section inside _put_shared.
         with self._plan_lock(identifier):
             try:
-                arena_refs = self._share_parameters(identifier, pipeline, stats)
+                # The one throwaway compile, run where the arena needs it: its
+                # post-Oven parameters pick both the shared slabs and the
+                # values sent by reference.  Without an arena the front door
+                # compiles nothing, and every value travels inline.
+                compiled = (
+                    self._compiled_parameters(pipeline, stats) if self.arena is not None else []
+                )
+                arena_refs = self._share_parameters(identifier, compiled)
                 placed = self.router.place(identifier, replicas)
-                model_b64 = encode_model(pipeline, stats)
+                references = (
+                    model_references(pipeline, compiled)
+                    if self.config.enable_object_store
+                    else []
+                )
+                model_b64 = encode_model(pipeline, stats, references)
+                # The fully inline payload, encoded at most once: for a
+                # worker that misses a reference, or for fail-over retention.
+                inline_b64: Optional[str] = None if references else model_b64
                 rebound = 0
                 for worker_id in placed:
                     handle = self._workers.get(worker_id)
@@ -517,16 +544,18 @@ class PretzelCluster:
                             worker_id, identifier, "worker evicted during registration"
                         )
                     try:
-                        reply = handle.request(
-                            self._message(
-                                "register",
-                                plan_id=identifier,
-                                model_b64=model_b64,
-                                engine=engine,
-                                arena_refs=arena_refs,
-                            ),
-                            self.config.worker_timeout_seconds,
+                        reply = self._register_on(
+                            handle, identifier, engine, arena_refs, model_b64
                         )
+                        if "missing" in reply:
+                            # The worker registered nothing; resend once,
+                            # fully inline, as a fresh message.
+                            if inline_b64 is None:
+                                inline_b64 = encode_model(pipeline, stats)
+                            self.inline_resends += 1
+                            reply = self._register_on(
+                                handle, identifier, engine, arena_refs, inline_b64
+                            )
                     except (WorkerFailure, WorkerTimeout) as error:
                         # A timeout or connection loss leaves the worker's
                         # state unknown -- it may have completed the
@@ -538,6 +567,9 @@ class PretzelCluster:
                         raise
                     registered_on.append(worker_id)
                     rebound += int(reply.get("rebound_arrays", 0))
+                retain = len(placed) < len(self._workers)
+                if retain and inline_b64 is None:
+                    inline_b64 = encode_model(pipeline, stats)
                 # A worker evicted *during* the round trips is filtered out
                 # -- the fail-over that evicted it could not see this plan
                 # yet, so reinstating the dead id here would poison later
@@ -553,9 +585,7 @@ class PretzelCluster:
                         # such worker -- membership only shrinks -- so its
                         # encoding is dropped, not kept for the life of the
                         # cluster.
-                        "model_b64": (
-                            model_b64 if len(placed) < len(self._workers) else None
-                        ),
+                        "model_b64": inline_b64 if retain else None,
                         "arena_refs": arena_refs,
                         "shared_parameters": len(arena_refs),
                         "rebound_arrays": rebound,
@@ -567,6 +597,26 @@ class PretzelCluster:
                 self._roll_back_registration(identifier, registered_on, uncertain)
                 raise
         return identifier
+
+    def _register_on(
+        self,
+        handle: _WorkerHandle,
+        plan_id: str,
+        engine: str,
+        arena_refs: Dict[str, Dict[str, Any]],
+        model_b64: str,
+    ) -> Dict[str, Any]:
+        """Send one register message; the reply may list ``missing`` keys."""
+        return handle.request(
+            self._message(
+                "register",
+                plan_id=plan_id,
+                model_b64=model_b64,
+                engine=engine,
+                arena_refs=arena_refs,
+            ),
+            self.config.worker_timeout_seconds,
+        )
 
     def _teardown_on_workers(
         self, worker_ids: Sequence[str], kind: str, **payload: Any
@@ -684,31 +734,26 @@ class PretzelCluster:
         self.control.unregistered_plans += 1
 
     def _share_parameters(
-        self,
-        plan_id: str,
-        pipeline: Pipeline,
-        stats: Optional[Dict[str, TransformStats]],
+        self, plan_id: str, compiled: List[Parameter]
     ) -> Dict[str, Dict[str, Any]]:
         """Copy the plan's big array parameters into the arena (dedup'd).
 
         Returns the (checksum -> slab ref) table shipped with the register
-        message.  The parameters are harvested from a local throwaway
-        *compilation* of the pipeline, not from the raw pipeline: Oven's
-        rewrites produce new arrays (the linear push-through rule splits a
-        model's weights per concat branch), and only the post-rewrite
-        checksums match what each worker's Object Store interns.  Dict
-        parameters (n-gram vocabularies) stay private to each worker: raw
-        shared bytes cannot back a hash table without rebuilding -- and
-        therefore duplicating -- it.
+        message.  ``compiled`` is the plan's parameter set from the
+        throwaway compilation (:meth:`_compiled_parameters`), not the raw
+        pipeline's: Oven's rewrites produce new arrays (the linear
+        push-through rule splits a model's weights per concat branch), and
+        only the post-rewrite checksums match what each worker's Object
+        Store interns.  Dict parameters (n-gram vocabularies) stay private
+        to each worker: raw shared bytes cannot back a hash table without
+        rebuilding -- and therefore duplicating -- it.
 
         Under budget pressure (``ArenaExhaustedError``) the overflowing
         parameter stays worker-private and is counted in
         ``arena_overflows``; no other plan's slabs are touched.
         """
-        if self.arena is None:
-            return {}
         refs: Dict[str, Dict[str, Any]] = {}
-        for parameter in self._compiled_parameters(pipeline, stats):
+        for parameter in compiled:
             if parameter.checksum in refs:
                 continue
             if not _shareable(parameter.value):
@@ -756,13 +801,15 @@ class PretzelCluster:
 
     def _compiled_parameters(
         self, pipeline: Pipeline, stats: Optional[Dict[str, TransformStats]]
-    ) -> List[Any]:
+    ) -> List[Parameter]:
         """Parameters as each worker will intern them: after Oven's rewrites.
 
         Runs the same deterministic Flour -> optimize -> compile path the
         workers run, against a throwaway Object Store, purely to learn the
         post-rewrite parameter set (one extra compile per registration, on
-        the registration path, never the serving path).
+        the registration path, never the serving path).  The set decides
+        both the arena's shared slabs and which values the register message
+        sends by reference.
         """
         from repro.core.flour import FlourContext, flour_from_pipeline
         from repro.core.object_store import ObjectStore
@@ -784,8 +831,9 @@ class PretzelCluster:
         A float output returns bit-equal to :meth:`PretzelRuntime.predict`'s
         (a reply frame carries the raw float64).  Any other output rides the
         JSON envelope: floats still round-trip exactly (NaN payload bits
-        aside), and a numpy array or scalar comes back as its ``tolist()``
-        (no operator emits a bare array; vectors without a JSON form fail
+        aside), a ``DenseVector``/``SparseVector`` comes back as an equal
+        vector of its type, and a numpy array or scalar as its ``tolist()``
+        (no operator emits a bare array; a value with no JSON form fails
         with a ``TypeError`` reply).
         """
         return self._dispatch(plan_id, [record], latency_sensitive)[0]
@@ -985,6 +1033,8 @@ class PretzelCluster:
                         if len(survivors) + len(candidates) >= desired:
                             break
             gained = False
+            # The retained payload is fully inline: a survivor may hold none
+            # of the plan's values.
             for candidate in candidates:
                 candidate_handle = self._workers.get(candidate)
                 if candidate_handle is None:
@@ -1059,6 +1109,7 @@ class PretzelCluster:
                 "memory_bytes": reply["memory_bytes"],
                 "arena": reply["arena"],
                 "tracing": reply.get("tracing"),
+                "registration": reply.get("registration"),
             }
         live = [entry for entry in workers.values() if "stats" in entry]
         router_stats = self.router.stats()
@@ -1073,6 +1124,7 @@ class PretzelCluster:
             "router": router_stats,
             "arena": arena_stats,
             "arena_overflows": self.arena_overflows,
+            "inline_resends": self.inline_resends,
             "control_plane": self.control.stats(),
             "wire": self.wire_stats(),
             "memory_bytes": total_worker_bytes

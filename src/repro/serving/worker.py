@@ -13,7 +13,12 @@ socket a remote cluster attaches to.  The wire has two formats (see
 the same wire format every front-end in this repository models; it carries
 every control message, every predict whose records do not conform to the
 plan's schema and every reply that is not all floats.  Pickled model
-payloads travel base64-encoded inside it, exactly once per registration.
+payloads travel base64-encoded inside it, and by reference where they can:
+each big trained value the worker's Object Store already holds (a shared
+n-gram vocabulary) is pickled as its store key, and the worker resolves
+that key to the very object it holds -- no copy, no re-hash
+(:func:`model_references`, :meth:`ServingWorker._handle_register`).  A key
+the store lacks is answered as missing, and the model is resent fully inline.
 The *data plane* carries the predicts whose records conform to their plan's
 input schema -- derived at registration, on both ends, from the same
 pipeline -- as fixed-layout binary frames with no JSON and no key names in
@@ -36,8 +41,11 @@ Wire protocol (all requests carry ``msg_id``; every reply echoes it):
 ``type``       payload
 =============  =========================================================
 ``ping``       -> ``{"pong": true}`` (the control plane's heartbeat)
-``register``   ``plan_id``, ``model_b64`` (pickled ``(pipeline, stats)``),
-               ``engine``, ``arena_refs`` -> registration summary
+``register``   ``plan_id``, ``model_b64`` (pickled ``(pipeline, stats)``,
+               big values as Object Store keys or inline), ``engine``,
+               ``arena_refs`` -> registration summary; or, when some key
+               is not in the store, ``{"missing": [keys]}`` and nothing
+               is registered (the sender resends the model fully inline)
 ``unregister`` ``plan_id``, optional ``drop_checksums`` -> teardown ack
                (full plan lifecycle: runtime teardown releases the Object
                Store's operator/parameter holds, and the listed arena refs
@@ -75,11 +83,12 @@ from __future__ import annotations
 
 import argparse
 import base64
+import io
 import pickle
 import socket
 import time
 import traceback
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import observability
 from repro.core.config import PretzelConfig
@@ -95,6 +104,7 @@ from repro.net import (
     parse_host_port,
     serialize_message,
 )
+from repro.operators.base import _PARAMETER_MEMO_MIN_BYTES, Parameter, known_parameters
 from repro.serving.control.transport import PipeTransport, SocketListener, Transport
 from repro.serving.shm_store import ArenaClient, ArenaRef
 
@@ -105,18 +115,89 @@ __all__ = [
     "listen_and_serve",
     "encode_model",
     "decode_model",
+    "model_references",
     "input_frame_schema",
     "main",
 ]
 
 
-def encode_model(pipeline: Any, stats: Optional[Dict[str, Any]]) -> str:
-    """Pickle a model (+ its transform stats) into a JSON-safe string."""
-    return base64.b64encode(pickle.dumps((pipeline, stats))).decode("ascii")
+class _ReferencingPickler(pickle.Pickler):
+    """Pickles each listed value as its Object Store key, not its contents."""
+
+    def __init__(self, file: Any, references: Sequence[Parameter]):
+        super().__init__(file)
+        # Keyed by identity.  ``references`` holds every listed value alive
+        # for the whole dump, so no object the pickler meets can reuse the
+        # address of one -- not even a value ``parameters()`` built as a
+        # temporary, which the pickled graph then simply never contains.
+        self._keys = {id(parameter.value): parameter.key for parameter in references}
+
+    def persistent_id(self, obj: Any) -> Optional[str]:
+        return self._keys.get(id(obj))
 
 
-def decode_model(blob: str) -> Any:
-    return pickle.loads(base64.b64decode(blob.encode("ascii")))
+class _ResolvingUnpickler(pickle.Unpickler):
+    """Resolves each Object Store key through ``resolve`` (None: a miss)."""
+
+    def __init__(self, file: Any, resolve: Optional[Callable[[str], Any]]):
+        super().__init__(file)
+        self._resolve = resolve
+
+    def persistent_load(self, pid: Any) -> Any:
+        if self._resolve is None:
+            raise pickle.UnpicklingError(f"payload references {pid!r} but nothing resolves it")
+        return self._resolve(pid)
+
+
+def encode_model(
+    pipeline: Any,
+    stats: Optional[Dict[str, Any]],
+    references: Sequence[Parameter] = (),
+) -> str:
+    """Pickle a model (+ its transform stats) into a JSON-safe string.
+
+    Each value of ``references`` (:func:`model_references`), which the
+    receiving worker's Object Store should already hold, travels as its
+    store key alone.  Without references the payload is fully inline and
+    is plain ``pickle.dumps``: a Python ``persistent_id`` runs once per
+    pickled object, which made an inline SA model (its vocabularies' every
+    string) 5x slower to encode.
+    """
+    if not references:
+        return base64.b64encode(pickle.dumps((pipeline, stats))).decode("ascii")
+    buffer = io.BytesIO()
+    _ReferencingPickler(buffer, references).dump((pipeline, stats))
+    return base64.b64encode(buffer.getvalue()).decode("ascii")
+
+
+def decode_model(blob: str, resolve: Optional[Callable[[str], Any]] = None) -> Any:
+    """Unpickle :func:`encode_model`'s payload, each reference through ``resolve``."""
+    data = base64.b64decode(blob.encode("ascii"))
+    return _ResolvingUnpickler(io.BytesIO(data), resolve).load()
+
+
+def model_references(pipeline: Any, compiled: Iterable[Parameter]) -> List[Parameter]:
+    """The trained values of ``pipeline`` a worker can resolve by reference.
+
+    ``compiled`` is the pipeline's parameter set after Oven's rewrites --
+    exactly what each hosting worker's Object Store interns.  A value goes
+    by reference when it is at least ``_PARAMETER_MEMO_MIN_BYTES`` big and
+    its key is in that set: a value Oven rewrites (the SA linear weights)
+    never reaches a store, so referencing it would miss on every plan.
+    Returns the parameters, for :func:`encode_model`.
+    """
+    keys = {
+        parameter.key for parameter in compiled if parameter.nbytes >= _PARAMETER_MEMO_MIN_BYTES
+    }
+    if not keys:
+        # No pipeline parameter can qualify; skip ``parameters()``, which
+        # re-hashes every small value (0.6 ms for an AC plan).
+        return []
+    return [
+        parameter
+        for parameter in pipeline.parameters()
+        if parameter.nbytes >= _PARAMETER_MEMO_MIN_BYTES and parameter.key in keys
+    ]
 
 
 def input_frame_schema(pipeline: Any) -> Optional[FrameSchema]:
@@ -175,6 +256,10 @@ class ServingWorker:
         #: predicts arrive on the envelope); set at registration
         #: (:func:`input_frame_schema`) and dropped with the plan.
         self._schemas: Dict[str, Optional[FrameSchema]] = {}
+        #: register references resolved from the Object Store, and those
+        #: answered as missing (see :meth:`_handle_register`)
+        self.references_resolved = 0
+        self.references_missing = 0
 
     @property
     def served_predictions(self) -> int:
@@ -241,24 +326,48 @@ class ServingWorker:
         return {"pong": True}
 
     def _handle_register(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Register a plan, rebinding its weights onto the listed arena slabs."""
-        pipeline, stats = decode_model(message["model_b64"])
+        """Register a plan, rebinding its weights onto the listed arena slabs.
+
+        Each reference in the model payload resolves to the value this
+        worker's Object Store already holds -- that very object, which is
+        then not hashed again.  When some key is not in the store, nothing
+        is registered and the reply lists the ``missing`` keys, for the
+        sender to resend the model fully inline.  This loop serves one message
+        at a time, so the store cannot change between resolve and register.
+        """
+        resolved: List[Parameter] = []
+        missing: Dict[str, None] = {}
+
+        def resolve(key: str) -> Any:
+            parameter = self.runtime.object_store.stored_parameter(key)
+            if parameter is None:
+                missing[key] = None
+                return None
+            resolved.append(parameter)
+            return parameter.value
+
+        pipeline, stats = decode_model(message["model_b64"], resolve)
+        if missing:
+            self.references_missing += len(missing)
+            return {"plan_id": message.get("plan_id"), "missing": list(missing)}
+        self.references_resolved += len(resolved)
         rebound = 0
-        if self.arena is not None:
-            refs = {
-                checksum: ArenaRef.from_dict(ref)
-                for checksum, ref in (message.get("arena_refs") or {}).items()
-            }
-            self.arena.update_refs(refs)
-            for operator in pipeline.operators():
-                rebound += self.arena.rebind_operator(operator)
-        plan_id = self.runtime.register(
-            pipeline,
-            stats=stats,
-            engine=message.get("engine", "request-response"),
-            plan_id=message.get("plan_id"),
-        )
-        self._schemas[plan_id] = input_frame_schema(pipeline)
+        with known_parameters(resolved):
+            if self.arena is not None:
+                refs = {
+                    checksum: ArenaRef.from_dict(ref)
+                    for checksum, ref in (message.get("arena_refs") or {}).items()
+                }
+                self.arena.update_refs(refs)
+                for operator in pipeline.operators():
+                    rebound += self.arena.rebind_operator(operator)
+            plan_id = self.runtime.register(
+                pipeline,
+                stats=stats,
+                engine=message.get("engine", "request-response"),
+                plan_id=message.get("plan_id"),
+            )
+            self._schemas[plan_id] = input_frame_schema(pipeline)
         return {
             "plan_id": plan_id,
             "rebound_arrays": rebound,
@@ -325,6 +434,10 @@ class ServingWorker:
             "memory_bytes": self.runtime.memory_bytes(),
             "arena": self.arena.stats() if self.arena is not None else None,
             "tracing": observability.tracer().stats(),
+            "registration": {
+                "by_reference": self.references_resolved,
+                "missing": self.references_missing,
+            },
         }
 
     def _handle_traces(self, message: Dict[str, Any]) -> Dict[str, Any]:

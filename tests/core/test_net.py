@@ -62,6 +62,31 @@ class TestRoundTrip:
             with pytest.raises(TypeError):
                 serialize_message({"value": bad})
 
+    def test_vectors_round_trip_as_equal_vectors_of_their_type(self):
+        """A vector reply (e.g. class scores) has a tagged JSON form the
+        decoder turns back into an equal vector: float64-exact, sparse
+        structure kept, nested anywhere in the payload."""
+        from repro.operators.vectors import DenseVector, SparseVector
+
+        specials = [0.1, 1 / 3, -0.0, 5e-324, 1e308, float("inf")]
+        vectors = [
+            DenseVector(specials),
+            DenseVector([]),
+            SparseVector([1, 4, 7], [0.5, 1 / 3, -2.0], size=9),
+            SparseVector([], [], size=3),
+        ]
+        ok = {"ok": True, "msg_id": "a1b2c3d4:42", "worker_id": "w"}
+        reply = {**ok, "outputs": vectors, "nested": {"scores": vectors[0]}}
+        request = encode_predict(_predict([{"a": 1.0}]), frame_schema(["a"]))
+        assert encode_reply_frame(request, reply) is None
+        decoded = decode_reply(serialize_message(reply))
+        assert decoded == reply
+        assert [type(value) for value in decoded["outputs"]] == [type(v) for v in vectors]
+        assert [value.hex() for value in decoded["outputs"][0].values] == [
+            value.hex() for value in specials
+        ]
+        assert type(decoded["nested"]["scores"]) is DenseVector
+
     def test_json_path_still_round_trips_nan_via_python_literals(self):
         """Regression pin for the fallback path: Python's json module emits
         the non-RFC ``NaN``/``Infinity`` literals and parses them back, so a

@@ -730,6 +730,61 @@ def test_non_conforming_records_fall_back_to_the_envelope(transport, ac_pipeline
         assert after["bytes_sent"] - wire["bytes_sent"] < 450
 
 
+@pytest.mark.parametrize("transport", ["pipe", "socket"])
+def test_a_record_keyed_like_a_vector_is_served_as_a_plain_record(
+    transport, ac_pipeline, ac_inputs
+):
+    """Only replies rebuild vectors: a non-conforming record that happens to
+    carry a vector's tag key reaches the plan as the dict it was."""
+    records = [
+        {**ac_inputs[0], "__vector__": "dense"},
+        {**ac_inputs[1], "__vector__": "no such form"},
+        {"__vector__": "sparse", "size": 3, "indices": [0], "values": [1.0]},
+    ]
+    with PretzelRuntime(PretzelConfig()) as runtime, PretzelCluster(
+        _config(transport=transport)
+    ) as cluster:
+        runtime.register(ac_pipeline, plan_id="ac")
+        cluster.register(ac_pipeline, plan_id="ac")
+        expected = [runtime.predict("ac", record) for record in records]
+        assert [cluster.predict("ac", record) for record in records] == expected
+        assert cluster.predict_batch("ac", records) == expected
+
+
+@pytest.mark.parametrize("transport", ["pipe", "socket"])
+def test_vector_outputs_are_served_equal_to_one_process(transport):
+    """A plan whose sink returns a vector (tree-ensemble class scores) is
+    served: its reply rides the JSON envelope and decodes to a vector equal
+    to, and of the type of, the one the single-process runtime returns."""
+    import numpy as np
+
+    from repro.mlnet.pipeline import Pipeline
+    from repro.operators.featurizers import ColumnSelector
+    from repro.operators.trees import TreeEnsembleClassifier
+    from repro.operators.vectors import DenseVector
+
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(40, 2))
+    classifier = TreeEnsembleClassifier(n_classes=3, max_depth=3).fit(
+        list(rows), np.digitize(rows[:, 0], [-0.5, 0.5])
+    )
+    pipeline = Pipeline("class-scores")
+    pipeline.add("selector", ColumnSelector(["a", "b"]), ["input"])
+    pipeline.add("classifier", classifier, ["selector"])
+    records = [{"a": float(a), "b": float(b)} for a, b in rng.normal(size=(5, 2))]
+    with PretzelRuntime(PretzelConfig()) as runtime, PretzelCluster(
+        _config(transport=transport)
+    ) as cluster:
+        runtime.register(pipeline, plan_id="scores")
+        cluster.register(pipeline, plan_id="scores")
+        expected = [runtime.predict("scores", record) for record in records]
+        assert all(type(value) is DenseVector for value in expected)
+        outputs = [cluster.predict("scores", record) for record in records]
+        assert [type(value) for value in outputs] == [DenseVector] * len(records)
+        assert outputs == expected
+        assert cluster.predict_batch("scores", records) == expected
+
+
 @pytest.mark.parametrize("call", ["predict", "predict_batch"])
 @pytest.mark.parametrize("transport", ["pipe", "socket"])
 def test_json_fallback_keeps_every_float_exact(transport, call, ac_pipeline, ac_inputs):

@@ -471,9 +471,12 @@ class TestPredictFrames:
         assert worker.served_predictions == 2  # executed once
 
     def test_non_float_outputs_answer_a_frame_on_the_envelope(self, worker):
-        """A plan whose sink emits what no reply frame (nor JSON) can carry
-        keeps the envelope's typed error, addressed to the frame's msg id."""
+        """A plan whose sink emits a vector (class scores), which no reply
+        frame carries, is answered on the envelope, addressed to the frame's
+        msg id, with a vector equal to the one process's and of its type."""
+        from repro.core.runtime import PretzelRuntime
         from repro.operators.trees import TreeEnsembleClassifier
+        from repro.operators.vectors import DenseVector
 
         rng = np.random.default_rng(5)
         rows = rng.normal(size=(40, 2))
@@ -486,6 +489,11 @@ class TestPredictFrames:
         schema = _register(worker, "scores", pipeline)
         transport = _ScriptedTransport([_frame("scores", [{"a": 0.5, "b": -1.0}], schema)])
         _serve(worker, transport)
-        reply = deserialize_message(transport.sent[0])
-        assert reply["ok"] is False and reply["error_type"] == "TypeError"
+        reply = decode_reply(transport.sent[0])
+        assert reply["ok"] is True
         assert reply["msg_id"] == "a1b2c3d4:1"
+        with PretzelRuntime(PretzelConfig()) as runtime:
+            expected = runtime.predict(runtime.register(pipeline), {"a": 0.5, "b": -1.0})
+        (output,) = reply["outputs"]
+        assert type(output) is DenseVector and type(expected) is DenseVector
+        assert output == expected
