@@ -131,15 +131,24 @@ def write_report(name: str, text: str, metrics: Optional[Dict[str, Any]] = None)
 
 
 @pytest.fixture(scope="session")
-def sa_family():
-    """The Sentiment Analysis pipeline family (Table 1, SA column)."""
+def sa_family(request):
+    """The Sentiment Analysis pipeline family (Table 1, SA column).
+
+    At laptop scale it is the session's harness family (the root
+    ``conftest.py``), trained once for the benchmarks and the identity tests.
+    """
+    if not FULL_SCALE:
+        return request.getfixturevalue("harness_sa_family")
     corpus = generate_reviews(n_reviews=800, vocabulary_size=3000, seed=23)
     return build_sentiment_family(n_pipelines=N_SA, corpus=corpus, seed=23)
 
 
 @pytest.fixture(scope="session")
-def ac_family():
-    """The Attendee Count pipeline family (Table 1, AC column)."""
+def ac_family(request):
+    """The Attendee Count pipeline family (Table 1, AC column); at laptop
+    scale the session's harness family, like :func:`sa_family`."""
+    if not FULL_SCALE:
+        return request.getfixturevalue("harness_ac_family")
     return build_attendee_family(n_pipelines=N_AC, n_configurations=12, seed=41)
 
 

@@ -344,7 +344,7 @@ FAILOVER_KILL_AFTER = 3
 
 def test_fig13_cluster_failover_zero_lost(sa_family, sa_inputs):
     """Fig13-style heavy load with an induced worker kill: a 2-worker
-    SocketTransport cluster serves 4 concurrent clients; one worker is killed
+    cluster serves 4 concurrent clients; one worker is killed
     mid-stream.  Every request must complete (typed retryable
     ``WorkerFailedError`` + client retry -- zero lost requests), with values
     bit-equal to the pre-kill oracle, and the fail-over must be counted in
@@ -354,7 +354,6 @@ def test_fig13_cluster_failover_zero_lost(sa_family, sa_inputs):
     config = PretzelConfig(
         num_workers=2,
         placement_replicas=2,
-        transport="socket",
         heartbeat_interval_seconds=0.2,
         shm_min_parameter_bytes=1024,
         worker_timeout_seconds=60.0,
@@ -403,7 +402,7 @@ def test_fig13_cluster_failover_zero_lost(sa_family, sa_inputs):
     control = stats["control_plane"]
     report = ExperimentReport(
         "Figure 13 (cluster fail-over)",
-        f"2-worker socket cluster, {FAILOVER_CLIENTS} clients x "
+        f"2-worker cluster, {FAILOVER_CLIENTS} clients x "
         f"{FAILOVER_BATCHES_PER_CLIENT} batches of {FAILOVER_BATCH}; one worker "
         f"killed after every client completed {FAILOVER_KILL_AFTER} batches.",
     )
@@ -419,7 +418,7 @@ def test_fig13_cluster_failover_zero_lost(sa_family, sa_inputs):
     report.add_note(
         f"failovers={control['failovers']} plans_failed_over={control['plans_failed_over']} "
         f"dead={control['dead_workers']} served={stats['served_predictions']} records "
-        f"on survivors; transport={control['transport']}"
+        "on survivors"
     )
     write_report("fig13_cluster_failover", report.render())
 

@@ -9,10 +9,9 @@ fail with a *typed, retryable* ``WorkerFailedError`` -- the same contract
 that retries on those two errors therefore completes every request across a
 worker kill.
 
-This demo runs a 2-worker cluster over the TCP ``socket`` transport (the
-same wire a remote ``python -m repro.serving.worker --listen`` worker
-speaks), streams predictions from four client threads, kills one worker
-mid-stream, and shows all requests completing via retry.
+This demo runs a 2-worker cluster, streams predictions from four client
+threads, kills one worker mid-stream, and shows all requests completing via
+retry.
 
 Run with:  python examples/failover_demo.py
 """
@@ -35,7 +34,6 @@ def main() -> None:
     config = PretzelConfig(
         num_workers=2,
         placement_replicas=2,            # hot standby: both workers host each plan
-        transport="socket",              # TCP framing, multi-host capable
         heartbeat_interval_seconds=0.5,  # aggressive for a short demo
         shm_budget_bytes=16 * 1024 * 1024,
         shm_min_parameter_bytes=1024,
@@ -46,8 +44,7 @@ def main() -> None:
             cluster.register(generated.pipeline, stats=generated.stats)
             for generated in family.pipelines
         ]
-        print(f"Registered {len(plan_ids)} plans on {config.num_workers} workers "
-              f"over {config.transport!r} transport")
+        print(f"Registered {len(plan_ids)} plans on {config.num_workers} workers")
 
         completed = [0] * CLIENTS
         retries = [0] * CLIENTS

@@ -31,8 +31,7 @@ def main() -> None:
     inputs = family.sample_inputs(8)
 
     config = PretzelConfig(
-        num_workers=2,
-        transport="socket",        # tracing crosses real process boundaries
+        num_workers=2,             # tracing crosses real process boundaries
         placement_replicas=1,      # pin plans to single workers: both get traffic
         trace_sample_rate=1,       # demo: trace everything (default is 1-in-64)
         trace_buffer_size=4096,    # per-process span ring buffer

@@ -46,8 +46,9 @@ class PretzelConfig:
     num_workers:
         Worker processes of the multi-process serving tier
         (:class:`~repro.serving.cluster.PretzelCluster`).  Each worker hosts a
-        full :class:`~repro.core.runtime.PretzelRuntime`; the single-process
-        runtime ignores this knob.
+        full :class:`~repro.core.runtime.PretzelRuntime` and talks to the
+        cluster over its end of a local ``socketpair()`` -- the tier's one
+        transport; the single-process runtime ignores this knob.
     shm_budget_bytes:
         Size of the shared-memory arena backing deduplicated parameter
         buffers across worker processes.  ``0`` disables the arena (workers
@@ -72,12 +73,6 @@ class PretzelConfig:
         control plane also uses it as the death deadline: a worker silent
         past this long (despite pings) is declared dead, evicted from every
         placement, and its plans are re-registered onto the survivors.
-    transport:
-        Byte transport between the cluster and its workers: ``"pipe"`` (a
-        ``multiprocessing`` duplex pipe, single-host, byte-identical to the
-        pre-control-plane tier) or ``"socket"`` (length-prefixed
-        ``net.serialize_message`` frames over localhost TCP -- the same wire
-        a remote ``python -m repro.serving.worker --listen`` worker speaks).
     heartbeat_interval_seconds:
         Control-plane heartbeat cadence.  Every worker reply piggybacks as a
         heartbeat; only workers idle longer than this receive an explicit
@@ -119,7 +114,6 @@ class PretzelConfig:
     max_inflight_per_worker: int = 32
     placement_replicas: int = 2
     worker_timeout_seconds: float = 60.0
-    transport: str = "pipe"
     heartbeat_interval_seconds: float = 5.0
     enable_profiling: bool = True
     enable_tracing: bool = True

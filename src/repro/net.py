@@ -30,32 +30,21 @@ __all__ = [
     "FrameSchema",
     "frame_schema",
     "encode_predict",
+    "pack_predict_frame",
+    "unpack_predict_frame",
     "decode_predict_frame",
     "encode_reply_frame",
     "decode_reply",
     "frame_payload",
     "frame_length",
-    "parse_host_port",
     "PREDICT_FRAME_MAGIC",
     "REPLY_FRAME_MAGIC",
     "BINARY_MAGICS",
+    "FLAG_LATENCY_SENSITIVE",
+    "FLAG_TRACED",
     "FRAME_HEADER_BYTES",
     "MAX_FRAME_BYTES",
 ]
-
-
-def parse_host_port(address: str) -> Tuple[str, int]:
-    """Parse a ``HOST:PORT`` address (the --listen / attach wire syntax).
-
-    One parser for both sides of the socket transport (the worker CLI's
-    ``--listen`` argument and ``PretzelCluster(attach=...)``) so address
-    quirks cannot drift between them.  Raises ``ValueError`` on anything
-    that is not ``host:port`` with a numeric port.
-    """
-    host, _, port = address.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"address {address!r} is not HOST:PORT")
-    return host, int(port)
 
 
 def serialize_message(payload: Any) -> bytes:
@@ -83,10 +72,9 @@ def unpack_value_batch(values: Any) -> Any:
     return values
 
 
-#: big-endian unsigned length prefix used by the stream transports.  Pipes
-#: frame messages internally (``Connection.send_bytes``), but a TCP stream has
-#: no message boundaries, so the socket transport prefixes every
-#: :func:`serialize_message` payload with its byte length.
+#: big-endian unsigned length prefix of every message on the cluster's stream
+#: sockets: a stream has no message boundaries, so the transport prefixes
+#: each payload with its byte length.
 _FRAME_HEADER = struct.Struct("!I")
 FRAME_HEADER_BYTES = _FRAME_HEADER.size
 #: sanity ceiling for one framed message; a header above this is a corrupted
@@ -96,9 +84,10 @@ MAX_FRAME_BYTES = 512 * 1024 * 1024
 
 def frame_payload(payload: bytes) -> bytes:
     """Length-prefix one serialized message for a byte-stream transport."""
-    if len(payload) > MAX_FRAME_BYTES:
-        raise ValueError(f"payload of {len(payload)}B exceeds MAX_FRAME_BYTES")
-    return _FRAME_HEADER.pack(len(payload)) + payload
+    length = len(payload)
+    if length > MAX_FRAME_BYTES:
+        raise ValueError(f"payload of {length}B exceeds MAX_FRAME_BYTES")
+    return _FRAME_HEADER.pack(length) + payload
 
 
 def frame_length(header: bytes) -> int:
@@ -139,13 +128,17 @@ def frame_length(header: bytes) -> int:
 # A magic names one layout: a layout change takes a new magic, so a frame in
 # an older layout (``PZR1``) is refused instead of misread.
 #
-# ``msg prefix:seq`` is the cluster's ordinary ``msg_id``, so a decoded frame
-# is the very message dict the envelope would have produced and goes through
-# the same handler, replay cache and stale-reply discard.  A record conforms
-# when it is a dict whose key set equals the schema and whose values are all
-# exactly ``float`` (text: exactly ``str``, encodable as UTF-8).  Everything
-# else rides the JSON envelope, whose ``repr`` floats and ``NaN``/``Infinity``
-# literals round-trip every float value (NaN payload bits aside).
+# ``msg prefix:seq`` is the cluster's ordinary ``msg_id``, so a reply frame
+# goes through the same stale-reply discard as an envelope reply.  The front
+# door packs a frame from parts it prebuilt at registration
+# (:func:`pack_predict_frame`) and the worker unpacks it straight into the
+# predict's arguments (:func:`unpack_predict_frame`); :func:`encode_predict`
+# and :func:`decode_predict_frame` are the same layout seen as message dicts.
+# A record conforms when it is a dict whose key set equals the schema and
+# whose values are all exactly ``float`` (text: exactly ``str``, encodable as
+# UTF-8).  Everything else rides the JSON envelope, whose ``repr`` floats and
+# ``NaN``/``Infinity`` literals round-trip every float value (NaN payload bits
+# aside).
 
 PREDICT_FRAME_MAGIC = b"PZF1"
 REPLY_FRAME_MAGIC = b"PZR2"
@@ -154,9 +147,10 @@ BINARY_MAGICS = (PREDICT_FRAME_MAGIC, REPLY_FRAME_MAGIC)
 
 _REQUEST_HEAD = struct.Struct("<4s8sQBHIHI")
 _REPLY_HEAD = struct.Struct("<4s8sQI")
+_REPLY_HEAD_CRC = struct.Struct("<4s8sQII")  # the reply head and its crc32
 _CRC = struct.Struct("<I")
-_FLAG_LATENCY_SENSITIVE = 1
-_FLAG_TRACED = 2
+FLAG_LATENCY_SENSITIVE = 1
+FLAG_TRACED = 2
 _PREDICT_KEYS = 5  # type, msg_id, plan_id, records, latency_sensitive (+ trace)
 
 
@@ -298,26 +292,42 @@ def _predict_frame(message: Dict[str, Any], schema: FrameSchema) -> Optional[byt
         or not 0 < len(records) <= 0xFFFFFFFF
     ):
         return None
-    flags = _FLAG_LATENCY_SENSITIVE if latency_sensitive else 0
+    flags = FLAG_LATENCY_SENSITIVE if latency_sensitive else 0
     trace_bytes = b""
     if trace is not None:
         trace_bytes = pack_trace_wire(trace)
         if trace_bytes is None:
             return None
-        flags |= _FLAG_TRACED
+        flags |= FLAG_TRACED
     body = schema._pack(records)
     if body is None:
         return None
+    return pack_predict_frame(
+        prefix, seq, flags, plan, len(records), schema.width, schema.fingerprint, trace_bytes, body
+    )
+
+
+def pack_predict_frame(
+    prefix: bytes,
+    seq: int,
+    flags: int,
+    plan: bytes,
+    count: int,
+    width: int,
+    fingerprint: int,
+    trace_bytes: bytes,
+    body: bytes,
+) -> bytes:
+    """One request frame from its parts: the layout above, nothing checked.
+
+    The cluster's front door prebuilds ``plan``, ``width`` and
+    ``fingerprint`` per plan at registration and packs ``body`` with the
+    plan's :class:`FrameSchema`, so a predict builds no message dict.
+    ``trace_bytes`` is empty unless ``flags`` has :data:`FLAG_TRACED`.
+    """
     head = (
         _REQUEST_HEAD.pack(
-            PREDICT_FRAME_MAGIC,
-            prefix,
-            seq,
-            flags,
-            len(plan),
-            len(records),
-            schema.width,
-            schema.fingerprint,
+            PREDICT_FRAME_MAGIC, prefix, seq, flags, len(plan), count, width, fingerprint
         )
         + trace_bytes
         + plan
@@ -330,13 +340,35 @@ def decode_predict_frame(
 ) -> Dict[str, Any]:
     """Decode a request frame into the message dict the envelope would yield.
 
-    ``schema_of(plan_id)`` returns the receiver's compiled schema of that
-    plan (raising ``KeyError`` for an unknown plan).  A malformed frame raises
-    :class:`FrameFormatError` -- never ``struct.error`` -- and a frame packed
-    against a different schema :class:`SchemaMismatchError`, never silently
-    shifted columns.  Any error raised once the header has checked out
-    carries the request's ``msg_id`` attribute, so the receiver can still
-    address its typed reply.
+    The dict view of :func:`unpack_predict_frame`, which documents the errors.
+    """
+    msg_id, plan_id, records, flags, trace = unpack_predict_frame(data, schema_of)
+    message = {
+        "plan_id": plan_id,
+        "records": records,
+        "latency_sensitive": bool(flags & FLAG_LATENCY_SENSITIVE),
+        "type": "predict",
+        "msg_id": msg_id,
+    }
+    if trace is not None:
+        message["trace"] = trace
+    return message
+
+
+def unpack_predict_frame(
+    data: bytes, schema_of: Callable[[str], Optional[FrameSchema]]
+) -> Tuple[str, str, List[Any], int, Optional[Dict[str, Any]]]:
+    """A request frame's ``(msg_id, plan_id, records, flags, trace)``.
+
+    ``trace`` is the :meth:`TraceContext.to_wire` dict of a sampled request,
+    else None.  ``schema_of(plan_id)`` returns the receiver's compiled schema
+    of that plan (raising ``KeyError`` for an unknown plan).  A malformed
+    frame raises :class:`FrameFormatError` -- never ``struct.error`` -- and a
+    frame packed against a different schema :class:`SchemaMismatchError`,
+    never silently shifted columns.  Any error raised once the msg id is
+    read -- a checksum failure included -- carries it as its ``msg_id``
+    attribute, so the receiver can still address its typed reply (a reply
+    to a corrupted msg id is discarded by the sender as stale).
     """
     fixed = _REQUEST_HEAD.size
     if len(data) < fixed + _CRC.size:
@@ -344,21 +376,24 @@ def decode_predict_frame(
     magic, prefix, seq, flags, plan_len, count, width, fingerprint = _REQUEST_HEAD.unpack_from(data)
     if magic != PREDICT_FRAME_MAGIC:
         raise FrameFormatError(f"not a predict frame (magic {magic!r})")
-    if flags & ~(_FLAG_LATENCY_SENSITIVE | _FLAG_TRACED):
-        raise FrameFormatError(f"predict frame carries unknown flags {flags:#x}")
-    plan_start = fixed + (TRACE_WIRE_BYTES if flags & _FLAG_TRACED else 0)
-    head_end = plan_start + plan_len
-    if len(data) < head_end + _CRC.size:
-        raise FrameFormatError("predict frame truncated inside its header")
-    if zlib.crc32(memoryview(data)[:head_end]) != _CRC.unpack_from(data, head_end)[0]:
-        raise FrameFormatError("predict frame header fails its checksum")
     try:
         msg_id = f"{prefix.decode('ascii')}:{seq}"
-        plan_id = str(data[plan_start:head_end], "utf-8")
-        trace = unpack_trace_wire(data[fixed:plan_start]) if flags & _FLAG_TRACED else None
     except UnicodeDecodeError as error:
-        raise FrameFormatError(f"predict frame header is not text: {error}") from error
+        raise FrameFormatError(f"predict frame msg id is not text: {error}") from error
     try:
+        if flags & ~(FLAG_LATENCY_SENSITIVE | FLAG_TRACED):
+            raise FrameFormatError(f"predict frame carries unknown flags {flags:#x}")
+        plan_start = fixed + (TRACE_WIRE_BYTES if flags & FLAG_TRACED else 0)
+        head_end = plan_start + plan_len
+        if len(data) < head_end + _CRC.size:
+            raise FrameFormatError("predict frame truncated inside its header")
+        if zlib.crc32(memoryview(data)[:head_end]) != _CRC.unpack_from(data, head_end)[0]:
+            raise FrameFormatError("predict frame header fails its checksum")
+        try:
+            plan_id = str(data[plan_start:head_end], "utf-8")
+            trace = unpack_trace_wire(data[fixed:plan_start]) if flags & FLAG_TRACED else None
+        except UnicodeDecodeError as error:
+            raise FrameFormatError(f"predict frame header is not text: {error}") from error
         if not count:
             raise FrameFormatError("predict frame carries no records")
         schema = schema_of(plan_id)
@@ -372,16 +407,7 @@ def decode_predict_frame(
                     else f"{schema.fingerprint:#010x} (width {schema.width})"
                 )
             )
-        message = {
-            "plan_id": plan_id,
-            "records": schema._unpack(data, head_end + _CRC.size, count),
-            "latency_sensitive": bool(flags & _FLAG_LATENCY_SENSITIVE),
-            "type": "predict",
-            "msg_id": msg_id,
-        }
-        if trace is not None:
-            message["trace"] = trace
-        return message
+        return msg_id, plan_id, schema._unpack(data, head_end + _CRC.size, count), flags, trace
     except Exception as error:
         error.msg_id = msg_id  # type: ignore[attr-defined]
         raise
@@ -414,11 +440,12 @@ def decode_reply(data: bytes) -> Any:
         hook = _decode_vector if _VECTOR_TAG in data else None
         return json.loads(data.decode("utf-8"), object_hook=hook)
     fixed = _REPLY_HEAD.size
-    if len(data) < fixed + _CRC.size:
-        raise FrameFormatError("reply frame truncated inside its header")
-    if zlib.crc32(memoryview(data)[:fixed]) != _CRC.unpack_from(data, fixed)[0]:
+    try:
+        _magic, prefix, seq, count, crc = _REPLY_HEAD_CRC.unpack_from(data)
+    except struct.error:
+        raise FrameFormatError("reply frame truncated inside its header") from None
+    if zlib.crc32(memoryview(data)[:fixed]) != crc:
         raise FrameFormatError("reply frame header fails its checksum")
-    _magic, prefix, seq, count = _REPLY_HEAD.unpack_from(data)
     body = memoryview(data)[fixed + _CRC.size :]
     if len(body) != 8 * count:
         raise FrameFormatError(

@@ -6,7 +6,7 @@ MetricsRegistry` that every component registers its instruments into, and
 one :class:`~repro.observability.tracing.Tracer` flight recorder.
 ``configure()`` is last-caller-wins (a test that wants ``sample_rate=1``
 can say so after the cluster applied its config), and
-``attach_process()`` is the fork barrier: a pipe-transport worker inherits
+``attach_process()`` is the fork barrier: a forked worker inherits
 the parent's buffer and counter values, so the worker zeroes both and
 relabels the tracer with its worker id before serving.
 """
@@ -83,11 +83,11 @@ def configure(
 def attach_process(process: str) -> None:
     """Adopt this process's identity after a fork (or spawn).
 
-    Pipe-transport workers fork from the cluster and inherit its span buffer
-    and instrument values; without this reset every parent-side span would be
-    reported twice (once by each process) and merged metrics would double-
-    count the parent's history.  Socket workers spawn clean but still want
-    the process label.
+    Workers fork from the cluster and inherit its span buffer and instrument
+    values; without this reset every parent-side span would be reported twice
+    (once by each process) and merged metrics would double-count the
+    parent's history.  A spawned worker starts clean but still wants the
+    process label.
     """
     _TRACER.configure(process=process)
     _TRACER.clear()

@@ -11,9 +11,8 @@ can:
   id, sampled flag.  It is minted at the front door, rides the
   ``serialize_message`` envelope as a plain JSON dict (``to_wire`` /
   ``from_wire``) or the data-plane frame header as 32 fixed-width bytes
-  (:func:`pack_trace_wire` / :func:`unpack_trace_wire`), and works unchanged
-  over both the pipe and socket transports because it never touches the
-  framing layer.
+  (:func:`pack_trace_wire` / :func:`unpack_trace_wire`); it never touches
+  the transport's framing layer.
 * :class:`Tracer` is the per-process recorder: head-based 1-in-N sampling
   (a counter and a modulo on the unsampled path -- the whole per-request
   cost when a request is not chosen), and a bounded ring-buffer *flight

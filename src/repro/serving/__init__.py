@@ -8,10 +8,10 @@ capped by (the GIL) while preserving PRETZEL's white-box parameter sharing:
   shared weight;
 * :mod:`repro.serving.worker` -- a worker process hosting a full
   :class:`~repro.core.runtime.PretzelRuntime` behind a framed message loop
-  (over a pipe, a cluster-dialed socket, or a standalone ``--listen`` port);
+  over its end of a local ``socketpair()``;
 * :mod:`repro.serving.router` -- consistent-hash plan placement,
-  queue-depth-aware dispatch and admission control;
-* :mod:`repro.serving.control` -- the control plane: pluggable transports,
+  least-in-flight dispatch and admission control;
+* :mod:`repro.serving.control` -- the control plane: the socket transport,
   heartbeat failure detection with fail-over, and the reference-counted plan
   lifecycle that reclaims shared-memory arena slabs;
 * :mod:`repro.serving.cluster` -- the :class:`PretzelCluster` facade that
@@ -22,9 +22,7 @@ from repro.serving.cluster import PretzelCluster, WorkerFailure, WorkerTimeout
 from repro.serving.control import (
     ControlPlane,
     FailureDetector,
-    PipeTransport,
     PlanLifecycle,
-    SocketListener,
     SocketTransport,
     Transport,
     WorkerFailedError,
@@ -36,14 +34,7 @@ from repro.serving.shm_store import (
     ArenaRef,
     SharedMemoryArena,
 )
-from repro.serving.worker import (
-    ServingWorker,
-    decode_model,
-    encode_model,
-    listen_and_serve,
-    socket_worker_main,
-    worker_main,
-)
+from repro.serving.worker import ServingWorker, decode_model, encode_model, worker_main
 
 __all__ = [
     "PretzelCluster",
@@ -57,9 +48,7 @@ __all__ = [
     "FailureDetector",
     "PlanLifecycle",
     "Transport",
-    "PipeTransport",
     "SocketTransport",
-    "SocketListener",
     "ArenaClient",
     "ArenaExhaustedError",
     "ArenaRef",
@@ -67,7 +56,5 @@ __all__ = [
     "ServingWorker",
     "decode_model",
     "encode_model",
-    "listen_and_serve",
-    "socket_worker_main",
     "worker_main",
 ]

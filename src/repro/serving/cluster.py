@@ -6,12 +6,10 @@ API and -- through the shared-memory arena -- the Object Store's white-box
 parameter sharing:
 
 * **Workers.**  ``num_workers`` processes, each hosting a full
-  :class:`~repro.core.runtime.PretzelRuntime` behind a
-  :class:`~repro.serving.control.transport.Transport`: a duplex pipe
-  (``transport="pipe"``) or a localhost TCP connection
-  (``transport="socket"`` -- the same wire a remote
-  ``python -m repro.serving.worker --listen`` worker speaks, which the
-  ``attach=[(host, port), ...]`` constructor argument connects to).
+  :class:`~repro.core.runtime.PretzelRuntime` and forked with one end of a
+  ``socket.socketpair()``: a
+  :class:`~repro.serving.control.transport.SocketTransport` of
+  length-prefixed messages is the tier's one channel to a worker.
 * **Parameter sharing.**  When ``shm_budget_bytes > 0`` the cluster owns a
   :class:`~repro.serving.shm_store.SharedMemoryArena`.  At registration every
   fixed-width numpy parameter at least ``shm_min_parameter_bytes`` big is
@@ -49,6 +47,17 @@ multi-second worker round trips therefore never stall another plan's
 registration; the named locks report contended wait time through
 ``stats()["profile"]["locks"]``.
 
+A predict takes one straight line through the front door: one plan lookup,
+the router's least-in-flight pick, then a ``PZF1`` frame packed from the
+parts the plan's registration prebuilt (plan-id bytes, schema width and
+fingerprint) and the records packed by the plan's schema -- no message dict,
+no detour through the envelope encoder -- and one round trip on the worker's
+channel (:meth:`_WorkerHandle.round_trip`, shared with every control
+message).  A sampled request (the tracer's 1-in-N) takes the same line,
+adding its 32 trace bytes to the frame header and recording the front
+door's spans; records that do not conform ride the JSON envelope through the
+same round trip.
+
 The facade mirrors :class:`~repro.core.runtime.PretzelRuntime`:
 ``register`` / ``unregister`` / ``predict`` / ``predict_batch`` / ``stats``
 / ``memory_bytes`` / ``shutdown`` plus the context-manager protocol, so a
@@ -60,10 +69,11 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import socket
 import threading
 import time
 import uuid
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import observability, profiling
 from repro.core.config import PretzelConfig
@@ -72,27 +82,23 @@ from repro.profiling.locks import ProfiledLock, ProfiledRLock
 from repro.mlnet.pipeline import Pipeline
 from repro.net import (
     BINARY_MAGICS,
+    FLAG_LATENCY_SENSITIVE,
+    FLAG_TRACED,
+    REPLY_FRAME_MAGIC,
     FrameSchema,
     decode_reply,
-    deserialize_message,
-    encode_predict,
-    parse_host_port,
+    pack_predict_frame,
     serialize_message,
 )
+from repro.observability.tracing import pack_trace_wire
 from repro.operators.base import Parameter
 from repro.serving.control.failure import WorkerFailedError
 from repro.serving.control.lifecycle import PlanLifecycle
 from repro.serving.control.plane import ControlPlane
-from repro.serving.control.transport import PipeTransport, SocketTransport, Transport
+from repro.serving.control.transport import SocketTransport
 from repro.serving.router import ShardRouter
 from repro.serving.shm_store import ArenaExhaustedError, SharedMemoryArena, _shareable
-from repro.serving.worker import (
-    encode_model,
-    input_frame_schema,
-    model_references,
-    socket_worker_main,
-    worker_main,
-)
+from repro.serving.worker import encode_model, input_frame_schema, model_references, worker_main
 
 __all__ = ["WorkerFailure", "WorkerTimeout", "PretzelCluster"]
 
@@ -138,16 +144,14 @@ class _WorkerHandle:
 
     One lock per worker serializes send/receive pairs on the channel, so
     concurrent client threads can talk to *different* workers in parallel
-    while requests to the same worker stay strictly ordered.  ``process`` is
-    ``None`` for attached (externally started) workers.
+    while requests to the same worker stay strictly ordered.
     """
 
-    def __init__(self, worker_id: str, process: Any, transport: Transport):
+    def __init__(self, worker_id: str, process: Any, transport: SocketTransport):
         self.worker_id = worker_id
         self.process = process
         self.transport = transport
         self.lock = ProfiledLock("cluster.worker-channel")
-        self.requests = 0
         #: wire accounting (message payloads, before transport framing):
         #: binary messages are data-plane predict frames, json messages the
         #: ``serialize_message`` envelope.  Registry-backed instruments
@@ -181,9 +185,7 @@ class _WorkerHandle:
         return self._binary_replies.value
 
     def process_alive(self) -> bool:
-        """Liveness of the hosting process; attached workers report True
-        (the connection is the only evidence the cluster has about them)."""
-        return True if self.process is None else self.process.is_alive()
+        return self.process.is_alive()
 
     def provably_dead(self, error: BaseException) -> bool:
         """True when a failed request proves this worker maps nothing anymore.
@@ -191,97 +193,73 @@ class _WorkerHandle:
         The single liveness predicate of the arena reclamation protocol
         (shared by the teardown guard, ``stats`` and ``memory_bytes``): the
         connection must be gone *and* the hosting process must be dead.  An
-        application error over a healthy channel proves nothing, and an
-        attached worker (no process handle) can never be proven dead --
-        its external process may outlive any number of connection drops.
+        application error over a healthy channel proves nothing.
         """
         return (
             isinstance(error, WorkerFailure)
             and error.connection_lost
-            and self.process is not None
             and not self.process.is_alive()
         )
 
     def request(
-        self,
-        message: Dict[str, Any],
-        timeout: float,
-        schema: Optional[FrameSchema] = None,
-    ) -> Dict[str, Any]:
-        """One round trip; raises typed errors on failure, timeout or death.
-
-        ``schema`` is the plan's compiled input schema, passed with predicts
-        only: it lets a conforming request travel as a data-plane frame.
-        """
-        with self.lock:
-            return self._request_locked(message, timeout, schema)
-
-    def try_request(
-        self, message: Dict[str, Any], timeout: float
+        self, message: Dict[str, Any], timeout: float, blocking: bool = True
     ) -> Optional[Dict[str, Any]]:
-        """Like :meth:`request`, but gives up (returns None) when a request
-        is already in flight -- the control plane's non-blocking ping."""
-        if not self.lock.acquire(blocking=False):
+        """One control message's round trip on the JSON envelope (see
+        :meth:`round_trip`; ``blocking=False`` is the control plane's ping)."""
+        encoded = serialize_message(message)
+        kind = str(message.get("type"))
+        return self.round_trip(encoded, message["msg_id"], kind, timeout, blocking)
+
+    def round_trip(
+        self,
+        encoded: bytes,
+        msg_id: str,
+        kind: str,
+        timeout: float,
+        blocking: bool = True,
+    ) -> Optional[Dict[str, Any]]:
+        """Send one encoded message and return the decoded reply to ``msg_id``.
+
+        The channel's one send/poll/receive loop, for predict frames and
+        envelope messages alike.  Raises :class:`WorkerTimeout` when no reply
+        arrives within ``timeout`` seconds, :class:`WorkerFailure` with
+        ``connection_lost`` when the channel breaks, and a plain
+        :class:`WorkerFailure` for an ``ok: false`` reply.  Returns None only
+        when ``blocking`` is False and another request holds the channel.
+        """
+        lock = self.lock
+        if not lock.acquire(blocking):
             return None
         try:
-            return self._request_locked(message, timeout)
-        finally:
-            self.lock.release()
-
-    def _request_locked(
-        self,
-        message: Dict[str, Any],
-        timeout: float,
-        schema: Optional[FrameSchema] = None,
-    ) -> Dict[str, Any]:
-        kind = str(message.get("type"))
-        self.requests += 1
-        # A sampled predict carries its context with it (frame header or
-        # envelope); the encode cost is charged to the trace under the
-        # dispatcher's ipc span.
-        wire_trace = message.get("trace")
-        try:
-            encode_started = time.perf_counter()
-            # Two formats: a predict is a data-plane frame when its records
-            # conform to the plan's schema; everything else is the JSON
-            # envelope.
-            encoded = (
-                encode_predict(message, schema)
-                if kind == "predict"
-                else serialize_message(message)
-            )
-            if wire_trace is not None:
-                observability.tracer().record(
-                    wire_trace["trace_id"],
-                    "wire.encode",
-                    time.perf_counter() - encode_started,
-                    parent_span_id=wire_trace.get("parent_span_id"),
-                    attributes={"bytes": len(encoded), "worker_id": self.worker_id},
-                )
             self._bytes_sent.inc(len(encoded))
             if encoded.startswith(BINARY_MAGICS):
                 self._binary_messages.inc()
             else:
                 self._json_messages.inc()
-            self.transport.send_bytes(encoded)
+            transport = self.transport
+            transport.send_bytes(encoded)
             deadline = time.monotonic() + timeout
+            remaining = timeout
             while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self.transport.poll(remaining):
-                    raise WorkerTimeout(self.worker_id, timeout, kind)
-                raw = self.transport.recv_bytes()
+                if remaining <= 0 or not transport.poll(remaining):
+                    # Raised below, outside this try: WorkerTimeout is an
+                    # OSError, which would be misreported as a lost channel.
+                    reply = None
+                    break
+                raw = transport.recv_bytes()
                 self._bytes_received.inc(len(raw))
-                if raw.startswith(BINARY_MAGICS):
+                if raw.startswith(REPLY_FRAME_MAGIC):
                     self._binary_replies.inc()
                 reply = decode_reply(raw)
-                if reply.get("msg_id") == message.get("msg_id"):
+                if reply.get("msg_id") == msg_id:
                     break
                 # A stale reply from a request that previously timed out:
                 # the channel is FIFO and msg ids are monotonic, so anything
                 # that is not ours is older.  Discard it and keep waiting
-                # -- this resynchronizes the connection instead of
-                # poisoning every later request on this worker.
-        except (EOFError, BrokenPipeError, ConnectionError, OSError) as error:
+                # -- this resynchronizes the channel instead of poisoning
+                # every later request on this worker.
+                remaining = deadline - time.monotonic()
+        except (EOFError, OSError) as error:
             raise WorkerFailure(
                 self.worker_id,
                 f"connection lost during {kind!r} ({error!r}); the process "
@@ -289,6 +267,10 @@ class _WorkerHandle:
                 error_type=type(error).__name__,
                 connection_lost=True,
             ) from error
+        finally:
+            lock.release()
+        if reply is None:
+            raise WorkerTimeout(self.worker_id, timeout, kind)
         if not reply.get("ok", False):
             raise WorkerFailure(
                 self.worker_id,
@@ -302,6 +284,21 @@ class _WorkerHandle:
         self.transport.close()
 
 
+def _frame_head(plan_id: str, schema: Optional[FrameSchema]) -> Optional[Tuple[Any, ...]]:
+    """A plan's prebuilt frame parts: ``(schema._pack, plan-id bytes, width,
+    fingerprint)``, or None when its predicts can only ride the envelope (no
+    schema, or a plan id the header cannot carry)."""
+    if schema is None:
+        return None
+    try:
+        plan = plan_id.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate: only JSON escapes it
+        return None
+    if len(plan) > 0xFFFF:
+        return None
+    return (schema._pack, plan, schema.width, schema.fingerprint)
+
+
 class PretzelCluster:
     """A multi-process serving tier with runtime semantics.
 
@@ -309,26 +306,11 @@ class PretzelCluster:
     objects (the off-line artifact every front-end in this repository starts
     from); compilation to a model plan happens inside each hosting worker, so
     workers stay white boxes with their own stage catalogs and schedulers.
-
-    ``attach`` lists ``(host, port)`` addresses (or ``"host:port"`` strings)
-    of already-listening workers (``python -m repro.serving.worker
-    --listen``) to adopt alongside the locally spawned ones; pass
-    ``num_workers=0`` for a purely remote cluster.
     """
 
-    def __init__(
-        self,
-        config: Optional[PretzelConfig] = None,
-        attach: Sequence[Union[str, Tuple[str, int]]] = (),
-    ):
+    def __init__(self, config: Optional[PretzelConfig] = None):
         self.config = config or PretzelConfig()
-        if self.config.transport not in ("pipe", "socket"):
-            raise ValueError(
-                f"unknown transport {self.config.transport!r} (pipe or socket)"
-            )
-        num_workers = max(0 if attach else 1, int(self.config.num_workers))
-        if num_workers + len(attach) < 1:
-            raise ValueError("a cluster needs at least one worker (spawned or attached)")
+        num_workers = max(1, int(self.config.num_workers))
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         context = multiprocessing.get_context(method)
         self.arena: Optional[SharedMemoryArena] = (
@@ -337,16 +319,13 @@ class PretzelCluster:
             else None
         )
         self._workers: Dict[str, _WorkerHandle] = {}
-        #: handles of evicted workers, kept so the reclamation guard can
-        #: still distinguish "provably dead process" from "attached worker
-        #: that may outlive its dropped connection"
+        #: handles of evicted workers, kept for their wire counters
         self._evicted_handles: Dict[str, _WorkerHandle] = {}
         self._plans: Dict[str, Dict[str, Any]] = {}
-        #: msg ids are unique per cluster *generation*: a standalone
-        #: --listen worker outlives its cluster and replays the recorded
-        #: reply for a repeated msg_id (the resend-dedup cache), so a
-        #: restarted cluster must never reuse a predecessor's ids
+        #: msg ids are ``prefix:seq``; the prefix is unique per cluster
+        #: generation, so no two clusters' messages are ever confused
         self._msg_prefix = uuid.uuid4().hex[:8]
+        self._msg_prefix_bytes = self._msg_prefix.encode("ascii")
         self._msg_ids = itertools.count()
         self._lock = threading.Lock()
         #: short global "phase" lock serializing only the arena *claim
@@ -369,7 +348,7 @@ class PretzelCluster:
         self.inline_resends = 0
         # The tracing front door: sampling decisions are made here and ride
         # the wire envelope; workers inherit the knobs through the config.
-        observability.configure(
+        self._tracer = observability.configure(
             enabled=self.config.enable_tracing,
             sample_rate=self.config.trace_sample_rate,
             buffer_size=self.config.trace_buffer_size,
@@ -384,16 +363,6 @@ class PretzelCluster:
             for index in range(num_workers):
                 worker_id = f"worker-{index}"
                 self._workers[worker_id] = self._spawn_worker(context, worker_id)
-            for index, address in enumerate(attach):
-                host, port = self._parse_address(address)
-                worker_id = f"worker-attached-{index}"
-                transport = SocketTransport.connect(
-                    host,
-                    port,
-                    connect_timeout=min(self.config.worker_timeout_seconds, 10.0),
-                    read_timeout=self.config.worker_timeout_seconds,
-                )
-                self._workers[worker_id] = _WorkerHandle(worker_id, None, transport)
             self.router = ShardRouter(
                 list(self._workers),
                 replicas=min(max(1, self.config.placement_replicas), len(self._workers)),
@@ -402,9 +371,9 @@ class PretzelCluster:
             self.lifecycle = PlanLifecycle()
             self.control = ControlPlane(self)
             # One ping round trip per worker confirms every runtime booted
-            # (and surfaces import/attach failures as typed errors, not hangs).
+            # (and surfaces import failures as typed errors, not hangs).
             for handle in self._workers.values():
-                handle.request(self._message("ping"), self.config.worker_timeout_seconds)
+                self._ask(handle, "ping")
             self.control.start()
         except BaseException:
             self._tear_down(graceful=False)
@@ -414,49 +383,21 @@ class PretzelCluster:
 
     def _spawn_worker(self, context: Any, worker_id: str) -> _WorkerHandle:
         arena_name = self.arena.name if self.arena is not None else None
-        parent_end, child_end = context.Pipe(duplex=True)
-        if self.config.transport == "pipe":
-            process = context.Process(
-                target=worker_main,
-                name=f"pretzel-{worker_id}",
-                args=(worker_id, child_end, self.config, arena_name),
-                daemon=True,
-            )
-            process.start()
-            child_end.close()
-            return _WorkerHandle(worker_id, process, PipeTransport(parent_end))
-        # Socket transport: the pipe is only the bootstrap channel the worker
-        # reports its ephemeral port on; all traffic then runs over TCP.
+        parent_end, child_end = socket.socketpair()
         process = context.Process(
-            target=socket_worker_main,
+            target=worker_main,
             name=f"pretzel-{worker_id}",
             args=(worker_id, child_end, self.config, arena_name),
             daemon=True,
         )
-        process.start()
-        child_end.close()
         try:
-            if not parent_end.poll(self.config.worker_timeout_seconds):
-                raise WorkerTimeout(
-                    worker_id, self.config.worker_timeout_seconds, "bootstrap"
-                )
-            bootstrap = deserialize_message(parent_end.recv_bytes())
-        finally:
+            process.start()
+        except BaseException:
             parent_end.close()
-        transport = SocketTransport.connect(
-            bootstrap.get("host", "127.0.0.1"),
-            int(bootstrap["port"]),
-            connect_timeout=min(self.config.worker_timeout_seconds, 10.0),
-            read_timeout=self.config.worker_timeout_seconds,
-        )
-        return _WorkerHandle(worker_id, process, transport)
-
-    @staticmethod
-    def _parse_address(address: Union[str, Tuple[str, int]]) -> Tuple[str, int]:
-        if isinstance(address, str):
-            return parse_host_port(address)
-        host, port = address
-        return str(host), int(port)
+            raise
+        finally:
+            child_end.close()
+        return _WorkerHandle(worker_id, process, SocketTransport(parent_end))
 
     # -- registration ---------------------------------------------------------
 
@@ -506,7 +447,7 @@ class PretzelCluster:
             if identifier in self._plans:
                 raise ValueError(f"plan id {identifier!r} already registered")
             # Reserve the id before the (lock-free) worker round trips.
-            self._plans[identifier] = {"workers": [], "engine": engine}
+            self._plans[identifier] = {"workers": [], "engine": engine, "frame": None}
         registered_on: List[str] = []
         uncertain: Optional[str] = None
         # The plan's own transition lock serializes this registration against
@@ -589,9 +530,9 @@ class PretzelCluster:
                         "arena_refs": arena_refs,
                         "shared_parameters": len(arena_refs),
                         "rebound_arrays": rebound,
-                        # Each hosting worker compiled its copy from the
+                        # Each hosting worker compiled its schema from the
                         # same pipeline with the same function.
-                        "schema": input_frame_schema(pipeline),
+                        "frame": _frame_head(identifier, input_frame_schema(pipeline)),
                     }
             except BaseException:
                 self._roll_back_registration(identifier, registered_on, uncertain)
@@ -607,15 +548,13 @@ class PretzelCluster:
         model_b64: str,
     ) -> Dict[str, Any]:
         """Send one register message; the reply may list ``missing`` keys."""
-        return handle.request(
-            self._message(
-                "register",
-                plan_id=plan_id,
-                model_b64=model_b64,
-                engine=engine,
-                arena_refs=arena_refs,
-            ),
-            self.config.worker_timeout_seconds,
+        return self._ask(
+            handle,
+            "register",
+            plan_id=plan_id,
+            model_b64=model_b64,
+            engine=engine,
+            arena_refs=arena_refs,
         )
 
     def _teardown_on_workers(
@@ -628,25 +567,15 @@ class PretzelCluster:
         round trip blocks the free (returns False) *unless* its connection is
         gone and its process is provably dead -- a dead worker no longer maps
         anything.  Workers already evicted from the membership are skipped
-        for the same reason.
+        for the same reason: the eviction terminated them.
         """
         acked = True
         for worker_id in worker_ids:
             handle = self._workers.get(worker_id)
             if handle is None:
-                evicted = self._evicted_handles.get(worker_id)
-                if evicted is not None and evicted.process is None:
-                    # An attached worker evicted on connection loss may well
-                    # still be running (and, same-host with --arena, still
-                    # mapping the slabs): we cannot prove it dead, so the
-                    # free is blocked.  Spawned workers were terminated by
-                    # the eviction -- their mappings died with the process.
-                    acked = False
                 continue
             try:
-                handle.request(
-                    self._message(kind, **payload), self.config.worker_timeout_seconds
-                )
+                self._ask(handle, kind, **payload)
             except (WorkerFailure, WorkerTimeout) as error:
                 if handle.provably_dead(error):
                     continue
@@ -850,80 +779,98 @@ class PretzelCluster:
         return self._dispatch(plan_id, list(records), latency_sensitive)
 
     def _dispatch(self, plan_id: str, records: List[Any], latency_sensitive: bool) -> List[Any]:
-        self._ensure_open()
+        """One predict round trip: admission, encode, wait, decode.
+
+        Sampled or not, every request takes this line; a sampled one adds its
+        trace bytes to the frame header and records the front door's
+        ``request``/``admission``/``ipc``/``wire.encode`` spans.
+        """
+        if self._closed:
+            raise RuntimeError("the cluster has been shut down")
         info = self._plans.get(plan_id)
         if info is None:
             raise KeyError(f"plan {plan_id!r} is not registered")
+        tracer = self._tracer
         # The cluster front door is where sampling happens: 1-in-N dispatches
         # get a TraceContext whose root span id every hop parents under.
-        trace = observability.tracer().maybe_trace()
+        trace = tracer.maybe_trace()
         started = time.perf_counter()
         try:
-            return self._send_predict(plan_id, info, records, latency_sensitive, trace)
-        finally:
-            elapsed = time.perf_counter() - started
-            self._request_latency.observe(elapsed)
-            if trace is not None:
-                observability.tracer().record(
-                    trace.trace_id,
-                    "request",
-                    elapsed,
-                    span_id=trace.parent_span_id,
-                    attributes={"plan_id": plan_id, "records": len(records)},
-                )
-
-    def _send_predict(
-        self,
-        plan_id: str,
-        info: Dict[str, Any],
-        records: List[Any],
-        latency_sensitive: bool,
-        trace: Any = None,
-    ) -> List[Any]:
-        tracer = observability.tracer()
-        # May raise BackpressureError (saturated) or WorkerFailedError (every
-        # placed worker evicted mid-fail-over) -- both typed and retryable.
-        admission_started = time.perf_counter() if trace is not None else 0.0
-        try:
-            worker_id = self.router.acquire(plan_id)
-        except BaseException as error:
-            if trace is not None:
-                tracer.record(
-                    trace.trace_id,
-                    "admission",
-                    time.perf_counter() - admission_started,
-                    parent_span_id=trace.parent_span_id,
-                    attributes={"shed": True, "error": type(error).__name__},
-                )
-            raise
-        if trace is not None:
-            tracer.record(
-                trace.trace_id,
-                "admission",
-                time.perf_counter() - admission_started,
-                parent_span_id=trace.parent_span_id,
-                attributes={"shed": False, "worker_id": worker_id},
-            )
-        try:
-            handle = self._workers.get(worker_id)
-            if handle is None:
-                raise WorkerFailedError(worker_id, plan_id, "worker evicted mid-dispatch")
-            message = self._message(
-                "predict",
-                plan_id=plan_id,
-                records=records,
-                latency_sensitive=latency_sensitive,
-            )
-            ipc_span_id = None
-            if trace is not None:
-                # Pre-mint the ipc span id so the worker's spans can parent
-                # under it; the envelope carries the re-parented context.
-                ipc_span_id = tracer.new_span_id()
-                message["trace"] = trace.child(ipc_span_id).to_wire()
-                ipc_started = time.perf_counter()
+            # May raise BackpressureError (saturated) or WorkerFailedError
+            # (every placed worker evicted mid-fail-over) -- both typed and
+            # retryable.
             try:
-                reply = handle.request(
-                    message, self.config.worker_timeout_seconds, info.get("schema")
+                worker_id = self.router.acquire(plan_id)
+            except BaseException as error:
+                if trace is not None:
+                    tracer.record(
+                        trace.trace_id,
+                        "admission",
+                        time.perf_counter() - started,
+                        parent_span_id=trace.parent_span_id,
+                        attributes={"shed": True, "error": type(error).__name__},
+                    )
+                raise
+            try:
+                if trace is not None:
+                    ipc_started = time.perf_counter()
+                    tracer.record(
+                        trace.trace_id,
+                        "admission",
+                        ipc_started - started,
+                        parent_span_id=trace.parent_span_id,
+                        attributes={"shed": False, "worker_id": worker_id},
+                    )
+                handle = self._workers.get(worker_id)
+                if handle is None:
+                    raise WorkerFailedError(worker_id, plan_id, "worker evicted mid-dispatch")
+                seq = next(self._msg_ids)
+                msg_id = f"{self._msg_prefix}:{seq}"
+                flags = FLAG_LATENCY_SENSITIVE if latency_sensitive else 0
+                wire = trace_bytes = None
+                if trace is not None:
+                    # Pre-mint the ipc span id so the worker's spans can
+                    # parent under it.
+                    ipc_span_id = tracer.new_span_id()
+                    wire = trace.child(ipc_span_id).to_wire()
+                    trace_bytes = pack_trace_wire(wire)
+                    flags |= FLAG_TRACED
+                frame = info["frame"]
+                body = frame[0](records) if frame is not None else None
+                if body is not None and (trace is None or trace_bytes is not None):
+                    encoded = pack_predict_frame(
+                        self._msg_prefix_bytes,
+                        seq,
+                        flags,
+                        frame[1],
+                        len(records),
+                        frame[2],
+                        frame[3],
+                        trace_bytes or b"",
+                        body,
+                    )
+                else:
+                    # Records the plan's schema cannot carry ride the envelope.
+                    message = {
+                        "plan_id": plan_id,
+                        "records": records,
+                        "latency_sensitive": latency_sensitive,
+                        "type": "predict",
+                        "msg_id": msg_id,
+                    }
+                    if wire is not None:
+                        message["trace"] = wire
+                    encoded = serialize_message(message)
+                if trace is not None:
+                    tracer.record(
+                        trace.trace_id,
+                        "wire.encode",
+                        time.perf_counter() - ipc_started,
+                        parent_span_id=ipc_span_id,
+                        attributes={"bytes": len(encoded), "worker_id": worker_id},
+                    )
+                reply = handle.round_trip(
+                    encoded, msg_id, "predict", self.config.worker_timeout_seconds
                 )
                 if trace is not None:
                     tracer.record(
@@ -934,20 +881,30 @@ class PretzelCluster:
                         parent_span_id=trace.parent_span_id,
                         attributes={"worker_id": worker_id},
                     )
-            except WorkerFailure as error:
-                if error.connection_lost or not handle.process_alive():
+            except (WorkerFailure, WorkerTimeout) as error:
+                # A lost channel or a dead process is a death verdict; a
+                # timeout from a live worker, or an error it reported, is not.
+                lost = isinstance(error, WorkerFailure) and error.connection_lost
+                if lost or not handle.process_alive():
                     self.control.worker_failed(worker_id, str(error))
                     raise WorkerFailedError(worker_id, plan_id, str(error)) from error
                 raise
-            except WorkerTimeout as error:
-                if not handle.process_alive():
-                    self.control.worker_failed(worker_id, str(error))
-                    raise WorkerFailedError(worker_id, plan_id, str(error)) from error
-                raise
-            self.control.record_reply(worker_id)
+            finally:
+                self.router.release(worker_id)
+            # Piggybacked heartbeat: any successful reply proves liveness.
+            self.control.detector.record_reply(worker_id)
             return reply["outputs"]
         finally:
-            self.router.release(worker_id)
+            elapsed = time.perf_counter() - started
+            self._request_latency.observe(elapsed)
+            if trace is not None:
+                tracer.record(
+                    trace.trace_id,
+                    "request",
+                    elapsed,
+                    span_id=trace.parent_span_id,
+                    attributes={"plan_id": plan_id, "records": len(records)},
+                )
 
     # -- fail-over ---------------------------------------------------------------
 
@@ -967,7 +924,7 @@ class PretzelCluster:
             return 0
         self._evicted_handles[worker_id] = handle
         handle.close()
-        if handle.process is not None and handle.process.is_alive():
+        if handle.process.is_alive():
             # Make the death certain before any reclamation can consult it:
             # a terminated-but-not-yet-exited process still maps the arena.
             handle.process.terminate()
@@ -1040,15 +997,12 @@ class PretzelCluster:
                 if candidate_handle is None:
                     continue
                 try:
-                    candidate_handle.request(
-                        self._message(
-                            "register",
-                            plan_id=plan_id,
-                            model_b64=info["model_b64"],
-                            engine=info["engine"],
-                            arena_refs=dict(info.get("arena_refs") or {}),
-                        ),
-                        self.config.worker_timeout_seconds,
+                    self._register_on(
+                        candidate_handle,
+                        plan_id,
+                        info["engine"],
+                        dict(info.get("arena_refs") or {}),
+                        info["model_b64"],
                     )
                 except (WorkerFailure, WorkerTimeout):
                     continue  # this survivor is struggling too; skip it
@@ -1094,9 +1048,7 @@ class PretzelCluster:
         workers: Dict[str, Any] = {}
         for worker_id, handle in list(self._workers.items()):
             try:
-                reply = handle.request(
-                    self._message("stats"), self.config.worker_timeout_seconds
-                )
+                reply = self._ask(handle, "stats")
             except (WorkerFailure, WorkerTimeout) as error:
                 if handle.provably_dead(error):
                     self.control.worker_failed(worker_id, str(error))
@@ -1147,7 +1099,7 @@ class PretzelCluster:
         """Bytes and message counts on the cluster<->worker wire (no round trips).
 
         ``binary_messages`` counts requests that travelled as a data-plane
-        predict frame (:func:`repro.net.encode_predict`) and
+        predict frame (:func:`repro.net.pack_predict_frame`) and
         ``binary_replies`` the replies that came back as reply frames;
         ``json_messages`` are JSON envelopes: control messages and
         non-conforming predicts.  Byte counts cover both directions of every
@@ -1179,10 +1131,7 @@ class PretzelCluster:
         spans = observability.tracer().dump(drain=drain)
         for worker_id, handle in list(self._workers.items()):
             try:
-                reply = handle.request(
-                    self._message("traces", drain=drain),
-                    self.config.worker_timeout_seconds,
-                )
+                reply = self._ask(handle, "traces", drain=drain)
             except (WorkerFailure, WorkerTimeout):
                 continue
             spans.extend(reply.get("spans") or [])
@@ -1208,9 +1157,7 @@ class PretzelCluster:
         merged = observability.registry().snapshot()
         for worker_id, handle in list(self._workers.items()):
             try:
-                reply = handle.request(
-                    self._message("metrics"), self.config.worker_timeout_seconds
-                )
+                reply = self._ask(handle, "metrics")
             except (WorkerFailure, WorkerTimeout):
                 continue
             merged = observability.merge_snapshots(merged, reply.get("metrics"))
@@ -1234,9 +1181,7 @@ class PretzelCluster:
         total = 0
         for worker_id, handle in list(self._workers.items()):
             try:
-                reply = handle.request(
-                    self._message("memory"), self.config.worker_timeout_seconds
-                )
+                reply = self._ask(handle, "memory")
             except (WorkerFailure, WorkerTimeout) as error:
                 if handle.provably_dead(error):
                     self.control.worker_failed(worker_id, str(error))
@@ -1268,11 +1213,10 @@ class PretzelCluster:
                 except Exception:
                     pass  # the join/terminate ladder below still applies
         for handle in self._workers.values():
-            if handle.process is not None:
-                handle.process.join(timeout=grace)
-                if handle.process.is_alive():
-                    handle.process.terminate()
-                    handle.process.join(timeout=1.0)
+            handle.process.join(timeout=grace)
+            if handle.process.is_alive():
+                handle.process.terminate()
+                handle.process.join(timeout=1.0)
             handle.close()
         if self.arena is not None:
             self.arena.close()
@@ -1289,6 +1233,10 @@ class PretzelCluster:
         payload["type"] = kind
         payload["msg_id"] = f"{self._msg_prefix}:{next(self._msg_ids)}"
         return payload
+
+    def _ask(self, handle: _WorkerHandle, kind: str, **payload: Any) -> Dict[str, Any]:
+        """One control message's round trip, bounded by ``worker_timeout_seconds``."""
+        return handle.request(self._message(kind, **payload), self.config.worker_timeout_seconds)
 
     def _ensure_open(self) -> None:
         if self._closed:

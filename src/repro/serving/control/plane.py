@@ -77,10 +77,6 @@ class ControlPlane:
 
     # -- evidence --------------------------------------------------------------
 
-    def record_reply(self, worker_id: str) -> None:
-        """Piggybacked heartbeat: any successful reply proves liveness."""
-        self.detector.record_reply(worker_id)
-
     def worker_failed(self, worker_id: str, reason: str = "") -> None:
         """Commit a death verdict and run fail-over exactly once per worker."""
         if worker_id not in self.cluster._workers:
@@ -119,8 +115,8 @@ class ControlPlane:
             if self.is_dead(worker_id) or not self.detector.due_for_ping(worker_id):
                 continue
             try:
-                reply = handle.try_request(
-                    self.cluster._message("ping"), self._ping_timeout
+                reply = handle.request(
+                    self.cluster._message("ping"), self._ping_timeout, blocking=False
                 )
             except WorkerFailure as error:
                 if error.connection_lost or not handle.process_alive():
@@ -135,14 +131,13 @@ class ControlPlane:
             if reply is None:
                 continue  # a request is in flight; it will adjudicate liveness
             self.heartbeats_sent += 1
-            self.record_reply(worker_id)
+            self.detector.record_reply(worker_id)
 
     # -- reporting ------------------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
         ages = self.detector.heartbeat_ages()
         return {
-            "transport": self.cluster.config.transport,
             "heartbeat_interval_seconds": self.heartbeat_interval_seconds,
             "failovers": self.failovers,
             "plans_failed_over": self.plans_failed_over,

@@ -1,29 +1,24 @@
-"""Pluggable byte transports between the cluster and its workers.
+"""The byte transport between the cluster and its workers.
 
-The worker message loop only ever needs four operations -- send a framed
-message, receive one, poll for readability, close -- so the control plane
-abstracts them behind :class:`Transport` and the rest of the serving tier
-(:mod:`repro.serving.worker`, :class:`~repro.serving.cluster.PretzelCluster`)
-never touches a pipe or a socket directly:
-
-* :class:`PipeTransport` wraps today's ``multiprocessing`` duplex pipe
-  byte-identically: every call delegates to the underlying
-  ``Connection`` method of the same name, so the wire bytes (and the pipe's
-  internal framing) are exactly what the pre-control-plane tier produced.
-* :class:`SocketTransport` speaks the existing
-  :func:`repro.net.serialize_message` payloads over TCP.  A stream has no
-  message boundaries, so each payload is length-prefixed
-  (:func:`repro.net.frame_payload`).  The connecting side (the cluster)
-  carries connect/read timeouts and *reconnect-once* semantics: a send that
-  trips over a dropped connection redials the peer exactly once and retries;
-  a second failure -- or any failure with no peer address to redial (the
-  worker's accepted socket) -- propagates.
-* :class:`SocketListener` is the worker-side acceptor behind ``--listen``:
-  bind, accept one cluster connection at a time, hand back a
-  :class:`SocketTransport`.
+A worker process talks to its cluster over one :class:`SocketTransport`: one
+end of a ``socket.socketpair()`` the cluster creates before the fork, so both
+processes share a kernel stream and nothing is dialed, accepted or
+bootstrapped.  A stream has no message boundaries, so every message is
+length-prefixed (:func:`repro.net.frame_payload`) and goes out as one
+``sendall``; a receive reads the 4-byte length, then reads the message into a
+buffer of exactly that size, each ``recv_into`` waiting for all its bytes
+(``MSG_WAITALL``).  Each transport registers its socket with one
+``select.poll`` object at construction, so a readiness check is a single
+``poll`` call and never builds a selector.
 
 ``EOFError`` uniformly means "peer closed"; callers translate it into the
 typed worker-failure errors of :mod:`repro.serving.control.failure`.
+
+:class:`PipeTransport`, :class:`SocketListener` and
+:meth:`SocketTransport.connect` serve only the benchmark harness's transport
+echo (``benchmarks/harness/layers.py``), which still compares a
+``multiprocessing`` pipe with a loopback TCP connection; the cluster uses
+none of them.
 """
 
 from __future__ import annotations
@@ -36,6 +31,9 @@ from typing import Any, Optional, Tuple
 from repro.net import FRAME_HEADER_BYTES, frame_length, frame_payload
 
 __all__ = ["Transport", "PipeTransport", "SocketTransport", "SocketListener"]
+
+#: a stream read that waits for the whole buffer (0 where the platform lacks it)
+_WAITALL = getattr(socket, "MSG_WAITALL", 0)
 
 
 class Transport(abc.ABC):
@@ -58,12 +56,92 @@ class Transport(abc.ABC):
         """Release the channel (idempotent)."""
 
 
+class SocketTransport(Transport):
+    """Length-prefixed messages over one connected stream socket.
+
+    The cluster wraps its end of each worker's ``socketpair()`` and the
+    worker the other.  ``read_timeout`` bounds every blocking socket
+    operation; the cluster leaves it ``None`` and polls with its own deadline
+    before each read instead.
+    """
+
+    def __init__(self, sock: socket.socket, read_timeout: Optional[float] = None):
+        if sock.family == socket.AF_INET:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(read_timeout)
+        self._sock = sock
+        self._poller = select.poll()
+        self._poller.register(sock, select.POLLIN)
+        #: reused for every message's length prefix
+        self._header = bytearray(FRAME_HEADER_BYTES)
+        self._closed = False
+
+    @classmethod
+    def connect(
+        cls,
+        host: str,
+        port: int,
+        connect_timeout: float = 5.0,
+        read_timeout: Optional[float] = None,
+    ) -> "SocketTransport":
+        """Dial ``host:port`` over TCP (the harness's socket echo only)."""
+        sock = socket.create_connection((host, port), timeout=connect_timeout)
+        return cls(sock, read_timeout=read_timeout)
+
+    # -- Transport interface ---------------------------------------------------
+
+    def send_bytes(self, data: bytes) -> None:
+        if self._closed:
+            raise OSError("transport is closed")
+        self._sock.sendall(frame_payload(data))
+
+    def recv_bytes(self) -> bytearray:
+        header = self._header
+        try:
+            received = self._sock.recv_into(header, FRAME_HEADER_BYTES, _WAITALL)
+            if received < FRAME_HEADER_BYTES:
+                self._finish(header, received)
+            length = frame_length(header)
+            body = bytearray(length)
+            received = self._sock.recv_into(body, length, _WAITALL)
+            if received < length:
+                self._finish(body, received)
+        except ConnectionError:
+            raise EOFError("connection reset by peer") from None
+        return body
+
+    def poll(self, timeout: float = 0.0) -> bool:
+        if self._closed:
+            raise OSError("transport is closed")
+        # select.poll takes milliseconds; POLLHUP/POLLERR count as ready, so
+        # a closed peer surfaces as EOF on the next read.
+        return bool(self._poller.poll(timeout * 1000.0 if timeout > 0 else 0))
+
+    def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        try:
+            self._sock.close()
+        except OSError:
+            pass
+
+    # -- internals -------------------------------------------------------------
+
+    def _finish(self, buffer: bytearray, received: int) -> None:
+        """Complete a short read: a signal, a peer mid-write, or a read timeout."""
+        view = memoryview(buffer)
+        while received < len(buffer):
+            chunk = self._sock.recv_into(view[received:])
+            if not chunk:
+                raise EOFError("peer closed the connection")
+            received += chunk
+
+
 class PipeTransport(Transport):
     """Adapter over a ``multiprocessing`` duplex pipe ``Connection``.
 
-    ``Connection`` already exposes the exact four methods with the exact
-    semantics the interface requires, so every call is a plain delegation --
-    the bytes on the pipe are identical to the pre-Transport serving tier.
+    Kept for the harness's pipe echo only; every call is a plain delegation.
     """
 
     def __init__(self, connection: Any):
@@ -85,129 +163,8 @@ class PipeTransport(Transport):
             pass
 
 
-class SocketTransport(Transport):
-    """Length-prefixed message framing over one TCP connection.
-
-    Build with :meth:`connect` on the dialing side (keeps the peer address,
-    enabling the reconnect-once retry) or wrap an accepted socket directly on
-    the listening side (no peer to redial; failures propagate immediately).
-    """
-
-    def __init__(
-        self,
-        sock: socket.socket,
-        peer: Optional[Tuple[str, int]] = None,
-        connect_timeout: float = 5.0,
-        read_timeout: Optional[float] = None,
-    ):
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(read_timeout)
-        self._sock = sock
-        self._peer = peer
-        self._connect_timeout = connect_timeout
-        self._read_timeout = read_timeout
-        self._buffer = bytearray()
-        self._closed = False
-        self.reconnects = 0
-
-    @classmethod
-    def connect(
-        cls,
-        host: str,
-        port: int,
-        connect_timeout: float = 5.0,
-        read_timeout: Optional[float] = None,
-    ) -> "SocketTransport":
-        """Dial ``host:port`` with a bounded handshake.
-
-        ``read_timeout`` bounds every subsequent blocking socket operation
-        (a ``recv`` stalled mid-frame, a wedged ``sendall``): a peer that
-        goes silent *inside* a frame cannot hang the caller past it.  The
-        dialing cluster always polls (with its own deadline) before reading,
-        so the timeout never fires on legitimate idle -- leave it ``None``
-        on the listening side, where blocking idle between requests is the
-        normal state.
-        """
-        sock = socket.create_connection((host, port), timeout=connect_timeout)
-        return cls(
-            sock,
-            peer=(host, port),
-            connect_timeout=connect_timeout,
-            read_timeout=read_timeout,
-        )
-
-    # -- Transport interface ---------------------------------------------------
-
-    def send_bytes(self, data: bytes) -> None:
-        if self._closed:
-            raise OSError("transport is closed")
-        frame = frame_payload(data)
-        try:
-            self._sock.sendall(frame)
-        except OSError:
-            # Reconnect-once: redial the peer a single time, then give up.
-            if not self._try_reconnect():
-                raise
-            self._sock.sendall(frame)
-
-    def recv_bytes(self) -> bytes:
-        header = self._read_exact(FRAME_HEADER_BYTES)
-        return self._read_exact(frame_length(header))
-
-    def poll(self, timeout: float = 0.0) -> bool:
-        if self._closed:
-            raise OSError("transport is closed")
-        if self._buffer:
-            return True
-        ready, _, _ = select.select([self._sock], [], [], max(0.0, timeout))
-        return bool(ready)
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    # -- internals -------------------------------------------------------------
-
-    def _read_exact(self, count: int) -> bytes:
-        while len(self._buffer) < count:
-            try:
-                chunk = self._sock.recv(65536)
-            except ConnectionError:
-                raise EOFError("connection reset by peer") from None
-            if not chunk:
-                raise EOFError("peer closed the connection")
-            self._buffer.extend(chunk)
-        out = bytes(self._buffer[:count])
-        del self._buffer[:count]
-        return out
-
-    def _try_reconnect(self) -> bool:
-        """Redial the peer once; any in-flight frame on the old socket is lost."""
-        if self._peer is None or self._closed:
-            return False
-        try:
-            sock = socket.create_connection(self._peer, timeout=self._connect_timeout)
-        except OSError:
-            return False
-        sock.settimeout(self._read_timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        self._sock = sock
-        self._buffer.clear()
-        self.reconnects += 1
-        return True
-
-
 class SocketListener:
-    """Worker-side acceptor: bind a TCP port, accept cluster connections."""
+    """Bind a TCP port and accept connections (the harness's socket echo only)."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, backlog: int = 4):
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)

@@ -202,23 +202,24 @@ class ShardRouter:
 
     def acquire(self, plan_id: str) -> str:
         """Pick the least-in-flight placed worker; shed when all are saturated."""
-        if plan_id not in self._placements:
-            raise KeyError(f"plan {plan_id!r} has no placement (register it first)")
         with self._lock:
-            candidates = self._placements[plan_id]
-            if not candidates:
-                raise WorkerFailedError(None, plan_id, "every placed worker was evicted")
-            loads = {worker: self._inflight[worker] for worker in candidates}
-            eligible = [
-                worker
-                for worker in candidates
-                if self._inflight[worker] < self.max_inflight_per_worker
-            ]
-            if not eligible:
+            candidates = self._placements.get(plan_id)
+            if candidates is None:
+                raise KeyError(f"plan {plan_id!r} has no placement (register it first)")
+            inflight = self._inflight
+            chosen = None
+            least = self.max_inflight_per_worker
+            for worker in candidates:
+                load = inflight[worker]
+                if load < least or (load == least and chosen is not None and worker < chosen):
+                    chosen, least = worker, load
+            if chosen is None:
+                if not candidates:
+                    raise WorkerFailedError(None, plan_id, "every placed worker was evicted")
                 self._shed_total.inc()
+                loads = {worker: inflight[worker] for worker in candidates}
                 raise BackpressureError(plan_id, loads, self.max_inflight_per_worker)
-            chosen = min(eligible, key=lambda worker: (self._inflight[worker], worker))
-            self._inflight[chosen] += 1
+            inflight[chosen] = least + 1
             self._dispatched_total.inc()
             return chosen
 

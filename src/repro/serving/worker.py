@@ -1,30 +1,34 @@
 """A serving worker: one process hosting a full PretzelRuntime.
 
 Each worker owns a complete white-box runtime -- Object Store, stage
-batching, reservations, vector pools, telemetry -- and serves a message loop
-over a :class:`~repro.serving.control.transport.Transport`.  The loop only
-ever touches the Transport interface (``send_bytes`` / ``recv_bytes`` /
-``poll`` / ``close``), so the same worker serves a ``multiprocessing`` duplex
-pipe (:class:`~repro.serving.control.transport.PipeTransport`, the cluster's
-default), a cluster-dialed TCP connection, or a standalone ``--listen``
-socket a remote cluster attaches to.  The wire has two formats (see
-:mod:`repro.net`).  The *control plane* is the JSON envelope of
-:func:`repro.net.serialize_message` / :func:`repro.net.deserialize_message`,
-the same wire format every front-end in this repository models; it carries
-every control message, every predict whose records do not conform to the
-plan's schema and every reply that is not all floats.  Pickled model
-payloads travel base64-encoded inside it, and by reference where they can:
-each big trained value the worker's Object Store already holds (a shared
-n-gram vocabulary) is pickled as its store key, and the worker resolves
-that key to the very object it holds -- no copy, no re-hash
-(:func:`model_references`, :meth:`ServingWorker._handle_register`).  A key
-the store lacks is answered as missing, and the model is resent fully inline.
-The *data plane* carries the predicts whose records conform to their plan's
-input schema -- derived at registration, on both ends, from the same
-pipeline -- as fixed-layout binary frames with no JSON and no key names in
-either direction (:func:`repro.net.encode_predict`); they decode into the
-very message dict the envelope would have carried and go through the same
-handler, replay cache and spans.
+batching, reservations, vector pools, telemetry -- and serves its cluster
+over one :class:`~repro.serving.control.transport.SocketTransport`: its end
+of the ``socketpair()`` the cluster created before forking it.  The serve
+loop (:func:`_serve`) only touches the Transport interface (``send_bytes``
+/ ``recv_bytes`` / ``poll`` / ``close``), so tests drive it over any fake
+channel.  The wire has two formats (see :mod:`repro.net`):
+
+* the *data plane* carries the predicts whose records conform to their
+  plan's input schema -- derived at registration, on both ends, from the
+  same pipeline -- as fixed-layout ``PZF1`` frames with no JSON and no key
+  names.  The loop takes them down a straight line: the frame unpacks into
+  ``(plan_id, records, flags, trace)`` (:func:`repro.net.unpack_predict_frame`),
+  :meth:`ServingWorker.predict` serves them and the outputs go back as a
+  ``PZR2`` reply frame (:func:`repro.net.encode_reply_frame`), or on the
+  envelope when they are not all floats;
+* the *control plane* is the JSON envelope of
+  :func:`repro.net.serialize_message`: every control message and every
+  predict whose records do not conform.  An envelope message is dispatched
+  by :meth:`ServingWorker.handle`, and its predict reaches the same
+  :meth:`ServingWorker.predict`.
+
+Pickled model payloads travel base64-encoded inside the envelope, and by
+reference where they can: each big trained value the worker's Object Store
+already holds (a shared n-gram vocabulary) is pickled as its store key, and
+the worker resolves that key to the very object it holds -- no copy, no
+re-hash (:func:`model_references`, :meth:`ServingWorker._handle_register`).
+A key the store lacks is answered as missing, and the model is resent fully
+inline.
 
 Parameter sharing survives the process boundary: when the cluster runs a
 :class:`~repro.serving.shm_store.SharedMemoryArena`, the worker attaches an
@@ -68,20 +72,10 @@ Failures are replies, not crashes: any handler exception -- and any payload
 that does not even decode into a message -- is reported as
 ``{"ok": false, "error": ..., "error_type": ...}`` and the loop keeps
 serving, so one bad request cannot take a shard down.
-
-Standalone (multi-host) mode::
-
-    python -m repro.serving.worker --listen 0.0.0.0:7733 --worker-id remote-0
-
-binds a :class:`~repro.serving.control.transport.SocketListener` and serves
-one cluster connection at a time (re-accepting after a drop, which is what
-makes the cluster side's reconnect-once retry work) until a ``shutdown``
-message arrives.
 """
 
 from __future__ import annotations
 
-import argparse
 import base64
 import io
 import pickle
@@ -95,29 +89,26 @@ from repro.core.config import PretzelConfig
 from repro.core.flour import flour_from_pipeline
 from repro.core.runtime import PretzelRuntime
 from repro.net import (
+    FLAG_LATENCY_SENSITIVE,
     PREDICT_FRAME_MAGIC,
     FrameSchema,
-    decode_predict_frame,
     deserialize_message,
     encode_reply_frame,
     frame_schema,
-    parse_host_port,
     serialize_message,
+    unpack_predict_frame,
 )
 from repro.operators.base import _PARAMETER_MEMO_MIN_BYTES, Parameter, known_parameters
-from repro.serving.control.transport import PipeTransport, SocketListener, Transport
+from repro.serving.control.transport import SocketTransport, Transport
 from repro.serving.shm_store import ArenaClient, ArenaRef
 
 __all__ = [
     "ServingWorker",
     "worker_main",
-    "socket_worker_main",
-    "listen_and_serve",
     "encode_model",
     "decode_model",
     "model_references",
     "input_frame_schema",
-    "main",
 ]
 
 
@@ -243,15 +234,6 @@ class ServingWorker:
         self.predict_seconds = observability.registry().histogram(
             "pretzel_worker_predict_seconds"
         )
-        #: (msg_id, encoded reply) of the last request served.  The socket
-        #: transport's reconnect-once retry *resends* the in-flight frame, so
-        #: a worker that already processed it (the drop happened after
-        #: delivery) would otherwise execute a non-idempotent message -- e.g.
-        #: a register -- twice.  Replaying the cached reply makes the resend
-        #: exactly-once from the cluster's point of view.  It survives across
-        #: connections on purpose: the duplicate arrives on the re-accepted
-        #: connection.
-        self.last_reply: Optional[Tuple[Any, bytes]] = None
         #: plan id -> the plan's compiled input schema (None: no schema, its
         #: predicts arrive on the envelope); set at registration
         #: (:func:`input_frame_schema`) and dropped with the plan.
@@ -271,22 +253,81 @@ class ServingWorker:
 
     # -- handlers ------------------------------------------------------------
 
-    def decode(self, payload: bytes) -> Dict[str, Any]:
-        """One received payload as a message dict, whichever plane it rode.
+    def serve_frame(self, payload: bytes) -> bytes:
+        """Answer one ``PZF1`` request frame: the straight-line predict path.
 
-        A data-plane predict frame decodes (against its plan's schema) into
-        the same dict the envelope would have carried, so both planes share
-        :meth:`handle`.  Raises on anything that is not a message -- an
-        undecodable payload, a JSON value that is not an object, a malformed
-        or mis-addressed frame; the serve loop answers those with
-        :meth:`failure` and keeps serving.
+        The frame unpacks into the predict's arguments and never becomes a
+        message dict.  A frame that does not unpack -- malformed, or
+        mis-addressed to a plan or schema this worker lacks -- and a predict
+        that raises get the typed ``ok: false`` envelope reply, addressed
+        whenever the frame's msg id could be read.
         """
-        if payload.startswith(PREDICT_FRAME_MAGIC):
-            return decode_predict_frame(payload, self._schema_of)
-        message = deserialize_message(payload)
-        if not isinstance(message, dict):
-            raise TypeError(f"a message is a JSON object, not {type(message).__name__}")
-        return message
+        started = time.perf_counter()
+        try:
+            msg_id, plan_id, records, flags, wire = unpack_predict_frame(
+                payload, self._schema_of
+            )
+        except Exception as error:  # noqa: BLE001 - no payload may end the loop
+            return self._encode(self.failure(getattr(error, "msg_id", None), error))
+        trace = None
+        if wire is not None:
+            trace = observability.TraceContext.from_wire(wire)
+            _span(trace, "worker.receive", time.perf_counter() - started, len(payload))
+        try:
+            outputs = self.predict(plan_id, records, bool(flags & FLAG_LATENCY_SENSITIVE), trace)
+        except Exception as error:  # noqa: BLE001 - reported to the caller
+            reply = self.failure(msg_id, error)
+        else:
+            reply = {"outputs": outputs, "msg_id": msg_id, "ok": True, "worker_id": self.worker_id}
+        return self._encode(reply, trace, payload)
+
+    def serve_envelope(self, payload: bytes) -> Tuple[bytes, Any]:
+        """Answer one JSON envelope message: ``(reply bytes, message type)``.
+
+        A payload that is not a JSON object gets the typed ``ok: false``
+        reply (and no type), instead of ending the loop.
+        """
+        started = time.perf_counter()
+        try:
+            message = deserialize_message(payload)
+            if not isinstance(message, dict):
+                raise TypeError(f"a message is a JSON object, not {type(message).__name__}")
+        except Exception as error:  # noqa: BLE001 - no payload may end the loop
+            return self._encode(self.failure(None, error)), None
+        trace = observability.TraceContext.from_wire(message.get("trace"))
+        if trace is not None:
+            _span(trace, "worker.receive", time.perf_counter() - started, len(payload))
+        return self._encode(self.handle(message), trace), message.get("type")
+
+    def _encode(
+        self,
+        reply: Dict[str, Any],
+        trace: Optional[observability.TraceContext] = None,
+        request: Optional[bytes] = None,
+    ) -> bytes:
+        """A reply's bytes: a reply frame when it answers a request frame and
+        fits one, else the envelope."""
+        started = time.perf_counter()
+        encoded = encode_reply_frame(request, reply) if request is not None else None
+        if encoded is None:
+            try:
+                encoded = serialize_message(reply)
+            except TypeError as error:
+                # A handler produced a non-JSON-able value (e.g. a plan whose
+                # sink emits a custom object); report instead of crashing.
+                self.failed_total.inc()
+                encoded = serialize_message(
+                    {
+                        "msg_id": reply.get("msg_id"),
+                        "ok": False,
+                        "worker_id": self.worker_id,
+                        "error": f"reply not serializable: {error}",
+                        "error_type": "TypeError",
+                    }
+                )
+        if trace is not None:
+            _span(trace, "reply.encode", time.perf_counter() - started, len(encoded))
+        return encoded
 
     def _schema_of(self, plan_id: str) -> Optional[FrameSchema]:
         try:
@@ -397,30 +438,47 @@ class ServingWorker:
         }
 
     def _handle_predict(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        plan_id = message["plan_id"]
-        records = message["records"]
-        registered = self.runtime.registered(plan_id)
         # The cluster's sampling decision rides the envelope: rebuild the
         # context (None when unsampled) so worker-side spans join the trace
-        # the front door started.  A batch-engine call traces its one group
-        # (a span per stage); the request-response loop traces its first record.
-        trace = observability.TraceContext.from_wire(message.get("trace"))
+        # the front door started.
+        outputs = self.predict(
+            message["plan_id"],
+            message["records"],
+            bool(message.get("latency_sensitive", False)),
+            observability.TraceContext.from_wire(message.get("trace")),
+        )
+        return {"outputs": outputs}
+
+    def predict(
+        self,
+        plan_id: str,
+        records: List[Any],
+        latency_sensitive: bool = False,
+        trace: Optional[observability.TraceContext] = None,
+    ) -> List[Any]:
+        """Serve one predict request: the one predict path of both planes.
+
+        A multi-record call on a batch-engine plan runs as one
+        ``predict_batch`` group (a span per stage when traced); anything
+        else runs the request-response engine record by record, tracing the
+        first.
+        """
         started = time.perf_counter()
-        if registered.engine == "batch" and len(records) > 1:
-            outputs = self.runtime.predict_batch(
-                plan_id,
-                records,
-                latency_sensitive=bool(message.get("latency_sensitive", False)),
-                trace=trace,
+        runtime = self.runtime
+        if len(records) == 1:
+            outputs = [runtime.predict(plan_id, records[0], trace=trace)]
+        elif runtime.registered(plan_id).engine == "batch":
+            outputs = runtime.predict_batch(
+                plan_id, records, latency_sensitive=latency_sensitive, trace=trace
             )
         else:
             outputs = [
-                self.runtime.predict(plan_id, record, trace=trace if index == 0 else None)
+                runtime.predict(plan_id, record, trace=trace if index == 0 else None)
                 for index, record in enumerate(records)
             ]
         self.predict_seconds.observe(time.perf_counter() - started)
         self.predictions_total.inc(len(records))
-        return {"outputs": outputs}
+        return outputs
 
     def _handle_memory(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """Footprint probe: just the number, not the full stats payload."""
@@ -459,104 +517,48 @@ class ServingWorker:
             self.arena.close()
 
 
+def _span(trace: observability.TraceContext, name: str, seconds: float, size: int) -> None:
+    """One worker-side wire span of a sampled request (``size`` bytes)."""
+    observability.tracer().record(
+        trace.trace_id,
+        name,
+        seconds,
+        parent_span_id=trace.parent_span_id,
+        attributes={"bytes": size},
+    )
+
+
 def _serve(worker: ServingWorker, transport: Transport) -> str:
-    """Serve one connection until shutdown or peer close.
+    """Serve the channel until a shutdown message or the peer's close.
 
     Returns ``"shutdown"`` when a shutdown message ended the loop and
-    ``"eof"`` when the peer dropped the connection (a listening worker then
-    re-accepts, which is what the cluster's reconnect-once retry relies on).
+    ``"eof"`` when the peer dropped the channel.
     """
     while True:
         try:
             payload = transport.recv_bytes()
         except (EOFError, OSError):
             return "eof"
-        decode_started = time.perf_counter()
-        reply = None
-        try:
-            message = worker.decode(payload)
-        except Exception as error:  # noqa: BLE001 - no payload may end the loop
-            # Not a message at all (or a frame this worker cannot read): a
-            # typed reply -- addressed, when the frame header got that far --
-            # instead of the death of the process hosting every plan.
-            reply = worker.failure(getattr(error, "msg_id", None), error)
-            message = {"msg_id": reply["msg_id"]}
-        decode_seconds = time.perf_counter() - decode_started
-        msg_id = message.get("msg_id")
-        cached = worker.last_reply
-        if msg_id is not None and cached is not None and cached[0] == msg_id:
-            # A transport-level resend of a message this worker already
-            # processed (the connection dropped after delivery): replay the
-            # recorded reply instead of executing the handler twice.  No
-            # spans or counters either -- the first delivery recorded them;
-            # recording again would double-count the request in every view.
-            encoded = cached[1]
+        if payload.startswith(PREDICT_FRAME_MAGIC):
+            encoded, kind = worker.serve_frame(payload), "predict"
         else:
-            trace = observability.TraceContext.from_wire(message.get("trace"))
-            if trace is not None:
-                observability.tracer().record(
-                    trace.trace_id,
-                    "worker.receive",
-                    decode_seconds,
-                    parent_span_id=trace.parent_span_id,
-                    attributes={"bytes": len(payload)},
-                )
-            if reply is None:
-                reply = worker.handle(message)
-            encode_started = time.perf_counter()
-            try:
-                # A frame is answered with a frame when the reply fits one.
-                encoded = (
-                    encode_reply_frame(payload, reply)
-                    if payload.startswith(PREDICT_FRAME_MAGIC)
-                    else None
-                ) or serialize_message(reply)
-            except TypeError as error:
-                # A handler produced a non-JSON-able value (e.g. a plan whose
-                # sink emits a custom object); report instead of crashing.
-                worker.failed_total.inc()
-                encoded = serialize_message(
-                    {
-                        "msg_id": msg_id,
-                        "ok": False,
-                        "worker_id": worker.worker_id,
-                        "error": f"reply not serializable: {error}",
-                        "error_type": "TypeError",
-                    }
-                )
-            if trace is not None:
-                observability.tracer().record(
-                    trace.trace_id,
-                    "reply.encode",
-                    time.perf_counter() - encode_started,
-                    parent_span_id=trace.parent_span_id,
-                    attributes={"bytes": len(encoded)},
-                )
-            if msg_id is not None:
-                worker.last_reply = (msg_id, encoded)
+            encoded, kind = worker.serve_envelope(payload)
         try:
             transport.send_bytes(encoded)
         except OSError:
             return "eof"
-        if message.get("type") == "shutdown":
+        if kind == "shutdown":
             return "shutdown"
 
 
 def worker_main(
     worker_id: str,
-    connection: Any,
+    channel: socket.socket,
     config: PretzelConfig,
     arena_segment: Optional[str],
 ) -> None:
-    """Process entry point: serve one connection until shutdown/EOF.
-
-    ``connection`` is either a :class:`Transport` or a raw ``multiprocessing``
-    ``Connection`` (wrapped in a :class:`PipeTransport`, byte-identically to
-    the pre-control-plane tier).
-    """
-    transport = (
-        connection if isinstance(connection, Transport) else PipeTransport(connection)
-    )
+    """Process entry point: serve the cluster's socketpair end until shutdown/EOF."""
+    transport = SocketTransport(channel)
     # Fork barrier: a forked worker inherits the cluster's span buffer and
     # instrument values; zero both and take this worker's identity before
     # anything is recorded, or every parent-side span would report twice.
@@ -567,90 +569,3 @@ def worker_main(
     finally:
         worker.close()
         transport.close()
-
-
-def listen_and_serve(
-    worker: ServingWorker,
-    listener: SocketListener,
-    accept_timeout: Optional[float] = None,
-) -> None:
-    """Accept cluster connections one at a time until a shutdown message.
-
-    A dropped connection sends the loop back to ``accept`` instead of
-    exiting, so a cluster-side reconnect (the transport's reconnect-once
-    semantics) finds the worker -- with all its registered plans -- intact.
-    """
-    try:
-        while True:
-            try:
-                transport = listener.accept(timeout=accept_timeout)
-            except (socket.timeout, OSError):
-                break
-            try:
-                outcome = _serve(worker, transport)
-            finally:
-                transport.close()
-            if outcome == "shutdown":
-                break
-    finally:
-        worker.close()
-        listener.close()
-
-
-def socket_worker_main(
-    worker_id: str,
-    bootstrap: Any,
-    config: PretzelConfig,
-    arena_segment: Optional[str],
-    host: str = "127.0.0.1",
-) -> None:
-    """Process entry point for a cluster-spawned *socket* worker.
-
-    Binds an ephemeral port, reports it back over the one-shot ``bootstrap``
-    pipe (the only pipe traffic a socket worker ever sees), then serves TCP.
-    """
-    listener = SocketListener(host=host, port=0)
-    try:
-        bootstrap.send_bytes(serialize_message({"port": listener.port, "host": host}))
-    finally:
-        bootstrap.close()
-    observability.attach_process(worker_id)  # fork barrier, as in worker_main
-    worker = ServingWorker(worker_id, config=config, arena_segment=arena_segment)
-    listen_and_serve(worker, listener)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI: run a standalone listening worker a remote cluster can attach to."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serving.worker",
-        description="Serve a PretzelRuntime worker over a listening TCP socket.",
-    )
-    parser.add_argument(
-        "--listen",
-        required=True,
-        metavar="HOST:PORT",
-        help="address to bind (PORT 0 picks an ephemeral port)",
-    )
-    parser.add_argument("--worker-id", default="worker-listen", help="worker id for telemetry")
-    parser.add_argument(
-        "--arena",
-        default=None,
-        metavar="SEGMENT",
-        help="shared-memory arena segment to attach (same-host clusters only)",
-    )
-    args = parser.parse_args(argv)
-    try:
-        host, port = parse_host_port(args.listen)
-    except ValueError:
-        parser.error("--listen must be HOST:PORT")
-    listener = SocketListener(host=host, port=port)
-    bound_host, bound_port = listener.address
-    print(f"pretzel worker {args.worker_id!r} listening on {bound_host}:{bound_port}", flush=True)
-    observability.attach_process(args.worker_id)
-    worker = ServingWorker(args.worker_id, config=PretzelConfig(), arena_segment=args.arena)
-    listen_and_serve(worker, listener)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -29,6 +29,7 @@ DELETED_FIELDS = (
     "vector_pool_entries",
     "arena_eviction_policy",
     "mp_start_method",
+    "transport",
 )
 
 FIELDS = [field.name for field in dataclasses.fields(PretzelConfig)]
@@ -51,7 +52,7 @@ def test_deleted_field_is_rejected(name):
 
 
 def test_field_count():
-    assert len(FIELDS) == 20
+    assert len(FIELDS) == 19
 
 
 @pytest.mark.parametrize("name", FIELDS)

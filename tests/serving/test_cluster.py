@@ -45,6 +45,7 @@ def test_smoke_two_workers_two_plans_hundred_predictions(sa_pipeline, sa_pipelin
         assert stats["served_predictions"] >= 100
         assert stats["shed"] == 0
         assert stats["plans"] == 2
+        assert stats["control_plane"]["failovers"] == 0
     # Shutdown is clean and idempotent; the facade then refuses to serve.
     cluster.shutdown()
     with pytest.raises(RuntimeError):
@@ -200,39 +201,11 @@ def test_admission_control_sheds_under_overload(sa_pipeline, sa_inputs):
         )
 
 
-# -- control plane: transports, fail-over, lifecycle ---------------------------
+# -- control plane: fail-over, lifecycle ---------------------------
 
 
-def test_socket_transport_serves_the_smoke_workload(
-    sa_pipeline, sa_pipeline_variant, sa_inputs
-):
-    """The serving-smoke scenario over TCP: a 2-worker socket cluster serves
-    100 predictions bit-equal to the single-process runtime."""
-    config = _config(transport="socket")
-    with PretzelRuntime(PretzelConfig()) as runtime, PretzelCluster(config) as cluster:
-        reference = {
-            "a": runtime.register(sa_pipeline, plan_id="a"),
-            "b": runtime.register(sa_pipeline_variant, plan_id="b"),
-        }
-        assert cluster.register(sa_pipeline, plan_id="a") == "a"
-        assert cluster.register(sa_pipeline_variant, plan_id="b") == "b"
-        served = 0
-        while served < 100:
-            for plan_id in ("a", "b"):
-                record = sa_inputs[served % len(sa_inputs)]
-                assert cluster.predict(plan_id, record) == pytest.approx(
-                    runtime.predict(reference[plan_id], record)
-                )
-                served += 1
-        stats = cluster.stats()
-        assert stats["served_predictions"] >= 100
-        assert stats["shed"] == 0
-        assert stats["control_plane"]["transport"] == "socket"
-        assert stats["control_plane"]["failovers"] == 0
-
-
-def test_batch_path_smoke_binary_frames_over_socket(ac_pipeline):
-    """The batch-path-smoke scenario: a 2-worker socket cluster serves a
+def test_batch_path_smoke_binary_frames(ac_pipeline):
+    """The batch-path-smoke scenario: a 2-worker cluster serves a
     500-record ``predict_batch`` of structured numeric records, the records
     travel as one ``PZF1`` request frame and the outputs as one ``PZR2``
     reply frame, and every output matches the single-process oracle
@@ -240,7 +213,7 @@ def test_batch_path_smoke_binary_frames_over_socket(ac_pipeline):
     from repro.workloads.events_data import generate_events
 
     records = generate_events(n_events=500, seed=123).records
-    config = _config(transport="socket")
+    config = _config()
     with PretzelRuntime(PretzelConfig()) as runtime, PretzelCluster(config) as cluster:
         reference = runtime.register(ac_pipeline)
         plan_id = cluster.register(ac_pipeline)
@@ -262,15 +235,14 @@ def test_batch_path_smoke_binary_frames_over_socket(ac_pipeline):
         assert cluster.stats()["shed"] == 0
 
 
-def test_socket_failover_zero_lost_requests(sa_pipeline, sa_inputs):
+def test_failover_zero_lost_requests(sa_pipeline, sa_inputs):
     """The acceptance scenario (and the CI failover-smoke job): 4 clients
-    stream predictions over SocketTransport while one worker is killed
-    mid-stream; every request completes via typed-retryable errors and the
-    fail-over is counted in the control-plane stats."""
+    stream predictions while one worker is killed mid-stream; every request
+    completes via typed-retryable errors and the fail-over is counted in the
+    control-plane stats."""
     from repro.serving import WorkerFailedError
 
     config = _config(
-        transport="socket",
         heartbeat_interval_seconds=0.2,
         worker_timeout_seconds=30.0,
     )
@@ -512,11 +484,6 @@ def test_unregistering_an_overflowed_plan_leaves_the_resident_plan_intact(
             sa_pipeline_variant.predict(sa_inputs[0])
         )
 
-def test_unknown_transport_rejected():
-    with pytest.raises(ValueError):
-        PretzelCluster(_config(transport="carrier-pigeon"))
-
-
 def test_no_thread_is_alive_at_worker_spawn(monkeypatch, sa_pipeline, sa_inputs):
     """A thread alive at fork() leaves the child's interpreter state
     undefined.  A default runtime serving inline starts no thread, so a
@@ -595,9 +562,7 @@ def test_failed_registration_rolls_back_arena_slabs(sa_pipeline, sa_pipeline_var
 
 
 def test_msg_ids_are_unique_per_cluster_generation(sa_pipeline):
-    """A standalone --listen worker outlives its cluster and replays cached
-    replies for repeated msg_ids, so two cluster generations must never
-    produce colliding ids."""
+    """Two cluster generations never produce colliding msg ids."""
     with PretzelCluster(_config(num_workers=1, shm_budget_bytes=0)) as first:
         first_message = first._message("ping")
         assert first_message["msg_id"].startswith(f"{first._msg_prefix}:")
@@ -606,31 +571,15 @@ def test_msg_ids_are_unique_per_cluster_generation(sa_pipeline):
             assert second._message("ping")["msg_id"] != first_message["msg_id"]
 
 
-def test_teardown_guard_blocks_free_for_evicted_attached_workers():
-    """An attached worker evicted on connection loss may still be running
-    (and mapping slabs): the reclamation guard must refuse the free, while a
-    spawned worker whose process was terminated proves its mappings gone."""
-    from repro.serving.cluster import _WorkerHandle
-    from repro.serving.control.transport import PipeTransport
-
+def test_teardown_guard_skips_evicted_workers():
+    """A worker evicted from the membership was terminated by the eviction,
+    so its mappings died with the process: the reclamation guard skips it,
+    and skips ids it never saw."""
     with PretzelCluster(_config(num_workers=1, shm_budget_bytes=0)) as cluster:
-        # Evicted *attached* worker (process is None): unknown liveness.
-        import multiprocessing
-
-        left, _right = multiprocessing.Pipe(duplex=True)
-        cluster._evicted_handles["ghost-attached"] = _WorkerHandle(
-            "ghost-attached", None, PipeTransport(left)
-        )
-        assert cluster._teardown_on_workers(
-            ["ghost-attached"], "unregister", plan_id="x", drop_checksums=[]
-        ) is False
-        # Evicted *spawned* worker: its process died with its mappings.
-        spawned = cluster._workers["worker-0"]
-        cluster._evicted_handles["ghost-spawned"] = spawned
+        cluster._evicted_handles["ghost-spawned"] = cluster._workers["worker-0"]
         assert cluster._teardown_on_workers(
             ["ghost-spawned"], "unregister", plan_id="x", drop_checksums=[]
         ) is True
-        # Unknown workers (never seen) are simply skipped.
         assert cluster._teardown_on_workers(
             ["never-existed"], "unregister", plan_id="x", drop_checksums=[]
         ) is True
@@ -657,17 +606,16 @@ def _frame_bytes(plan_id, records, schema):
     return len(frame)
 
 
-@pytest.mark.parametrize("transport", ["pipe", "socket"])
 def test_predicts_travel_as_frames_bit_equal_to_one_process(
-    transport, ac_pipeline, ac_inputs, sa_pipeline, sa_inputs
+    ac_pipeline, ac_inputs, sa_pipeline, sa_inputs
 ):
-    """AC (dict records) and SA (text) predicts ride data-plane frames over
-    both transports: outputs bit-equal to a single-process runtime, every
-    message counted as binary, and the wire bytes are exactly the frames'."""
+    """AC (dict records) and SA (text) predicts ride data-plane frames:
+    outputs bit-equal to a single-process runtime, every message counted as
+    binary, and the wire bytes are exactly the frames'."""
     from repro.serving.worker import input_frame_schema
 
     # untraced: a sampled request's header is 32 bytes (its trace context) longer
-    config = _config(transport=transport, enable_tracing=False)
+    config = _config(enable_tracing=False)
     with PretzelRuntime(PretzelConfig()) as runtime, PretzelCluster(config) as cluster:
         for plan_id, pipeline, inputs in (("ac", ac_pipeline, ac_inputs), ("sa", sa_pipeline, sa_inputs)):
             runtime.register(pipeline, plan_id=plan_id)
@@ -695,8 +643,7 @@ def test_predicts_travel_as_frames_bit_equal_to_one_process(
         assert _frame_bytes("ac", ac_inputs[:1], input_frame_schema(ac_pipeline)) < 400
 
 
-@pytest.mark.parametrize("transport", ["pipe", "socket"])
-def test_non_conforming_records_fall_back_to_the_envelope(transport, ac_pipeline, ac_inputs):
+def test_non_conforming_records_fall_back_to_the_envelope(ac_pipeline, ac_inputs):
     """A record a frame cannot carry (an int value, a None, an extra key, a
     missing key) rides the plain JSON envelope and is served exactly as the
     single-process runtime serves it."""
@@ -706,7 +653,7 @@ def test_non_conforming_records_fall_back_to_the_envelope(transport, ac_pipeline
         {**ac_inputs[1], "unheard-of": 1.0},
         {key: value for key, value in ac_inputs[2].items() if key != "f7"},
     ]
-    config = _config(transport=transport)
+    config = _config()
     with PretzelRuntime(PretzelConfig()) as runtime, PretzelCluster(config) as cluster:
         runtime.register(ac_pipeline, plan_id="ac")
         cluster.register(ac_pipeline, plan_id="ac")
@@ -730,10 +677,7 @@ def test_non_conforming_records_fall_back_to_the_envelope(transport, ac_pipeline
         assert after["bytes_sent"] - wire["bytes_sent"] < 450
 
 
-@pytest.mark.parametrize("transport", ["pipe", "socket"])
-def test_a_record_keyed_like_a_vector_is_served_as_a_plain_record(
-    transport, ac_pipeline, ac_inputs
-):
+def test_a_record_keyed_like_a_vector_is_served_as_a_plain_record(ac_pipeline, ac_inputs):
     """Only replies rebuild vectors: a non-conforming record that happens to
     carry a vector's tag key reaches the plan as the dict it was."""
     records = [
@@ -741,9 +685,7 @@ def test_a_record_keyed_like_a_vector_is_served_as_a_plain_record(
         {**ac_inputs[1], "__vector__": "no such form"},
         {"__vector__": "sparse", "size": 3, "indices": [0], "values": [1.0]},
     ]
-    with PretzelRuntime(PretzelConfig()) as runtime, PretzelCluster(
-        _config(transport=transport)
-    ) as cluster:
+    with PretzelRuntime(PretzelConfig()) as runtime, PretzelCluster(_config()) as cluster:
         runtime.register(ac_pipeline, plan_id="ac")
         cluster.register(ac_pipeline, plan_id="ac")
         expected = [runtime.predict("ac", record) for record in records]
@@ -751,8 +693,7 @@ def test_a_record_keyed_like_a_vector_is_served_as_a_plain_record(
         assert cluster.predict_batch("ac", records) == expected
 
 
-@pytest.mark.parametrize("transport", ["pipe", "socket"])
-def test_vector_outputs_are_served_equal_to_one_process(transport):
+def test_vector_outputs_are_served_equal_to_one_process():
     """A plan whose sink returns a vector (tree-ensemble class scores) is
     served: its reply rides the JSON envelope and decodes to a vector equal
     to, and of the type of, the one the single-process runtime returns."""
@@ -772,9 +713,7 @@ def test_vector_outputs_are_served_equal_to_one_process(transport):
     pipeline.add("selector", ColumnSelector(["a", "b"]), ["input"])
     pipeline.add("classifier", classifier, ["selector"])
     records = [{"a": float(a), "b": float(b)} for a, b in rng.normal(size=(5, 2))]
-    with PretzelRuntime(PretzelConfig()) as runtime, PretzelCluster(
-        _config(transport=transport)
-    ) as cluster:
+    with PretzelRuntime(PretzelConfig()) as runtime, PretzelCluster(_config()) as cluster:
         runtime.register(pipeline, plan_id="scores")
         cluster.register(pipeline, plan_id="scores")
         expected = [runtime.predict("scores", record) for record in records]
@@ -786,8 +725,7 @@ def test_vector_outputs_are_served_equal_to_one_process(transport):
 
 
 @pytest.mark.parametrize("call", ["predict", "predict_batch"])
-@pytest.mark.parametrize("transport", ["pipe", "socket"])
-def test_json_fallback_keeps_every_float_exact(transport, call, ac_pipeline, ac_inputs):
+def test_json_fallback_keeps_every_float_exact(call, ac_pipeline, ac_inputs):
     """Non-conforming records (an extra key) carrying NaN, +-inf and -0.0
     ride the JSON envelope both ways; the outputs are the single-process
     runtime's to the last bit (``float.hex``, which also tells -0.0 apart).
@@ -815,7 +753,7 @@ def test_json_fallback_keeps_every_float_exact(transport, call, ac_pipeline, ac_
         record["f0"] = specials[offset]
         record["unheard-of"] = specials[offset]
         records.append(record)
-    config = _config(transport=transport)
+    config = _config()
     with PretzelRuntime(PretzelConfig()) as runtime, PretzelCluster(config) as cluster:
         for plan_id, pipeline in (("ac", ac_pipeline), ("linear", linear)):
             runtime.register(pipeline, plan_id=plan_id)

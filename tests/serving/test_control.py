@@ -1,9 +1,7 @@
-"""Tests for the serving control plane: transports, failure detection, lifecycle."""
+"""Tests for the serving control plane: the transport, failure detection, lifecycle."""
 
 import multiprocessing
-import re
-import subprocess
-import sys
+import socket
 import threading
 from types import SimpleNamespace
 
@@ -52,7 +50,88 @@ class TestPipeTransport:
         right.close()
 
 
+def _socketpair():
+    """Both ends of a local socketpair, as the cluster and a worker hold them."""
+    left, right = socket.socketpair()
+    return SocketTransport(left), SocketTransport(right)
+
+
+class TestSocketpairTransport:
+    """The cluster's one channel: both ends of a local socketpair."""
+
+    def test_round_trip_framing_and_poll(self):
+        left, right = _socketpair()
+        try:
+            assert right.poll(0.0) is False
+            payload = serialize_message({"type": "ping", "msg_id": 7})
+            left.send_bytes(payload)
+            assert right.poll(5.0) is True
+            assert right.recv_bytes() == payload
+            # Several messages on one stream stay message-delimited, empty
+            # and large ones (past the kernel's socket buffer) included.
+            big = bytes(range(256)) * 4096
+            messages = [b"m0", b"", big, b"m3"]
+            sender = threading.Thread(target=lambda: [right.send_bytes(m) for m in messages])
+            sender.start()
+            assert [left.recv_bytes() for _ in messages] == messages
+            sender.join(timeout=5.0)
+            assert not sender.is_alive()
+        finally:
+            left.close()
+            right.close()
+
+    def test_peer_close_raises_eof_and_polls_ready(self):
+        left, right = _socketpair()
+        right.close()
+        assert left.poll(1.0) is True  # the hang-up is readable
+        with pytest.raises(EOFError):
+            left.recv_bytes()
+        left.close()
+
+    def test_peer_close_mid_message_raises_eof(self):
+        left_end, right_end = socket.socketpair()
+        transport = SocketTransport(left_end)
+        right_end.sendall(frame_payload(b"whole")[:6])  # header + one byte
+        right_end.close()
+        with pytest.raises(EOFError):
+            transport.recv_bytes()
+        transport.close()
+
+    def test_one_poll_object_per_transport(self, monkeypatch):
+        import select
+
+        built = []
+        real_poll = select.poll
+        monkeypatch.setattr(select, "poll", lambda: built.append(1) or real_poll())
+        left, right = _socketpair()
+        assert len(built) == 2
+        for index in range(20):
+            left.send_bytes(b"%d" % index)
+            assert right.poll(1.0)
+            right.send_bytes(right.recv_bytes())
+            assert left.poll(1.0)
+            assert left.recv_bytes() == b"%d" % index
+        assert len(built) == 2
+        left.close()
+        right.close()
+
+    def test_only_tcp_sockets_get_nodelay(self):
+        left, right = _socketpair()
+        assert left._sock.family == socket.AF_UNIX
+        left.close()
+        right.close()
+        with SocketListener(port=0) as listener:
+            client = SocketTransport.connect("127.0.0.1", listener.port)
+            server = listener.accept(timeout=5.0)
+            for end in (client, server):
+                assert end._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            client.close()
+            server.close()
+
+
 class TestSocketTransport:
+    """The loopback TCP form the benchmark harness's socket echo dials."""
+
     def test_round_trip_framing_and_poll(self):
         with SocketListener(port=0) as listener:
             client = SocketTransport.connect("127.0.0.1", listener.port)
@@ -82,52 +161,6 @@ class TestSocketTransport:
                 client.recv_bytes()
             client.close()
 
-    def test_reconnect_once_redials_the_listener(self):
-        """A dialing-side send over a dropped connection redials exactly once;
-        the listening worker's re-accept loop makes the retry land."""
-        with SocketListener(port=0) as listener:
-            client = SocketTransport.connect("127.0.0.1", listener.port)
-            first = listener.accept(timeout=5.0)
-            client.send_bytes(b"one")
-            assert first.recv_bytes() == b"one"
-            first.close()  # the worker side dropped us
-
-            received = []
-
-            def re_accept():
-                second = listener.accept(timeout=5.0)
-                received.append(second.recv_bytes())
-                second.close()
-
-            acceptor = threading.Thread(target=re_accept)
-            acceptor.start()
-            # The first send may succeed into the kernel buffer of the dead
-            # connection; keep sending until the reconnect engages.
-            for _ in range(50):
-                try:
-                    client.send_bytes(b"two")
-                except OSError:
-                    break
-                if client.reconnects:
-                    break
-            acceptor.join(timeout=5.0)
-            assert client.reconnects == 1
-            assert received and received[-1] == b"two"
-            client.close()
-
-    def test_accepted_socket_has_no_peer_to_redial(self):
-        with SocketListener(port=0) as listener:
-            client = SocketTransport.connect("127.0.0.1", listener.port)
-            server = listener.accept(timeout=5.0)
-            client.close()
-            # Exhaust the kernel buffer until the broken pipe surfaces; the
-            # accepted side must propagate instead of redialing.
-            with pytest.raises(OSError):
-                for _ in range(10000):
-                    server.send_bytes(b"x" * 65536)
-            assert server.reconnects == 0
-            server.close()
-
     def test_send_after_close_rejected(self):
         with SocketListener(port=0) as listener:
             client = SocketTransport.connect("127.0.0.1", listener.port)
@@ -145,52 +178,6 @@ class TestFraming:
     def test_corrupt_header_rejected(self):
         with pytest.raises(ValueError):
             frame_length(b"\xff\xff\xff\xff")
-
-
-def test_listen_mode_cli_serves_a_cluster(sa_pipeline, sa_inputs):
-    """`python -m repro.serving.worker --listen` + `PretzelCluster(attach=...)`:
-    the multi-host path of the transport abstraction."""
-    from repro.core.config import PretzelConfig
-    from repro.serving import PretzelCluster
-
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.serving.worker",
-            "--listen",
-            "127.0.0.1:0",
-            "--worker-id",
-            "remote-0",
-        ],
-        stdout=subprocess.PIPE,
-        text=True,
-    )
-    try:
-        banner = proc.stdout.readline().strip()
-        match = re.search(r"listening on 127\.0\.0\.1:(\d+)$", banner)
-        assert match, banner
-        port = int(match.group(1))
-        config = PretzelConfig(
-            num_workers=1,
-            placement_replicas=2,
-            transport="socket",
-            shm_budget_bytes=0,
-            worker_timeout_seconds=60.0,
-        )
-        with PretzelCluster(config, attach=[f"127.0.0.1:{port}"]) as cluster:
-            assert cluster.worker_ids() == ["worker-0", "worker-attached-0"]
-            plan_id = cluster.register(sa_pipeline)
-            assert set(cluster.placement(plan_id)) == {"worker-0", "worker-attached-0"}
-            for text in sa_inputs[:3]:
-                assert cluster.predict(plan_id, text) == pytest.approx(
-                    sa_pipeline.predict(text)
-                )
-        # Shutdown reached the attached worker over the socket too.
-        assert proc.wait(timeout=30) == 0
-    finally:
-        if proc.poll() is None:
-            proc.kill()
 
 
 # -- failure detection -------------------------------------------------------------
@@ -262,7 +249,8 @@ class _PingHandle:
         self.reply = reply
         self.sent = []
 
-    def try_request(self, message, timeout):
+    def request(self, message, timeout, blocking=True):
+        assert blocking is False  # the heartbeat never waits for a busy channel
         self.sent.append(message)
         return self.reply
 

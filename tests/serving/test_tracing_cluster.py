@@ -1,6 +1,6 @@
-"""End-to-end tracing + metrics over a live multi-process socket cluster.
+"""End-to-end tracing + metrics over a live multi-process cluster.
 
-This is the CI ``tracing-smoke`` scenario: a 2-worker socket cluster with
+This is the CI ``tracing-smoke`` scenario: a 2-worker cluster with
 ``trace_sample_rate=1``, sampled predictions on plans placed on *different*
 workers, and a harvest that must show spans from the cluster process and both
 worker processes stitched into one trace view.
@@ -17,7 +17,6 @@ from repro.serving import PretzelCluster
 def _config(**overrides):
     defaults = dict(
         num_workers=2,
-        transport="socket",
         placement_replicas=1,  # pin each plan to exactly one worker
         shm_budget_bytes=0,
         trace_sample_rate=1,
@@ -178,7 +177,7 @@ def test_traced_frames_keep_the_wire_spans_and_their_byte_counts(ac_pipeline, ac
     context sits in the header), so the stitched tree still shows the wire
     hops -- and their ``bytes`` are the frames', not an envelope's."""
     observability.tracer().clear()
-    with PretzelCluster(_config(transport="pipe")) as cluster:
+    with PretzelCluster(_config()) as cluster:
         cluster.register(ac_pipeline, plan_id=PLAN_ON_WORKER_1)
         before = cluster.wire_stats()
         cluster.predict(PLAN_ON_WORKER_1, ac_inputs[0])

@@ -225,51 +225,6 @@ class TestArenaBackedWorker:
                 worker.close()
 
 
-class TestResendDeduplication:
-    def test_transport_resend_of_processed_message_replays_reply(self, worker, sa_pipeline):
-        """The socket transport's reconnect-once retry resends the in-flight
-        frame; a worker that already processed it must replay the recorded
-        reply instead of executing a non-idempotent handler twice."""
-        import multiprocessing
-        import threading
-
-        from repro.serving.control.transport import PipeTransport
-        from repro.serving.worker import _serve
-
-        parent_end, child_end = multiprocessing.Pipe(duplex=True)
-        parent, child = PipeTransport(parent_end), PipeTransport(child_end)
-        server = threading.Thread(target=_serve, args=(worker, child))
-        server.start()
-        try:
-            message = serialize_message(
-                {
-                    "type": "register",
-                    "msg_id": 41,
-                    "plan_id": "sa",
-                    "model_b64": encode_model(sa_pipeline, None),
-                }
-            )
-            parent.send_bytes(message)
-            first = deserialize_message(parent.recv_bytes())
-            assert first["ok"] and first["plan_id"] == "sa"
-            # The duplicate delivery: same bytes, same msg_id.
-            parent.send_bytes(message)
-            second = deserialize_message(parent.recv_bytes())
-            assert second == first  # replayed, not re-executed
-            assert worker.runtime.plan_ids() == ["sa"]
-            assert worker.failed_requests == 0
-            # A *new* message with a fresh id still executes normally.
-            parent.send_bytes(
-                serialize_message({"type": "memory", "msg_id": 42})
-            )
-            assert deserialize_message(parent.recv_bytes())["ok"]
-        finally:
-            parent.send_bytes(serialize_message({"type": "shutdown", "msg_id": 43}))
-            deserialize_message(parent.recv_bytes())
-            server.join(timeout=10.0)
-            parent.close()
-
-
 class _ScriptedTransport(Transport):
     """A fake channel: hands the serve loop a script of payloads, keeps the replies."""
 
@@ -461,14 +416,16 @@ class TestPredictFrames:
         assert [value.hex() for value in reply["outputs"]] == [value.hex() for value in oracle]
         assert [value.hex() for value in oracle] == ["nan", "inf", "-inf"]
 
-    def test_replayed_frame_is_answered_from_the_reply_cache(self, worker, ac_pipeline, ac_inputs):
+    def test_a_repeated_frame_is_served_again(self, worker, ac_pipeline, ac_inputs):
+        """The loop keeps no reply cache: each delivery of a frame is a
+        predict of its own, answered alike."""
         schema = _register(worker, "ac", ac_pipeline)
         frame = _frame("ac", ac_inputs[:2], schema, seq=11)
         transport = _ScriptedTransport([frame, frame])
         _serve(worker, transport)
         assert transport.sent[0] == transport.sent[1]
         assert transport.sent[0].startswith(REPLY_FRAME_MAGIC)
-        assert worker.served_predictions == 2  # executed once
+        assert worker.served_predictions == 4
 
     def test_non_float_outputs_answer_a_frame_on_the_envelope(self, worker):
         """A plan whose sink emits a vector (class scores), which no reply
