@@ -35,6 +35,14 @@ Reservation-based scheduling (Section 4.2.2, "Reservation-based Scheduling")
 gives a plan a dedicated executor and a private queue, emulating
 container-style isolation while still sharing parameters and physical stages.
 
+**Two drivers.**  The executor threads of
+:class:`repro.core.executors.ExecutorPool` pull from a Scheduler at run
+time.  The virtual-time simulator behind Figures 12-14
+(:func:`repro.simulation.queueing.simulate_stage_scheduler`) is the second
+driver: it submits, pulls with ``next_batch(core, timeout=0.0)`` and reports
+completions on a virtual clock, so the figures' PRETZEL series run this very
+policy.
+
 **Locking.**  Each priority class is one
 :class:`~repro.profiling.locks.ProfiledLock` guarding one
 :class:`ReadyQueue`.  Executors park on a separate sleep condition guarded

@@ -384,10 +384,14 @@ class PretzelCluster:
     def _spawn_worker(self, context: Any, worker_id: str) -> _WorkerHandle:
         arena_name = self.arena.name if self.arena is not None else None
         parent_end, child_end = socket.socketpair()
+        # The fork copies the cluster-side end of this channel and of every
+        # earlier worker's; the worker closes them, so it reads EOF when the
+        # cluster dies without a shutdown.
+        inherited = [parent_end] + [handle.transport.sock for handle in self._workers.values()]
         process = context.Process(
             target=worker_main,
             name=f"pretzel-{worker_id}",
-            args=(worker_id, child_end, self.config, arena_name),
+            args=(worker_id, child_end, self.config, arena_name, inherited),
             daemon=True,
         )
         try:

@@ -76,6 +76,11 @@ class SocketTransport(Transport):
         self._header = bytearray(FRAME_HEADER_BYTES)
         self._closed = False
 
+    @property
+    def sock(self) -> socket.socket:
+        """The wrapped socket (a forked worker closes its inherited copy)."""
+        return self._sock
+
     @classmethod
     def connect(
         cls,

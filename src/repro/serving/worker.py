@@ -556,8 +556,17 @@ def worker_main(
     channel: socket.socket,
     config: PretzelConfig,
     arena_segment: Optional[str],
+    inherited: Sequence[socket.socket] = (),
 ) -> None:
-    """Process entry point: serve the cluster's socketpair end until shutdown/EOF."""
+    """Process entry point: serve the cluster's socketpair end until shutdown/EOF.
+
+    ``inherited`` are the cluster-side sockets the fork copied (this
+    channel's other end and every earlier worker's).  They are closed before
+    serving: while any copy stays open, the channel never reads EOF, and the
+    worker would outlive a cluster that died without a shutdown.
+    """
+    for sock in inherited:
+        sock.close()
     transport = SocketTransport(channel)
     # Fork barrier: a forked worker inherits the cluster's span buffer and
     # instrument values; zero both and take this worker's identity before

@@ -4,12 +4,14 @@ Python threads cannot exhibit linear multi-core scaling under the GIL, so the
 throughput and heavy-load experiments (Figures 12-14) run the serving
 systems' *scheduling behaviour* in virtual time: per-stage and per-request
 service times are measured from the real implementations (calibration), and a
-discrete-event simulator replays request arrivals over N simulated cores
-using the same queueing policies the real schedulers implement (thread-per-
-request for the black-box systems, two-priority-queue late-binding stage
-scheduling with optional reservations for PRETZEL).
+discrete-event loop replays request arrivals over N simulated cores.  The
+black-box systems run thread-per-request; PRETZEL runs the shipped
+:class:`repro.core.scheduler.Scheduler` itself (two priority queues, late
+binding, reservations, stage batching), pulled by virtual cores instead of
+executor threads.
 
-See DESIGN.md, substitution #5.
+See ARCHITECTURE.md, "The batch engine: caller-runs groups and the
+scheduler".
 """
 
 from repro.simulation.calibrate import (

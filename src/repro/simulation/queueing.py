@@ -1,36 +1,30 @@
-"""Discrete-event simulation of the serving systems' scheduling policies.
+"""Discrete-event simulation of the serving systems' execution models.
 
-Two execution models are simulated:
+Two execution models run in virtual time, with service times calibrated
+from the real implementations (:mod:`repro.simulation.calibrate`):
 
 * **thread-per-request** (ML.Net and ML.Net + Clipper): every request runs a
   whole pipeline on one core; a shared pool of cores serves requests in FIFO
   order.  Optional per-core contention (duplicated model state stressing the
   memory hierarchy) and per-model-switch penalties (container context
   switches) reproduce the scaling behaviour the paper observes.
-* **stage scheduler** (PRETZEL's batch engine): requests are decomposed into
-  per-stage events scheduled with the same two-priority-queue, late-binding
-  policy as :class:`repro.core.scheduler.Scheduler`, including reservations.
-
-All times are virtual; service times come from calibration against the real
-implementations (:mod:`repro.simulation.calibrate`).
-
-Stage-level batch coalescing mirrors the real scheduler's *signature-indexed*
-semantics: each simulated queue keeps a per-``(model, stage)`` index of its
-coalescible entries (the simulator's stand-in for the physical-stage
-signature), and batch members are taken from that index in FIFO order --
-exactly what :class:`repro.core.scheduler.ReadyQueue` does -- rather than by
-scanning the queue, and each pull is capped at ``max_stage_batch`` just as the
-real scheduler caps it at ``max_stage_batch_size``.
+* **stage scheduler** (PRETZEL's batch engine): the shipped
+  :class:`repro.core.scheduler.Scheduler`, unmodified, driven by a virtual
+  clock instead of executor threads.  The policy -- two priority queues, late
+  binding, reservations, stage batching -- is the one the runtime serves with.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.core.scheduler import InferenceRequest, Scheduler, StageBatch
+from repro.testing import StubPlan
 
 __all__ = [
     "ArrivalProcess",
@@ -194,94 +188,6 @@ def simulate_thread_per_request(
     )
 
 
-@dataclass
-class _SimRequest:
-    arrival: Arrival
-    stage_times: List[float]
-    next_stage: int = 0
-
-
-class _SimQueue:
-    """A ready-time-ordered event queue with a per-``(model, stage)`` index.
-
-    The heap preserves the pop order of the seed simulator (earliest ready
-    time, FIFO-by-sequence within a tie).  The index mirrors
-    :class:`repro.core.scheduler.ReadyQueue`: coalescible entries (those of
-    non-latency-sensitive requests) are bucketed by the ``(model, stage)``
-    key they will run next, in insertion order, so batch members are taken
-    FIFO from the leader's bucket instead of scanning the queue.  Entries
-    coalesced out of band leave a tombstone that the heap skips lazily.
-
-    A queued request has exactly one live entry, and ``next_stage`` only
-    advances after the entry is popped or coalesced, so the key computed at
-    push time is still valid at removal time.
-    """
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, _SimRequest]] = []
-        self._removed: set = set()
-        self._index: Dict[Tuple[str, int], "OrderedDict[int, Tuple[float, _SimRequest]]"] = {}
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __bool__(self) -> bool:
-        return self._size > 0
-
-    @staticmethod
-    def _key(request: _SimRequest) -> Tuple[str, int]:
-        return (request.arrival.model, request.next_stage)
-
-    def push(self, ready: float, seq: int, request: _SimRequest) -> None:
-        heapq.heappush(self._heap, (ready, seq, request))
-        if not request.arrival.latency_sensitive:
-            self._index.setdefault(self._key(request), OrderedDict())[seq] = (ready, request)
-        self._size += 1
-
-    def _compact_front(self) -> None:
-        while self._heap and self._heap[0][1] in self._removed:
-            _, seq, _ = heapq.heappop(self._heap)
-            self._removed.discard(seq)
-
-    def peek_ready(self) -> float:
-        """Earliest ready time in the queue (``inf`` when empty)."""
-        self._compact_front()
-        return self._heap[0][0] if self._heap else float("inf")
-
-    def pop(self) -> Tuple[float, int, _SimRequest]:
-        self._compact_front()
-        ready, seq, request = heapq.heappop(self._heap)
-        if not request.arrival.latency_sensitive:
-            key = self._key(request)
-            bucket = self._index.get(key)
-            if bucket is not None:
-                bucket.pop(seq, None)
-                if not bucket:
-                    del self._index[key]
-        self._size -= 1
-        return ready, seq, request
-
-    def coalesce(self, key: Tuple[str, int], start: float, limit: int) -> List[_SimRequest]:
-        """Take up to ``limit`` ready entries for ``key``, oldest first."""
-        bucket = self._index.get(key)
-        if not bucket or limit <= 0:
-            return []
-        taken: List[Tuple[int, _SimRequest]] = []
-        for seq, (ready, request) in bucket.items():
-            if len(taken) >= limit:
-                break
-            if ready <= start:
-                taken.append((seq, request))
-        for seq, _request in taken:
-            del bucket[seq]
-            self._removed.add(seq)
-            self._size -= 1
-        if not bucket:
-            self._index.pop(key, None)
-        return [request for _seq, request in taken]
-
-
 def simulate_stage_scheduler(
     arrivals: Sequence[Arrival],
     stage_times_fn: Callable[[str, int], List[float]],
@@ -290,22 +196,19 @@ def simulate_stage_scheduler(
     reservations: Optional[Dict[str, int]] = None,
     max_stage_batch: Optional[int] = None,
 ) -> SimulationResult:
-    """Simulate PRETZEL's batch engine over ``n_cores`` executors.
+    """Run PRETZEL's batch engine -- the shipped :class:`Scheduler` -- on ``n_cores``.
 
-    The policy mirrors :class:`repro.core.scheduler.Scheduler`: a low-priority
-    queue admits the first stage of new requests, a high-priority queue holds
-    stages of requests already in flight, and executors pull the next event
-    when free.  ``reservations`` maps model names to a dedicated core index;
-    reserved cores only serve their own models, and reserved models only run
-    on their core.
-
-    ``max_stage_batch`` enables stage-level batch coalescing: when a core
-    pulls an event, already-ready entries in the same queue waiting for the
-    same ``(model, stage)`` -- the simulator's stand-in for the physical-stage
-    signature the real scheduler coalesces on -- are folded FIFO from the
-    queue's signature index into one service whose time is the sum of the
-    members' stage times plus a single per-event overhead.  Latency-sensitive
-    requests are never coalesced, matching the real scheduler's bypass.
+    Each model is a :class:`~repro.testing.StubPlan` whose stage ``i`` has the
+    signature ``f"{model}#{i}"``, so batches coalesce on ``(model, stage)``.
+    The loop only keeps the virtual clock: an arrival submits its request, a
+    finished batch reports each member's stage complete, and after every time
+    step each free core, in index order, pulls with ``next_batch(core,
+    timeout=0.0)`` (while anything is queued at all).  A pulled batch takes
+    ``event_overhead`` plus the sum of its members' stage times.
+    ``reservations`` (model -> core) become :meth:`Scheduler.reserve` calls,
+    and a ``max_stage_batch`` above 1 turns stage batching on with that cap;
+    the two priority queues, the latency-sensitive bypass and reservation
+    routing are the Scheduler's own.
     """
     if n_cores < 1:
         raise ValueError("need at least one core")
@@ -314,117 +217,82 @@ def simulate_stage_scheduler(
         if not 0 <= core < n_cores:
             raise ValueError(f"reserved core {core} out of range for {n_cores} cores")
     coalescing = max_stage_batch is not None and max_stage_batch > 1
+    scheduler = Scheduler(
+        enable_stage_batching=coalescing,
+        max_stage_batch_size=max_stage_batch if coalescing else 1,
+    )
+    for model, core in reservations.items():
+        scheduler.reserve(model, core)
 
     pending = sorted(arrivals, key=lambda a: a.time)
-    pending_index = 0
-    low = _SimQueue()
-    high = _SimQueue()
-    reserved_queues: Dict[int, _SimQueue] = {core: _SimQueue() for core in set(reservations.values())}
-    core_free_at = [0.0] * n_cores
+    next_arrival = 0
+    plans: Dict[Tuple[str, int], StubPlan] = {}
+    #: in-flight request -> its arrival and per-stage service times
+    admitted: Dict[InferenceRequest, Tuple[Arrival, List[float]]] = {}
+    #: heap of (finish time, pull sequence, core, batch)
+    running: List[Tuple[float, int, int, StageBatch]] = []
+    pulls = itertools.count()
+    #: events sitting in the scheduler's queues (no pull can succeed at 0)
+    queued = 0
+    core_free = [True] * n_cores
     core_busy = [0.0] * n_cores
-    sequence = 0
     latencies: List[float] = []
     latencies_sensitive: List[float] = []
     completed = 0
     makespan = 0.0
-    batches_formed = 0
-    batch_events = 0
-
-    def admit_until(time_limit: float) -> None:
-        nonlocal pending_index, sequence
-        while pending_index < len(pending) and pending[pending_index].time <= time_limit:
-            arrival = pending[pending_index]
-            pending_index += 1
-            request = _SimRequest(
-                arrival=arrival,
-                stage_times=stage_times_fn(arrival.model, arrival.batch_size),
-            )
-            core = reservations.get(arrival.model)
-            target = reserved_queues[core] if core is not None else low
-            target.push(arrival.time, sequence, request)
-            sequence += 1
-
-    admit_until(pending[0].time if pending else 0.0)
-    while True:
-        # Advance time: pick the core that frees up first and find it work.
-        if pending_index < len(pending):
-            next_arrival_time = pending[pending_index].time
-        else:
-            next_arrival_time = float("inf")
-        if not low and not high and not any(reserved_queues.values()):
-            if next_arrival_time == float("inf"):
-                break
-            admit_until(next_arrival_time)
-            continue
-        core = int(np.argmin(core_free_at))
-        now = core_free_at[core]
-        admit_until(max(now, 0.0))
-        queue: Optional[_SimQueue] = None
-        if core in reserved_queues:
-            if reserved_queues[core]:
-                queue = reserved_queues[core]
-            else:
-                # A reserved core only receives work from new arrivals for its
-                # reserved models (in-flight reserved stages are re-queued by
-                # this very core), so it idles until the next arrival.
-                if next_arrival_time == float("inf"):
-                    core_free_at[core] = float("inf")
-                else:
-                    core_free_at[core] = max(now + 1e-9, next_arrival_time)
-                continue
-        elif high or low:
-            # Prefer the high-priority queue (in-flight pipelines holding
-            # pooled vectors), but never idle waiting for a not-yet-ready
-            # high-priority event while a new pipeline could start right away.
-            if high and (not low or high.peek_ready() <= max(now, low.peek_ready())):
-                queue = high
-            else:
-                queue = low
-        else:
-            # Shared work only exists in the future (or belongs to reserved
-            # cores); this core idles until the next arrival.
-            if next_arrival_time == float("inf"):
-                core_free_at[core] = float("inf")
-            else:
-                core_free_at[core] = max(now + 1e-9, next_arrival_time)
-            continue
-        ready_time, _seq, request = queue.pop()
-        start = max(now, ready_time)
-        members = [request]
-        if coalescing:
-            # Mirror Scheduler.next_batch: every pull counts as a batch,
-            # latency-sensitive leaders as singletons.
-            if not request.arrival.latency_sensitive:
-                batch_key = (request.arrival.model, request.next_stage)
-                members.extend(queue.coalesce(batch_key, start, max_stage_batch - 1))
-            batches_formed += 1
-            batch_events += len(members)
-        service = (
-            sum(member.stage_times[member.next_stage] for member in members) + event_overhead
+    while next_arrival < len(pending) or running:
+        now = min(
+            pending[next_arrival].time if next_arrival < len(pending) else float("inf"),
+            running[0][0] if running else float("inf"),
         )
-        finish = start + service
-        core_free_at[core] = finish
-        core_busy[core] += service
-        for member in members:
-            member.next_stage += 1
-            if member.next_stage >= len(member.stage_times):
-                latency = finish - member.arrival.time
-                latencies.append(latency)
-                if member.arrival.latency_sensitive:
-                    latencies_sensitive.append(latency)
-                completed += member.arrival.batch_size
-                makespan = max(makespan, finish)
-            else:
-                core_of_model = reservations.get(member.arrival.model)
-                target = reserved_queues[core_of_model] if core_of_model is not None else high
-                target.push(finish, sequence, member)
-                sequence += 1
+        while running and running[0][0] <= now:
+            finish, _, core, batch = heapq.heappop(running)
+            core_free[core] = True
+            for event in batch:
+                scheduler.on_stage_complete(event, None)
+                if not event.is_last:
+                    queued += 1
+                else:
+                    arrival, _ = admitted.pop(event.request)
+                    latency = finish - arrival.time
+                    latencies.append(latency)
+                    if arrival.latency_sensitive:
+                        latencies_sensitive.append(latency)
+                    completed += arrival.batch_size
+                    makespan = max(makespan, finish)
+        while next_arrival < len(pending) and pending[next_arrival].time <= now:
+            arrival = pending[next_arrival]
+            next_arrival += 1
+            times = stage_times_fn(arrival.model, arrival.batch_size)
+            plan = plans.get((arrival.model, len(times)))
+            if plan is None:
+                signatures = (f"{arrival.model}#{index}" for index in range(len(times)))
+                plan = plans[(arrival.model, len(times))] = StubPlan(*signatures)
+            request = InferenceRequest(arrival.model, plan, None, arrival.latency_sensitive)
+            admitted[request] = (arrival, times)
+            scheduler.submit(request)
+            queued += 1
+        for core in range(n_cores):
+            if not queued:
+                break
+            if not core_free[core]:
+                continue
+            batch = scheduler.next_batch(core, timeout=0.0)
+            if batch is None:
+                continue
+            service = event_overhead + sum(
+                admitted[event.request][1][event.stage_index] for event in batch
+            )
+            queued -= len(batch)
+            core_free[core] = False
+            core_busy[core] += service
+            heapq.heappush(running, (now + service, next(pulls), core, batch))
     return SimulationResult(
         completed=completed,
         makespan_seconds=makespan,
         latencies=latencies,
         latencies_sensitive=latencies_sensitive,
         per_core_busy=core_busy,
-        batches_formed=batches_formed,
-        batch_events=batch_events,
+        batches_formed=scheduler.batching.total_batches if coalescing else 0,
+        batch_events=scheduler.batching.total_events if coalescing else 0,
     )

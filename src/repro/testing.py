@@ -4,7 +4,10 @@ The scheduler only ever looks at a plan through two surfaces: the
 ``stages[i].physical.full_signature`` chain and ``stage_signature(index)``.
 :class:`StubPlan` provides exactly that and nothing else, so scheduler-policy
 tests and the batch-formation micro-benchmark can drive queueing behaviour
-without training or compiling a real model plan.
+without training or compiling a real model plan.  The virtual-time simulator
+(:func:`repro.simulation.queueing.simulate_stage_scheduler`) builds one per
+simulated model as well, to run the shipped scheduler on calibrated stage
+times.
 """
 
 from __future__ import annotations

@@ -1,5 +1,9 @@
 """End-to-end tests for the multi-process PretzelCluster."""
 
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -292,6 +296,53 @@ def test_failover_zero_lost_requests(sa_pipeline, sa_inputs):
         assert control["worker_states"][victim] == "dead"
         assert victim not in cluster.worker_ids()
         assert victim not in cluster.placement(plan_id)
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie (Linux ``/proc``)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+def test_workers_exit_when_their_cluster_is_killed():
+    """A worker serves until its channel reads EOF, so no worker may keep a
+    copy of any cluster-side socket open: a cluster killed without a
+    shutdown must leave no worker behind.  The deadline is only a liveness
+    bound; how fast the workers go is not asserted."""
+    import repro
+
+    script = (
+        "import time\n"
+        "from repro.core.config import PretzelConfig\n"
+        "from repro.serving import PretzelCluster\n"
+        "cluster = PretzelCluster(PretzelConfig(num_workers=2))\n"
+        "print(*(handle.process.pid for handle in cluster._workers.values()), flush=True)\n"
+        "time.sleep(600)\n"
+    )
+    source_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=source_root)
+    holder = subprocess.Popen(
+        [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=env
+    )
+    try:
+        pids = [int(pid) for pid in holder.stdout.readline().split()]
+    finally:
+        holder.kill()
+        holder.wait()
+        holder.stdout.close()
+    assert len(pids) == 2
+    try:
+        deadline = time.monotonic() + 60.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids)), "a worker outlived its killed cluster"
+    finally:
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_failover_rehomes_single_replica_plans(sa_pipeline, sa_pipeline_variant, sa_inputs):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import PretzelConfig
 from repro.core.runtime import PretzelRuntime
+from repro.core.scheduler import Scheduler
 from repro.mlnet.runtime import MLNetRuntime
 from repro.simulation.calibrate import calibrate_blackbox, calibrate_plan_stages
 from repro.simulation.queueing import (
@@ -12,6 +13,7 @@ from repro.simulation.queueing import (
     simulate_stage_scheduler,
     simulate_thread_per_request,
 )
+from repro.workloads.zipf import zipf_request_sequence
 
 
 def _constant_arrivals(n, rate, model="m"):
@@ -214,3 +216,101 @@ class TestStageBatchingSimulation:
         assert result.completed == 6
         assert len(result.latencies) == 6
         assert all(latency > 0 for latency in result.latencies)
+
+
+class TestShippedPolicy:
+    """The simulator runs the shipped Scheduler's policy, not a copy of it."""
+
+    def test_no_commitment_to_an_event_that_is_not_queued_yet(self):
+        """A free core never waits on a stage whose predecessor still runs.
+
+        At 0.2 ms core 0 is free while ``b``'s second stage waits on its first
+        (running on core 1 until 1 ms); ``c`` arrives at 0.5 ms and must start
+        at once on core 0 instead of queueing behind ``b``.
+        """
+        stage_times = {"a": [0.2e-3], "b": [1e-3, 1e-3], "c": [1e-3]}
+        arrivals = [
+            Arrival(time=0.0, model="a", latency_sensitive=False),
+            Arrival(time=0.0, model="b", latency_sensitive=False),
+            Arrival(time=0.5e-3, model="c"),
+        ]
+        result = simulate_stage_scheduler(
+            arrivals, lambda model, batch: stage_times[model], n_cores=2, event_overhead=0.0
+        )
+        # only c is latency-sensitive, so its latency is the one in that list
+        assert result.latencies_sensitive == [pytest.approx(1.0e-3)]
+        assert sorted(result.latencies) == pytest.approx([0.2e-3, 1.0e-3, 2.0e-3])
+
+    def test_same_stage_order_as_the_threaded_runtime(
+        self, monkeypatch, sa_pipeline, sa_pipeline_variant, ac_pipeline, sa_inputs, ac_inputs
+    ):
+        """One executor and one virtual core run the same (plan, stage) order.
+
+        With a single executor both sides are depth-first FIFO: a request's
+        next stage goes to the high-priority queue before the executor pulls
+        again, so the order does not depend on thread timing.
+        """
+        order = []
+        shipped = Scheduler.on_stage_complete
+
+        def recording(scheduler, event, output):
+            order.append((event.request.plan_id, event.stage_index))
+            shipped(scheduler, event, output)
+
+        monkeypatch.setattr(Scheduler, "on_stage_complete", recording)
+        config = PretzelConfig(num_executors=1, enable_stage_batching=False)
+        with PretzelRuntime(config) as runtime:
+            records = {}
+            for pipeline, inputs in (
+                (sa_pipeline, sa_inputs),
+                (sa_pipeline_variant, sa_inputs),
+                (ac_pipeline, ac_inputs),
+            ):
+                records[runtime.register(pipeline, engine="batch")] = inputs
+            plan_ids = list(records)
+            trace = [plan_ids[index % 3] for index in range(9)]
+            stages = {plan_id: runtime.plan(plan_id).stage_count() for plan_id in plan_ids}
+            requests = [
+                runtime.submit(plan_id, records[plan_id][index // 3])
+                for index, plan_id in enumerate(trace)
+            ]
+            for request in requests:
+                request.wait(timeout=30.0)
+        threaded = list(order)
+        order.clear()
+        result = simulate_stage_scheduler(
+            [Arrival(time=0.0, model=plan_id, latency_sensitive=False) for plan_id in trace],
+            lambda model, batch: [1e-3] * stages[model],
+            n_cores=1,
+        )
+        assert result.completed == len(trace)
+        assert len(threaded) == sum(stages[plan_id] for plan_id in trace)
+        assert len(set(plan_ids)) == 3
+        assert order == threaded
+
+    def test_two_runs_of_a_fig13_shaped_trace_are_identical(self):
+        """Zipf(2) over 24 models (half latency-sensitive at batch 1, half at
+        batch 100), 13 cores, past saturation, with stage batching on."""
+        models = [f"sa{i}" for i in range(12)] + [f"ac{i}" for i in range(12)]
+        stage_times = {
+            model: [22e-6, 61e-6, 9e-6] if model.startswith("sa") else [28e-6, 28e-6, 24e-6, 5e-6]
+            for model in models
+        }
+        latency_sensitive = {model: index < 12 for index, model in enumerate(models)}
+        batch_sizes = {model: 1 if latency_sensitive[model] else 100 for model in models}
+        sequence = zipf_request_sequence(models, 1000, alpha=2.0, seed=3)
+        arrivals = ArrivalProcess.from_model_sequence(
+            sequence, 1000.0, batch_sizes=batch_sizes, latency_sensitive=latency_sensitive
+        )
+
+        def run():
+            return simulate_stage_scheduler(
+                arrivals,
+                lambda model, batch: [t * batch for t in stage_times[model]],
+                n_cores=13,
+                max_stage_batch=16,
+            )
+
+        first, second = run(), run()
+        assert first == second
+        assert first.completed == sum(arrival.batch_size for arrival in arrivals)

@@ -10,6 +10,12 @@ family.  The golden values are committed constants: a change that alters
 scalar semantics on purpose updates them and says why, and any other change
 leaves them alone.  A 2-worker ``PretzelCluster`` must serve the very same
 digests.
+
+Two more pins cover what registration builds: a SHA-256 over every stage's
+``physical.full_signature`` (plans in family order), and each worker's
+``ObjectStore.stats()`` parameter count and bytes after a default 2-worker
+cluster registers a whole family.  A change to an operator's signature input
+moves the first; a change to any parameter's bytes moves one or both.
 """
 
 import bisect
@@ -22,6 +28,10 @@ from repro.core.runtime import PretzelRuntime
 from repro.serving import PretzelCluster
 
 GOLDEN = {"sa": "58d0cd57d631f267", "ac": "60b7719a7d25498c"}
+#: first 16 hex digits of the SHA-256 of the families' stage signatures
+GOLDEN_SIGNATURES = {"sa": "6a5f66c6eb26b0e1", "ac": "8db2a83f39680dd5"}
+#: every worker's Object Store: (unique_parameters, memory_bytes)
+GOLDEN_WORKER_STORE = {"sa": (187, 657_478), "ac": (365, 233_383)}
 
 #: the harness's run seed, record count and length stratification
 #: (``benchmarks/harness/families.py``)
@@ -89,3 +99,27 @@ def test_a_two_worker_cluster_serves_the_golden_digests(harness_families):
         # every predict took the straight line: a PZF1 frame out, PZR2 back
         wire = cluster.wire_stats()
         assert wire["binary_messages"] == wire["binary_replies"] == 2 * 60 * RECORDS
+
+
+def test_stage_signatures_match_the_golden_digests(harness_families):
+    for name, (family, _records) in harness_families.items():
+        with PretzelRuntime(PretzelConfig()) as runtime:
+            signatures = []
+            for generated in family.pipelines:
+                plan = runtime.plan(runtime.register(generated.pipeline, stats=generated.stats))
+                signatures.extend(stage.physical.full_signature for stage in plan.stages)
+        digest = hashlib.sha256("\n".join(signatures).encode()).hexdigest()[:16]
+        assert digest == GOLDEN_SIGNATURES[name], name
+
+
+def test_every_worker_object_store_holds_the_golden_parameters(harness_families):
+    for name, (family, _records) in harness_families.items():
+        with PretzelCluster(PretzelConfig(num_workers=2)) as cluster:
+            for generated in family.pipelines:
+                cluster.register(generated.pipeline, stats=generated.stats)
+            workers = cluster.stats()["workers"]
+        assert len(workers) == 2
+        for worker_id, worker in workers.items():
+            store = worker["stats"]["object_store"]
+            pinned = (store["unique_parameters"], store["memory_bytes"])
+            assert pinned == GOLDEN_WORKER_STORE[name], (name, worker_id)
