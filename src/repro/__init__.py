@@ -1,6 +1,6 @@
 """PRETZEL reproduction: white-box machine-learning prediction serving.
 
-The package is organised in layers (see DESIGN.md):
+The package is organised in layers (see ARCHITECTURE.md):
 
 * :mod:`repro.operators` -- the ML operator substrate (featurizers + models),
 * :mod:`repro.mlnet` -- the ML.Net-like black-box pipeline library & runtime,

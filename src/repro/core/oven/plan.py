@@ -91,26 +91,3 @@ class ModelPlan:
             "input_kind": self.input_kind.value,
             "max_vector_size": self.max_vector_size,
         }
-
-    # -- execution helpers ---------------------------------------------------
-
-    def execute(self, record: Any, context: Optional[Dict[Tuple[str, str], Any]] = None) -> Any:
-        """Execute the plan inline (used by the request-response engine).
-
-        ``context`` may be pre-populated (and is updated in place) so callers
-        such as the materialization-aware engine can observe intermediate
-        values.
-        """
-        values: Dict[Tuple[str, str], Any] = context if context is not None else {}
-        result: Any = None
-        for stage in self.stages:
-            externals = [
-                record if upstream is None else values[(upstream, transform_id)]
-                for upstream, transform_id in stage.external_refs
-            ]
-            outputs = stage.physical.execute(externals)
-            for position, key in enumerate(stage.output_keys):
-                values[key] = outputs[position]
-            if stage.is_sink:
-                result = outputs[stage.physical.final_position()]
-        return result

@@ -35,7 +35,7 @@ class MLNetRuntimeConfig:
     models per-pipeline bookkeeping the runtime allocates besides the
     parameters themselves (buffers, delegates, reflection caches).  Both are
     scaled down by the same ~1/64 factor applied to the workload parameter
-    sizes (see DESIGN.md) so ratios between systems match the paper.
+    sizes (see ARCHITECTURE.md) so ratios between systems match the paper.
     ``copy_outputs`` reproduces ML.Net's immutable per-operator output
     buffers (allocation on the data path); ``lazy_initialization`` defers
     pipeline materialization and chain specialization to the first prediction

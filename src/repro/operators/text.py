@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from itertools import chain
+from itertools import chain, repeat
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -23,6 +23,10 @@ from repro.operators.vectors import SparseVector
 __all__ = ["Tokenizer", "NgramDictionary", "CharNgramFeaturizer", "WordNgramFeaturizer"]
 
 _TOKEN_PATTERN = re.compile(r"[a-z0-9']+")
+
+#: the widest key span an :class:`_NgramKeyTable` addresses directly
+#: (512 KB at 16-bit feature indices)
+_DIRECT_MAX_SLOTS = 1 << 18
 
 
 class Tokenizer(Operator):
@@ -54,53 +58,16 @@ class Tokenizer(Operator):
     supports_batch = True
 
     def transform_batch(self, values: Any) -> ColumnBatch:
-        """Tokenize a whole batch with one shared regex scan.
+        """Tokenize a batch one record at a time.
 
-        The batch's texts are joined with a NUL sentinel and matched in a
-        *single* ``finditer`` pass; match offsets are bucketed back to their
-        records with one ``searchsorted`` over the cumulative record
-        boundaries.  This is the same shared-assembly idiom the n-gram
-        featurizers use: the per-record Python overhead (a method call, a
-        findall set-up, a result list) is paid once per batch instead of once
-        per record.  The fused scan is bit-equal to the scalar path because
-        the default token pattern is a character class that can never match
-        the sentinel, so no token spans a record boundary; custom patterns
-        (or grouped ones, whose ``findall`` semantics differ) keep the exact
-        per-record scan.
+        Each record costs one C-level ``findall``.  A fused scan over the
+        NUL-joined batch (``finditer`` plus bucketing the matches back to
+        their records) pays several Python operations per *token* instead:
+        on the harness's SA texts (2-CPU host) it took 2.6x this loop's time
+        at 16 records and 3.5x at 100.
         """
-        batch = as_column_batch(values)
-        rows = batch.rows
-        if not rows:
-            return ColumnBatch.from_rows([])
-        if self.pattern != _TOKEN_PATTERN.pattern or self._compiled.groups:
-            return ColumnBatch.from_rows([self.transform(value) for value in rows])
-        texts: List[str] = []
-        for value in rows:
-            text = "" if value is None else str(value)
-            if self.lowercase:
-                text = text.lower()
-            texts.append(text)
-        # boundaries[i] = first joined-string offset past record i (its
-        # sentinel included), so searchsorted(right) maps offset -> record.
-        boundaries = np.cumsum(np.fromiter(
-            (len(text) + 1 for text in texts), dtype=np.int64, count=len(texts)
-        ))
-        tokens: List[str] = []
-        positions: List[int] = []
-        for match in self._compiled.finditer("\x00".join(texts)):
-            tokens.append(match.group())
-            positions.append(match.start())
-        record_of = np.searchsorted(
-            boundaries, np.asarray(positions, dtype=np.int64), side="right"
-        )
-        counts = np.bincount(record_of, minlength=len(texts))
-        outputs: List[List[str]] = []
-        position = 0
-        for count in counts:
-            end = position + int(count)
-            outputs.append(tokens[position:end])
-            position = end
-        return ColumnBatch.from_rows(outputs)
+        rows = as_column_batch(values).rows
+        return ColumnBatch.from_rows([self.transform(value) for value in rows])
 
     def parameters(self) -> List[Parameter]:
         return [Parameter("tokenizer.config", {"lowercase": self.lowercase, "pattern": self.pattern})]
@@ -119,12 +86,23 @@ class _NgramKeyTable:
     them at ``tag_shift = bits * max_len``.  The packing is injective over
     unit-id sequences of up to ``max_len`` units -- equal length and equal
     fixed-width digits -- and a vocabulary gram has no zero digit, so a window
-    of the input matches a key exactly when it spells that gram: the lookup is
-    a ``searchsorted`` plus an equality test, with no hashing and no collision
-    pass.  ``keys`` is sorted; ``features`` is the parallel feature index.
+    of the input matches a key exactly when it spells that gram, with no
+    hashing and no collision pass.  ``keys`` is sorted; ``features`` is the
+    parallel feature index.
+
+    Two lookup forms share that packing.  When the keys span at most
+    :data:`_DIRECT_MAX_SLOTS` values, ``direct`` holds the feature index of
+    every key in the span (-1 elsewhere, in the smallest signed dtype that
+    fits), so a lookup is one ``take``.  The harness's character vocabulary
+    (3,417 grams, 5 bits per unit, up to 3 units) spans 61,113 keys and takes
+    this form; its word vocabulary (16,000 grams, 12 bits per unit, up to 2
+    units) spans 25 million, too sparse to address, and keeps the sorted
+    search: a ``searchsorted`` plus an equality test.
     """
 
-    __slots__ = ("unit_ids", "bits", "max_len", "tag_shift", "keys", "features")
+    __slots__ = (
+        "unit_ids", "bits", "max_len", "tag_shift", "keys", "features", "direct", "offset"
+    )
 
     #: the packed gram (``bits * max_len`` bits) and its length tag must fit
     #: the 63 value bits of an int64
@@ -147,6 +125,16 @@ class _NgramKeyTable:
         self.tag_shift = bits * max_len
         self.keys = keys
         self.features = features
+        #: ``direct[key - offset]`` is ``key``'s feature index or -1; its
+        #: first and last slots are -1, so ``take(..., mode="clip")`` answers
+        #: -1 for every key outside the vocabulary's span
+        self.direct: Optional[np.ndarray] = None
+        self.offset = int(keys[0]) - 1
+        span = int(keys[-1]) - self.offset + 2
+        if span <= _DIRECT_MAX_SLOTS:
+            # the smallest signed dtype holding -1 and every feature index
+            self.direct = np.full(span, -1, dtype=np.min_scalar_type(-1 - int(features.max())))
+            self.direct[keys - self.offset] = features
 
     @classmethod
     def build(cls, ngram_to_index: Dict[str, int], joiner: str) -> Optional["_NgramKeyTable"]:
@@ -206,12 +194,19 @@ class _NgramKeyTable:
                 yield n, key + (n << self.tag_shift)
 
     def match(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(hit, features)``: which of ``keys`` spell a vocabulary gram, and
-        the feature index of each one that does (``features`` is as long as
-        ``hit`` has true entries)."""
-        slot = self.keys.searchsorted(keys)
-        hit = self.keys.take(slot, mode="clip") == keys
-        return hit, self.features[slot[hit]]
+        """``(positions, features)``: where in ``keys`` a vocabulary gram is
+        spelled, and that gram's ``int64`` feature index, pair by pair in an
+        unspecified order."""
+        if self.direct is not None:
+            found = self.direct.take(keys - self.offset, mode="clip")
+            positions = np.flatnonzero(found >= 0)
+            return positions, found[positions].astype(np.int64)
+        # Sorted needles search several times faster than scattered ones.
+        order = keys.argsort()
+        needles = keys[order]
+        slot = self.keys.searchsorted(needles)
+        hit = self.keys.take(slot, mode="clip") == needles
+        return order[hit], self.features[slot[hit]]
 
 
 def _code_points(text: str) -> np.ndarray:
@@ -400,16 +395,15 @@ class _NgramFeaturizerBase(Operator):
 
         All records' unit ids are concatenated; for every ``n`` in range the
         rolling window keys of the whole batch are resolved with one
-        ``searchsorted`` against the dictionary's key table (see
-        :class:`_NgramKeyTable`), windows that run past their record's end
-        are masked out, and the hits -- as ``record * size + feature``
-        composites -- are sorted and counted once (``np.unique``) into every
-        record's ``(index, count)`` pairs.  That sorted composite already is
-        CSR: weighting is one vectorized pass, a ``searchsorted`` over record
-        boundaries gives ``indptr``, and the batch leaves as one sparse
-        column -- no per-record object.  Its rows are bit-equal to
-        per-record :meth:`transform`; batches the table cannot represent take
-        exactly that path.
+        :meth:`_NgramKeyTable.match` against the dictionary's key table,
+        windows that run past their record's end are masked out, and the hits
+        -- as ``record * size + feature`` composites -- are sorted and counted
+        once (``np.unique``) into every record's ``(index, count)`` pairs.
+        That sorted composite already is CSR: weighting is one vectorized
+        pass, a ``searchsorted`` over record boundaries gives ``indptr``, and
+        the batch leaves as one sparse column -- no per-record object.  Its
+        rows are bit-equal to per-record :meth:`transform`; batches the table
+        cannot represent take exactly that path.
         """
         if self.dictionary is None:
             raise RuntimeError(f"{self.name} used before fit(): no dictionary")
@@ -429,11 +423,7 @@ class _NgramFeaturizerBase(Operator):
         remaining = np.cumsum(lengths)[record_of] - np.arange(ids.size)
         hits = [np.empty(0, dtype=np.int64)]
         for n, keys in table.windows(ids, low, high):
-            # Sorted needles search several times faster than scattered ones;
-            # ``order`` maps each hit back to its window's start position.
-            order = keys.argsort()
-            hit, features = table.match(keys[order])
-            start = order[hit]
+            start, features = table.match(keys)
             inside = remaining[start] >= n
             hits.append(record_of[start[inside]] * size + features[inside])
         composite, counts = np.unique(np.concatenate(hits), return_counts=True)
@@ -502,8 +492,7 @@ class WordNgramFeaturizer(_NgramFeaturizerBase):
         joiner = self._joiner()
         if joiner.join(tokens).count(joiner) != max(len(tokens) - 1, 0):
             return None
-        unit_id = table.unit_ids.get
-        ids = np.fromiter((unit_id(token, 0) for token in tokens), np.int64, len(tokens))
+        ids = np.fromiter(map(table.unit_ids.get, tokens, repeat(0)), np.int64, len(tokens))
         lengths = np.fromiter(map(len, token_lists), np.int64, len(token_lists))
         return ids, lengths
 
@@ -530,10 +519,11 @@ class CharNgramFeaturizer(_NgramFeaturizerBase):
         """Featurize one record with the array kernel.
 
         The text becomes a code-point array, then unit ids; the rolling window
-        keys for every ``n`` in range are resolved with one ``searchsorted``
-        against the dictionary's key table.  The matched feature indices are
-        sorted in place and counted as runs: one ``not_equal`` marks where a
-        run starts, and the gaps between the starts are the counts.
+        keys for every ``n`` in range are resolved with one
+        :meth:`_NgramKeyTable.match` against the dictionary's key table.  The
+        matched feature indices are sorted in place and counted as runs: one
+        ``not_equal`` marks where a run starts, and the gaps between the
+        starts are the counts.
         """
         if self.dictionary is None:
             raise RuntimeError(f"{self.name} used before fit(): no dictionary")
@@ -546,9 +536,7 @@ class CharNgramFeaturizer(_NgramFeaturizerBase):
         windows = [keys for _n, keys in table.windows(ids, low, high)]
         if not windows:
             return SparseVector.from_sorted(np.empty(0, dtype=np.int64), np.empty(0), size)
-        keys = np.concatenate(windows)
-        keys.sort()  # which window matched is irrelevant; sorted needles search faster
-        _hit, features = table.match(keys)
+        _positions, features = table.match(np.concatenate(windows))
         features.sort()
         # edges[i]: a run starts at features[i]; the padding at both ends
         # makes the last start the end of the array

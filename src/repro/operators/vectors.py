@@ -294,6 +294,8 @@ def concat_vectors(vectors: Iterable[Vector]) -> Vector:
             indices.append(vec.indices + offset)
             values.append(vec.values)
             offset += vec.size
-        return SparseVector(np.concatenate(indices), np.concatenate(values), total)
+        # Each input is sorted and in bounds and its band starts where the
+        # previous one ends, so the concatenation holds the invariant too.
+        return SparseVector.from_sorted(np.concatenate(indices), np.concatenate(values), total)
     dense_parts = [v.to_numpy() for v in vecs]
     return DenseVector(np.concatenate(dense_parts))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import PretzelConfig
+from repro.core.engines import execute_plan
 from repro.core.flour import FlourContext, flour_from_pipeline
 from repro.core.object_store import ObjectStore
 from repro.core.oven.compiler import ModelPlanCompiler
@@ -39,7 +40,7 @@ class TestFlourApi:
         # ColumnSelector + the SA operators; the plan must score like ML.Net
         # modulo the Select stage consuming a record dict.
         record = {"Text": sa_inputs[0]}
-        assert plan.execute(record) == pytest.approx(sa_pipeline.predict(sa_inputs[0]))
+        assert execute_plan(plan, record) == pytest.approx(sa_pipeline.predict(sa_inputs[0]))
 
     def test_flour_from_pipeline_structure(self, sa_pipeline):
         program = flour_from_pipeline(sa_pipeline)
@@ -186,7 +187,7 @@ class TestPushThroughConcatEquivalence:
         stage_graph = OvenOptimizer().optimize(graph)
         plan = ModelPlanCompiler().compile(stage_graph)
         for text in sa_inputs:
-            assert plan.execute(text) == pytest.approx(sa_pipeline.predict(text))
+            assert execute_plan(plan, text) == pytest.approx(sa_pipeline.predict(text))
 
     def test_rule_requires_known_sizes(self):
         """Without resolved branch sizes the rule must not fire."""

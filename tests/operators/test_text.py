@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.operators import text
 from repro.operators.text import (
     CharNgramFeaturizer,
     NgramDictionary,
@@ -16,6 +17,7 @@ from repro.operators.text import (
 )
 from repro.operators.vectors import SparseVector
 from repro.workloads.sentiment import _CHAR_VERSION_SPECS, _WORD_VERSION_SPECS
+from repro.workloads.text_data import generate_reviews
 
 
 class TestTokenizer:
@@ -38,6 +40,23 @@ class TestTokenizer:
 
     def test_parameters_present(self):
         assert len(Tokenizer().parameters()) == 1
+
+    @pytest.mark.parametrize("lowercase", [True, False])
+    @pytest.mark.parametrize("pattern", [r"[a-z0-9']+", r"[A-Za-z\u00c0-\u024f]+|\x00"])
+    def test_batch_equals_per_record(self, lowercase, pattern):
+        tokenizer = Tokenizer(lowercase=lowercase, pattern=pattern)
+        rows = [
+            None,
+            "",
+            "a\x00b",
+            "\x00\x00",
+            "Stra\u00dfe \u00c9T\u00c9 na\u00efve \u4e2d\u6587 \U0001f600 caf\u00e9",
+            "UPPER Case mIxEd it's 42",
+            "tail\x00HEAD\x00\x00 x",
+        ]
+        batch = tokenizer.transform_batch(rows).rows
+        assert batch == [tokenizer.transform(row) for row in rows]
+        assert tokenizer.transform_batch([]).rows == []
 
 
 class TestNgramDictionary:
@@ -266,15 +285,24 @@ _word_rows = st.lists(
     served_range=st.sampled_from(_CHAR_RANGES),
     weighting=st.sampled_from(_WEIGHTINGS),
     max_features=st.integers(1, 80),
+    direct=st.booleans(),
 )
 def test_char_kernel_is_bit_equal_to_the_per_gram_loop_property(
-    corpus, rows, trained_range, served_range, weighting, max_features
+    corpus, rows, trained_range, served_range, weighting, max_features, direct
 ):
     dictionary = (
         CharNgramFeaturizer(ngram_range=trained_range, max_features=max_features)
         .fit(corpus)
         .dictionary
     )
+    # Every vocabulary drawn here is small enough to address directly; a cap
+    # of 0 slots builds the sorted form of the same table instead.
+    with pytest.MonkeyPatch.context() as patch:
+        if not direct:
+            patch.setattr(text, "_DIRECT_MAX_SLOTS", 0)
+        table = dictionary.key_table("")
+    if table is not None:
+        assert (table.direct is not None) == direct
     # Serving a range other than the trained one covers windows longer than
     # any vocabulary gram (counted in ``tf`` totals, never matched).
     featurizer = CharNgramFeaturizer(
@@ -310,6 +338,113 @@ def test_word_kernel_is_bit_equal_to_the_per_gram_loop_property(
     if dictionary.size:
         assert dictionary.key_table(" ") is not None
     _assert_kernel_matches_oracle(featurizer, rows)
+
+
+# -- the two lookup forms on the harness's vocabulary shape ---------------------
+
+_BATCH_SIZES = (1, 16, 100, 256)
+
+
+@pytest.fixture(scope="module")
+def sa_char_vocabulary():
+    """A character vocabulary trained like the SA family's most popular one."""
+    tokenizer = Tokenizer()
+    corpus = generate_reviews(n_reviews=1200, vocabulary_size=4000, seed=7)
+    ngram_range, max_features = _CHAR_VERSION_SPECS[0]
+    featurizer = CharNgramFeaturizer(ngram_range=ngram_range, max_features=max_features)
+    featurizer.fit([tokenizer.transform(review) for review in corpus.texts])
+    return featurizer.dictionary.ngram_to_index, ngram_range
+
+
+@pytest.fixture(scope="module")
+def sa_char_rows():
+    tokenizer = Tokenizer()
+    texts = generate_reviews(n_reviews=max(_BATCH_SIZES), vocabulary_size=4000, seed=11).texts
+    return [tokenizer.transform(review) for review in texts]
+
+
+def _char_featurizer(ngram_to_index, ngram_range, direct, weighting="count"):
+    """A featurizer over a fresh dictionary whose key table takes the given form."""
+    featurizer = CharNgramFeaturizer(
+        ngram_range=ngram_range,
+        dictionary=NgramDictionary(ngram_to_index, ngram_range),
+        weighting=weighting,
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        if not direct:
+            patch.setattr(text, "_DIRECT_MAX_SLOTS", 0)
+        featurizer.prepare()
+    return featurizer
+
+
+class TestLookupForms:
+    @pytest.mark.parametrize("batch_size", _BATCH_SIZES)
+    @pytest.mark.parametrize("direct", [True, False], ids=["direct", "sorted"])
+    def test_sa_shaped_vocabulary_matches_the_loop(
+        self, sa_char_vocabulary, sa_char_rows, direct, batch_size
+    ):
+        featurizer = _char_featurizer(*sa_char_vocabulary, direct=direct)
+        table = featurizer.dictionary.key_table("")
+        assert (table.bits, table.max_len) == (5, 3)
+        if direct:
+            assert table.direct.dtype == np.int16
+            assert table.direct.nbytes < 2 * text._DIRECT_MAX_SLOTS
+        else:
+            assert table.direct is None
+        _assert_kernel_matches_oracle(featurizer, sa_char_rows[:batch_size])
+
+    @pytest.mark.parametrize("batch_size", _BATCH_SIZES)
+    def test_span_beyond_the_cap_is_searched(self, sa_char_rows, batch_size):
+        # 600 CJK characters need 10 bits each: bigram keys span ~2**21
+        chars = [chr(0x4E00 + i) for i in range(600)]
+        vocabulary = {char: index for index, char in enumerate(chars)}
+        for index, (first, second) in enumerate(zip(chars, chars[1:] + chars[:1])):
+            vocabulary[first + second] = len(chars) + index
+        vocabulary.update({"ab": 1200, "e ": 1201})
+        featurizer = CharNgramFeaturizer(
+            ngram_range=(1, 2), dictionary=NgramDictionary(vocabulary, (1, 2))
+        )
+        table = featurizer.dictionary.key_table("")
+        assert table is not None and table.direct is None
+        assert int(table.keys[-1] - table.keys[0]) > text._DIRECT_MAX_SLOTS
+        rng = np.random.default_rng(batch_size)
+        rows = [
+            "".join(rng.choice(chars, size=int(rng.integers(0, 12)))) + " ".join(tokens[:3])
+            for tokens in sa_char_rows[:batch_size]
+        ]
+        _assert_kernel_matches_oracle(featurizer, rows)
+
+    @pytest.mark.parametrize("weighting", _WEIGHTINGS)
+    @pytest.mark.parametrize("direct", [True, False], ids=["direct", "sorted"])
+    def test_edge_inputs(self, sa_char_vocabulary, direct, weighting):
+        ngram_to_index, ngram_range = sa_char_vocabulary
+        featurizer = _char_featurizer(ngram_to_index, ngram_range, direct, weighting)
+        top = max(map(ord, "".join(ngram_to_index)))
+        rows = [
+            "",  # no units
+            None,
+            "a",  # shorter than the low n
+            [],
+            [""],
+            chr(top + 1) * 5,  # code points above the alphabet ...
+            "\U0010ffff\U0010ffffab",  # ... up to the last one, beside known grams
+            "\x00\x00\x00",  # a code point below it
+            chr(top) * 4,  # windows keyed above every vocabulary key
+            "the " + chr(top + 1) + "he" + "\u4e2d" + "the",
+            ["th", "e"],
+        ]
+        _assert_kernel_matches_oracle(featurizer, rows)
+        for row in rows[:5]:
+            assert featurizer.transform(row).nnz() == 0
+
+    @pytest.mark.parametrize("direct", [True, False], ids=["direct", "sorted"])
+    def test_keys_next_to_the_span_miss(self, sa_char_vocabulary, direct):
+        table = _char_featurizer(*sa_char_vocabulary, direct=direct).dictionary.key_table("")
+        first, last = int(table.keys[0]), int(table.keys[-1])
+        positions, features = table.match(np.array([first - 1, first, last, last + 1, 0]))
+        assert positions.tolist() == [1, 2]
+        assert features.dtype == np.int64
+        assert features.tolist() == [table.features[0], table.features[-1]]
 
 
 class TestNgramKeyTable:
@@ -353,6 +488,19 @@ class TestNgramKeyTable:
         monkeypatch.setattr(_NgramKeyTable, "MAX_KEY_BITS", needed - 1)
         assert _NgramKeyTable.build(featurizer.dictionary.ngram_to_index, "") is None
 
+    def test_a_vocabulary_using_all_63_bits_is_searched_not_addressed(self):
+        # 2**11 units need 12 bits each; a 5-gram then needs 60 + 3
+        tokens = [f"t{i}" for i in range(2**11)]
+        vocabulary = {token: index for index, token in enumerate(tokens)}
+        vocabulary[" ".join(tokens[:5])] = len(vocabulary)
+        word = WordNgramFeaturizer(
+            ngram_range=(1, 5), dictionary=NgramDictionary(vocabulary, (1, 5))
+        )
+        table = word.dictionary.key_table(" ")
+        assert table.bits * table.max_len + table.max_len.bit_length() == 63
+        assert table.direct is None
+        _assert_kernel_matches_oracle(word, [tokens[:7], None, [], tokens[3:5] + ["zz"]])
+
     def test_keys_are_sorted_distinct_and_cover_the_vocabulary(self):
         featurizer = WordNgramFeaturizer(ngram_range=(1, 3), max_features=40).fit(
             [["a", "b", "a", "c"], ["c", "a", "b"]]
@@ -369,8 +517,10 @@ class TestNgramKeyTable:
         featurizer.prepare()
         table = featurizer.dictionary.key_table("")
         assert table is not None and featurizer.dictionary.key_table("") is table
+        assert table.direct is not None and table.direct.nbytes > 100
         featurizer.parameters()
         assert pickle.dumps(featurizer) == before
+        assert table.direct.tobytes() not in before
         clone = pickle.loads(before)
         assert "_key_tables" not in clone.dictionary.__dict__
         _assert_bit_equal(clone.transform(["hello"]), featurizer.transform(["hello"]))

@@ -91,6 +91,20 @@ class TestConcat:
         assert result.size == 7
         assert result.to_dense().values.tolist() == [1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0]
 
+    def test_concat_sparse_equals_the_validating_constructor(self):
+        parts = [
+            SparseVector([0, 2], [1.0, -2.0], size=3),
+            SparseVector([], [], size=5),
+            SparseVector([0, 3], [0.5, 4.0], size=4),
+            SparseVector([1], [7.0], size=2),
+        ]
+        result = concat_vectors(parts)
+        expected = SparseVector([0, 2, 8, 11, 13], [1.0, -2.0, 0.5, 4.0, 7.0], size=14)
+        assert result.size == expected.size
+        assert result.indices.dtype == np.int64 and result.values.dtype == np.float64
+        assert result.indices.tobytes() == expected.indices.tobytes()
+        assert result.values.tobytes() == expected.values.tobytes()
+
     def test_concat_mixed_densifies(self):
         result = concat_vectors([SparseVector([0], [1.0], size=2), DenseVector([5.0])])
         assert isinstance(result, DenseVector)
