@@ -1,4 +1,4 @@
-"""Figure 10 + Section 5.2.1 ablations: materialization, AOT, vector pooling.
+"""Figure 10 + Section 5.2.1 ablations: materialization and AOT compilation.
 
 The figures' wall-clock claims are recorded as ``metrics`` fields (value,
 floor, ``*_met``) in their ``results/*.json``, not asserted: they compare
@@ -20,8 +20,6 @@ FRAC_ABOVE_1_5X_FLOOR = 0.5
 MIN_SPEEDUP_FLOOR = 0.7
 #: without AOT every plan's cold prediction pays stage specialization
 NO_AOT_COLD_RATIO_FLOOR = 1.1
-#: disabling pooling must never make the hot path meaningfully faster
-NO_POOLING_HOT_RATIO_FLOOR = 0.75
 
 
 def _hot_latencies(runtime, plan_ids, inputs, repetitions=6):
@@ -89,15 +87,14 @@ def test_fig10_subplan_materialization(benchmark, sa_family, sa_inputs):
     assert hits > 0
 
 
-def test_ablation_aot_and_vector_pooling(benchmark, sa_family, sa_inputs):
-    """Section 5.2.1: disabling AOT inflates cold latency; disabling pooling inflates hot latency."""
+def test_ablation_aot_compilation(benchmark, sa_family, sa_inputs):
+    """Section 5.2.1: disabling AOT compilation inflates cold latency."""
 
     def run():
         results = {}
         for label, config in (
             ("full", PretzelConfig()),
             ("no-aot", PretzelConfig(enable_aot_compilation=False)),
-            ("no-pooling", PretzelConfig(enable_vector_pooling=False)),
         ):
             runtime = PretzelRuntime(config)
             try:
@@ -116,29 +113,23 @@ def test_ablation_aot_and_vector_pooling(benchmark, sa_family, sa_inputs):
         return results
 
     results = benchmark.pedantic(run, iterations=1, rounds=1)
-    report = ExperimentReport(
-        "Section 5.2.1 ablations", "Effect of disabling AOT compilation and vector pooling."
-    )
+    report = ExperimentReport("Section 5.2.1 ablations", "Effect of disabling AOT compilation.")
     for label, (cold, hot) in results.items():
         report.add_row(config=label, mean_cold_ms=cold * 1e3, mean_hot_ms=hot * 1e3)
+    report.add_note(
+        "the paper's vector-pooling ablation is not reproduced: every kernel allocates "
+        "its own outputs, so a pre-allocated buffer would be lent and returned without "
+        "being written; the runtime has no vector pool to switch off"
+    )
     # Without AOT every plan's cold prediction pays interpretation plus stage
     # specialization (the compiler hands out fresh uncompiled stages instead
-    # of already-specialized catalog entries).  Vector pooling mainly shields
-    # the data path from allocations; its two hot means are near-identical
-    # on this scale, hence the generous floor.
+    # of already-specialized catalog entries).
     write_report(
         "ablation_aot_pooling",
         report.render(),
-        metrics={
-            **claim(
-                "no_aot_cold_ratio",
-                results["no-aot"][0] / results["full"][0],
-                NO_AOT_COLD_RATIO_FLOOR,
-            ),
-            **claim(
-                "no_pooling_hot_ratio",
-                results["no-pooling"][1] / results["full"][1],
-                NO_POOLING_HOT_RATIO_FLOOR,
-            ),
-        },
+        metrics=claim(
+            "no_aot_cold_ratio",
+            results["no-aot"][0] / results["full"][0],
+            NO_AOT_COLD_RATIO_FLOOR,
+        ),
     )

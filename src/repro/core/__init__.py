@@ -7,9 +7,12 @@ The package mirrors the paper's architecture (Section 4):
   :mod:`repro.core.object_store` (shared parameter storage);
 * **on-line phase** -- :mod:`repro.core.runtime` (catalog + engines),
   :mod:`repro.core.scheduler` (event-based late-binding scheduling over
-  executors), :mod:`repro.core.vector_pool` (pooled memory) and
-  :mod:`repro.core.frontend` (client-facing layer with external
-  optimizations such as prediction caching and delayed batching).
+  executors) and :mod:`repro.core.frontend` (client-facing layer with
+  external optimizations such as prediction caching and delayed batching).
+
+The paper's per-executor vector pools (Section 4.2.1) are not reproduced:
+every kernel here allocates its own outputs, so a pooled buffer would be
+lent and returned without being written.
 """
 
 from repro.core.config import PretzelConfig

@@ -2,7 +2,9 @@
 
 Every white-box optimization the paper evaluates can be toggled here, which
 is how the ablation benchmarks (Section 5.2.1, Figure 8's "no Object Store"
-series, Section 5.4.1's reservation scheduling) are produced.
+series, Section 5.4.1's reservation scheduling) are produced.  The one
+exception is Section 5.2.1's vector-pooling ablation: the kernels allocate
+their own outputs, so there is no pool to switch off.
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ class PretzelConfig:
         Compile physical stages ahead of time (at registration).  When off,
         the first prediction of each plan pays stage compilation, inflating
         cold latency (Section 5.2.1).
-    enable_vector_pooling:
-        Serve intermediate buffers from per-executor vector pools rather than
-        allocating on the prediction path (Section 5.2.1).
     enable_subplan_materialization:
         Cache outputs of physical stages shared by multiple plans (Figure 10).
     materialization_budget_bytes:
@@ -102,7 +101,6 @@ class PretzelConfig:
 
     enable_object_store: bool = True
     enable_aot_compilation: bool = True
-    enable_vector_pooling: bool = True
     enable_subplan_materialization: bool = False
     materialization_budget_bytes: int = 32 * 1024 * 1024
     num_executors: int = 2

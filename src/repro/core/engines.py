@@ -1,10 +1,11 @@
-"""Execution engines: shared stage execution plus the request-response engine.
+"""Execution engines: shared stage execution for both of PRETZEL's engines.
 
 PRETZEL serves predictions through two engines (Section 4.2.1):
 
-* the **request-response engine** executes a single prediction inline on the
-  thread handling the request -- no scheduling or context switching, which is
-  the right trade-off for latency-sensitive single predictions; and
+* the **request-response engine** (:func:`execute_plan`) executes a single
+  prediction inline on the thread handling the request -- no scheduling or
+  context switching, which is the right trade-off for latency-sensitive
+  single predictions; and
 * the **batch engine** (see :mod:`repro.core.scheduler`) routes per-stage
   events through the Scheduler onto shared Executors.
 
@@ -27,10 +28,9 @@ entry points wrap it:
 * :func:`execute_plan_stage` is the batch-of-1 path of the request-response
   engine, the compiled scalar stage, bit-identical to the seed engine.
 
-Sub-plan materialization and the pooled working buffer live on the scalar
-path only: the materialization cache is keyed per record, so callers with
-materialization enabled run their records through
-:func:`execute_plan_stage` instead of a batched entry point.
+Sub-plan materialization lives on the scalar path only: its cache is keyed
+per record, so callers with materialization enabled run their records
+through :func:`execute_plan_stage` instead of a batched entry point.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.materialization import SubPlanMaterializer
 from repro.core.oven.plan import ModelPlan, PlanStage
-from repro.core.vector_pool import VectorPool
 from repro.observability import tracer
 from repro.observability.tracing import TraceContext
 from repro.operators.batch import ColumnBatch
@@ -51,7 +50,6 @@ __all__ = [
     "execute_plan_stage_columns",
     "record_values",
     "execute_plan",
-    "RequestResponseEngine",
 ]
 
 
@@ -60,43 +58,33 @@ def execute_plan_stage(
     record: Any,
     values: Dict[Tuple[str, str], Any],
     materializer: Optional[SubPlanMaterializer] = None,
-    pool: Optional[VectorPool] = None,
 ) -> Any:
     """Execute one plan stage for one request: the scalar fast path.
 
     Computes what :func:`execute_plan_stage_batch` computes for a single
     item (same gather and scatter; the batch path's batch-of-one short
-    circuit runs the identical compiled scalar stage), plus the two things
-    only the scalar path does: the sub-plan materialization lookup and store,
-    and the pooled working buffer.  The request-response engine calls this
-    per stage per prediction, so the body avoids the batch path's per-call
-    list machinery -- the AC pipelines' stages are only tens of microseconds
-    and the wrapper overhead is measurable at fig12's scale.
+    circuit runs the identical compiled scalar stage), plus the one thing
+    only the scalar path does: the sub-plan materialization lookup and
+    store.  The request-response engine calls this per stage per prediction,
+    so the body avoids the batch path's per-call list machinery -- the AC
+    pipelines' stages are only tens of microseconds and the wrapper overhead
+    is measurable at fig12's scale.
     """
     physical = stage.physical
-    buffer = None
-    if pool is not None and physical.max_vector_size:
-        # Working memory for the stage comes from the executor's pool; with
-        # pooling disabled this is a fresh allocation on the data path.
-        buffer = pool.acquire(physical.max_vector_size)
-    try:
-        externals = [
-            record if upstream is None else values[(upstream, transform_id)]
-            for upstream, transform_id in stage.external_refs
-        ]
-        outputs = None
+    externals = [
+        record if upstream is None else values[(upstream, transform_id)]
+        for upstream, transform_id in stage.external_refs
+    ]
+    outputs = None
+    if materializer is not None and materializer.enabled:
+        outputs = materializer.lookup(physical, externals)
+    if outputs is None:
+        outputs = physical.execute(externals)
         if materializer is not None and materializer.enabled:
-            outputs = materializer.lookup(physical, externals)
-        if outputs is None:
-            outputs = physical.execute(externals)
-            if materializer is not None and materializer.enabled:
-                materializer.store(physical, externals, outputs)
-        for position, key in enumerate(stage.output_keys):
-            values[key] = outputs[position]
-        return outputs[physical.final_position()]
-    finally:
-        if buffer is not None and pool is not None:
-            pool.release(buffer)
+            materializer.store(physical, externals, outputs)
+    for position, key in enumerate(stage.output_keys):
+        values[key] = outputs[position]
+    return outputs[physical.final_position()]
 
 
 def execute_plan_stage_batch(
@@ -169,36 +157,27 @@ def execute_plan(
     plan: ModelPlan,
     record: Any,
     materializer: Optional[SubPlanMaterializer] = None,
-    pool: Optional[VectorPool] = None,
     trace: Optional[TraceContext] = None,
 ) -> Any:
-    """Execute every stage of a plan inline, in topological order.
+    """Execute every stage of a plan inline, in topological order: the
+    request-response engine.
 
-    Working memory is requested from the pool once per pipeline (not per
-    stage), lazily at the first stage, exactly as the paper describes for the
-    on-line phase.  When the request carries a sampled :class:`TraceContext`,
-    every stage records a ``stage.execute`` span keyed by the physical
-    stage's signature (the fig5 unit); untraced requests pay a single
-    ``is None`` check per stage.
+    When the request carries a sampled :class:`TraceContext`, every stage
+    records a ``stage.execute`` span keyed by the physical stage's signature
+    (the fig5 unit); untraced requests pay a single ``is None`` check per
+    stage.
     """
     values: Dict[Tuple[str, str], Any] = {}
     result: Any = None
-    buffer = None
-    if pool is not None and plan.max_vector_size:
-        buffer = pool.acquire(plan.max_vector_size)
-    try:
-        for stage in plan.stages:
-            if trace is None:
-                output = execute_plan_stage(stage, record, values, materializer, pool=None)
-            else:
-                started = time.perf_counter()
-                output = execute_plan_stage(stage, record, values, materializer, pool=None)
-                record_stage_span(trace, stage, time.perf_counter() - started)
-            if stage.is_sink:
-                result = output
-    finally:
-        if buffer is not None and pool is not None:
-            pool.release(buffer)
+    for stage in plan.stages:
+        if trace is None:
+            output = execute_plan_stage(stage, record, values, materializer)
+        else:
+            started = time.perf_counter()
+            output = execute_plan_stage(stage, record, values, materializer)
+            record_stage_span(trace, stage, time.perf_counter() - started)
+        if stage.is_sink:
+            result = output
     return result
 
 
@@ -227,26 +206,3 @@ def record_stage_span(
         },
     )
 
-
-class RequestResponseEngine:
-    """Inline, low-latency execution of single predictions."""
-
-    def __init__(
-        self,
-        materializer: Optional[SubPlanMaterializer] = None,
-        pool: Optional[VectorPool] = None,
-    ):
-        self.materializer = materializer
-        self.pool = pool
-        self.predictions = 0
-
-    def predict(
-        self, plan: ModelPlan, record: Any, trace: Optional[TraceContext] = None
-    ) -> Any:
-        self.predictions += 1
-        return execute_plan(plan, record, self.materializer, self.pool, trace=trace)
-
-    def timed_predict(self, plan: ModelPlan, record: Any) -> Tuple[Any, float]:
-        start = time.perf_counter()
-        result = self.predict(plan, record)
-        return result, time.perf_counter() - start

@@ -1,9 +1,8 @@
 """Executors: long-running workers that execute physical stages.
 
-Each executor owns a vector pool (allocated per executor to improve locality,
-as in the paper) and pulls stage events from the Scheduler when free.  The
-pool of executors is created once at runtime initialization so no thread is
-ever spawned on the prediction path.  Executors serve ``submit`` traffic;
+Each executor pulls stage events from the Scheduler when free.  The pool of
+executors is created once at runtime initialization so no thread is ever
+spawned on the prediction path.  Executors serve ``submit`` traffic;
 ``PretzelRuntime.predict_batch`` runs its records on the caller's thread and
 never starts them.
 
@@ -18,7 +17,7 @@ path raises, the executor falls back to per-event scalar execution so errors
 are attributed to the request that caused them and healthy requests in the
 same batch still complete.  A batch of one, and any batch while sub-plan
 materialization is on (its cache is keyed per record), runs event by event
-through that scalar path, the only user of the executor's vector pool.
+through that scalar path.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from repro.core.engines import (
 )
 from repro.core.materialization import SubPlanMaterializer
 from repro.core.scheduler import Scheduler, StageBatch, StageEvent
-from repro.core.vector_pool import VectorPool
 from repro.observability import tracer
 
 __all__ = ["Executor", "ExecutorPool"]
@@ -62,13 +60,11 @@ class Executor(threading.Thread):
         executor_id: int,
         scheduler: Scheduler,
         materializer: Optional[SubPlanMaterializer] = None,
-        vector_pooling: bool = True,
     ):
         super().__init__(name=f"pretzel-executor-{executor_id}", daemon=True)
         self.executor_id = executor_id
         self.scheduler = scheduler
         self.materializer = materializer
-        self.vector_pool = VectorPool(enabled=vector_pooling)
         self.stages_executed = 0
         self.batches_executed = 0
         self.busy_seconds = 0.0
@@ -97,13 +93,7 @@ class Executor(threading.Thread):
             _record_queue_wait(event)
             started = time.perf_counter()
         try:
-            output = execute_plan_stage(
-                stage,
-                request.record,
-                request.values,
-                materializer=self.materializer,
-                pool=self.vector_pool,
-            )
+            output = execute_plan_stage(stage, request.record, request.values, self.materializer)
         except BaseException as error:  # noqa: BLE001 - forwarded to the caller
             self.scheduler.on_stage_error(event, error)
             return
@@ -170,7 +160,6 @@ class ExecutorPool:
         scheduler: Scheduler,
         num_executors: int,
         materializer: Optional[SubPlanMaterializer] = None,
-        vector_pooling: bool = True,
     ):
         if num_executors < 1:
             raise ValueError("need at least one executor")
@@ -180,7 +169,6 @@ class ExecutorPool:
                 executor_id=index,
                 scheduler=scheduler,
                 materializer=materializer,
-                vector_pooling=vector_pooling,
             )
             for index in range(num_executors)
         ]
@@ -200,10 +188,6 @@ class ExecutorPool:
     def started(self) -> bool:
         return self._started
 
-    def preallocate(self, sizes: List[int]) -> None:
-        for executor in self.executors:
-            executor.vector_pool.preallocate(sizes)
-
     def shutdown(self) -> None:
         self.scheduler.shutdown()
         self._shut_down = True
@@ -213,9 +197,6 @@ class ExecutorPool:
             for executor in self.executors:
                 executor.join(timeout=1.0)
         self._started = False
-
-    def memory_bytes(self) -> int:
-        return sum(executor.vector_pool.memory_bytes() for executor in self.executors)
 
     def __len__(self) -> int:
         return len(self.executors)

@@ -53,7 +53,6 @@ class ModelPlanCompiler:
         order = stage_graph.topological_order()
         sink_id = stage_graph.sink().id
         plan_stages: List[PlanStage] = []
-        max_vector_size = 0
         for stage_id in order:
             logical = stage_graph.stages[stage_id]
             physical = self._physical_for(logical)
@@ -70,13 +69,11 @@ class ModelPlanCompiler:
                     is_sink=(stage_id == sink_id),
                 )
             )
-            max_vector_size = max(max_vector_size, logical.max_vector_size)
         input_kind = stage_graph.metadata.get("input_kind", ValueKind.ROW)
         plan = ModelPlan(
             name=stage_graph.name,
             stages=plan_stages,
             input_kind=input_kind,
-            max_vector_size=max_vector_size,
             metadata={"rewrites": stage_graph.metadata.get("rewrites", [])},
         )
         return plan

@@ -51,7 +51,6 @@ class ModelPlan:
     name: str
     stages: List[PlanStage]
     input_kind: ValueKind
-    max_vector_size: int = 0
     metadata: Dict[str, Any] = field(default_factory=dict)
     plan_id: Optional[str] = None
 
@@ -89,5 +88,4 @@ class ModelPlan:
             "name": self.name,
             "stages": [stage.physical.describe() for stage in self.stages],
             "input_kind": self.input_kind.value,
-            "max_vector_size": self.max_vector_size,
         }

@@ -2,12 +2,12 @@
 
 The Runtime is the on-line half of the system (Section 4.2).  Model plans
 produced off-line by Oven/MPC are *registered*: their physical stages go into
-a shared catalog (loaded only once when identical), their parameters live in
-the Object Store, and vector pools are sized from the plans' statistics.
-Prediction requests are served either by the request-response engine (inline
-execution, lowest latency) or by the batch engine: a ``predict_batch`` call
-runs as one columnar group on the calling thread, and ``submit`` traffic is
-scheduled as stage events onto the shared executors.
+a shared catalog (loaded only once when identical) and their parameters live
+in the Object Store.  Prediction requests are served either by the
+request-response engine (inline execution, lowest latency) or by the batch
+engine: a ``predict_batch`` call runs as one columnar group on the calling
+thread, and ``submit`` traffic is scheduled as stage events onto the shared
+executors.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro import observability, profiling
 from repro.core.config import PretzelConfig
 from repro.core.engines import (
-    RequestResponseEngine,
+    execute_plan,
     execute_plan_stage,
     execute_plan_stage_columns,
     record_stage_span,
@@ -36,7 +36,6 @@ from repro.core.oven.optimizer import OvenOptimizer
 from repro.core.oven.plan import ModelPlan
 from repro.core.scheduler import InferenceRequest, Scheduler
 from repro.core.statistics import TransformStats
-from repro.core.vector_pool import VectorPool
 from repro.mlnet.pipeline import Pipeline
 from repro.operators.batch import ColumnBatch
 
@@ -93,11 +92,6 @@ class PretzelRuntime:
             self.scheduler,
             num_executors=self.config.num_executors,
             materializer=self.materializer,
-            vector_pooling=self.config.enable_vector_pooling,
-        )
-        self._inline_pool = VectorPool(enabled=self.config.enable_vector_pooling)
-        self._request_response = RequestResponseEngine(
-            materializer=self.materializer, pool=self._inline_pool
         )
         self._plans: Dict[str, RegisteredPlan] = {}
         self._stage_plan_count: Dict[str, int] = {}
@@ -153,9 +147,6 @@ class PretzelRuntime:
             self._register_stages(plan)
             if reserve:
                 registered.reserved_executor = self._reserve_executor(identifier)
-        sizes = [stage.physical.max_vector_size for stage in plan.stages]
-        self.executor_pool.preallocate(sizes)
-        self._inline_pool.preallocate(sizes)
         return identifier
 
     def _compile_to_plan(
@@ -273,10 +264,10 @@ class PretzelRuntime:
         if trace is None and self.mint_traces:
             trace = observability.tracer().maybe_trace()
         if trace is None:
-            return self._request_response.predict(registered.plan, record)
+            return execute_plan(registered.plan, record, self.materializer)
         started = time.perf_counter()
         try:
-            return self._request_response.predict(registered.plan, record, trace=trace)
+            return execute_plan(registered.plan, record, self.materializer, trace=trace)
         finally:
             if trace.owns_root:
                 observability.tracer().record(
@@ -330,8 +321,11 @@ class PretzelRuntime:
             ):
                 return self._run_group(registered.plan, records, trace)
             return [
-                self._request_response.predict(
-                    registered.plan, record, trace=trace if index == 0 else None
+                execute_plan(
+                    registered.plan,
+                    record,
+                    self.materializer,
+                    trace=trace if index == 0 else None,
                 )
                 for index, record in enumerate(records)
             ]
@@ -351,8 +345,7 @@ class PretzelRuntime:
         Stage outputs travel between stages as columns
         (:func:`execute_plan_stage_columns`): an n-gram stage's CSR column is
         what the linear stage downstream reduces, with no per-record value in
-        between.  Nothing is leased from a vector pool: the gather allocates
-        and frees per call.
+        between.
 
         Errors: when a stage's columnar call raises, its records re-run that
         stage one by one through the scalar path.  The call raises the error
@@ -418,15 +411,13 @@ class PretzelRuntime:
     # -- accounting -------------------------------------------------------------------
 
     def memory_bytes(self) -> int:
-        """Resident footprint: shared parameters + per-plan overhead + pools."""
+        """Resident footprint: shared parameters + per-plan overhead."""
         total = RUNTIME_OVERHEAD_BYTES
         if self.config.enable_object_store:
             total += self.object_store.memory_bytes()
         else:
             total += sum(reg.plan.memory_bytes() for reg in self._plans.values())
         total += PER_PLAN_OVERHEAD_BYTES * len(self._plans)
-        total += self.executor_pool.memory_bytes()
-        total += self._inline_pool.memory_bytes()
         return total
 
     def registration_seconds(self) -> float:

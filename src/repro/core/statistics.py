@@ -2,8 +2,8 @@
 
 The paper instruments ML.Net training to collect per-operator statistics
 (maximum vector sizes, dense/sparse representations, ...) that Oven uses to
-pick physical implementations and that the Runtime uses to size vector pools
-(Section 4.1.1).  :class:`TransformStats` is that record.
+pick physical implementations (Section 4.1.1).  :class:`TransformStats` is
+that record.
 """
 
 from __future__ import annotations

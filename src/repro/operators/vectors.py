@@ -1,7 +1,6 @@
 """Dense and sparse feature vectors.
 
-ML.Net operators exchange immutable data vectors; PRETZEL additionally pools
-and reuses vector buffers across predictions.  This module provides the two
+ML.Net operators exchange immutable data vectors.  This module provides the two
 concrete vector representations used throughout the repository together with
 the small set of kernels (dot products, concatenation, scaling) the operators
 need.  Vectors know their own memory footprint so the telemetry layer can

@@ -1,7 +1,7 @@
 """A serving worker: one process hosting a full PretzelRuntime.
 
 Each worker owns a complete white-box runtime -- Object Store, stage
-batching, reservations, vector pools, telemetry -- and serves its cluster
+batching, reservations, telemetry -- and serves its cluster
 over one :class:`~repro.serving.control.transport.SocketTransport`: its end
 of the ``socketpair()`` the cluster created before forking it.  The serve
 loop (:func:`_serve`) only touches the Transport interface (``send_bytes``

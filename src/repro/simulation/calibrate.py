@@ -64,13 +64,7 @@ def calibrate_plan_stages(
             values: Dict[Tuple[str, str], Any] = {}
             for index, stage in enumerate(plan.stages):
                 start = time.perf_counter()
-                execute_plan_stage(
-                    stage,
-                    record,
-                    values,
-                    materializer=runtime.materializer,
-                    pool=runtime._inline_pool,
-                )
+                execute_plan_stage(stage, record, values, runtime.materializer)
                 totals[index] += time.perf_counter() - start
             samples += 1
     if samples == 0:

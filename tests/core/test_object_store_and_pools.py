@@ -1,15 +1,12 @@
-"""Tests for the Object Store, LRU cache, vector pool and materialization."""
+"""Tests for the Object Store, LRU cache and materialization."""
 
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.materialization import SubPlanMaterializer
 from repro.core.object_store import LruByteCache, ObjectStore
-from repro.core.vector_pool import VectorPool, _size_class
 from repro.operators.base import Parameter
 from repro.operators.linear import LinearRegressor
 from repro.operators.text import WordNgramFeaturizer
@@ -249,50 +246,6 @@ class TestLruByteCache:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             LruByteCache(-1)
-
-
-class TestVectorPool:
-    def test_size_class_rounding(self):
-        assert _size_class(1) == 1
-        assert _size_class(5) == 8
-        assert _size_class(1024) == 1024
-        assert _size_class(1025) == 2048
-
-    def test_acquire_release_reuses_buffer(self):
-        pool = VectorPool(enabled=True)
-        pool.preallocate([100])
-        buffer = pool.acquire(100)
-        pool.release(buffer)
-        again = pool.acquire(100)
-        assert again.shape[0] >= 100
-        assert pool.hits >= 1
-
-    def test_disabled_pool_always_allocates(self):
-        pool = VectorPool(enabled=False)
-        pool.preallocate([64])
-        pool.acquire(64)
-        assert pool.hits == 0
-        assert pool.allocations >= 1
-
-    def test_memory_bytes_tracks_pooled_buffers(self):
-        pool = VectorPool(enabled=True, entries_per_class=2)
-        pool.preallocate([256])
-        assert pool.memory_bytes() == 2 * 256 * 8
-
-    def test_zero_size_request(self):
-        pool = VectorPool(enabled=True)
-        assert pool.acquire(0).shape[0] >= 1
-
-
-@settings(max_examples=40, deadline=None)
-@given(sizes=st.lists(st.integers(1, 5000), min_size=1, max_size=30))
-def test_size_class_always_covers_request_property(sizes):
-    """The pool never hands out a buffer smaller than requested."""
-    pool = VectorPool(enabled=True, entries_per_class=2)
-    for size in sizes:
-        buffer = pool.acquire(size)
-        assert buffer.shape[0] >= size
-        pool.release(buffer)
 
 
 class TestMaterializer:

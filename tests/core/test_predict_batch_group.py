@@ -217,9 +217,9 @@ def test_lowest_index_wins_across_stages(
             check(stage, record)
         return real_batch(stage, records, columns, *args, **kwargs)
 
-    def scalar(stage, record, values, materializer=None, pool=None):
+    def scalar(stage, record, values, materializer=None):
         check(stage, record)
-        return real_scalar(stage, record, values, materializer, pool)
+        return real_scalar(stage, record, values, materializer)
 
     monkeypatch.setattr(runtime_module, "execute_plan_stage_columns", batch)
     monkeypatch.setattr(runtime_module, "execute_plan_stage", scalar)

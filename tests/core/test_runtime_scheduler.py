@@ -107,7 +107,6 @@ class TestEngines:
         expected = sa_pipeline.predict(sa_inputs[0])
         configs = [
             PretzelConfig(enable_aot_compilation=False),
-            PretzelConfig(enable_vector_pooling=False),
             PretzelConfig(enable_object_store=False),
             PretzelConfig(enable_subplan_materialization=True),
         ]

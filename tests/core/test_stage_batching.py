@@ -390,18 +390,3 @@ class TestEndToEndBatching:
         finally:
             runtime.shutdown()
 
-
-def test_stage_batching_preallocates_no_more_executor_memory_than_batching_off(
-    sa_pipeline, sa_pipeline_variant, ac_pipeline
-):
-    """Registration fills the executors' pools with scalar working buffers
-    only: a ``StageBatch`` leases no pooled scratch, so turning batching on
-    must not grow what each executor holds after the same registrations."""
-    pooled = {}
-    for batching in (False, True):
-        with PretzelRuntime(PretzelConfig(enable_stage_batching=batching)) as runtime:
-            for pipeline in (sa_pipeline, sa_pipeline_variant, ac_pipeline):
-                runtime.register(pipeline, engine="batch")
-            pooled[batching] = runtime.executor_pool.memory_bytes()
-    assert pooled[False] > 0
-    assert pooled[True] == pooled[False]
