@@ -7,8 +7,8 @@ machine-readable ``.json`` twin):
   free lists, threads x ops/sec (recorded).  The one assert is structural:
   the lock wait registry shows 0 ``arena.meta`` acquisitions on the warm
   fast path at every thread count.
-* **scheduler** -- self-feeding submit+pop threads against the one queue
-  per priority class, threads x ops/sec (recorded).
+* **scheduler** -- self-feeding submit+pop threads against the scheduler's
+  one condition-guarded lock, threads x ops/sec (recorded).
 * **register-under-pressure** -- concurrent plan registrations on a
   budget-squeezed cluster (dedup claims and overflows racing through the
   per-plan/phase lock split), which the old global lifecycle lock fully
@@ -131,7 +131,7 @@ def _scheduler_sweep(threads: int) -> float:
             barrier.wait(timeout=30.0)
             for step in range(SCHED_OPS_PER_THREAD):
                 scheduler.submit(InferenceRequest(f"r{index}-{step}", plan, step))
-                if scheduler.next_event(index, timeout=5.0) is None:
+                if scheduler.next_batch(index, timeout=5.0) is None:
                     errors.append(f"thread {index} starved at step {step}")
                     return
         except Exception as error:  # pragma: no cover - surfaced below
@@ -254,8 +254,8 @@ def test_contention_microbench(benchmark):
     arena_report.rows = arena_rows
     scheduler_report = ExperimentReport(
         "Contention microbench: scheduler",
-        "self-feeding submit+pop (kops/sec) per thread count, one queue per "
-        f"priority class ({SCHED_OPS_PER_THREAD} ops/thread).",
+        "self-feeding submit+pop (kops/sec) per thread count, every queue "
+        f"behind one lock ({SCHED_OPS_PER_THREAD} ops/thread).",
     )
     scheduler_report.rows = scheduler_rows
     register_report = ExperimentReport(

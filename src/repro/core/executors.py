@@ -6,12 +6,12 @@ spawned on the prediction path.  Executors serve ``submit`` traffic;
 ``PretzelRuntime.predict_batch`` runs its records on the caller's thread and
 never starts them.
 
-When the scheduler has stage-level batching enabled, a free executor pulls a
-:class:`~repro.core.scheduler.StageBatch` -- queued events whose next stage
-shares one physical-stage signature, possibly from different requests and
-different model plans, taken straight from the scheduler's signature index
-(up to ``max_stage_batch_size``) -- and serves
-the whole batch through a single vectorized
+A free executor always pulls a :class:`~repro.core.scheduler.StageBatch`.
+With stage-level batching off it holds one event; with it on, it holds the
+queued events whose next stage shares one physical-stage signature, possibly
+from different requests and different model plans, taken straight from the
+scheduler's signature index (up to ``max_stage_batch_size``), and the
+executor serves the whole batch through a single vectorized
 :func:`~repro.core.engines.execute_plan_stage_batch` call.  If the batched
 path raises, the executor falls back to per-event scalar execution so errors
 are attributed to the request that caused them and healthy requests in the
@@ -71,18 +71,10 @@ class Executor(threading.Thread):
         self._stop_event = threading.Event()
 
     def run(self) -> None:  # pragma: no cover - exercised via integration tests
-        batching = self.scheduler.enable_stage_batching
         while not self._stop_event.is_set() and not self.scheduler.is_shut_down:
-            if batching:
-                batch = self.scheduler.next_batch(self.executor_id)
-                if batch is None:
-                    continue
+            batch = self.scheduler.next_batch(self.executor_id)
+            if batch is not None:
                 self.execute_batch(batch)
-            else:
-                event = self.scheduler.next_event(self.executor_id)
-                if event is None:
-                    continue
-                self.execute_event(event)
 
     def execute_event(self, event: StageEvent) -> None:
         """Run one stage event (also callable synchronously from tests)."""

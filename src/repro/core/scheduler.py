@@ -4,27 +4,25 @@ The Scheduler never pushes work to a specific executor.  Instead it maintains
 shared :class:`ReadyQueue` instances -- a *low priority* queue for the first
 stage of newly submitted requests and a *high priority* queue for stages of
 requests that are already in flight -- and executors *pull* the next event
-when they become free.  Started pipelines therefore finish (and return their
-pooled vectors) before new pipelines are admitted, which is exactly the
-paper's rationale for the two queues.
+when they become free.  Started pipelines therefore finish before new
+pipelines are admitted, which is exactly the paper's rationale for the two
+queues.
 
 **The ready queues are signature-indexed.**  A :class:`ReadyQueue` preserves
 strict FIFO order (pops are byte-identical to a plain deque) but additionally
-indexes its queued events by the ``physical.full_signature`` of the stage
-each event will run.  Batch formation therefore never scans a queue: the
-leader is popped FIFO, and its coalescible peers are popped straight out of
-the leader signature's bucket, in FIFO order, at O(1) per event -- so
-:meth:`Scheduler.next_batch` costs O(batch size) instead of O(queue depth),
-and :meth:`Scheduler.signature_depths` reports the per-signature backlog for
-free.
+indexes its coalescible events by the ``physical.full_signature`` of the
+stage each event will run.  Batch formation therefore never scans a queue:
+the leader is popped FIFO, and its coalescible peers are popped straight out
+of the leader signature's bucket, in FIFO order, at O(1) per event -- so
+:meth:`Scheduler.next_batch` costs O(batch size) instead of O(queue depth).
 
 **Cross-plan stage-level batching.**  Because plans compiled against the same
 Object Store point at the *same* physical stages, events queued by different
 requests -- even requests for different model plans -- frequently wait to run
-an identical physical stage.  With ``enable_stage_batching`` on, a free
-executor pulls a :class:`StageBatch` instead of a single event: the first
-runnable event plus every other queued event whose next stage shares its
-``physical.full_signature``, up to ``max_stage_batch_size``.
+an identical physical stage.  A free executor pulls a :class:`StageBatch`:
+the first runnable event plus, with ``enable_stage_batching`` on, every
+other queued event whose next stage shares its ``physical.full_signature``,
+up to ``max_stage_batch_size``.  With batching off every batch is one event.
 Latency-sensitive requests always bypass coalescing (they run alone,
 preserving the request-response latency profile), and reserved executors only
 coalesce within their private queue, so reservation isolation is preserved.
@@ -43,13 +41,10 @@ driver: it submits, pulls with ``next_batch(core, timeout=0.0)`` and reports
 completions on a virtual clock, so the figures' PRETZEL series run this very
 policy.
 
-**Locking.**  Each priority class is one
-:class:`~repro.profiling.locks.ProfiledLock` guarding one
-:class:`ReadyQueue`.  Executors park on a separate sleep condition guarded
-by a sleeper count: a producer only touches the condition when someone is
-actually asleep, and a consumer re-polls the queues *after* registering as a
-sleeper, which (under the GIL's sequential consistency) closes the
-missed-wakeup window.
+**Locking.**  One condition variable, over a
+:class:`~repro.profiling.locks.ProfiledLock` named ``scheduler.queues``,
+guards every queue, both reservation tables and the shutdown flag.  Idle
+executors wait on that same condition, and every producer wakes all of them.
 
 Shutting the scheduler down fails every still-queued request fast (instead of
 leaving callers blocked in :meth:`InferenceRequest.wait` until their timeout).
@@ -60,14 +55,14 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.oven.plan import ModelPlan
 from repro.observability import registry, tracer
 from repro.observability.tracing import TraceContext
-from repro.profiling.locks import ProfiledLock, ProfiledRLock
+from repro.profiling.locks import ProfiledLock
 from repro.telemetry.batching import StageBatchTelemetry
 
 __all__ = ["InferenceRequest", "StageEvent", "StageBatch", "ReadyQueue", "Scheduler"]
@@ -189,27 +184,23 @@ class StageBatch:
 
 
 class ReadyQueue:
-    """A FIFO event queue with a per-signature index of its contents.
+    """A FIFO event queue with a per-signature index of its coalescible events.
 
     Pops (:meth:`popleft`) come out in exact insertion order, byte-identical
     to the flat deques the seed scheduler used.  On top of that the queue
-    maintains, per ``physical.full_signature``:
+    keeps, per ``physical.full_signature``, a *coalescible* bucket -- an
+    ordered map of the queued events that stage batching may fold into a
+    batch (latency-sensitive events are excluded, they only ever leave
+    through :meth:`popleft`).
 
-    * a *coalescible* bucket -- an ordered map of the queued events that stage
-      batching may fold into a batch (latency-sensitive events are excluded,
-      they only ever leave through :meth:`popleft`); and
-    * a total depth counter covering **all** queued events of the signature,
-      so :meth:`signature_depths` sums exactly to ``len(queue)``.
-
-    Every operation is O(1) per event touched: :meth:`pop_matching` pops
-    members straight off the signature's bucket, so batch formation costs
-    O(batch size) regardless of how deep the queue is.
+    Every pop is O(1) per event touched: :meth:`pop_matching` pops members
+    straight off the signature's bucket, so batch formation costs O(batch
+    size) regardless of how deep the queue is.
     """
 
     def __init__(self) -> None:
         self._events: "OrderedDict[int, StageEvent]" = OrderedDict()
         self._coalescible: Dict[str, "OrderedDict[int, StageEvent]"] = {}
-        self._depths: Dict[str, int] = {}
         self._counter = itertools.count()
 
     def __len__(self) -> int:
@@ -223,18 +214,21 @@ class ReadyQueue:
 
     def append(self, event: StageEvent) -> None:
         seq = next(self._counter)
-        signature = event.signature
         self._events[seq] = event
-        self._depths[signature] = self._depths.get(signature, 0) + 1
         if not event.request.latency_sensitive:
-            self._coalescible.setdefault(signature, OrderedDict())[seq] = event
+            self._coalescible.setdefault(event.signature, OrderedDict())[seq] = event
 
     def popleft(self) -> Optional[StageEvent]:
         """Pop the oldest event (None when empty)."""
         if not self._events:
             return None
         seq, event = self._events.popitem(last=False)
-        self._forget(seq, event.signature)
+        signature = event.signature
+        bucket = self._coalescible.get(signature)
+        if bucket is not None:
+            bucket.pop(seq, None)
+            if not bucket:
+                del self._coalescible[signature]
         return event
 
     def pop_matching(self, signature: str, limit: int) -> List[StageEvent]:
@@ -250,8 +244,9 @@ class ReadyQueue:
         while bucket and len(taken) < limit:
             seq, event = bucket.popitem(last=False)
             del self._events[seq]
-            self._forget(seq, signature)
             taken.append(event)
+        if not bucket:
+            del self._coalescible[signature]
         return taken
 
     def coalescible_depth(self, signature: str) -> int:
@@ -260,53 +255,30 @@ class ReadyQueue:
         return len(bucket) if bucket else 0
 
     def signature_depths(self) -> Dict[str, int]:
-        """Total queued events per signature (including latency-sensitive)."""
-        return dict(self._depths)
+        """Total queued events per signature (including latency-sensitive).
+
+        Counted on demand: only telemetry reads it, so no pop pays for it.
+        """
+        return dict(Counter(event.signature for event in self._events.values()))
 
     def drain(self) -> List[StageEvent]:
         """Remove and return every queued event, oldest first (for shutdown)."""
         events = list(self._events.values())
         self._events.clear()
         self._coalescible.clear()
-        self._depths.clear()
         return events
-
-    def _forget(self, seq: int, signature: str) -> None:
-        remaining = self._depths[signature] - 1
-        if remaining:
-            self._depths[signature] = remaining
-        else:
-            del self._depths[signature]
-        bucket = self._coalescible.get(signature)
-        if bucket is not None:
-            bucket.pop(seq, None)
-            if not bucket:
-                del self._coalescible[signature]
-
-
-class _PriorityClass:
-    """One priority class: a named lock and the ready queue it guards."""
-
-    __slots__ = ("lock", "queue")
-
-    def __init__(self, name: str) -> None:
-        self.lock = ProfiledLock(name)
-        self.queue = ReadyQueue()
 
 
 class Scheduler:
     """Signature-indexed ready queues + reservation bookkeeping; executors pull from it.
 
-    Locking: each priority class has its own lock; reservations live behind
-    their own lock; sleeping executors park on a dedicated condition that
-    producers touch only when the sleeper count says someone is actually
-    waiting.  The ``scheduled_events`` /
-    ``completed_requests`` counters are registry-backed
-    :class:`~repro.observability.metrics.Counter` instruments (the
-    attributes remain as read-only properties), still bumped with plain
-    ``+=`` inside the instrument -- a preemption between read and store can
-    drop an increment, which is acceptable for telemetry and keeps the
-    counters off every lock.
+    Locking: one condition guards every queue, both reservation tables and
+    the shutdown flag, and idle executors wait on it.  The
+    ``scheduled_events`` / ``completed_requests`` counters are
+    registry-backed :class:`~repro.observability.metrics.Counter`
+    instruments (the attributes remain as read-only properties), still bumped
+    with plain ``+=`` inside the instrument -- a preemption between read and
+    store can drop an increment, which is acceptable for telemetry.
     """
 
     def __init__(
@@ -319,21 +291,16 @@ class Scheduler:
         self.enable_stage_batching = enable_stage_batching
         self.max_stage_batch_size = max_stage_batch_size
         self.batching = StageBatchTelemetry()
-        self._low = _PriorityClass("scheduler.low")
-        self._high = _PriorityClass("scheduler.high")
+        self._low = ReadyQueue()
+        self._high = ReadyQueue()
         #: plan id -> executor id holding the reservation
         self._reservations: Dict[str, int] = {}
         #: executor id -> private queue of events for its reserved plans
         self._reserved_queues: Dict[int, ReadyQueue] = {}
-        #: guards the two reservation tables and every private queue;
-        #: reentrant because `unreserve` re-routes drained events through
-        #: `_enqueue`, whose reserved branch takes it again
-        self._reserve_lock = ProfiledRLock("scheduler.reserve")
-        #: executors park here; `_sleepers` gates producer-side notifies so
-        #: an uncontended submit never touches the condition
-        self._sleep_cond = threading.Condition()
-        self._sleepers = 0
         self._shutdown = False
+        #: guards everything above; producers notify_all because reserved
+        #: and shared executors wait on it alike
+        self._cond = threading.Condition(ProfiledLock("scheduler.queues"))
         #: per-instance instruments on the unified metrics plane; the
         #: ``scheduled_events`` / ``completed_requests`` properties keep the
         #: historical attribute API reading exactly this scheduler's counts
@@ -347,19 +314,6 @@ class Scheduler:
     @property
     def completed_requests(self) -> int:
         return self._completed_total.value
-
-    def _wake(self) -> None:
-        """Wake parked executors iff any are parked.
-
-        A producer that appended before a consumer registered as a sleeper
-        may read a zero count here -- but that consumer re-polls the queues
-        *after* incrementing ``_sleepers`` and before waiting, so under the
-        GIL's total order it either sees the append or is seen by this read.
-        Never called with a queue lock held (keeps the lock graph acyclic).
-        """
-        if self._sleepers:
-            with self._sleep_cond:
-                self._sleep_cond.notify_all()
 
     # -- per-signature state ------------------------------------------------------
 
@@ -375,7 +329,7 @@ class Scheduler:
 
     def reserve(self, plan_id: str, executor_id: int) -> None:
         """Dedicate ``executor_id`` to ``plan_id`` (container-like isolation)."""
-        with self._reserve_lock:
+        with self._cond:
             self._reservations[plan_id] = executor_id
             self._reserved_queues.setdefault(executor_id, ReadyQueue())
 
@@ -383,37 +337,30 @@ class Scheduler:
         """Release a plan's reservation (plan teardown).
 
         The executor returns to the shared pool once no other plan reserves
-        it; events still sitting in its private queue are re-routed through
-        the normal enqueue path (they belong to plans that are being torn
-        down or that shared the reservation) so nothing is stranded in a
-        queue no executor will ever drain again.
+        it; events still sitting in its private queue are re-routed to the
+        shared queues (they belong to plans that are being torn down or that
+        shared the reservation) so nothing is stranded in a queue no executor
+        will ever drain again.  After shutdown every queue is already empty.
         """
-        stranded: List[StageEvent] = []
-        with self._reserve_lock:
+        with self._cond:
             executor_id = self._reservations.pop(plan_id, None)
             if executor_id is None:
                 return False
             if executor_id in self._reservations.values():
                 return True  # another plan still holds this executor
             queue = self._reserved_queues.pop(executor_id, None)
-            while queue is not None:
-                event = queue.popleft()
-                if event is None:
-                    break
-                self._events_total.add(-1)  # _enqueue re-counts it
-                if not self._enqueue(event):
-                    stranded.append(event)
-        self._wake()
-        for event in stranded:  # re-route raced shutdown: fail fast
-            if not event.request.done:
-                event.request.fail(RuntimeError("scheduler is shut down"))
+            if queue:
+                for event in queue.drain():
+                    self._route(event)
+                self._cond.notify_all()
         return True
 
     def reservation_for(self, plan_id: str) -> Optional[int]:
         return self._reservations.get(plan_id)
 
     def reserved_executor_ids(self) -> List[int]:
-        return list(self._reserved_queues)
+        with self._cond:
+            return list(self._reserved_queues)
 
     # -- submission --------------------------------------------------------------
 
@@ -423,76 +370,80 @@ class Scheduler:
         Submissions against a shut-down scheduler fail the request immediately
         rather than queueing work that will never be served.
         """
-        event = StageEvent(request, 0)
-        if self._enqueue(event):
-            self._wake()
-        else:
+        if not self._push(StageEvent(request, 0)):
             request.fail(RuntimeError("scheduler is shut down"))
         return request
 
-    def _enqueue(self, event: StageEvent) -> bool:
-        """Route one event to its queue; False iff the scheduler is shut down.
-
-        The shutdown flag is re-checked *inside* the target queue's lock:
-        `shutdown` sets the flag and then drains each queue under its lock,
-        so an enqueue that wins its lock before the drain is drained, and one
-        that loses observes the flag -- either way nothing is stranded.
-        """
-        if event.request.trace is not None:
-            event.enqueued_at = time.perf_counter()
-        executor_id = self._reservations.get(event.request.plan_id)  # atomic probe
-        if executor_id is not None:
-            with self._reserve_lock:
-                queue = self._reserved_queues.get(executor_id)
-                if (
-                    queue is not None
-                    and self._reservations.get(event.request.plan_id) == executor_id
-                ):
-                    if self._shutdown:
-                        return False
-                    self._events_total.inc()
-                    queue.append(event)
-                    return True
-            # reservation vanished between the probe and the lock: fall
-            # through to shared routing
-        target = self._low if event.is_first else self._high
-        with target.lock:
+    def _push(self, event: StageEvent) -> bool:
+        """Queue one event and wake every parked executor; False iff shut down."""
+        with self._cond:
             if self._shutdown:
                 return False
             self._events_total.inc()
-            target.queue.append(event)
+            self._route(event)
+            self._cond.notify_all()
         return True
+
+    def _route(self, event: StageEvent) -> None:
+        """Append ``event`` to its plan's reserved queue or a shared one (lock held)."""
+        if event.request.trace is not None:
+            event.enqueued_at = time.perf_counter()
+        executor_id = self._reservations.get(event.request.plan_id)
+        if executor_id is not None:
+            self._reserved_queues[executor_id].append(event)
+        elif event.is_first:
+            self._low.append(event)
+        else:
+            self._high.append(event)
 
     # -- executor protocol ---------------------------------------------------------
 
-    def next_event(self, executor_id: int, timeout: float = 0.05) -> Optional[StageEvent]:
-        """Late binding: a free executor pulls the next runnable event.
+    def _visible(self, executor_id: int) -> Tuple[ReadyQueue, ...]:
+        """The queues ``executor_id`` pulls from, in pull order (lock held).
 
-        Reserved executors only serve their private queue.  Shared executors
-        drain the high-priority queues (in-flight pipelines, which hold pooled
-        vectors) before admitting new pipelines from the low-priority queues.
+        A reserved executor serves only its private queue.  Shared executors
+        drain the high-priority queue (in-flight pipelines) before admitting
+        new pipelines from the low-priority one.
         """
-        return self._next_ready(executor_id, time.perf_counter() + timeout)
+        reserved = self._reserved_queues.get(executor_id)
+        return (reserved,) if reserved is not None else (self._high, self._low)
 
     def next_batch(self, executor_id: int, timeout: float = 0.05) -> Optional[StageBatch]:
-        """Pull the next runnable event plus every coalescible peer.
+        """Late binding: a free executor pulls the next runnable event and its peers.
 
-        The first runnable event is chosen exactly as :meth:`next_event` would;
-        when stage batching is enabled and the event is not latency-sensitive,
-        queued events visible to this executor whose next stage has the same
+        The leader is the oldest event of the first non-empty queue visible to
+        this executor; the call waits up to ``timeout`` seconds for one.  When
+        stage batching is enabled and the leader is not latency-sensitive,
+        queued events in the same queues whose next stage has the same
         physical signature are popped straight off the signature index (up to
-        ``max_stage_batch_size``).  Queue order of non-coalesced
-        events is preserved, and formation cost is O(batch size).
+        ``max_stage_batch_size``).  Queue order of non-coalesced events is
+        preserved, and formation cost is O(batch size).
         """
-        event = self._next_ready(executor_id, time.perf_counter() + timeout)
-        if event is None:
-            return None
-        events = [event]
-        backlog = 0
-        formed_at = time.perf_counter()
-        if self.enable_stage_batching and not event.request.latency_sensitive:
-            backlog = self._coalesce_into(events, executor_id)
-        # internally-locked telemetry; recorded outside every queue lock
+        deadline = time.perf_counter() + timeout
+        with self._cond:
+            while True:
+                if self._shutdown:
+                    return None
+                queues = self._visible(executor_id)
+                event = next((queue.popleft() for queue in queues if queue), None)
+                if event is not None:
+                    break
+                remaining = deadline - time.perf_counter()
+                if remaining <= 0:
+                    return None
+                self._cond.wait(remaining)
+            events = [event]
+            backlog = 0
+            formed_at = time.perf_counter()
+            if self.enable_stage_batching and not event.request.latency_sensitive:
+                signature = event.signature
+                limit = self.max_stage_batch_size
+                backlog = sum(queue.coalescible_depth(signature) for queue in queues)
+                for queue in queues:
+                    if len(events) >= limit:
+                        break
+                    events.extend(queue.pop_matching(signature, limit - len(events)))
+        # internally-locked telemetry; recorded outside the condition
         self.batching.record(event.signature, len(events), backlog=backlog)
         if len(events) > 1:
             traced = [member.request.trace for member in events if member.request.trace]
@@ -512,83 +463,6 @@ class Scheduler:
                     },
                 )
         return StageBatch(events)
-
-    def _next_ready(self, executor_id: int, deadline: float) -> Optional[StageEvent]:
-        """Poll, then park until an event arrives or the deadline passes."""
-        while not self._shutdown:
-            event = self._try_pop(executor_id)
-            if event is not None:
-                return event
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                return None
-            with self._sleep_cond:
-                self._sleepers += 1
-                try:
-                    # Re-poll after becoming visible as a sleeper: any append
-                    # sequenced before our increment is found here, any append
-                    # after it sees the non-zero count and notifies.
-                    event = self._try_pop(executor_id)
-                    if event is not None:
-                        return event
-                    if self._shutdown:
-                        return None
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        return None
-                    self._sleep_cond.wait(remaining)
-                finally:
-                    self._sleepers -= 1
-        return None
-
-    def _try_pop(self, executor_id: int) -> Optional[StageEvent]:
-        """One non-blocking pass over the queues visible to this executor."""
-        if executor_id in self._reserved_queues:  # atomic probe
-            with self._reserve_lock:
-                reserved = self._reserved_queues.get(executor_id)
-                if reserved is not None:
-                    return reserved.popleft()
-            # reservation dropped while we waited: fall through to shared
-        for shared in (self._high, self._low):
-            # Racy emptiness pre-check: an idle class costs no lock.  A miss
-            # (emptied between check and pop) just returns None from popleft.
-            if not shared.queue:
-                continue
-            with shared.lock:
-                event = shared.queue.popleft()
-            if event is not None:
-                return event
-        return None
-
-    def _coalesce_into(self, events: List[StageEvent], executor_id: int) -> int:
-        """Pop same-signature peers from this executor's queues into ``events``.
-
-        A reserved executor only coalesces from its private queue (isolation);
-        shared executors drain the high-priority queue before the low-priority
-        one, mirroring the pull order.  Latency-sensitive events are never
-        indexed as coalescible, so they are skipped by construction.  Returns
-        the coalescible backlog observed behind the leader (for telemetry).
-        """
-        signature = events[0].signature
-        limit = self.max_stage_batch_size
-        if executor_id in self._reserved_queues:
-            with self._reserve_lock:
-                reserved = self._reserved_queues.get(executor_id)
-                if reserved is not None:
-                    backlog = reserved.coalescible_depth(signature)
-                    events.extend(reserved.pop_matching(signature, limit - len(events)))
-                    return backlog
-        # Depth reads are racy by design (atomic dict lookups; the backlog
-        # is only reported); the pops below hold each class's lock.
-        backlog = sum(
-            shared.queue.coalescible_depth(signature) for shared in (self._high, self._low)
-        )
-        for shared in (self._high, self._low):
-            if len(events) >= limit:
-                break
-            with shared.lock:
-                events.extend(shared.queue.pop_matching(signature, limit - len(events)))
-        return backlog
 
     def on_stage_complete(self, event: StageEvent, output: Any) -> None:
         """Advance the request: schedule the next stage or complete it.
@@ -614,10 +488,7 @@ class Scheduler:
                     attributes={"plan_id": request.plan_id, "engine": "batch"},
                 )
             return
-        next_event = StageEvent(request, event.stage_index + 1)
-        if self._enqueue(next_event):
-            self._wake()
-        else:
+        if not self._push(StageEvent(request, event.stage_index + 1)):
             request.fail(RuntimeError("scheduler shut down before request completed"))
 
     def on_stage_error(self, event: StageEvent, error: BaseException) -> None:
@@ -630,19 +501,15 @@ class Scheduler:
 
         Without this, a request whose events were queued but never pulled would
         block its caller in :meth:`InferenceRequest.wait` until the timeout.
-        Sets the flag first, then drains each queue under its own lock; an
-        enqueue racing this either lands before the drain (and is drained) or
-        observes the flag inside the lock and fails its request itself.
+        The flag and the drain share one critical section, so every later
+        push observes the flag and fails its request itself.
         """
-        self._shutdown = True
-        abandoned: List[StageEvent] = []
-        for shared in (self._low, self._high):
-            with shared.lock:
-                abandoned.extend(shared.queue.drain())
-        with self._reserve_lock:
+        with self._cond:
+            self._shutdown = True
+            abandoned = self._low.drain() + self._high.drain()
             for queue in self._reserved_queues.values():
                 abandoned.extend(queue.drain())
-        self._wake()
+            self._cond.notify_all()
         for event in abandoned:
             if not event.request.done:
                 event.request.fail(
@@ -656,27 +523,14 @@ class Scheduler:
         return self._shutdown
 
     def queue_depths(self) -> Dict[str, int]:
-        depths = {"low": len(self._low.queue), "high": len(self._high.queue)}
-        with self._reserve_lock:
+        with self._cond:
+            depths = {"low": len(self._low), "high": len(self._high)}
             for executor_id, queue in self._reserved_queues.items():
                 depths[f"reserved[{executor_id}]"] = len(queue)
         return depths
 
     def signature_depths(self) -> Dict[str, int]:
-        """Queued events per physical-stage signature, across every queue.
-
-        The per-signature index makes this a dictionary merge -- no queue is
-        scanned -- so telemetry can sample the backlog shape cheaply even
-        under deep queues.
-        """
-        snapshots = []
-        for shared in (self._low, self._high):
-            with shared.lock:
-                snapshots.append(shared.queue.signature_depths())
-        with self._reserve_lock:
-            snapshots.extend(queue.signature_depths() for queue in self._reserved_queues.values())
-        totals: Dict[str, int] = {}
-        for depths in snapshots:
-            for signature, depth in depths.items():
-                totals[signature] = totals.get(signature, 0) + depth
-        return totals
+        """Queued events per physical-stage signature, across every queue."""
+        with self._cond:
+            queues = [self._low, self._high, *self._reserved_queues.values()]
+            return dict(Counter(event.signature for queue in queues for event in queue))

@@ -7,7 +7,7 @@ queues, worker channels) are wrapped in :class:`ProfiledLock` /
 -- and only a contended acquisition pays two ``perf_counter`` reads to record
 how long the thread actually waited.  Wait time is accumulated per lock
 *name* in a process-global :class:`LockWaitRegistry`, so all per-plan locks
-(or the priority classes of every scheduler) share a single row in
+(or the queue lock of every scheduler) share a single row in
 ``stats()["profile"]["locks"]``.
 
 The counters are telemetry-grade: they are updated with plain ``+=`` on

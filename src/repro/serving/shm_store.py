@@ -533,7 +533,8 @@ class ArenaClient(ParameterBacking):
 
         Walks the operator's attributes; every fixed-width numpy array whose
         content checksum has a shared slab is replaced by the read-only view,
-        releasing the private copy that unpickling created.  Returns how many
+        releasing the private copy that unpickling created.  Arrays that are
+        already segment views are skipped without hashing.  Returns how many
         arrays were rebound.
         """
         from repro.operators.base import _checksum_of
@@ -543,7 +544,7 @@ class ArenaClient(ParameterBacking):
         if not attributes:
             return 0
         for attr_name, value in list(attributes.items()):
-            if not _shareable(value) or value.nbytes == 0:
+            if not _shareable(value) or value.nbytes == 0 or self._is_arena_view(value):
                 continue
             ref = self._ref_for(_checksum_of(value))
             if ref is None:

@@ -203,7 +203,8 @@ class TestIndexedMatchesSeedDeques:
                 oracle.submit(request.request_id, plan_id, is_first=True)
             elif action < 0.85:
                 executor_id = rng.choice(executor_ids)
-                event = scheduler.next_event(executor_id, timeout=0.0)
+                batch = scheduler.next_batch(executor_id, timeout=0.0)
+                (event,) = batch if batch is not None else (None,)
                 expected = oracle.pop(executor_id)
                 assert (event.request.request_id if event else None) == expected
                 if event is not None and not event.is_last:

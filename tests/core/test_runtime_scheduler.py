@@ -144,8 +144,8 @@ class TestScheduler:
         scheduler.submit(request)
         depths = scheduler.queue_depths()
         assert depths["low"] == 1 and depths["high"] == 0
-        event = scheduler.next_event(executor_id=0, timeout=0.01)
-        assert event is not None and event.is_first
+        (event,) = scheduler.next_batch(executor_id=0, timeout=0.01)
+        assert event.is_first
         scheduler.on_stage_complete(event, output=None)
         depths = scheduler.queue_depths()
         assert depths["high"] == 1  # in-flight stages go to the high queue
@@ -154,11 +154,11 @@ class TestScheduler:
         scheduler = Scheduler()
         first = self._request(runtime, sa_pipeline, sa_inputs[0])
         scheduler.submit(first)
-        event = scheduler.next_event(0, timeout=0.01)
+        (event,) = scheduler.next_batch(0, timeout=0.01)
         scheduler.on_stage_complete(event, output=None)
         second = self._request(runtime, sa_pipeline, sa_inputs[1])
         scheduler.submit(second)
-        next_event = scheduler.next_event(0, timeout=0.01)
+        (next_event,) = scheduler.next_batch(0, timeout=0.01)
         assert next_event.request is first  # the in-flight request wins
 
     def test_reservation_routes_to_private_queue(self, runtime, sa_pipeline, sa_inputs):
@@ -166,15 +166,14 @@ class TestScheduler:
         request = self._request(runtime, sa_pipeline, sa_inputs[0])
         scheduler.reserve(request.plan_id, executor_id=1)
         scheduler.submit(request)
-        assert scheduler.next_event(0, timeout=0.01) is None
-        event = scheduler.next_event(1, timeout=0.01)
-        assert event is not None
+        assert scheduler.next_batch(0, timeout=0.01) is None
+        assert scheduler.next_batch(1, timeout=0.01) is not None
 
     def test_request_completion_and_error(self, runtime, sa_pipeline, sa_inputs):
         scheduler = Scheduler()
         request = self._request(runtime, sa_pipeline, sa_inputs[0])
         scheduler.submit(request)
-        event = scheduler.next_event(0, timeout=0.01)
+        (event,) = scheduler.next_batch(0, timeout=0.01)
         scheduler.on_stage_error(event, RuntimeError("boom"))
         with pytest.raises(RuntimeError):
             request.wait(timeout=1.0)
@@ -185,8 +184,7 @@ class TestScheduler:
         request = self._request(runtime, sa_pipeline, sa_inputs[0])
         scheduler.submit(request)
         while not request.done:
-            event = scheduler.next_event(0, timeout=0.01)
-            assert event is not None
+            (event,) = scheduler.next_batch(0, timeout=0.01)
             executor.execute_event(event)
         assert request.result == pytest.approx(sa_pipeline.predict(sa_inputs[0]))
         assert executor.stages_executed == len(request.plan.stages)
@@ -275,12 +273,12 @@ class TestReservationRelease:
         # A shared request is invisible to the reserved executor...
         plan_id = runtime.register(sa_pipeline)
         scheduler.submit(InferenceRequest(plan_id, runtime.plan(plan_id), sa_inputs[0]))
-        assert scheduler.next_event(executor_id=0, timeout=0.01) is None
+        assert scheduler.next_batch(executor_id=0, timeout=0.01) is None
         assert scheduler.unreserve("reserved-plan") is True
         assert scheduler.reservation_for("reserved-plan") is None
         assert scheduler.reserved_executor_ids() == []
         # ...and served by it once the reservation is released.
-        assert scheduler.next_event(executor_id=0, timeout=0.01) is not None
+        assert scheduler.next_batch(executor_id=0, timeout=0.01) is not None
 
     def test_unreserve_requeues_stranded_private_events(self, runtime, sa_pipeline, sa_inputs):
         scheduler = Scheduler()
@@ -293,7 +291,7 @@ class TestReservationRelease:
         # double-counted) and any executor can now pull it.
         assert scheduler.scheduled_events == events_before
         assert scheduler.queue_depths()["low"] == 1
-        assert scheduler.next_event(executor_id=0, timeout=0.01) is not None
+        assert scheduler.next_batch(executor_id=0, timeout=0.01) is not None
 
     def test_unreserve_keeps_executor_while_other_plan_holds_it(self):
         scheduler = Scheduler()

@@ -25,7 +25,7 @@ class TestErrorPropagation:
     def test_stage_error_propagates_through_wait(self):
         scheduler = Scheduler()
         request = _submit(scheduler)
-        event = scheduler.next_event(0, timeout=0.0)
+        (event,) = scheduler.next_batch(0, timeout=0.0)
         error = ValueError("bad feature vector")
         scheduler.on_stage_error(event, error)
         assert request.done
@@ -42,9 +42,9 @@ class TestErrorPropagation:
     def test_mid_pipeline_error_does_not_requeue_later_stages(self):
         scheduler = Scheduler()
         _submit(scheduler)
-        event = scheduler.next_event(0, timeout=0.0)
+        (event,) = scheduler.next_batch(0, timeout=0.0)
         scheduler.on_stage_error(event, RuntimeError("boom"))
-        assert scheduler.next_event(0, timeout=0.0) is None
+        assert scheduler.next_batch(0, timeout=0.0) is None
         assert scheduler.queue_depths() == {"low": 0, "high": 0}
 
 
@@ -56,7 +56,7 @@ class TestQueueDepthAccounting:
         scheduler = Scheduler()
         requests = [_submit(scheduler, f"p{i}") for i in range(3)]
         assert scheduler.queue_depths() == {"low": 3, "high": 0}
-        event = scheduler.next_event(0, timeout=0.0)
+        (event,) = scheduler.next_batch(0, timeout=0.0)
         assert scheduler.queue_depths() == {"low": 2, "high": 0}
         scheduler.on_stage_complete(event, output=None)
         assert scheduler.queue_depths() == {"low": 2, "high": 1}
@@ -94,7 +94,7 @@ class TestShutdownWithQueuedEvents:
     def test_in_flight_requeue_also_fails_after_shutdown(self):
         scheduler = Scheduler()
         request = _submit(scheduler)
-        event = scheduler.next_event(0, timeout=0.0)
+        (event,) = scheduler.next_batch(0, timeout=0.0)
         scheduler.shutdown()
         # An executor finishing its current stage after shutdown requeues the
         # next stage into a drained scheduler; the request must fail fast, not
@@ -103,7 +103,6 @@ class TestShutdownWithQueuedEvents:
         assert request.done
         with pytest.raises(RuntimeError, match="shut down"):
             request.wait(timeout=0.0)
-        assert scheduler.next_event(0, timeout=0.0) is None
         assert scheduler.next_batch(0, timeout=0.0) is None
 
     def test_submit_after_shutdown_fails_immediately(self):

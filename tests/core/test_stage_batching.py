@@ -1,7 +1,7 @@
 """Deterministic tests for cross-plan stage-level batching.
 
 Every test drives the :class:`Scheduler` single-threaded -- events are pulled
-with explicit ``next_batch``/``next_event`` calls and a zero (or fake-clock)
+with explicit ``next_batch`` calls and a zero (or fake-clock)
 timeout, so nothing sleeps and nothing races.  Scheduler-policy tests use stub
 plans whose stages carry nothing but a signature; the end-to-end test uses 25
 real sentiment plans sharing physical featurization stages.
@@ -183,7 +183,6 @@ class TestFakeClockTimeout:
         # the deadline is crossed on the first re-check and the condition
         # variable is never waited on (a real wait would hang this test).
         assert scheduler.next_batch(0, timeout=0.5) is None
-        assert scheduler.next_event(0, timeout=0.5) is None
 
     def test_telemetry_counts_batches(self):
         scheduler = Scheduler(enable_stage_batching=True, max_stage_batch_size=4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.object_store import ObjectStore
+from repro.operators import base as operator_base
 from repro.operators.base import Parameter, _checksum_of
 from repro.operators.linear import LinearRegressor
 from repro.serving.shm_store import (
@@ -238,7 +239,7 @@ class TestArenaClient:
         finally:
             client.close()
 
-    def test_rebind_operator_swaps_weight_arrays(self, arena):
+    def test_rebind_operator_swaps_weight_arrays(self, arena, monkeypatch):
         operator = LinearRegressor(weights=np.arange(32, dtype=np.float64), bias=0.5)
         ref = arena.put_array(_checksum_of(operator.weights), operator.weights)
         client = ArenaClient(arena.name)
@@ -251,7 +252,11 @@ class TestArenaClient:
             # The swapped array really is a view of the shared segment, and a
             # second pass recognizes it instead of double counting.
             assert client._is_arena_view(operator.weights)
-            assert client.rebind_operator(operator) == 1  # idempotent swap
+            hashed = []
+            monkeypatch.setattr(operator_base, "_checksum_of", hashed.append)
+            assert client.rebind_operator(operator) == 0
+            assert hashed == []
+            assert client.stats()["rebound_arrays"] == 1
         finally:
             client.close()
 

@@ -1,5 +1,8 @@
 """Tests for the virtual-time queueing simulator and its calibration helpers."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.core.config import PretzelConfig
@@ -314,3 +317,91 @@ class TestShippedPolicy:
         first, second = run(), run()
         assert first == second
         assert first.completed == sum(arrival.batch_size for arrival in arrivals)
+
+
+def _pin_trace():
+    """4,000 seeded arrivals over 12 models with fixed per-stage times.
+
+    Only ``Random.random`` and IEEE arithmetic feed the trace, so it is the
+    same on every platform; stage times are fixed constants, not calibrated,
+    so two scheduler versions see exactly the same inputs.
+    """
+    rng = random.Random(2024)
+    models = [f"m{index}" for index in range(12)]
+    stage_times = {
+        model: [(index % 4 + 1) * 7e-6 + stage * 3e-6 for stage in range(2 + index % 3)]
+        for index, model in enumerate(models)
+    }
+    arrivals = []
+    now = 0.0
+    for _ in range(4000):
+        now += rng.random() * 60e-6  # mean gap 30 us: past one core's capacity
+        model = models[int(rng.random() * len(models))]
+        arrivals.append(
+            Arrival(
+                time=now,
+                model=model,
+                batch_size=1 + int(rng.random() * 3),
+                latency_sensitive=rng.random() < 0.3,
+            )
+        )
+    return arrivals, stage_times
+
+
+def _result_digest(result):
+    fields = [str(result.completed), str(result.batches_formed), str(result.batch_events)]
+    fields += [
+        value.hex()
+        for value in (
+            result.makespan_seconds,
+            *result.latencies,
+            *result.latencies_sensitive,
+            *result.per_core_busy,
+        )
+    ]
+    return hashlib.sha256(",".join(fields).encode()).hexdigest()[:16]
+
+
+#: (cores, reserved, max_stage_batch) -> digest of simulate_stage_scheduler's
+#: result on the pinned trace: the shipped policy, bit for bit
+SIMULATOR_PIN = {
+    (1, False, None): "1e143a16b744f40f",
+    (1, False, 8): "d952023eb2252891",
+    (1, False, 16): "5ca4408d2736c921",
+    # one core reserved for m0: only m0 is ever served (isolation)
+    (1, True, None): "2ce6d28a9dd1b348",
+    (1, True, 8): "b469c805a14fc593",
+    (1, True, 16): "b469c805a14fc593",
+    (2, False, None): "91aca3493596bb39",
+    (2, False, 8): "ad659a1fa9d2448a",
+    (2, False, 16): "8cee526a24692605",
+    (2, True, None): "838df922c43b868f",
+    (2, True, 8): "fc3b2c4031f3620b",
+    (2, True, 16): "daabc9cc761f5983",
+    (4, False, None): "ca6d18fd1eff5f29",
+    (4, False, 8): "1a94d836ab45eaf1",
+    (4, False, 16): "2db33ad4ce846229",
+    (4, True, None): "9d37825cea569b19",
+    (4, True, 8): "deb5fce3223158fd",
+    (4, True, 16): "fe85dff569d3c890",
+}
+
+
+class TestSimulatorPin:
+    """A policy change (pop order, coalescing, reservation routing) moves
+    these digests; a locking change must not."""
+
+    @pytest.mark.parametrize("max_stage_batch", [None, 8, 16])
+    @pytest.mark.parametrize("reserved", [False, True])
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_policy_is_pinned(self, cores, reserved, max_stage_batch):
+        arrivals, stage_times = _pin_trace()
+        result = simulate_stage_scheduler(
+            arrivals,
+            lambda model, batch: [t * batch for t in stage_times[model]],
+            n_cores=cores,
+            reservations={"m0": cores - 1} if reserved else None,
+            max_stage_batch=max_stage_batch,
+        )
+        assert result.completed > 0
+        assert _result_digest(result) == SIMULATOR_PIN[(cores, reserved, max_stage_batch)]

@@ -14,10 +14,7 @@ digests.
 The batch path has its own pin: ``predict_batch`` over 100 records per plan
 (the harness's ``batch_mixed`` size) with stage batching on, which runs every
 stage as one columnar ``transform_batch`` call.  A 2-worker cluster must
-serve the same bits as the in-process runtime for both families.  Only the
-SA digest is a committed constant: the AC batch kernels' dense products go
-through BLAS, and forcing OpenBLAS onto other CPU kernels (Haswell, Zen,
-Sandybridge) moves the AC batch digest while the SA one holds.
+serve the same bits as the in-process runtime for both families.
 
 Three more pins cover what registration builds: a SHA-256 over every
 stage's ``physical.full_signature`` (plans in family order), each worker's
@@ -27,26 +24,65 @@ cluster registers a whole family, and a default runtime's
 operator's signature input moves the first; a change to any parameter's
 bytes moves the second; a change to what the runtime accounts moves the
 third.
+
+Training and dense products go through BLAS, so every golden table is keyed
+by the CPU kernel numpy's bundled OpenBLAS dispatched to (read through
+ctypes; set ``OPENBLAS_CORETYPE`` to force another -- Zen reports Haswell,
+Prescott reports Katmai).  AC's trained PCA and KMeans weights differ per
+kernel, which moves its signatures and, on the pre-AVX2 kernels, its stored
+bytes; SA's registration pins and batch digest are the same on every kernel.
+On a kernel with no entry the tests fail and name it: compute its values
+there and add them, rather than skipping.
 """
 
 import bisect
+import ctypes
+import glob
 import hashlib
+import os
 
+import numpy as np
 import pytest
 
 from repro.core.config import PretzelConfig
 from repro.core.runtime import PretzelRuntime
 from repro.serving import PretzelCluster
 
-GOLDEN = {"sa": "58d0cd57d631f267", "ac": "60b7719a7d25498c"}
+#: OpenBLAS kernel -> family -> digest of ``PretzelRuntime.predict`` outputs
+GOLDEN = {
+    "SkylakeX": {"sa": "58d0cd57d631f267", "ac": "60b7719a7d25498c"},
+    "Haswell": {"sa": "71c1723c2f8e8f29", "ac": "a9bf9857cacdaf70"},
+    "Sandybridge": {"sa": "b643d7bb63ee6033", "ac": "88e34db5f21df615"},
+    "Katmai": {"sa": "31c530e625f42271", "ac": "3aaa8011e9a250d1"},
+}
 #: first 16 hex digits of the SHA-256 of the families' stage signatures
-GOLDEN_SIGNATURES = {"sa": "6a5f66c6eb26b0e1", "ac": "8db2a83f39680dd5"}
+GOLDEN_SIGNATURES = {
+    "SkylakeX": {"sa": "6a5f66c6eb26b0e1", "ac": "8db2a83f39680dd5"},
+    "Haswell": {"sa": "6a5f66c6eb26b0e1", "ac": "2866f2a34ef78ef6"},
+    "Sandybridge": {"sa": "6a5f66c6eb26b0e1", "ac": "c390cafc7e2e47fd"},
+    "Katmai": {"sa": "6a5f66c6eb26b0e1", "ac": "59609dff68bc350e"},
+}
 #: every worker's Object Store: (unique_parameters, memory_bytes)
-GOLDEN_WORKER_STORE = {"sa": (187, 657_478), "ac": (365, 233_383)}
-#: ``predict_batch`` outputs at ``BATCH`` records (SA only: see the docstring)
-GOLDEN_BATCH = {"sa": "6ccdbd9b8895f718"}
+GOLDEN_WORKER_STORE = {
+    "SkylakeX": {"sa": (187, 657_478), "ac": (365, 233_383)},
+    "Haswell": {"sa": (187, 657_478), "ac": (365, 233_383)},
+    "Sandybridge": {"sa": (187, 657_478), "ac": (365, 233_223)},
+    "Katmai": {"sa": (187, 657_478), "ac": (365, 233_223)},
+}
+#: OpenBLAS kernel -> family -> digest of ``predict_batch`` at ``BATCH`` records
+GOLDEN_BATCH = {
+    "SkylakeX": {"sa": "6ccdbd9b8895f718", "ac": "7592016e35403d42"},
+    "Haswell": {"sa": "6ccdbd9b8895f718", "ac": "1cb8b44db2391ffe"},
+    "Sandybridge": {"sa": "6ccdbd9b8895f718", "ac": "7da7c16f282e14bd"},
+    "Katmai": {"sa": "6ccdbd9b8895f718", "ac": "12ab74231c094a1b"},
+}
 #: a default runtime's ``memory_bytes()`` with the whole family registered
-GOLDEN_MEMORY_BYTES = {"sa": 12_320_550, "ac": 2_576_295}
+GOLDEN_MEMORY_BYTES = {
+    "SkylakeX": {"sa": 12_320_550, "ac": 2_576_295},
+    "Haswell": {"sa": 12_320_550, "ac": 2_576_295},
+    "Sandybridge": {"sa": 12_320_550, "ac": 2_576_135},
+    "Katmai": {"sa": 12_320_550, "ac": 2_576_135},
+}
 
 #: the harness's run seed, record count and length stratification
 #: (``benchmarks/harness/families.py``)
@@ -76,6 +112,27 @@ def _records(family, seed=SEED, count=RECORDS):
     return chosen
 
 
+def _openblas_kernel():
+    """The CPU kernel numpy's bundled OpenBLAS runs (``"unknown"`` if none)."""
+    libraries = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libraries, "*openblas*"))):
+        library = ctypes.CDLL(path)  # numpy loaded it already: same handle
+        # numpy >= 2 bundles scipy-openblas; numpy 1.x bundled openblas64_
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_"):
+            function = getattr(library, symbol, None)
+            if function is not None:
+                function.restype = ctypes.c_char_p
+                return function().decode()
+    return "unknown"
+
+
+def _golden(table):
+    """This host's row of a kernel-keyed golden table; fails naming a missing kernel."""
+    kernel = _openblas_kernel()
+    assert kernel in table, f"no golden digests for OpenBLAS kernel {kernel!r}"
+    return table[kernel]
+
+
 def _digest(outputs):
     assert all(type(value) is float for value in outputs)
     return hashlib.sha256("".join(value.hex() for value in outputs).encode()).hexdigest()[:16]
@@ -97,7 +154,7 @@ def test_runtime_outputs_match_the_golden_digests(harness_families):
                 plan_id = runtime.register(generated.pipeline, stats=generated.stats)
                 outputs.extend(runtime.predict(plan_id, record) for record in records)
         assert len(outputs) == 60 * RECORDS
-        assert _digest(outputs) == GOLDEN[name], name
+        assert _digest(outputs) == _golden(GOLDEN)[name], name
 
 
 def test_a_two_worker_cluster_serves_the_golden_digests(harness_families):
@@ -110,7 +167,7 @@ def test_a_two_worker_cluster_serves_the_golden_digests(harness_families):
             for generated in family.pipelines:
                 plan_id = cluster.register(generated.pipeline, stats=generated.stats)
                 outputs.extend(cluster.predict(plan_id, record) for record in records)
-            assert _digest(outputs) == GOLDEN[name], name
+            assert _digest(outputs) == _golden(GOLDEN)[name], name
         assert all(worker["served_predictions"] for worker in cluster.stats()["workers"].values())
         # every predict took the straight line: a PZF1 frame out, PZR2 back
         wire = cluster.wire_stats()
@@ -135,7 +192,7 @@ def test_predict_batch_outputs_match_the_golden_digests(harness_families):
     for name, (family, _records_) in harness_families.items():
         with PretzelRuntime(config) as runtime:
             in_process[name] = _batch_digest(runtime, family, batches[name])
-    assert {name: in_process[name] for name in GOLDEN_BATCH} == GOLDEN_BATCH
+    assert in_process == _golden(GOLDEN_BATCH)
     with PretzelCluster(config) as cluster:
         for name, (family, _records_) in harness_families.items():
             assert _batch_digest(cluster, family, batches[name]) == in_process[name], name
@@ -149,7 +206,7 @@ def test_stage_signatures_match_the_golden_digests(harness_families):
                 plan = runtime.plan(runtime.register(generated.pipeline, stats=generated.stats))
                 signatures.extend(stage.physical.full_signature for stage in plan.stages)
         digest = hashlib.sha256("\n".join(signatures).encode()).hexdigest()[:16]
-        assert digest == GOLDEN_SIGNATURES[name], name
+        assert digest == _golden(GOLDEN_SIGNATURES)[name], name
 
 
 def test_every_worker_object_store_holds_the_golden_parameters(harness_families):
@@ -162,7 +219,7 @@ def test_every_worker_object_store_holds_the_golden_parameters(harness_families)
         for worker_id, worker in workers.items():
             store = worker["stats"]["object_store"]
             pinned = (store["unique_parameters"], store["memory_bytes"])
-            assert pinned == GOLDEN_WORKER_STORE[name], (name, worker_id)
+            assert pinned == _golden(GOLDEN_WORKER_STORE)[name], (name, worker_id)
 
 
 def test_runtime_memory_bytes_match_the_golden_values(harness_families):
@@ -170,4 +227,4 @@ def test_runtime_memory_bytes_match_the_golden_values(harness_families):
         with PretzelRuntime(PretzelConfig()) as runtime:
             for generated in family.pipelines:
                 runtime.register(generated.pipeline, stats=generated.stats)
-            assert runtime.memory_bytes() == GOLDEN_MEMORY_BYTES[name], name
+            assert runtime.memory_bytes() == _golden(GOLDEN_MEMORY_BYTES)[name], name
