@@ -47,8 +47,9 @@ def _sweep(stage_times, container_times, pretzel_hop, clipper_hops, duration=2.0
     for load in LOADS:
         sequence = zipf_request_sequence(models, int(load * duration), alpha=2.0, seed=seed)
         arrivals = ArrivalProcess.from_model_sequence(sequence, requests_per_second=load)
-        # The delayed-batching front-end path: the same arrivals marked
-        # throughput-oriented, so stage-level coalescing may batch them.
+        # The batched series: the simulator again, on the same arrivals
+        # marked throughput-oriented, so its stage-level coalescing may batch
+        # them (max_stage_batch=16).  No front end buffers these requests.
         batched_arrivals = ArrivalProcess.from_model_sequence(
             sequence,
             requests_per_second=load,
@@ -98,15 +99,16 @@ def test_fig14_end_to_end_heavy_load(benchmark, ac_family, ac_inputs):
         "Figure 14",
         "End-to-end throughput and mean latency under Zipf(2) load over AC pipelines, "
         "PRETZEL (ASP.Net-style front-end) vs ML.Net + Clipper (containers); "
-        "pretzel_batched_* is the delayed-batching front-end path (requests marked "
-        "throughput-oriented, stage-level coalescing with max_stage_batch=16).",
+        "pretzel_batched_* is the same simulated scheduler on the same arrivals marked "
+        "throughput-oriented, so stage-level coalescing batches them (max_stage_batch=16).",
     )
     report.rows = rows
     # Shape, recorded as claims (the series are simulated from stage times
     # measured on this host): PRETZEL sustains at least the offered load for
     # longer and with lower latency than the containerized deployment at
     # every load point (throughputs are equal while both keep up, hence the
-    # 0.99 floor), and the batched front-end path never costs throughput.
+    # 0.99 floor), and the throughput-marked batched series never costs
+    # throughput.
     # Clipper saturates: at the top of the sweep it can no longer match the
     # offered load while PRETZEL still tracks it closely.
     top = rows[-1]

@@ -8,7 +8,8 @@ The package mirrors the paper's architecture (Section 4):
 * **on-line phase** -- :mod:`repro.core.runtime` (catalog + engines),
   :mod:`repro.core.scheduler` (event-based late-binding scheduling over
   executors) and :mod:`repro.core.frontend` (client-facing layer with
-  external optimizations such as prediction caching and delayed batching).
+  prediction caching, one of the paper's external optimizations; its other
+  one, delayed batching, is not reproduced).
 
 The paper's per-executor vector pools (Section 4.2.1) are not reproduced:
 every kernel here allocates its own outputs, so a pooled buffer would be

@@ -26,7 +26,7 @@ up to ``max_stage_batch_size``.  With batching off every batch is one event.
 Latency-sensitive requests always bypass coalescing (they run alone,
 preserving the request-response latency profile), and reserved executors only
 coalesce within their private queue, so reservation isolation is preserved.
-Observed batch sizes and the backlog behind each pull are recorded in
+Observed batch sizes are recorded in
 :class:`repro.telemetry.batching.StageBatchTelemetry`.
 
 Reservation-based scheduling (Section 4.2.2, "Reservation-based Scheduling")
@@ -249,11 +249,6 @@ class ReadyQueue:
             del self._coalescible[signature]
         return taken
 
-    def coalescible_depth(self, signature: str) -> int:
-        """How many queued events of ``signature`` a batch could absorb."""
-        bucket = self._coalescible.get(signature)
-        return len(bucket) if bucket else 0
-
     def signature_depths(self) -> Dict[str, int]:
         """Total queued events per signature (including latency-sensitive).
 
@@ -433,18 +428,16 @@ class Scheduler:
                     return None
                 self._cond.wait(remaining)
             events = [event]
-            backlog = 0
             formed_at = time.perf_counter()
             if self.enable_stage_batching and not event.request.latency_sensitive:
                 signature = event.signature
                 limit = self.max_stage_batch_size
-                backlog = sum(queue.coalescible_depth(signature) for queue in queues)
                 for queue in queues:
                     if len(events) >= limit:
                         break
                     events.extend(queue.pop_matching(signature, limit - len(events)))
         # internally-locked telemetry; recorded outside the condition
-        self.batching.record(event.signature, len(events), backlog=backlog)
+        self.batching.record(event.signature, len(events))
         if len(events) > 1:
             traced = [member.request.trace for member in events if member.request.trace]
             if traced:
@@ -458,7 +451,6 @@ class Scheduler:
                     attributes={
                         "signature": event.signature,
                         "size": len(events),
-                        "backlog": backlog,
                         "links": [trace.trace_id for trace in traced],
                     },
                 )

@@ -8,22 +8,21 @@ provides
   operator-at-a-time execution,
 * :mod:`repro.mlnet.dataview` -- Volcano-style cursors used by that execution
   model,
-* :mod:`repro.mlnet.model_file` -- on-disk model format (one directory per
-  operator, parameters in binary/plain-text files), and
-* :mod:`repro.mlnet.runtime` -- a serving runtime that loads model files and
-  answers prediction requests, paying per-pipeline initialization (graph
-  analysis, type checking, code specialization) on the cold path.
+* :mod:`repro.mlnet.model_file` -- the stored form of a trained model: one
+  state blob per operator (hyper-parameters, parameter arrays, vocabularies),
+  and
+* :mod:`repro.mlnet.runtime` -- a serving runtime that loads models from that
+  stored form and answers prediction requests, paying per-pipeline
+  initialization (graph analysis, type checking, code specialization) on the
+  cold path.
 """
 
 from repro.mlnet.pipeline import Pipeline, PipelineNode
-from repro.mlnet.model_file import load_model, save_model
 from repro.mlnet.runtime import MLNetRuntime, MLNetRuntimeConfig
 
 __all__ = [
     "Pipeline",
     "PipelineNode",
-    "save_model",
-    "load_model",
     "MLNetRuntime",
     "MLNetRuntimeConfig",
 ]

@@ -1,43 +1,30 @@
-"""On-disk model format for trained pipelines.
+"""The stored form of a trained pipeline's operators.
 
-The paper describes ML.Net models as compressed files containing one
-directory per pipeline operator, with parameters stored in binary or plain
-text files.  This module reproduces that layout:
-
-```
-<model-dir>/
-  model.json            # pipeline graph: node names, operator classes, edges
-  <node-name>/
-    config.json         # hyper-parameters
-    arrays.npz          # numpy parameter arrays (weights, centroids, ...)
-    vocab.json          # large dictionary parameters (n-gram vocabularies)
-```
-
-Loading a model file rebuilds brand-new operator objects, so two pipelines
-loaded from identical files hold *duplicate* parameter copies -- exactly the
-memory behaviour of the black-box baseline that PRETZEL's Object Store avoids.
+The paper describes ML.Net models as compressed files holding one directory
+per pipeline operator, with hyper-parameters in plain-text files and
+parameters in binary ones.  This module keeps that per-operator split in
+memory: :func:`operator_state` turns an operator into a state blob
+(``config``, numpy ``arrays``, dictionary-sized ``vocab``) and
+:func:`operator_from_state` rebuilds a brand-new operator from one.  The
+black-box runtime stores each loaded model as these blobs, so two pipelines
+loaded from identical state hold *duplicate* parameter copies -- exactly the
+memory behaviour PRETZEL's Object Store avoids.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any, Callable, Dict, Tuple, Type
 
 import numpy as np
 
-from repro.mlnet.pipeline import Pipeline
 from repro.operators.base import Operator
 from repro.operators.clustering import KMeans
 from repro.operators.decomposition import PCA
 from repro.operators.featurizers import (
     ColumnSelector,
     ConcatFeaturizer,
-    HashingFeaturizer,
-    L2Normalizer,
     MinMaxNormalizer,
     MissingValueImputer,
-    OneHotEncoder,
 )
 from repro.operators.linear import LinearRegressor, LogisticRegressionClassifier, PoissonRegressor
 from repro.operators.text import (
@@ -48,7 +35,7 @@ from repro.operators.text import (
 )
 from repro.operators.trees import DecisionTree, RandomForest, TreeEnsembleClassifier, TreeFeaturizer
 
-__all__ = ["save_model", "load_model", "operator_state", "operator_from_state"]
+__all__ = ["operator_state", "operator_from_state"]
 
 # Each serializer maps an operator to (config, arrays, vocab) and back.
 _DumpResult = Tuple[Dict[str, Any], Dict[str, np.ndarray], Dict[str, Any]]
@@ -116,10 +103,6 @@ def _dump_concat(op: ConcatFeaturizer) -> _DumpResult:
     return {"input_sizes": op.input_sizes}, {}, {}
 
 
-def _dump_hashing(op: HashingFeaturizer) -> _DumpResult:
-    return {"num_bits": op.num_bits, "seed": op.seed}, {}, {}
-
-
 def _dump_imputer(op: MissingValueImputer) -> _DumpResult:
     arrays = {} if op.fill_values is None else {"fill_values": op.fill_values}
     return {}, arrays, {}
@@ -132,14 +115,6 @@ def _dump_minmax(op: MinMaxNormalizer) -> _DumpResult:
     if op.maxima is not None:
         arrays["maxima"] = op.maxima
     return {}, arrays, {}
-
-
-def _dump_l2(op: L2Normalizer) -> _DumpResult:
-    return {}, {}, {}
-
-
-def _dump_onehot(op: OneHotEncoder) -> _DumpResult:
-    return {"cardinality": op.cardinality}, {}, {}
 
 
 def _dump_linear(op) -> _DumpResult:
@@ -244,11 +219,6 @@ _SERIALIZERS: Dict[str, Tuple[Type[Operator], _Dumper, _Loader]] = {
         _dump_concat,
         lambda config, arrays, vocab: ConcatFeaturizer(config.get("input_sizes")),
     ),
-    "HashingFeaturizer": (
-        HashingFeaturizer,
-        _dump_hashing,
-        lambda config, arrays, vocab: HashingFeaturizer(config["num_bits"], config["seed"]),
-    ),
     "MissingValueImputer": (
         MissingValueImputer,
         _dump_imputer,
@@ -258,12 +228,6 @@ _SERIALIZERS: Dict[str, Tuple[Type[Operator], _Dumper, _Loader]] = {
         MinMaxNormalizer,
         _dump_minmax,
         lambda config, arrays, vocab: MinMaxNormalizer(arrays.get("minima"), arrays.get("maxima")),
-    ),
-    "L2Normalizer": (L2Normalizer, _dump_l2, lambda config, arrays, vocab: L2Normalizer()),
-    "OneHotEncoder": (
-        OneHotEncoder,
-        _dump_onehot,
-        lambda config, arrays, vocab: OneHotEncoder(config.get("cardinality")),
     ),
     "LinearRegressor": (LinearRegressor, _dump_linear, _make_linear_loader(LinearRegressor)),
     "LogisticRegressionClassifier": (
@@ -332,58 +296,3 @@ def operator_from_state(state: Dict[str, Any]) -> Operator:
         raise KeyError(f"no serializer registered for operator class {class_name}")
     _cls, _dumper, loader = _SERIALIZERS[class_name]
     return loader(state.get("config", {}), state.get("arrays", {}), state.get("vocab", {}))
-
-
-def save_model(pipeline: Pipeline, directory: str) -> str:
-    """Write the pipeline to ``directory`` using the per-operator layout."""
-    os.makedirs(directory, exist_ok=True)
-    graph = {
-        "name": pipeline.name,
-        "nodes": [
-            {"name": name, "class": type(pipeline.nodes[name].operator).__name__, "inputs": pipeline.nodes[name].inputs}
-            for name in pipeline.topological_order()
-        ],
-    }
-    with open(os.path.join(directory, "model.json"), "w", encoding="utf-8") as handle:
-        json.dump(graph, handle, indent=2)
-    for name in pipeline.topological_order():
-        node_dir = os.path.join(directory, name)
-        os.makedirs(node_dir, exist_ok=True)
-        state = operator_state(pipeline.nodes[name].operator)
-        with open(os.path.join(node_dir, "config.json"), "w", encoding="utf-8") as handle:
-            json.dump(state["config"], handle)
-        if state["arrays"]:
-            np.savez(os.path.join(node_dir, "arrays.npz"), **state["arrays"])
-        if state["vocab"]:
-            with open(os.path.join(node_dir, "vocab.json"), "w", encoding="utf-8") as handle:
-                json.dump(state["vocab"], handle)
-    return directory
-
-
-def load_model(directory: str) -> Pipeline:
-    """Load a pipeline from disk, constructing fresh (unshared) operators."""
-    with open(os.path.join(directory, "model.json"), "r", encoding="utf-8") as handle:
-        graph = json.load(handle)
-    pipeline = Pipeline(graph["name"])
-    for node in graph["nodes"]:
-        node_dir = os.path.join(directory, node["name"])
-        config_path = os.path.join(node_dir, "config.json")
-        config: Dict[str, Any] = {}
-        if os.path.exists(config_path):
-            with open(config_path, "r", encoding="utf-8") as handle:
-                config = json.load(handle)
-        arrays: Dict[str, np.ndarray] = {}
-        arrays_path = os.path.join(node_dir, "arrays.npz")
-        if os.path.exists(arrays_path):
-            with np.load(arrays_path) as data:
-                arrays = {key: data[key] for key in data.files}
-        vocab: Dict[str, Any] = {}
-        vocab_path = os.path.join(node_dir, "vocab.json")
-        if os.path.exists(vocab_path):
-            with open(vocab_path, "r", encoding="utf-8") as handle:
-                vocab = json.load(handle)
-        operator = operator_from_state(
-            {"class": node["class"], "config": config, "arrays": arrays, "vocab": vocab}
-        )
-        pipeline.add(node["name"], operator, node["inputs"])
-    return pipeline

@@ -18,12 +18,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.mlnet.model_file import load_model, operator_from_state, operator_state
+from repro.mlnet.model_file import operator_from_state, operator_state
 from repro.mlnet.pipeline import Pipeline
 from repro.operators.base import _nbytes_of
 from repro.operators.vectors import DenseVector, SparseVector
 
-__all__ = ["MLNetRuntimeConfig", "MLNetRuntime", "LoadedModel", "ModelInitializer", "clone_pipeline"]
+__all__ = ["MLNetRuntimeConfig", "MLNetRuntime", "LoadedModel", "ModelInitializer"]
 
 
 @dataclass
@@ -59,7 +59,6 @@ class LoadedModel:
     #: blobs, materialized into operators on first use
     graph: Optional[List[Dict[str, Any]]] = None
     states: Optional[List[Dict[str, Any]]] = None
-    directory: Optional[str] = None
     initialized: bool = False
     compiled: Optional[Callable[[Any], Any]] = None
     load_seconds: float = 0.0
@@ -68,19 +67,6 @@ class LoadedModel:
     extra_bytes: int = 0
     #: parameter bytes of the stored representation, computed once at load
     state_bytes: int = 0
-
-
-def clone_pipeline(pipeline: Pipeline) -> Pipeline:
-    """Deep-copy a pipeline by round-tripping every operator through its state.
-
-    The black-box baseline must not share parameter objects between loaded
-    pipelines, even when the trained state is identical.
-    """
-    clone = Pipeline(pipeline.name)
-    for name in pipeline.topological_order():
-        node = pipeline.nodes[name]
-        clone.add(name, operator_from_state(operator_state(node.operator)), node.inputs)
-    return clone
 
 
 def _copy_value(value: Any) -> Any:
@@ -202,25 +188,6 @@ class MLNetRuntime:
         self._models[model_name] = entry
         return model_name
 
-    def load_from_directory(self, directory: str, name: Optional[str] = None) -> str:
-        """Register a model file from disk.
-
-        The file is parsed (and the pipeline reconstructed) lazily on the
-        first prediction when ``lazy_initialization`` is on, mirroring how a
-        freshly deployed container only pays model loading when the first
-        request arrives.
-        """
-        model_name = name or directory.rstrip("/").split("/")[-1]
-        if model_name in self._models:
-            raise ValueError(f"model {model_name!r} already loaded")
-        start = time.perf_counter()
-        entry = LoadedModel(name=model_name, directory=directory)
-        if not self.config.lazy_initialization:
-            entry.pipeline = load_model(directory)
-        entry.load_seconds = time.perf_counter() - start
-        self._models[model_name] = entry
-        return model_name
-
     def unload(self, name: str) -> None:
         """Evict a model (the "infrequent access" policy of Section 2)."""
         self._models.pop(name, None)
@@ -242,8 +209,6 @@ class MLNetRuntime:
         """Rebuild the pipeline object from its stored representation."""
         if entry.pipeline is not None:
             return entry.pipeline
-        if entry.directory is not None:
-            return load_model(entry.directory)
         if entry.graph is None or entry.states is None:
             raise RuntimeError(f"model {entry.name!r} has no stored representation")
         pipeline = Pipeline(entry.name)

@@ -18,7 +18,6 @@ from typing import Any, Dict, Optional
 from repro.observability.metrics import (
     LATENCY_BUCKET_BOUNDS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     merge_snapshots,
@@ -33,7 +32,6 @@ from repro.observability.tracing import (
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "LATENCY_BUCKET_BOUNDS",

@@ -1,4 +1,4 @@
-"""The unified metrics plane: Counter / Gauge / Histogram + a registry.
+"""The unified metrics plane: Counter / Histogram + a registry.
 
 Before this module the serving tier's counters were a patchwork of ad-hoc
 ints scattered over the router (``dispatched``/``shed``), the worker
@@ -16,7 +16,7 @@ into one ``pretzel_router_dispatched_total`` series, exactly what a scrape
 wants), instruments die with their component, and snapshots from different
 processes merge *exactly*:
 
-* counters and gauges merge by addition;
+* counters merge by addition;
 * histograms use **fixed log2 latency buckets** (~1 us .. 32 s), so merging
   is element-wise bucket addition with zero re-binning error -- the property
   that lets one ``metrics`` worker message fold N worker registries into the
@@ -41,7 +41,6 @@ from typing import Any, Dict, List, Optional
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "LATENCY_BUCKET_BOUNDS",
@@ -83,34 +82,6 @@ class Counter:
         return f"Counter({self.name!r}, {self._value})"
 
 
-class Gauge:
-    """A point-in-time value (queue depth, buffered spans, arena bytes)."""
-
-    __slots__ = ("name", "_value", "__weakref__")
-
-    kind = "gauge"
-
-    def __init__(self, name: str):
-        self.name = name
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        self._value = float(value)
-
-    def add(self, amount: float) -> None:
-        self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def reset(self) -> None:
-        self._value = 0.0
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name!r}, {self._value})"
-
-
 class Histogram:
     """A latency histogram over the fixed log2 buckets.
 
@@ -145,17 +116,6 @@ class Histogram:
     def snapshot(self) -> Dict[str, Any]:
         return {"counts": list(self._counts), "sum": self._sum, "count": self._count}
 
-    def summary(self) -> Dict[str, float]:
-        """Quantile summary estimated from the buckets.
-
-        Delegates to :func:`repro.telemetry.latency.summarize_histogram` so
-        histogram snapshots and the figure benchmarks' sample summaries share
-        one percentile implementation (same keys, same interpolation rule).
-        """
-        from repro.telemetry.latency import summarize_histogram
-
-        return summarize_histogram(LATENCY_BUCKET_BOUNDS, self._counts, self._sum)
-
     def reset(self) -> None:
         self._counts = [0] * (len(LATENCY_BUCKET_BOUNDS) + 1)
         self._sum = 0.0
@@ -175,9 +135,6 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         return self._new(Counter(name))
-
-    def gauge(self, name: str) -> Gauge:
-        return self._new(Gauge(name))
 
     def histogram(self, name: str) -> Histogram:
         return self._new(Histogram(name))
@@ -206,12 +163,11 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Any]:
         """Aggregate every live instrument into a JSON-able snapshot.
 
-        Instruments sharing a name are summed (counters/gauges) or
+        Instruments sharing a name are summed (counters) or
         bucket-merged (histograms); garbage-collected instruments simply
         stop contributing.
         """
         counters: Dict[str, float] = {}
-        gauges: Dict[str, float] = {}
         histograms: Dict[str, Dict[str, Any]] = {}
         for name, instruments in self._live().items():
             if not instruments:
@@ -219,8 +175,6 @@ class MetricsRegistry:
             kind = instruments[0].kind
             if kind == "counter":
                 counters[name] = sum(inst.value for inst in instruments)
-            elif kind == "gauge":
-                gauges[name] = sum(inst.value for inst in instruments)
             else:
                 merged = {
                     "counts": [0] * (len(LATENCY_BUCKET_BOUNDS) + 1),
@@ -230,7 +184,7 @@ class MetricsRegistry:
                 for inst in instruments:
                     _merge_histogram(merged, inst.snapshot())
                 histograms[name] = merged
-        return {"counters": counters, "gauges": gauges, "histograms": histograms}
+        return {"counters": counters, "histograms": histograms}
 
     def reset(self) -> None:
         """Zero every live instrument (a forked worker's fresh start)."""
@@ -254,12 +208,11 @@ def merge_snapshots(
     """Fold one registry snapshot into another (exact: fixed buckets).
 
     This is what the cluster's ``metrics`` round trips use to merge N worker
-    registries into one view; gauges add (a summed queue depth is the
-    cluster-wide depth), counters add, histogram buckets add element-wise.
+    registries into one view; counters add, histogram buckets add
+    element-wise.
     """
     merged: Dict[str, Any] = {
         "counters": dict((base or {}).get("counters", {})),
-        "gauges": dict((base or {}).get("gauges", {})),
         "histograms": {
             name: {"counts": list(h["counts"]), "sum": h["sum"], "count": h["count"]}
             for name, h in (base or {}).get("histograms", {}).items()
@@ -269,8 +222,6 @@ def merge_snapshots(
         return merged
     for name, value in other.get("counters", {}).items():
         merged["counters"][name] = merged["counters"].get(name, 0) + value
-    for name, value in other.get("gauges", {}).items():
-        merged["gauges"][name] = merged["gauges"].get(name, 0) + value
     for name, histogram in other.get("histograms", {}).items():
         into = merged["histograms"].setdefault(
             name,
@@ -286,9 +237,6 @@ def to_prometheus(snapshot: Dict[str, Any]) -> str:
     for name in sorted(snapshot.get("counters", {})):
         lines.append(f"# TYPE {name} counter")
         lines.append(f"{name} {_number(snapshot['counters'][name])}")
-    for name in sorted(snapshot.get("gauges", {})):
-        lines.append(f"# TYPE {name} gauge")
-        lines.append(f"{name} {_number(snapshot['gauges'][name])}")
     for name in sorted(snapshot.get("histograms", {})):
         histogram = snapshot["histograms"][name]
         lines.append(f"# TYPE {name} histogram")

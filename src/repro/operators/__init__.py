@@ -31,11 +31,8 @@ from repro.operators.text import (
 from repro.operators.featurizers import (
     ColumnSelector,
     ConcatFeaturizer,
-    HashingFeaturizer,
-    L2Normalizer,
     MinMaxNormalizer,
     MissingValueImputer,
-    OneHotEncoder,
 )
 from repro.operators.linear import (
     LinearRegressor,
@@ -70,11 +67,8 @@ __all__ = [
     "WordNgramFeaturizer",
     "ColumnSelector",
     "ConcatFeaturizer",
-    "HashingFeaturizer",
-    "L2Normalizer",
     "MinMaxNormalizer",
     "MissingValueImputer",
-    "OneHotEncoder",
     "LinearRegressor",
     "LogisticRegressionClassifier",
     "PoissonRegressor",

@@ -19,16 +19,13 @@ from repro.operators.batch import (
     concat_csr,
     stack_columns,
 )
-from repro.operators.vectors import DenseVector, SparseVector, Vector, as_vector, concat_vectors
+from repro.operators.vectors import DenseVector, Vector, as_vector, concat_vectors
 
 __all__ = [
     "ColumnSelector",
     "ConcatFeaturizer",
-    "HashingFeaturizer",
-    "L2Normalizer",
     "MinMaxNormalizer",
     "MissingValueImputer",
-    "OneHotEncoder",
 ]
 
 
@@ -177,51 +174,6 @@ class ConcatFeaturizer(Operator):
         return {"input_sizes": self.input_sizes}
 
 
-class HashingFeaturizer(Operator):
-    """Feature hashing of token lists into a fixed-width sparse vector."""
-
-    name = "Hashing"
-    kind = OperatorKind.FEATURIZER
-    input_kind = ValueKind.TOKENS
-    output_kind = ValueKind.VECTOR
-    annotations = Annotation.ONE_TO_ONE | Annotation.MEMORY_BOUND
-    produces_sparse = True
-
-    def __init__(self, num_bits: int = 12, seed: int = 314159):
-        if not 1 <= num_bits <= 31:
-            raise ValueError("num_bits must be in [1, 31]")
-        self.num_bits = num_bits
-        self.seed = seed
-        self._size = 1 << num_bits
-
-    def _hash(self, token: str) -> int:
-        value = self.seed
-        for char in token:
-            value = (value * 1_000_003 + ord(char)) & 0x7FFFFFFF
-        return value % self._size
-
-    def transform(self, value: Any) -> SparseVector:
-        tokens = value or []
-        counts: Dict[int, float] = {}
-        for token in tokens:
-            index = self._hash(str(token))
-            counts[index] = counts.get(index, 0.0) + 1.0
-        if not counts:
-            return SparseVector(np.empty(0, dtype=np.int64), np.empty(0), self._size)
-        indices = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-        values = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-        return SparseVector(indices, values, self._size)
-
-    def parameters(self) -> List[Parameter]:
-        return [Parameter("hashing.config", {"num_bits": self.num_bits, "seed": self.seed})]
-
-    def output_size(self) -> Optional[int]:
-        return self._size
-
-    def _config(self) -> Dict[str, Any]:
-        return {"num_bits": self.num_bits, "seed": self.seed}
-
-
 class MissingValueImputer(Operator):
     """Replace NaNs with per-feature means learned at training time."""
 
@@ -337,84 +289,3 @@ class MinMaxNormalizer(Operator):
 
     def output_size(self) -> Optional[int]:
         return None if self.minima is None else int(self.minima.shape[0])
-
-
-class L2Normalizer(Operator):
-    """Normalize each vector to unit Euclidean norm.
-
-    Although stateless, the L2 norm needs the *whole* vector, so this is
-    annotated as an aggregation (n-to-1 over features) and acts as a pipeline
-    breaker in Oven's stage builder, matching the paper's example.
-    """
-
-    name = "L2Normalizer"
-    kind = OperatorKind.FEATURIZER
-    input_kind = ValueKind.VECTOR
-    output_kind = ValueKind.VECTOR
-    annotations = Annotation.N_TO_ONE | Annotation.COMPUTE_BOUND | Annotation.VECTORIZABLE
-
-    def transform(self, value: Any) -> Vector:
-        vec = as_vector(value)
-        norm = vec.norm2()
-        if norm == 0.0:
-            return vec
-        return vec.scale(1.0 / norm)
-
-    supports_batch = True
-
-    def transform_batch(self, values: Any) -> ColumnBatch:
-        """Vectorized normalization for all-dense batches (one norm pass).
-
-        The per-row scale is ``row * (1.0 / norm)`` -- the exact expression
-        the scalar kernel evaluates -- so dense outputs stay bit-equal to the
-        per-record path.  Sparse rows keep their per-record kernel (and their
-        sparsity).
-        """
-        batch = as_column_batch(values)
-        if not batch:
-            return ColumnBatch.from_rows([])
-        matrix = batch.dense_matrix()
-        if matrix is None:
-            return ColumnBatch.from_rows([self.transform(value) for value in batch.rows])
-        norms = np.linalg.norm(matrix, axis=1)
-        safe_norms = np.where(norms == 0.0, 1.0, norms)
-        return ColumnBatch.from_matrix(matrix * (1.0 / safe_norms)[:, None])
-
-    def parameters(self) -> List[Parameter]:
-        return [Parameter("l2norm.config", {"norm": "l2"})]
-
-
-class OneHotEncoder(Operator):
-    """One-hot encode an integer key into a dense indicator vector."""
-
-    name = "OneHotEncoder"
-    kind = OperatorKind.FEATURIZER
-    input_kind = ValueKind.KEY
-    output_kind = ValueKind.VECTOR
-    annotations = Annotation.ONE_TO_ONE | Annotation.MEMORY_BOUND
-    produces_sparse = True
-
-    def __init__(self, cardinality: Optional[int] = None):
-        self.cardinality = cardinality
-
-    def fit(self, records: Sequence[Any], labels: Optional[Sequence[float]] = None) -> "Operator":
-        self.cardinality = int(max(int(r) for r in records)) + 1
-        return self
-
-    def transform(self, value: Any) -> SparseVector:
-        if self.cardinality is None:
-            raise RuntimeError("OneHotEncoder used before fit()")
-        index = int(value)
-        if not 0 <= index < self.cardinality:
-            # Unknown categories map to the all-zeros vector.
-            return SparseVector(np.empty(0, dtype=np.int64), np.empty(0), self.cardinality)
-        return SparseVector(np.array([index]), np.array([1.0]), self.cardinality)
-
-    def parameters(self) -> List[Parameter]:
-        return [Parameter("onehot.config", {"cardinality": self.cardinality})]
-
-    def output_size(self) -> Optional[int]:
-        return self.cardinality
-
-    def _config(self) -> Dict[str, Any]:
-        return {"cardinality": self.cardinality}

@@ -1154,7 +1154,7 @@ class PretzelCluster:
     def metrics(self) -> Dict[str, Any]:
         """The unified metrics view: every worker's registry merged into ours.
 
-        Counters and gauges add; histograms share fixed log2 buckets, so the
+        Counters add; histograms share fixed log2 buckets, so the
         merge is exact.  Workers that cannot answer contribute nothing.
         """
         self._ensure_open()

@@ -2,13 +2,8 @@
 
 from repro.telemetry.batching import StageBatchTelemetry
 from repro.telemetry.latency import LatencyRecorder, percentile, summarize_latencies
-from repro.telemetry.memory import MemoryReport, cumulative_memory_curve, format_bytes
-from repro.telemetry.reporting import (
-    ExperimentReport,
-    format_batching_report,
-    format_cdf,
-    format_table,
-)
+from repro.telemetry.memory import MemoryReport, format_bytes
+from repro.telemetry.reporting import ExperimentReport, format_cdf, format_table
 
 __all__ = [
     "StageBatchTelemetry",
@@ -16,10 +11,8 @@ __all__ = [
     "percentile",
     "summarize_latencies",
     "MemoryReport",
-    "cumulative_memory_curve",
     "format_bytes",
     "format_table",
     "format_cdf",
-    "format_batching_report",
     "ExperimentReport",
 ]

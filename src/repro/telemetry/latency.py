@@ -11,17 +11,15 @@ __all__ = [
     "percentile",
     "LatencyRecorder",
     "summarize_latencies",
-    "summarize_histogram",
 ]
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
     """Percentile of a latency sample set (q in [0, 100]).
 
-    The single percentile implementation: ``summarize_latencies``, the
-    recorder, and the observability histograms' summaries all route through
-    here (or match its ``np.percentile`` linear-interpolation semantics), so
-    a report's headline p99 means the same thing everywhere.
+    The single percentile implementation: ``summarize_latencies`` and the
+    recorder both route through here, so a report's headline p99 means the
+    same thing everywhere.
     """
     if not len(samples):
         raise ValueError("cannot compute a percentile of zero samples")
@@ -41,48 +39,6 @@ def summarize_latencies(samples: Sequence[float]) -> Dict[str, float]:
         "p99": percentile(array, 99),
         "worst": float(array.max()),
         "best": float(array.min()),
-    }
-
-
-def summarize_histogram(
-    bounds: Sequence[float], counts: Sequence[int], total_sum: float
-) -> Dict[str, float]:
-    """The :func:`summarize_latencies` summary, estimated from a histogram.
-
-    ``bounds`` are bucket upper bounds (seconds) and ``counts`` has one extra
-    trailing overflow bucket, matching the observability plane's fixed log2
-    layout.  Quantiles interpolate linearly *within* the winning bucket (the
-    histogram analogue of ``np.percentile``'s linear method), so merged
-    worker histograms summarize with the same keys -- and close to the same
-    values -- as raw sample sets.
-    """
-    total = int(sum(counts))
-    if total == 0:
-        return {"count": 0}
-
-    def quantile(q: float) -> float:
-        target = q / 100.0 * total
-        cumulative = 0
-        for index, count in enumerate(counts):
-            if count == 0:
-                continue
-            if cumulative + count >= target:
-                lower = bounds[index - 1] if index > 0 else 0.0
-                upper = bounds[index] if index < len(bounds) else bounds[-1] * 2
-                fraction = (target - cumulative) / count
-                return lower + (upper - lower) * fraction
-            cumulative += count
-        upper_index = max(i for i, count in enumerate(counts) if count)
-        return bounds[upper_index] if upper_index < len(bounds) else bounds[-1] * 2
-
-    return {
-        "count": total,
-        "mean": total_sum / total,
-        "p50": quantile(50),
-        "p95": quantile(95),
-        "p99": quantile(99),
-        "worst": quantile(100),
-        "best": quantile(0.0 if total == 1 else 100.0 / total),
     }
 
 

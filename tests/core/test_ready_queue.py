@@ -68,7 +68,6 @@ class TestReadyQueueFIFO:
         bulk = _event("bulk", "tok")
         queue.append(sensitive)
         queue.append(bulk)
-        assert queue.coalescible_depth("tok") == 1
         assert queue.signature_depths() == {"tok": 2}
         assert queue.pop_matching("tok", limit=5) == [bulk]
         # The sensitive event is still there, FIFO-poppable.
@@ -87,7 +86,7 @@ class TestReadyQueueFIFO:
         assert len(drained) == len(set(id(event) for event in drained))
         assert len(queue) == 0
         assert queue.signature_depths() == {}
-        assert queue.coalescible_depth("sig-1") == 0
+        assert queue.pop_matching("sig-1", limit=5) == []
 
 
 def _scheduler_total_depth(scheduler):

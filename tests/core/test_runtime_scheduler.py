@@ -240,23 +240,26 @@ class TestFrontEnd:
         assert not first.cache_hit and second.cache_hit
         assert second.outputs == first.outputs
 
-    def test_delayed_batching_flush(self, runtime, sa_pipeline, sa_inputs):
-        plan_id = runtime.register(sa_pipeline)
-        # A deadline far in the future so only the manual flush fires here.
-        frontend = PretzelFrontEnd(
-            runtime, FrontEndConfig(max_batch_size=4, max_batch_delay_seconds=60.0)
-        )
-        for text in sa_inputs[:3]:
-            response = frontend.predict_delayed(plan_id, [text])
+    def test_predict_empty_records_returns_empty_response(self, sa_pipeline):
+        runtime = PretzelRuntime(PretzelConfig(num_executors=1))
+        try:
+            plan_id = runtime.register(sa_pipeline)
+            frontend = PretzelFrontEnd(runtime)
+            response = frontend.predict(plan_id, [])
             assert response.outputs == []
-            assert response.buffered
-        assert frontend.pending_counts() == {plan_id: 3}
-        flushed = frontend.flush(plan_id)
-        assert len(flushed.outputs) == 3
-        assert not flushed.buffered
-        # The measured wait replaces the old flat max_batch_delay surcharge.
-        assert flushed.prediction_seconds < 60.0
-        assert frontend.pending_counts() == {}
+            assert response.prediction_seconds == 0.0
+        finally:
+            runtime.shutdown()
+
+    def test_predict_empty_records_with_cache_enabled(self, sa_pipeline):
+        runtime = PretzelRuntime(PretzelConfig(num_executors=1))
+        try:
+            plan_id = runtime.register(sa_pipeline)
+            frontend = PretzelFrontEnd(runtime, FrontEndConfig(enable_cache=True))
+            assert frontend.predict(plan_id, []).outputs == []
+            assert frontend.cache_stats()["entries"] == 0
+        finally:
+            runtime.shutdown()
 
     def test_memory_includes_runtime(self, runtime, sa_pipeline):
         runtime.register(sa_pipeline)

@@ -91,13 +91,12 @@ class TestCoalescing:
 
     def test_whole_backlog_coalesces_below_the_cap(self):
         """The cap is a ceiling, not a target: a backlog shorter than it
-        leaves in one pull, and the backlog behind the leader is recorded."""
+        leaves in one pull."""
         scheduler = Scheduler(enable_stage_batching=True, max_stage_batch_size=16)
         plan = StubPlan("tok")
         for index in range(10):
             scheduler.submit(InferenceRequest(f"p{index}", plan, "x"))
         assert len(scheduler.next_batch(0, timeout=0.0)) == 10
-        assert scheduler.batching.mean_backlog("tok") == pytest.approx(9.0)
         assert scheduler.queue_depths() == {"low": 0, "high": 0}
 
     @pytest.mark.parametrize("kwargs", [{"max_stage_batch_size": 0}])
@@ -199,24 +198,24 @@ class TestFakeClockTimeout:
             "stages": 1,
             "loop_fallback_stages": {},
         }
-        assert scheduler.batching.mean_batch_size("tok") == 3.0
-        assert scheduler.batching.occupancy(4) == pytest.approx(0.75)
 
     def test_forget_clears_every_per_signature_counter(self):
         """Regression: ``StageBatchTelemetry`` entries were never removed
         when a signature's last plan unregistered, so plan churn leaked one
         entry per dead stage (loop-fallback records included)."""
         telemetry = StageBatchTelemetry()
-        telemetry.record("dead", 4, backlog=3)
+        telemetry.record("dead", 4)
         telemetry.note_loop_fallback("dead", ["slow-op"])
         telemetry.record("live", 2)
         telemetry.forget("dead")
-        assert telemetry.mean_batch_size("dead") == 0.0
-        assert telemetry.mean_backlog("dead") == 0.0
-        assert "dead" not in telemetry.loop_fallback_stages()
-        # Unaffected signatures keep their counters.
-        assert telemetry.total_batches == 1
-        assert telemetry.mean_batch_size("live") == 2.0
+        # Only the unaffected signature keeps its counters.
+        assert telemetry.snapshot() == {
+            "batches": 1,
+            "events": 2,
+            "mean_batch_size": 2.0,
+            "stages": 1,
+            "loop_fallback_stages": {},
+        }
         telemetry.forget("never-seen")  # unknown signatures are a no-op
 
     def test_scheduler_forget_signature_clears_telemetry(self):
@@ -226,10 +225,9 @@ class TestFakeClockTimeout:
             scheduler.submit(InferenceRequest(f"p{index}", plan, "x"))
         assert scheduler.next_batch(0, timeout=0.0) is not None
         assert scheduler.batching.total_batches == 1
-        assert scheduler.batching.mean_backlog("tok") > 0.0
         scheduler.forget_signature("tok")
         assert scheduler.batching.total_batches == 0
-        assert scheduler.batching.mean_backlog("tok") == 0.0
+        assert scheduler.batching.snapshot()["stages"] == 0
 
 
 def _build_sentiment_plans(corpus, count):
@@ -297,17 +295,16 @@ class TestEndToEndBatching:
                 for plan_id in plan_ids
             ]
             executor = Executor(0, runtime.scheduler, materializer=runtime.materializer)
+            sizes = []
             while not all(request.done for request in requests):
                 batch = runtime.scheduler.next_batch(0, timeout=0.0)
                 assert batch is not None, "scheduler starved with requests pending"
+                sizes.append(len(batch))
                 executor.execute_batch(batch)
             assert [request.result for request in requests] == pytest.approx(inline)
-            telemetry = runtime.scheduler.batching
-            assert telemetry.mean_batch_size() > 1.0
             assert runtime.stats()["stage_batching"]["mean_batch_size"] > 1.0
             # The shared tokenizer stage should have seen large batches.
-            rows = telemetry.per_stage_rows()
-            assert max(row["max_batch_size"] for row in rows) >= 16
+            assert max(sizes) >= 16
         finally:
             runtime.shutdown()
 
@@ -326,7 +323,7 @@ class TestEndToEndBatching:
             assert runtime.scheduler.batching.total_batches > 0
             runtime.unregister("second")
             assert runtime.scheduler.batching._batches == {}
-            assert runtime.scheduler.batching._backlog_sum == {}
+            assert runtime.scheduler.batching._events == {}
             assert runtime.scheduler.batching._loop_fallbacks == {}
         finally:
             runtime.shutdown()

@@ -1,11 +1,10 @@
-"""Tests for the on-disk model format (save/load round trips)."""
-
-import os
+"""Tests for the stored form of operators (state round trips)."""
 
 import numpy as np
 import pytest
 
-from repro.mlnet.model_file import load_model, operator_from_state, operator_state, save_model
+from repro.mlnet.model_file import operator_from_state, operator_state
+from repro.mlnet.pipeline import Pipeline
 from repro.operators import (
     PCA,
     KMeans,
@@ -28,6 +27,7 @@ class TestOperatorStateRoundTrip:
     def test_word_ngram_keeps_dictionary(self):
         original = WordNgramFeaturizer(ngram_range=(1, 1), max_features=10).fit([["a", "b", "a"]])
         restored = operator_from_state(operator_state(original))
+        assert restored.dictionary is not original.dictionary
         assert restored.dictionary.ngram_to_index == original.dictionary.ngram_to_index
         assert restored.transform(["a"]) == original.transform(["a"])
 
@@ -63,36 +63,14 @@ class TestOperatorStateRoundTrip:
                 restored.transform(records[0]).to_numpy(), original.transform(records[0]).to_numpy()
             )
 
+    def test_ac_pipeline_round_trip(self, ac_pipeline, ac_inputs):
+        restored = Pipeline(ac_pipeline.name)
+        for name in ac_pipeline.topological_order():
+            node = ac_pipeline.nodes[name]
+            restored.add(name, operator_from_state(operator_state(node.operator)), node.inputs)
+        for record in ac_inputs[:3]:
+            assert restored.predict(record) == pytest.approx(ac_pipeline.predict(record))
+
     def test_unknown_class_rejected(self):
         with pytest.raises(KeyError):
             operator_from_state({"class": "NotAnOperator"})
-
-
-class TestModelDirectory:
-    def test_save_creates_one_directory_per_operator(self, sa_pipeline, tmp_path):
-        target = save_model(sa_pipeline, str(tmp_path / "model"))
-        entries = set(os.listdir(target))
-        assert "model.json" in entries
-        for node in sa_pipeline.topological_order():
-            assert node in entries
-
-    def test_round_trip_predictions_match(self, sa_pipeline, sa_inputs, tmp_path):
-        save_model(sa_pipeline, str(tmp_path / "model"))
-        restored = load_model(str(tmp_path / "model"))
-        for text in sa_inputs[:4]:
-            assert restored.predict(text) == pytest.approx(sa_pipeline.predict(text))
-
-    def test_loaded_operators_are_fresh_objects(self, sa_pipeline, tmp_path):
-        save_model(sa_pipeline, str(tmp_path / "model"))
-        restored = load_model(str(tmp_path / "model"))
-        original_op = sa_pipeline.nodes["word_ngram"].operator
-        restored_op = restored.nodes["word_ngram"].operator
-        assert restored_op is not original_op
-        assert restored_op.dictionary is not original_op.dictionary
-        assert restored_op.signature() == original_op.signature()
-
-    def test_ac_pipeline_round_trip(self, ac_pipeline, ac_inputs, tmp_path):
-        save_model(ac_pipeline, str(tmp_path / "ac"))
-        restored = load_model(str(tmp_path / "ac"))
-        for record in ac_inputs[:3]:
-            assert restored.predict(record) == pytest.approx(ac_pipeline.predict(record))

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.mlnet.model_file import save_model
-from repro.mlnet.runtime import MLNetRuntime, MLNetRuntimeConfig, clone_pipeline
+from repro.mlnet.runtime import MLNetRuntime, MLNetRuntimeConfig
 
 
 class TestRegistration:
@@ -28,14 +27,6 @@ class TestRegistration:
     def test_unknown_model_rejected(self):
         with pytest.raises(KeyError):
             MLNetRuntime().predict("missing", "text")
-
-    def test_load_from_directory(self, sa_pipeline, sa_inputs, tmp_path):
-        directory = save_model(sa_pipeline, str(tmp_path / "m"))
-        runtime = MLNetRuntime()
-        name = runtime.load_from_directory(directory)
-        assert runtime.predict(name, sa_inputs[0]) == pytest.approx(
-            sa_pipeline.predict(sa_inputs[0])
-        )
 
 
 class TestColdHotBehaviour:
@@ -86,11 +77,14 @@ class TestCorrectnessAndBatch:
         outputs = runtime.predict_batch(sa_pipeline.name, sa_inputs)
         assert outputs == pytest.approx([sa_pipeline.predict(t) for t in sa_inputs])
 
-    def test_clone_pipeline_is_independent(self, sa_pipeline, sa_inputs):
-        clone = clone_pipeline(sa_pipeline)
-        assert clone.predict(sa_inputs[0]) == pytest.approx(sa_pipeline.predict(sa_inputs[0]))
+    def test_loaded_model_holds_its_own_operators(self, sa_pipeline, sa_inputs):
+        runtime = MLNetRuntime()
+        runtime.load(sa_pipeline)
+        prediction = runtime.predict(sa_pipeline.name, sa_inputs[0])
+        assert prediction == pytest.approx(sa_pipeline.predict(sa_inputs[0]))
+        loaded = runtime.model(sa_pipeline.name).pipeline
         assert (
-            clone.nodes["classifier"].operator is not sa_pipeline.nodes["classifier"].operator
+            loaded.nodes["classifier"].operator is not sa_pipeline.nodes["classifier"].operator
         )
 
 

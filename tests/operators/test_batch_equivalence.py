@@ -23,14 +23,11 @@ from repro.operators import (
     ConcatFeaturizer,
     DecisionTree,
     DenseVector,
-    HashingFeaturizer,
     KMeans,
-    L2Normalizer,
     LinearRegressor,
     LogisticRegressionClassifier,
     MinMaxNormalizer,
     MissingValueImputer,
-    OneHotEncoder,
     Operator,
     PoissonRegressor,
     RandomForest,
@@ -70,7 +67,6 @@ CORE_VECTORIZED = {
     "KMeans",
     "PCA",
     "MinMaxNormalizer",
-    "L2Normalizer",
     "MissingValueImputer",
     "Concat",
     "ColumnSelector",
@@ -145,7 +141,6 @@ def _fitted_cases():
             tokens,
             EXACT,
         ),
-        ("Hashing", HashingFeaturizer(num_bits=6), tokens, EXACT),
         ("ColumnSelector", ColumnSelector(sorted(dict_records[0])), dict_records, EXACT),
         (
             "Concat",
@@ -165,9 +160,6 @@ def _fitted_cases():
         ),
         ("MissingValueImputer", imputer, with_nans, EXACT),
         ("MinMaxNormalizer", minmax, imputed, EXACT),
-        ("L2Normalizer", L2Normalizer(), dense, CLOSE),
-        ("L2Normalizer[sparse]", L2Normalizer(), sparse, EXACT),
-        ("OneHotEncoder", OneHotEncoder(cardinality=9), [int(v) for v in class_labels], EXACT),
         ("LinearRegression", LinearRegressor().fit(dense, labels), dense, CLOSE),
         (
             "LogisticRegression",

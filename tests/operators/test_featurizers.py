@@ -6,11 +6,8 @@ import pytest
 from repro.operators.featurizers import (
     ColumnSelector,
     ConcatFeaturizer,
-    HashingFeaturizer,
-    L2Normalizer,
     MinMaxNormalizer,
     MissingValueImputer,
-    OneHotEncoder,
 )
 from repro.operators.vectors import DenseVector, SparseVector
 
@@ -66,25 +63,6 @@ class TestConcat:
         assert ConcatFeaturizer().is_pipeline_breaker()
 
 
-class TestHashing:
-    def test_fixed_width_output(self):
-        featurizer = HashingFeaturizer(num_bits=6)
-        vec = featurizer.transform(["a", "b", "a"])
-        assert vec.size == 64
-        assert vec.to_dense().values.sum() == 3.0
-
-    def test_deterministic(self):
-        featurizer = HashingFeaturizer(num_bits=8, seed=1)
-        assert featurizer.transform(["x", "y"]) == featurizer.transform(["x", "y"])
-
-    def test_empty_tokens(self):
-        assert HashingFeaturizer(num_bits=4).transform([]).nnz() == 0
-
-    def test_invalid_bits(self):
-        with pytest.raises(ValueError):
-            HashingFeaturizer(num_bits=0)
-
-
 class TestImputer:
     def test_fills_nans_with_means(self):
         imputer = MissingValueImputer().fit(
@@ -125,37 +103,3 @@ class TestMinMax:
     def test_requires_fit(self):
         with pytest.raises(RuntimeError):
             MinMaxNormalizer().transform(DenseVector([1.0]))
-
-
-class TestL2Normalizer:
-    def test_unit_norm(self):
-        result = L2Normalizer().transform(DenseVector([3.0, 4.0]))
-        assert result.norm2() == pytest.approx(1.0)
-
-    def test_zero_vector_unchanged(self):
-        result = L2Normalizer().transform(DenseVector([0.0, 0.0]))
-        assert result.values.tolist() == [0.0, 0.0]
-
-    def test_sparse_input_stays_sparse(self):
-        result = L2Normalizer().transform(SparseVector([1], [2.0], 4))
-        assert isinstance(result, SparseVector)
-        assert result.norm2() == pytest.approx(1.0)
-
-    def test_is_pipeline_breaker(self):
-        assert L2Normalizer().is_pipeline_breaker()
-
-
-class TestOneHot:
-    def test_encoding(self):
-        encoder = OneHotEncoder().fit([0, 1, 2])
-        vec = encoder.transform(1)
-        assert vec.size == 3
-        assert vec.to_dense().values.tolist() == [0.0, 1.0, 0.0]
-
-    def test_unknown_category_is_zero_vector(self):
-        encoder = OneHotEncoder(cardinality=2)
-        assert encoder.transform(7).nnz() == 0
-
-    def test_requires_fit_or_cardinality(self):
-        with pytest.raises(RuntimeError):
-            OneHotEncoder().transform(0)

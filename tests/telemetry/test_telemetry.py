@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.telemetry.latency import LatencyRecorder, percentile, summarize_latencies
-from repro.telemetry.memory import MemoryReport, cumulative_memory_curve, format_bytes
+from repro.telemetry.memory import MemoryReport, format_bytes
 from repro.telemetry.reporting import ExperimentReport, format_cdf, format_table
 
 
@@ -59,17 +59,6 @@ class TestMemory:
         with pytest.raises(KeyError):
             report.final("missing")
 
-    def test_cumulative_curve(self):
-        loaded = []
-        curve = cumulative_memory_curve(
-            memory_fn=lambda: len(loaded) * 10,
-            load_fn=lambda i: loaded.append(i),
-            n_models=25,
-            sample_every=10,
-        )
-        assert curve[-1] == (25, 250)
-        assert len(curve) == 3
-
 
 class TestReporting:
     def test_format_table_alignment(self):
@@ -118,33 +107,6 @@ class TestStageBatchTelemetry:
         telemetry = self._telemetry()
         assert telemetry.total_batches == 3
         assert telemetry.total_events == 7
-        assert telemetry.mean_batch_size() == pytest.approx(7 / 3)
-        assert telemetry.mean_batch_size("sig-a") == pytest.approx(3.0)
-        assert telemetry.mean_batch_size("missing") == 0.0
-        assert telemetry.occupancy(4, "sig-a") == pytest.approx(0.75)
-        with pytest.raises(ValueError):
-            telemetry.occupancy(0)
+        assert telemetry.snapshot()["mean_batch_size"] == pytest.approx(7 / 3)
         with pytest.raises(ValueError):
             telemetry.record("sig-a", 0)
-
-    def test_snapshot_rows_and_reset(self):
-        telemetry = self._telemetry()
-        snapshot = telemetry.snapshot()
-        assert snapshot["batches"] == 3 and snapshot["events"] == 7
-        rows = telemetry.per_stage_rows()
-        assert [row["stage"] for row in rows] == ["sig-a", "sig-b"]
-        assert rows[0]["max_batch_size"] == 4
-        telemetry.reset()
-        assert telemetry.snapshot()["batches"] == 0
-
-    def test_format_batching_report(self):
-        from repro.telemetry.reporting import format_batching_report
-
-        telemetry = self._telemetry()
-        rendered = format_batching_report(telemetry, max_batch_size=4)
-        assert "sig-a" in rendered and "sig-b" in rendered
-        assert "overall: 3 batches, 7 events" in rendered
-        assert "occupancy 0.583" in rendered
-        from repro.telemetry.batching import StageBatchTelemetry
-
-        assert format_batching_report(StageBatchTelemetry(), 4) == "(no stage batches formed)"

@@ -14,7 +14,10 @@ digests.
 The batch path has its own pin: ``predict_batch`` over 100 records per plan
 (the harness's ``batch_mixed`` size) with stage batching on, which runs every
 stage as one columnar ``transform_batch`` call.  A 2-worker cluster must
-serve the same bits as the in-process runtime for both families.
+serve the same bits as the in-process runtime for both families.  AC's final
+outputs absorb small changes upstream (its tree classifier thresholds the
+PCA and KMeans features), so every column each AC stage publishes over the
+same 100 records is pinned too.
 
 Three more pins cover what registration builds: a SHA-256 over every
 stage's ``physical.full_signature`` (plans in family order), each worker's
@@ -45,7 +48,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import PretzelConfig
+from repro.core.engines import execute_plan_stage_columns
 from repro.core.runtime import PretzelRuntime
+from repro.operators.batch import ColumnBatch
 from repro.serving import PretzelCluster
 
 #: OpenBLAS kernel -> family -> digest of ``PretzelRuntime.predict`` outputs
@@ -75,6 +80,14 @@ GOLDEN_BATCH = {
     "Haswell": {"sa": "6ccdbd9b8895f718", "ac": "1cb8b44db2391ffe"},
     "Sandybridge": {"sa": "6ccdbd9b8895f718", "ac": "7da7c16f282e14bd"},
     "Katmai": {"sa": "6ccdbd9b8895f718", "ac": "12ab74231c094a1b"},
+}
+#: OpenBLAS kernel -> digest of every column each AC stage publishes over
+#: ``BATCH`` records (plans in family order, stages in plan order)
+GOLDEN_AC_STAGE_COLUMNS = {
+    "SkylakeX": "e2a648a43424d909",
+    "Haswell": "19bc9fd3e1107cc2",
+    "Sandybridge": "af0086489d1ad56c",
+    "Katmai": "e473e89158b2a17a",
 }
 #: a default runtime's ``memory_bytes()`` with the whole family registered
 GOLDEN_MEMORY_BYTES = {
@@ -196,6 +209,36 @@ def test_predict_batch_outputs_match_the_golden_digests(harness_families):
     with PretzelCluster(config) as cluster:
         for name, (family, _records_) in harness_families.items():
             assert _batch_digest(cluster, family, batches[name]) == in_process[name], name
+
+
+def _column_bytes(column):
+    """A stage output column's values as bytes, tagged with its storage form."""
+    matrix = column.dense_matrix()
+    if matrix is not None:
+        return b"dense" + np.ascontiguousarray(matrix, dtype=np.float64).tobytes()
+    csr = column.sparse_csr()
+    if csr is not None:
+        indptr, indices, data, width = csr
+        arrays = (np.asarray(indptr, np.int64), np.asarray(indices, np.int64), data)
+        return b"csr%d" % width + b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+    scalars = column.scalar_array()
+    assert scalars is not None, f"a stage published a {column.kind} column"
+    return b"scalar" + np.ascontiguousarray(scalars, dtype=np.float64).tobytes()
+
+
+def test_every_ac_stage_column_matches_the_golden_digest(harness_families):
+    family, _records_ = harness_families["ac"]
+    records = ColumnBatch.from_rows(_records(family, count=BATCH))
+    digest = hashlib.sha256()
+    with PretzelRuntime(PretzelConfig(enable_stage_batching=True)) as runtime:
+        for generated in family.pipelines:
+            plan = runtime.plan(runtime.register(generated.pipeline, stats=generated.stats))
+            columns = {}
+            for stage in plan.stages:  # the stage loop of ``predict_batch``
+                execute_plan_stage_columns(stage, records, columns)
+                for key in stage.output_keys:
+                    digest.update(_column_bytes(columns[key]))
+    assert digest.hexdigest()[:16] == _golden(GOLDEN_AC_STAGE_COLUMNS)
 
 
 def test_stage_signatures_match_the_golden_digests(harness_families):
