@@ -56,6 +56,9 @@ class TestClipperFrontEnd:
         response = frontend.predict(sa_pipeline.name, [sa_inputs[0]])
         assert response.outputs[0] == pytest.approx(sa_pipeline.predict(sa_inputs[0]))
         assert response.network_seconds >= 0.009
+        assert response.end_to_end_seconds == pytest.approx(
+            response.prediction_seconds + response.network_seconds
+        )
 
     def test_duplicate_deploy_rejected(self, sa_pipeline):
         frontend = ClipperFrontEnd()

@@ -5,11 +5,18 @@ import random
 
 import pytest
 
+from repro.clipper.container import ModelContainer
 from repro.core.config import PretzelConfig
 from repro.core.runtime import PretzelRuntime
 from repro.core.scheduler import Scheduler
 from repro.mlnet.runtime import MLNetRuntime
-from repro.simulation.calibrate import calibrate_blackbox, calibrate_plan_stages
+from repro.simulation.calibrate import (
+    CalibratedPlan,
+    calibrate_blackbox,
+    calibrate_container,
+    calibrate_plan_stage_batches,
+    calibrate_plan_stages,
+)
 from repro.simulation.queueing import (
     Arrival,
     ArrivalProcess,
@@ -151,6 +158,45 @@ class TestCalibration:
         per_request = calibrate_blackbox(runtime, sa_pipeline.name, sa_inputs[:2], repetitions=2)
         assert per_request > 0
 
+    def test_batch_calibration_times_every_stage(self, sa_pipeline, sa_inputs):
+        runtime = PretzelRuntime(PretzelConfig())
+        try:
+            plan_id = runtime.register(sa_pipeline)
+            calibrated = calibrate_plan_stage_batches(
+                runtime, plan_id, sa_inputs[:3], batch_size=5, repetitions=2
+            )
+            assert calibrated.plan_id == plan_id
+            assert len(calibrated.stage_seconds) == runtime.plan(plan_id).stage_count()
+            assert all(seconds > 0 for seconds in calibrated.stage_seconds)
+        finally:
+            runtime.shutdown()
+
+    @pytest.mark.parametrize("records, batch_size", [(0, 4), (2, 0)], ids=["no-records", "no-batch"])
+    def test_batch_calibration_rejects_an_empty_sample(
+        self, sa_pipeline, sa_inputs, records, batch_size
+    ):
+        runtime = PretzelRuntime(PretzelConfig())
+        try:
+            plan_id = runtime.register(sa_pipeline)
+            with pytest.raises(ValueError):
+                calibrate_plan_stage_batches(runtime, plan_id, sa_inputs[:records], batch_size)
+        finally:
+            runtime.shutdown()
+
+    def test_container_calibration_charges_the_rpc_hop(self, sa_pipeline, sa_inputs):
+        container = ModelContainer(sa_pipeline)
+        per_request = calibrate_container(container, sa_inputs[:2], repetitions=2)
+        assert per_request > container.config.rpc.round_trip_seconds
+        # one warm-up request plus two repetitions of two records
+        assert container.requests_served == 5
+        with pytest.raises(ValueError):
+            calibrate_container(container, [])
+
+    def test_total_seconds_sums_the_stages(self):
+        calibrated = CalibratedPlan("p", [0.25, 0.5, 0.125])
+        assert calibrated.total_seconds == 0.875
+        assert CalibratedPlan("p", [0.25], per_record_scaling=False).stage_times(4) == [0.25]
+
 
 class TestStageBatchingSimulation:
     """Coverage for the simulator's stage-level coalescing (max_stage_batch)."""
@@ -176,6 +222,9 @@ class TestStageBatchingSimulation:
         assert batched.makespan_seconds == pytest.approx(4 * stage + overhead)
         assert batched.completed == unbatched.completed == 4
         assert batched.throughput_qps > unbatched.throughput_qps
+        assert unbatched.mean_stage_batch == 0.0
+        assert (batched.batches_formed, batched.batch_events) == (1, 4)
+        assert batched.mean_stage_batch == 4.0
 
     def test_max_stage_batch_truncates(self):
         """A cap of 2 forms two batches of two, paying two overheads."""

@@ -28,6 +28,14 @@ class TestLatency:
         assert recorder.groups() == ["hot", "cold"]
         assert recorder.summary("cold")["count"] == 2
 
+    def test_group_is_a_copy_and_unknown_groups_are_empty(self):
+        recorder = LatencyRecorder()
+        recorder.extend([0.1, 0.2], group="cold")
+        samples = recorder.group("cold")
+        samples.append(9.0)
+        assert recorder.group("cold") == [0.1, 0.2]
+        assert recorder.group("missing") == []
+
     def test_cdf_monotonic(self):
         recorder = LatencyRecorder()
         recorder.extend([0.005, 0.001, 0.010, 0.002])
@@ -58,6 +66,12 @@ class TestMemory:
         assert report.final("baseline") == 1000
         with pytest.raises(KeyError):
             report.final("missing")
+
+    def test_systems_in_first_recorded_order(self):
+        report = MemoryReport()
+        for system, total in (("pretzel", 10), ("mlnet", 30), ("pretzel", 20)):
+            report.record(system, total)
+        assert report.systems() == ["pretzel", "mlnet"]
 
 
 class TestReporting:

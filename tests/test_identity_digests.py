@@ -146,6 +146,13 @@ def _golden(table):
     return table[kernel]
 
 
+def test_a_kernel_with_no_golden_row_fails_naming_it(monkeypatch):
+    monkeypatch.setitem(_golden.__globals__, "_openblas_kernel", lambda: "NoSuchCore")
+    for table in (GOLDEN, GOLDEN_BATCH, GOLDEN_AC_STAGE_COLUMNS):
+        with pytest.raises(AssertionError, match="no golden digests for OpenBLAS kernel 'NoSuchCore'"):
+            _golden(table)
+
+
 def _digest(outputs):
     assert all(type(value) is float for value in outputs)
     return hashlib.sha256("".join(value.hex() for value in outputs).encode()).hexdigest()[:16]

@@ -146,6 +146,10 @@ class TestSentimentFamily:
         tokenize_row = next(row for row in rows if row["operator"] == "Tokenize")
         assert tokenize_row["pipelines"] == len(tiny_sa_family)
 
+    def test_member_memory_is_its_pipelines(self, tiny_sa_family):
+        for generated in tiny_sa_family.pipelines:
+            assert generated.memory_bytes() == generated.pipeline.memory_bytes() > 0
+
     def test_stats_attached(self, tiny_sa_family):
         stats = tiny_sa_family.pipelines[0].stats
         assert stats["char_ngram"].is_sparse

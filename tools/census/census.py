@@ -168,7 +168,8 @@ def _declares_only(node: ast.AST) -> bool:
     return False
 
 
-def functions() -> List[Function]:
+def functions(root: pathlib.Path = ROOT) -> List[Function]:
+    """Every ``def`` under ``root/src/repro``, with paths relative to ``root``."""
     found: List[Function] = []
 
     def visit(node: ast.AST, file: str, prefix: str) -> None:
@@ -187,14 +188,14 @@ def functions() -> List[Function]:
             else:
                 visit(child, file, prefix)
 
-    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
-        file = path.relative_to(ROOT).as_posix()
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        file = path.relative_to(root).as_posix()
         visit(ast.parse(path.read_text(encoding="utf-8"), file), file, "")
     return found
 
 
-def classify(product: Set[Key], tests: Set[Key]) -> List[Function]:
-    table = functions()
+def classify(product: Set[Key], tests: Set[Key], root: pathlib.Path = ROOT) -> List[Function]:
+    table = functions(root)
     for function in table:
         if function.key in product:
             function.kind = "product"
