@@ -15,17 +15,13 @@ from repro.net import (
     REPLY_FRAME_MAGIC,
     FrameFormatError,
     SchemaMismatchError,
-    decode_payload,
     decode_predict_frame,
     decode_reply,
     deserialize_message,
-    encode_payload,
     encode_predict,
     encode_reply_frame,
     frame_schema,
-    pack_value_batch,
     serialize_message,
-    unpack_value_batch,
 )
 from repro.observability.tracing import pack_trace_wire, unpack_trace_wire
 
@@ -53,14 +49,6 @@ class TestRoundTrip:
             "score": 0.25,
             "count": 7,
         }
-
-    def test_harness_aliases_keep_the_json_envelope_and_identity_rows(self):
-        payload = {"plan_id": "sa-0", "records": [[1.0, 2.5], "a review"]}
-        assert encode_payload(payload) == serialize_message(payload)
-        assert decode_payload(encode_payload(payload)) == payload
-        rows = [[1.0, 2.0], [3.0]]
-        assert pack_value_batch(tuple(rows)) == rows
-        assert unpack_value_batch(pack_value_batch(rows)) == rows
 
     def test_non_roundtrippable_values_raise_instead_of_stringifying(self):
         """Regression: ``_default_encoder`` used to fall back to ``str(value)``,

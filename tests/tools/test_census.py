@@ -205,18 +205,19 @@ def test_blocks_join_neighbours_and_break_at_product_stay_and_file():
 
 def test_report_totals_and_block_threshold():
     table = [
-        _function("big", "test-only", line=1, lines=30),
-        _function("small", "never", file="src/repro/b.py", line=1, lines=3),
+        _function("big", "test-only", line=1, lines=census.BLOCK_LINES),
+        _function("small", "never", file="src/repro/b.py", line=1, lines=census.BLOCK_LINES - 1),
         _function("kept", "never", file="src/repro/c.py", line=1, lines=4, stay="fail-over"),
         _function("run", "product", file="src/repro/d.py", line=1, lines=9),
     ]
-    out = census.report(table, block_lines=20, failed=0)
+    out = census.report(table, failed=0)
+    big = census.BLOCK_LINES
     assert out[0] == "# product-surface census of src/repro (4 functions)"
     assert out[1].split() == ["#", "product", "1", "functions", "9", "lines"]
-    assert out[2].split()[:6] == ["#", "test-only", "1", "functions", "30", "lines"]
+    assert out[2].split()[:6] == ["#", "test-only", "1", "functions", str(big), "lines"]
     assert "(stay: 1 functions, 4 lines)" in out[3]
     listed = [line for line in out if line.startswith("src/repro/") and "lines  " in line]
-    assert listed == ["src/repro/a.py:1-1  30 lines  big (test-only)"]
+    assert listed == [f"src/repro/a.py:1-1  {big} lines  big (test-only)"]
     assert "src/repro/c.py:1  4  never  kept  [stay: fail-over]" in out
     assert not any(line.startswith("# WARNING") for line in out)
 
@@ -227,7 +228,7 @@ def test_report_lists_every_function_once_in_file_order():
         _function("y", "never", file="src/repro/a.py", line=9),
         _function("x", "test-only", file="src/repro/a.py", line=2),
     ]
-    out = census.report(table, block_lines=20, failed=0)
+    out = census.report(table, failed=0)
     listed = out[out.index("\n## functions (file:line  lines  class  qualified name)") + 1 :]
     assert [line.split()[0] for line in listed] == [
         "src/repro/a.py:2", "src/repro/a.py:9", "src/repro/b.py:1"
@@ -235,7 +236,7 @@ def test_report_lists_every_function_once_in_file_order():
 
 
 def test_report_warns_when_a_recorded_run_failed():
-    out = census.report([_function("a", "product")], block_lines=20, failed=2)
+    out = census.report([_function("a", "product")], failed=2)
     assert out[1] == "# WARNING: 2 recorded run(s) exited non-zero; see the logs"
 
 
@@ -267,6 +268,13 @@ def test_reuse_classifies_a_kept_dump_directory(tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert f"{first.file}:{first.line}  {first.lines}  product  {first.qualname}" in lines
     assert f"{second.file}:{second.line}  {second.lines}  test-only  {second.qualname}" in lines
+
+
+def test_a_failed_run_still_writes_the_report_but_exits_non_zero(tmp_path, monkeypatch):
+    monkeypatch.setattr(census, "record", lambda dumps, python: 1)
+    out = tmp_path / "census.txt"
+    assert census.main(["--dumps", str(tmp_path), "--out", str(out)]) == 1
+    assert out.read_text(encoding="utf-8").splitlines()[1].startswith("# WARNING: 1 recorded run")
 
 
 # -- recording ------------------------------------------------------------

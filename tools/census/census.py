@@ -17,9 +17,11 @@ Usage, from anywhere (stdlib only; the runs take several minutes)::
 
 The report has one line per function (``file:line``, its own lines --
 nested functions count for themselves -- its class and qualified name),
-the totals per class, and the *blocks*: runs of adjacent functions in one
-file that are outside the product and off the stay list (``STAY``), largest
-first.  A function on the stay list is test-only on purpose and says why.
+the totals per class, and the *blocks* of ``BLOCK_LINES`` or more lines:
+runs of adjacent functions in one file that are outside the product and off
+the stay list (``STAY``), largest first.  A function on the stay list is
+test-only on purpose and says why.  The exit status is 1 when a recorded run
+exited non-zero: the report is still written, but it is incomplete.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 HERE = pathlib.Path(__file__).resolve().parent
+
+#: The report lists blocks of at least this many lines.
+BLOCK_LINES = 50
 
 #: (``file::qualified name`` pattern, reason): code that stays although the
 #: product never runs it.  A function whose body only declares an interface
@@ -229,7 +234,7 @@ def blocks(table: List[Function]) -> List[Block]:
     return sorted(found, key=lambda block: -block.lines)
 
 
-def report(table: List[Function], block_lines: int, failed: int) -> List[str]:
+def report(table: List[Function], failed: int) -> List[str]:
     out = [f"# product-surface census of src/repro ({len(table)} functions)"]
     if failed:
         out.append(f"# WARNING: {failed} recorded run(s) exited non-zero; see the logs")
@@ -240,8 +245,8 @@ def report(table: List[Function], block_lines: int, failed: int) -> List[str]:
             f"# {kind:<9} {len(members):>5} functions {sum(f.lines for f in members):>6} lines"
             + (f"  (stay: {len(stay)} functions, {sum(f.lines for f in stay)} lines)" if stay else "")
         )
-    large = [block for block in blocks(table) if block.lines >= block_lines]
-    out.append(f"\n## blocks of {block_lines}+ lines outside the product, off the stay list")
+    large = [block for block in blocks(table) if block.lines >= BLOCK_LINES]
+    out.append(f"\n## blocks of {BLOCK_LINES}+ lines outside the product, off the stay list")
     for block in large:
         first, last = block.members[0], block.members[-1]
         names = ", ".join(f"{f.qualname} ({f.kind})" for f in block.members)
@@ -260,7 +265,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--dumps", help="directory for the per-process dumps (default: a temp dir)")
     parser.add_argument("--reuse", metavar="DIR", help="classify DIR's dumps without running")
     parser.add_argument("--out", help="write the report here instead of standard output")
-    parser.add_argument("--block-lines", type=int, default=20, help="smallest block listed")
     args = parser.parse_args(argv)
     failed = 0
     if args.reuse:
@@ -270,12 +274,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         failed = record(dumps, sys.executable)
         print(f"dumps kept in {dumps}", file=sys.stderr)
     table = classify(seen(dumps / "product"), seen(dumps / "tests"))
-    text = "\n".join(report(table, args.block_lines, failed)) + "\n"
+    text = "\n".join(report(table, failed)) + "\n"
     if args.out:
         pathlib.Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    return 0
+    # A failed product run records fewer product functions: the report is
+    # written, but the exit status says it cannot be trusted.
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
